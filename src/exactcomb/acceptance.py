@@ -117,14 +117,15 @@ def criterion_rowmotion(max_n: int = SWEEP_N,
     instances = 0
     for cname, lat, cap in targets:
         rm = posets.rowmotion_distributive(lat)
+        pivot_cols = posets._memo_pivot_cols(lat.poset)
         for ext in posets.linear_extensions(lat.poset, cap=cap):
-            em = posets.echelonmotion(lat, ext)
-            if em.mapping != rm:
+            echelon = posets._echelon_mapping(ext.order, pivot_cols(ext.order))
+            if echelon != rm:
                 return Report(name, instances, COUNTEREXAMPLE, {
                     "source": cname,
                     "covers": lat.poset.cover_pairs(),
                     "extension": list(ext.order),
-                    "echelon": list(em.mapping),
+                    "echelon": list(echelon),
                     "rowmotion": list(rm),
                 })
             instances += 1

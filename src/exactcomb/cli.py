@@ -162,8 +162,13 @@ def _cmd_plactic_rc(args) -> int:
 
 def _cmd_echelon_map(args) -> int:
     p = posets.load_poset_file(args.poset)
-    sigma = posets.LinearExtension(_ints(args.sigma, "--sigma"))
-    em = posets.echelonmotion(p, sigma)
+    lattice = posets.build_lattice(p)
+    order = _ints(args.sigma, "--sigma")
+    if sorted(order) != list(range(p.n)):
+        raise posets.PosetError(
+            f"--sigma must list each element 0..{p.n - 1} exactly once, got {args.sigma!r}")
+    sigma = posets.LinearExtension(order)
+    em = posets.echelonmotion(lattice, sigma)
     lines = [f"{x} -> {em(x)}" for x in range(p.n)]
     return _emit_obj({"poset": posets.poset_to_json_obj(p),
                       "sigma": list(sigma.order),

@@ -342,17 +342,6 @@ def is_odd_gap_perm(tau: Permutation) -> bool:
     return all((p - blocks[p - 1]) % 2 == 1 for p in range(1, tau.n + 1))
 
 
-def _is_odd_gap_recursive(word: tuple[int, ...]) -> bool:
-    # split at the maximum: even-length left part, both parts again in the class
-    if not word:
-        return True
-    p = word.index(max(word))
-    if p % 2 == 1:
-        return False
-    return _is_odd_gap_recursive(standardize(word[:p]).one_line) \
-        and _is_odd_gap_recursive(standardize(word[p + 1:]).one_line)
-
-
 def is_jacobi(w: Permutation) -> bool:
     """Complement of the odd-gap class; splits at the minimum instead."""
     return is_odd_gap_perm(complement_perm(w))

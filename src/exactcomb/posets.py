@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 
-from .core import IntMatrix, Permutation
+from .core import IntMatrix, Permutation, int_matrix_rank
 from .report import COUNTEREXAMPLE, SKIPPED, VERIFIED, Report
 
 
@@ -358,6 +358,66 @@ def _bruhat_pivot_cols(rows: list[list[int]]) -> list[int]:
     return col_of_row
 
 
+def _memo_pivot_cols(p: Poset):
+    """A function ``order -> col_of_row`` for the linear extensions of p.
+
+    It gives what ``_bruhat_pivot_cols`` gives on the Cartan matrix of
+    (p, order), from ranks shared between extensions.  In extension
+    coordinates the lower-left rank r(i, j) is the rank of the zeta matrix
+    on the rows order[i:] and the columns order[:j+1].  The rows form an
+    up-set and the columns a down-set, so r depends on that pair of sets
+    only, and each rank is computed once per poset, by exact elimination.
+
+    The pivot of column j is the largest i with r(i, j) > r(i, j-1).  That
+    condition holds exactly for i up to the pivot, and r(i, j-1) needs no
+    lookup: it counts the pivots of the earlier columns in rows >= i.  The
+    pivot is a row without a pivot yet, so the search tries those rows
+    from the highest down and stops at the first that passes; the lowest
+    one passes without a test.  On the GF(2)^3 subspace lattice about
+    three pivots in four are the highest such row.  The pivot may lie above
+    the diagonal, on a zero entry, so the search never assumes i >= j.
+    """
+    n = p.n
+    down = p.down
+    full = (1 << n) - 1
+    memo: dict[int, int] = {}  # rowmask << n | colmask -> rank
+
+    def col_of_row(order: tuple[int, ...]) -> list[int]:
+        row_keys = []  # row_keys[i] = (mask of order[i:]) << n
+        below = 0
+        for x in order:
+            row_keys.append((full ^ below) << n)
+            below |= 1 << x
+        result = [-1] * n
+        free = full  # rows without a pivot, bit i for row i
+        cols = 0
+        for j, x in enumerate(order):
+            cols |= 1 << x
+            rest = free  # free rows not tried yet for this column
+            while True:
+                i = rest.bit_length() - 1
+                rest ^= 1 << i
+                if not rest:
+                    break  # the lowest free row is the pivot if no higher one is
+                key = row_keys[i] | cols
+                try:
+                    r = memo[key]
+                except KeyError:
+                    # repeated rows do not change the rank, so each is taken once
+                    col_list = list(_bits(cols))
+                    r = memo[key] = int_matrix_rank(
+                        [[row >> c & 1 for c in col_list]
+                         for row in {down[y] & cols for y in _bits(key >> n)}])
+                # r(i, j-1) counts the rows from i up that have a pivot
+                if r > n - i - (free >> i).bit_count():
+                    break
+            result[i] = j
+            free ^= 1 << i
+        return result
+
+    return col_of_row
+
+
 def bruhat_permutation(m: IntMatrix) -> Permutation:
     """The permutation P with m in B.P.B for upper triangular invertible B.
 
@@ -434,12 +494,16 @@ def echelonmotion(p: Poset | "Lattice", ext: LinearExtension) -> EchelonMap:
         p = p.poset
     if not is_linear_extension(p, ext):
         raise PosetError("sequence is not a linear extension of this poset")
-    rows = _cartan_rows(p.down, ext.order)
-    cols = _bruhat_pivot_cols(rows)
-    mapping = [-1] * p.n
-    for i, j in enumerate(cols):
-        mapping[ext.order[j]] = ext.order[i]
-    return EchelonMap(ext, tuple(mapping))
+    cols = _bruhat_pivot_cols(_cartan_rows(p.down, ext.order))
+    return EchelonMap(ext, _echelon_mapping(ext.order, cols))
+
+
+def _echelon_mapping(order: tuple[int, ...], col_of_row: list[int]) -> tuple[int, ...]:
+    # a pivot at row i, column j sends order[j] to order[i]
+    mapping = [-1] * len(order)
+    for i, j in enumerate(col_of_row):
+        mapping[order[j]] = order[i]
+    return tuple(mapping)
 
 
 def is_echelon_independent(p: Poset, extension_cap: int = 100_000) -> bool:
@@ -701,6 +765,11 @@ def verify_echelon_theorem(L: Lattice, extension_cap: int | None = None) -> Repo
     element x, the image y of x must satisfy |covers above y| = |covers
     below x|.  Skips with a witness when L is not modular, since the claim
     only holds on modular lattices.
+
+    The sweep takes its pivots from ranks memoized per lattice
+    (``_memo_pivot_cols``), not from a fresh elimination per extension;
+    Bareiss pivoting (``_bruhat_pivot_cols``, behind ``echelonmotion``)
+    remains the oracle that the tests compare the memo against.
     """
     name = "echelon-cover-transfer"
     w = modular_witness(L)
@@ -713,11 +782,10 @@ def verify_echelon_theorem(L: Lattice, extension_cap: int | None = None) -> Repo
     down_counts = [m.bit_count() for m in p.covers_down()]
     up_counts = [m.bit_count() for m in p.covers_up()]
     checked = 0
+    pivot_cols = _memo_pivot_cols(p)
     for ext in linear_extensions(p, cap=extension_cap):
-        rows = _cartan_rows(p.down, ext.order)
-        cols = _bruhat_pivot_cols(rows)
         order = ext.order
-        for i, j in enumerate(cols):
+        for i, j in enumerate(pivot_cols(order)):
             x = order[j]
             y = order[i]
             if up_counts[y] != down_counts[x]:
@@ -898,12 +966,13 @@ def poset_from_json_obj(obj) -> Poset:
     if not isinstance(obj, dict) or set(obj) != {"n", "covers"}:
         raise PosetError('poset JSON must be an object with keys "n" and "covers"')
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    # bool is a subclass of int, but true is not an element label
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise PosetError('"n" must be a positive integer')
     covers = []
     for pair in obj["covers"]:
         if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, int) for v in pair)):
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
             raise PosetError(f"bad cover entry {pair!r}")
         covers.append((pair[0], pair[1]))
     return Poset.from_cover_pairs(n, covers)

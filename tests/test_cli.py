@@ -134,3 +134,23 @@ def test_verify_single_theorem_reports(capsys):
     reports = payload if isinstance(payload, list) else [payload]
     assert reports[0]["theorem"] == "tree-minus-one-is-simsun"
     assert set(reports[0]) == {"theorem", "instances", "status", "witness"}
+
+
+def test_echelon_map_rejects_non_lattice(capsys, tmp_path):
+    # two maximal elements: no join of 1 and 2
+    poset = tmp_path / "vee.json"
+    poset.write_text(json.dumps({"n": 3, "covers": [[0, 1], [0, 2]]}))
+    code, out, err = run(capsys, "echelon", "map", "--poset", str(poset),
+                         "--sigma", "0,1,2")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "no least upper bound" in err
+
+
+@pytest.mark.parametrize("sigma", ["0,1,5", "0,1", "0,1,1,2", "-1,0,1"])
+def test_echelon_map_rejects_bad_sigma(capsys, tmp_path, sigma):
+    poset = tmp_path / "chain.json"
+    poset.write_text(json.dumps({"n": 3, "covers": [[0, 1], [1, 2]]}))
+    code, out, err = run(capsys, "echelon", "map", "--poset", str(poset),
+                         f"--sigma={sigma}")
+    assert code == 2 and not out
+    assert err.startswith("error: --sigma")

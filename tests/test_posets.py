@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from exactcomb import acceptance, posets
 from exactcomb.core import IntMatrix, Permutation, int_matrix_rank, random_unit_upper_triangular
 from exactcomb.posets import (
     CyclicCoversError,
@@ -13,6 +14,7 @@ from exactcomb.posets import (
     NotALatticeError,
     NotDistributiveError,
     Poset,
+    PosetError,
     bruhat_permutation,
     bruhat_rank_profile,
     build_lattice,
@@ -310,3 +312,54 @@ def test_json_round_trip():
         poset_from_json_obj({"n": 2})
     with pytest.raises(Exception):
         poset_from_json_obj({"n": 2, "covers": [[0, 1], [1, 0]]})
+
+
+def test_json_rejects_booleans():
+    with pytest.raises(PosetError):
+        poset_from_json_obj({"n": True, "covers": []})
+    with pytest.raises(PosetError):
+        poset_from_json_obj({"n": 2, "covers": [[0, True]]})
+    with pytest.raises(PosetError):
+        poset_from_json_obj({"n": 2, "covers": [[False, 1]]})
+
+
+# -- the rank memo of echelon sweeps against Bareiss pivoting -------------------
+
+
+def _assert_memo_matches_bareiss(p, cap=None):
+    memo_pivots = posets._memo_pivot_cols(p)
+    checked = 0
+    for ext in linear_extensions(p, cap=cap):
+        expected = posets._bruhat_pivot_cols(posets._cartan_rows(p.down, ext.order))
+        assert memo_pivots(ext.order) == expected, (p, ext)
+        checked += 1
+    return checked
+
+
+def test_memo_pivots_match_bareiss_on_sweep_lattices():
+    sweep = acceptance.LatticeSweep(5)
+    assert len(sweep.modular) > 100
+    checked = sum(_assert_memo_matches_bareiss(lat.poset) for lat in sweep.modular)
+    assert checked > len(sweep.modular)
+
+
+def test_memo_pivots_match_bareiss_on_catalog():
+    for name, lat in lattice_catalog().items():
+        cap = 2000 if name == "GF2_dim3_subspaces" else None
+        assert _assert_memo_matches_bareiss(lat.poset, cap=cap) > 0, name
+
+
+def test_memo_pivots_on_posets_that_are_not_lattices():
+    for p in enumerate_posets(4):
+        _assert_memo_matches_bareiss(p)
+
+
+def test_echelon_checkers_fail_on_wrong_pivots(monkeypatch):
+    # every element sent to itself: the bottom has no lower covers but some upper ones
+    monkeypatch.setattr(posets, "_memo_pivot_cols", lambda p: lambda order: list(range(p.n)))
+    r = verify_echelon_theorem(subspace_lattice_gf2_dim3())
+    assert r.status == "counterexample"
+    assert r.witness["covers_below_element"] != r.witness["covers_above_image"]
+    r = acceptance.criterion_rowmotion(max_n=3, catalog_cap=1)
+    assert r.status == "counterexample"
+    assert r.witness["echelon"] != r.witness["rowmotion"]
