@@ -56,6 +56,7 @@ from .posets import (
     rowmotion_distributive,
     verify_dilworth,
     verify_echelon_theorem,
+    verify_rowmotion,
 )
 from .report import Report
 from .acceptance import run_battery

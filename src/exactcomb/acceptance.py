@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cache
 
 from . import genfun, parking, plactic, posets
 from .core import Permutation, random_unit_upper_triangular
@@ -23,12 +24,10 @@ CATALOG_EXTENSION_CAP = 100_000
 class LatticeSweep:
     """All modular and distributive lattices among labelled posets up to max_n."""
 
-    __slots__ = ("max_n", "posets_seen", "lattices_seen", "modular", "distributive")
+    __slots__ = ("posets_seen", "modular", "distributive")
 
     def __init__(self, max_n: int):
-        self.max_n = max_n
         self.posets_seen = 0
-        self.lattices_seen = 0
         self.modular: list[posets.Lattice] = []
         self.distributive: list[posets.Lattice] = []
         for p in posets.enumerate_posets_up_to(max_n):
@@ -39,20 +38,15 @@ class LatticeSweep:
                 lat = posets.build_lattice(p)
             except posets.NotALatticeError:
                 continue
-            self.lattices_seen += 1
             if posets.is_modular(lat):
                 self.modular.append(lat)
                 if posets.is_distributive(lat):
                     self.distributive.append(lat)
 
 
-_SWEEPS: dict[int, LatticeSweep] = {}
-
-
-def lattice_sweep(max_n: int = SWEEP_N) -> LatticeSweep:
-    if max_n not in _SWEEPS:
-        _SWEEPS[max_n] = LatticeSweep(max_n)
-    return _SWEEPS[max_n]
+@cache
+def lattice_sweep(max_n: int) -> LatticeSweep:
+    return LatticeSweep(max_n)
 
 
 def _modular_catalog() -> list[tuple[str, posets.Lattice]]:
@@ -116,19 +110,13 @@ def criterion_rowmotion(max_n: int = SWEEP_N,
             targets.append((cname, lat, catalog_cap))
     instances = 0
     for cname, lat, cap in targets:
-        rm = posets.rowmotion_distributive(lat)
-        pivot_cols = posets._memo_pivot_cols(lat.poset)
-        for ext in posets.linear_extensions(lat.poset, cap=cap):
-            echelon = posets._echelon_mapping(ext.order, pivot_cols(ext.order))
-            if echelon != rm:
-                return Report(name, instances, COUNTEREXAMPLE, {
-                    "source": cname,
-                    "covers": lat.poset.cover_pairs(),
-                    "extension": list(ext.order),
-                    "echelon": list(echelon),
-                    "rowmotion": list(rm),
-                })
-            instances += 1
+        r = posets.verify_rowmotion(lat, extension_cap=cap)
+        instances += r.instances
+        if r.status != VERIFIED:
+            witness = dict(r.witness or {})
+            witness["source"] = cname
+            witness["covers"] = lat.poset.cover_pairs()
+            return Report(name, instances, r.status, witness)
     return Report(name, instances, VERIFIED, {
         "distributive_lattices": len(targets),
         "pairs_checked": instances,
@@ -370,8 +358,7 @@ def criterion_determinism(seed: int = 0) -> Report:
     return Report(name, 2, VERIFIED, {"seed": seed, "report_bytes": len(first)})
 
 
-def run_battery(quick: bool = False, seed: int = 0,
-                workers: int | None = None) -> list[Report]:
+def run_battery(quick: bool = False, seed: int = 0, workers: int = 1) -> list[Report]:
     """All thirteen criteria in dependency order.
 
     The quick tier lowers every size cap by one and divides the catalog

@@ -116,7 +116,7 @@ def _cmd_genfun_itilde(args) -> int:
 
 
 def _cmd_genfun_simsun(args) -> int:
-    r = genfun.verify_simsun_identity(args.n, pmap=make_pmap(args.workers))
+    r = genfun.verify_simsun_identity(args.n)
     return _emit_reports([r], args.output)
 
 
@@ -188,8 +188,12 @@ def _cmd_verify_all(args) -> int:
 
 def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("text", "json"), default="text")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: EXACTCOMB_WORKERS or 1)")
+
+
+def _pooled(sub: argparse.ArgumentParser) -> None:
+    _common(sub)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="worker processes, at least 1 (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk_sub = pk.add_subparsers(dest="command", required=True)
     s = pk_sub.add_parser("verify-fixed-content", help="equidistribution at one size")
     s.add_argument("--n", type=int, required=True)
-    _common(s)
+    _pooled(s)
     s.set_defaults(handler=_cmd_parking_verify)
     s = pk_sub.add_parser("phi", help="rook placement of a descent subset")
     s.add_argument("--b", required=True, help="content, e.g. 1,1,2,4,5,6")
@@ -249,20 +253,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--u", required=True)
     s.add_argument("--alphabet", type=int, required=True)
     s.add_argument("--max-len", type=int, required=True)
-    _common(s)
+    _pooled(s)
     s.set_defaults(handler=_cmd_plactic_centralizer)
     s = pl_sub.add_parser("verify-first-rows", help="first-rows bound over a budget")
     s.add_argument("--u", required=True)
     s.add_argument("--alphabet", type=int, default=None)
     s.add_argument("--max-len", type=int, default=7)
-    _common(s)
+    _pooled(s)
     s.set_defaults(handler=_cmd_plactic_first_rows)
     s = pl_sub.add_parser("verify-rc", help="reverse-complement correspondence")
     s.add_argument("--u", required=True)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--alphabet", type=int, default=None)
     s.add_argument("--max-len", type=int, default=6)
-    _common(s)
+    _pooled(s)
     s.set_defaults(handler=_cmd_plactic_rc)
 
     ec = top.add_parser("echelon", help="echelon maps of posets")
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--quick", action="store_true",
                    help="reduce every size cap by one (smoke tier)")
     s.add_argument("--seed", type=int, default=0)
-    _common(s)
+    _pooled(s)
     s.set_defaults(handler=_cmd_verify_all)
 
     return parser
@@ -290,10 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, posets.PosetError, parking.ParkingFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

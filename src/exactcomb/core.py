@@ -312,12 +312,6 @@ class BiPoly:
             out[(eq, degree - et)] = c
         return BiPoly(out)
 
-    def q_degree(self) -> int:
-        return max((eq for (eq, _t) in self._terms), default=0)
-
-    def t_degree(self) -> int:
-        return max((et for (_q, et) in self._terms), default=0)
-
     def render(self, names: tuple[str, str] = ("q", "t")) -> str:
         """Human-readable rendering with terms in exponent order."""
         if not self._terms:
@@ -400,9 +394,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({list(map(list, self.entries))!r})"
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.entries)) if self.entries else IntMatrix(())
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -129,6 +129,8 @@ def tree_poly(n: int, method: str = "recurrence") -> BiPoly:
     identity splitting at the subtree of vertex n (both must agree, which
     the test suite checks on the overlap range).
     """
+    if n < 0:
+        raise ValueError(f"tree polynomials need n >= 0, got n = {n}")
     if method == "trees":
         acc: Counter = Counter()
         for parent in rooted_trees(n):
@@ -259,8 +261,8 @@ def verify_simsun_identity(n: int, pmap=map) -> Report:
     force matches R from the derivative recurrence wherever brute force is
     feasible.
     """
-    if n > 10:
-        raise ValueError("simsun verification capped at n = 10")
+    if not 0 <= n <= 10:
+        raise ValueError(f"simsun verification needs 0 <= n <= 10, got n = {n}")
     name = "tree-minus-one-is-simsun"
     instances = 0
     for k in range(1, n + 1):

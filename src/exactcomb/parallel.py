@@ -7,46 +7,33 @@ Modules stay policy-free: they never decide worker counts themselves.
 from __future__ import annotations
 
 import os
+from functools import partial
 from multiprocessing import get_context
 
-WORKERS_ENV = "EXACTCOMB_WORKERS"
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-
-
-def parallel_map(fn, items, workers: int | None = None) -> list:
+def parallel_map(fn, items, workers: int = 1) -> list:
     """Order-preserving map, fanned out over processes when workers > 1.
 
-    The callable and every item must be picklable; with one worker this is
-    a plain list(map(...)) with no pool overhead.
+    The pool never has more processes than items or CPUs; with one process
+    this is a plain list comprehension with no pool overhead.  The callable
+    and every item must be picklable.
     """
+    _check_workers(workers)
     items = list(items)
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 or len(items) <= 1:
+    procs = min(workers, len(items), os.cpu_count() or 1)
+    if procs <= 1:
         return [fn(x) for x in items]
-    procs = min(workers, len(items))
     chunk = max(1, len(items) // (procs * 4))
     with get_context().Pool(processes=procs) as pool:
         return pool.map(fn, items, chunksize=chunk)
 
 
-def make_pmap(workers: int | None = None):
+def make_pmap(workers: int = 1):
     """A capability to hand to verify_* functions as their pmap argument."""
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1:
-        return map
-
-    def pmap(fn, items):
-        return parallel_map(fn, items, workers=workers)
-
-    return pmap
+    _check_workers(workers)
+    return map if workers == 1 else partial(parallel_map, workers=workers)

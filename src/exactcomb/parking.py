@@ -134,9 +134,6 @@ class Board:
     def contains(self, r: int, c: int) -> bool:
         return 1 <= c <= len(self.heights) and 1 <= r <= self.heights[c - 1]
 
-    def cells(self) -> list[tuple[int, int]]:
-        return [(r, c) for c, h in enumerate(self.heights, start=1) for r in range(1, h + 1)]
-
     def __repr__(self) -> str:
         return f"Board(heights={self.heights}, n={self.n})"
 
@@ -391,8 +388,8 @@ def verify_fixed_content(n: int, pmap=map) -> Report:
     additionally checked to have (n-k)!-sized preimages on every k-rook
     placement, with the insertion bijection round-tripped on all of them.
     """
-    if n > 6:
-        raise ValueError("fixed-content sweep capped at n = 6")
+    if not 0 <= n <= 6:
+        raise ValueError(f"fixed-content sweep needs 0 <= n <= 6, got n = {n}")
     with_fibers = n <= 5
     contents = list(parking_contents(n))
     checked = 0

@@ -800,6 +800,28 @@ def verify_echelon_theorem(L: Lattice, extension_cap: int | None = None) -> Repo
     return Report(name, checked, VERIFIED)
 
 
+def verify_rowmotion(L: Lattice, extension_cap: int | None = None) -> Report:
+    """Check that every linear extension's echelon map is rowmotion.
+
+    L must be distributive (``rowmotion_distributive`` raises otherwise).
+    Pivots come from the same per-lattice rank memo as the echelon sweep.
+    """
+    name = "echelon-equals-rowmotion"
+    rm = rowmotion_distributive(L)
+    pivot_cols = _memo_pivot_cols(L.poset)
+    checked = 0
+    for ext in linear_extensions(L.poset, cap=extension_cap):
+        echelon = _echelon_mapping(ext.order, pivot_cols(ext.order))
+        if echelon != rm:
+            return Report(name, checked, COUNTEREXAMPLE, {
+                "extension": list(ext.order),
+                "echelon": list(echelon),
+                "rowmotion": list(rm),
+            })
+        checked += 1
+    return Report(name, checked, VERIFIED)
+
+
 def verify_dilworth(L: Lattice) -> Report:
     """Multiset of lower cover counts vs upper cover counts on a modular lattice."""
     name = "cover-count-multisets"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
@@ -15,16 +15,13 @@ class Report:
     """Outcome of one verification run.
 
     ``witness`` carries enough data to re-check a counterexample from the
-    payload alone (or context for a skip).  ``wall_time`` is measured for
-    human output only and is deliberately left out of the JSON form so
-    repeated runs with the same inputs serialize to identical bytes.
+    payload alone (or context for a skip).
     """
 
     theorem: str
     instances: int
     status: str
     witness: dict | None = None
-    wall_time: float | None = field(default=None, compare=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -36,8 +33,6 @@ class Report:
 
     def render_text(self) -> str:
         line = f"[{self.status}] {self.theorem}: instances={self.instances}"
-        if self.wall_time is not None:
-            line += f" time={self.wall_time:.2f}s"
         if self.witness is not None:
             line += f" witness={json.dumps(self.witness, sort_keys=True)}"
         return line

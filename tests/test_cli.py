@@ -154,3 +154,62 @@ def test_echelon_map_rejects_bad_sigma(capsys, tmp_path, sigma):
                          f"--sigma={sigma}")
     assert code == 2 and not out
     assert err.startswith("error: --sigma")
+
+
+@pytest.mark.parametrize("argv", [
+    ("genfun", "i-poly", "--n", "-1"),
+    ("parking", "verify-fixed-content", "--n", "-3"),
+    ("genfun", "verify-simsun", "--n", "-1"),
+])
+def test_negative_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+POOLED = {
+    "parking verify-fixed-content": ("--n", "3"),
+    "plactic centralizer": ("--u", "1", "--alphabet", "2", "--max-len", "3"),
+    "plactic verify-first-rows": ("--u", "1", "--max-len", "3"),
+    "plactic verify-rc": ("--u", "1,2", "--m", "2", "--max-len", "4"),
+    "verify all": ("--quick",),
+}
+
+UNPOOLED = {
+    "parking phi": ("--b", "1,1,2,4,5,6", "--w", "6,3,2,5,4,1", "--A", "1,2,4"),
+    "parking insert": ("--b", "1,1,2,4,5,6", "--rooks", "1:3,2:6,4:5", "--u0", "2,4,1"),
+    "genfun i-poly": ("--n", "3"),
+    "genfun itilde": ("--n", "3"),
+    "genfun verify-simsun": ("--n", "3"),
+    "genfun verify-alternating": ("--n", "3"),
+    "plactic p": ("--word", "2,1,3,2"),
+    "echelon map": ("--poset", "diamond.json", "--sigma", "0,1,2,3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNPOOLED))
+def test_unpooled_commands_reject_workers(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([*command.split(), *UNPOOLED[command], "--workers", "2"])
+    assert err.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(POOLED))
+def test_workers_below_one_are_usage_errors(capsys, command, workers):
+    code, out, err = run(capsys, *command.split(), *POOLED[command], "--workers", workers)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("parking", "verify-fixed-content", "--n", "5"),
+    ("plactic", "verify-rc", "--u", "1,2", "--m", "2", "--max-len", "4"),
+])
+def test_reports_identical_for_one_and_two_workers(capsys, argv):
+    code1, serial, _ = run(capsys, *argv, "--output", "json", "--workers", "1")
+    code2, pooled, _ = run(capsys, *argv, "--output", "json", "--workers", "2")
+    assert code1 == code2 == 0
+    assert serial == pooled
+    assert json.loads(serial)[0]["status"] == "verified"
