@@ -271,29 +271,41 @@ def criterion_alternating(max_n: int = 7) -> Report:
     return Report(name, instances, VERIFIED, {"max_n": max_n})
 
 
+GREENE_ORACLE_LEN = 4
+
+
 def criterion_greene(max_len: int = 7, alphabet: int = 3) -> Report:
     """Greene invariants of every short word equal shape partial sums.
 
     For k beyond the word length both sides are frozen at the length, so
-    checking k up to length + 1 decides all k.
+    checking k up to length + 1 decides all k.  The invariants come from
+    the forward chain DP over the word trie; on words of length at most
+    GREENE_ORACLE_LEN they must also equal ``greene_oracle``.
     """
     name = "greene-invariants"
     instances = 0
-    for length in range(max_len + 1):
-        for w in itertools.product(range(1, alphabet + 1), repeat=length):
-            t = plactic.rsk_P(w)
-            lam = t.shape()
-            conj = t.conjugate_shape()
-            assert sum(lam) == length
-            for k in range(1, length + 2):
-                inc = plactic.greene_oracle(w, k, "increasing")
-                dec = plactic.greene_oracle(w, k, "decreasing")
-                instances += 2
-                if inc != sum(lam[:k]) or dec != sum(conj[:k]):
+    for w, inc, dec in plactic.greene_sweep(alphabet, max_len):
+        t = plactic.rsk_P(w)
+        lam = t.shape()
+        conj = t.conjugate_shape()
+        if sum(lam) != len(w):
+            return Report(name, instances, COUNTEREXAMPLE, {
+                "word": list(w), "defect": "shape size", "shape": list(lam)})
+        for k in range(1, len(w) + 2):
+            instances += 2
+            if inc[k - 1] != sum(lam[:k]) or dec[k - 1] != sum(conj[:k]):
+                return Report(name, instances, COUNTEREXAMPLE, {
+                    "word": list(w), "k": k,
+                    "increasing": inc[k - 1], "decreasing": dec[k - 1],
+                    "shape": list(lam)})
+            if len(w) <= GREENE_ORACLE_LEN:
+                oracle = [plactic.greene_oracle(w, k, "increasing"),
+                          plactic.greene_oracle(w, k, "decreasing")]
+                if oracle != [inc[k - 1], dec[k - 1]]:
                     return Report(name, instances, COUNTEREXAMPLE, {
-                        "word": list(w), "k": k,
-                        "increasing": inc, "decreasing": dec,
-                        "shape": list(lam)})
+                        "word": list(w), "k": k, "defect": "trie vs oracle",
+                        "increasing": inc[k - 1], "decreasing": dec[k - 1],
+                        "oracle": oracle})
     return Report(name, instances, VERIFIED,
                   {"alphabet": alphabet, "max_len": max_len})
 

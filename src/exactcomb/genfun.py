@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import BiPoly, Permutation, perm_stats, standardize
-from .parking import park, parking_functions, parking_stats
 from .report import COUNTEREXAMPLE, VERIFIED, Report
 
 TREES_LIMIT = 7
@@ -176,18 +175,37 @@ def tree_poly_at_minus_one(n: int) -> BiPoly:
 
 @lru_cache(maxsize=None)
 def _parking_sweep(n: int) -> tuple[BiPoly, BiPoly, BiPoly]:
-    """One pass over all parking functions: (exced, des of outcome, des of inverse outcome)."""
-    if n > PARKING_SWEEP_LIMIT:
-        raise ValueError(f"parking sweep capped at n = {PARKING_SWEEP_LIMIT}")
+    """One pass over all parking functions: (exced, des of outcome, des of inverse outcome).
+
+    Builds the preference sequences car by car.  A car parks exactly when
+    it prefers a spot no higher than the highest free one, so every leaf is
+    a parking function and nothing is rejected.  Each node carries the
+    preference sum, the excedances and both descent counts of its prefix:
+    the outcome gains a descent when a car parks left of the previous car,
+    its inverse when a car takes spot s while s + 1 is already occupied.
+    The tests compare it with the same sum over ``parking_functions``,
+    ``parking_stats`` and ``park``.
+    """
     acc_exc: Counter = Counter()
     acc_des: Counter = Counter()
     acc_inv: Counter = Counter()
-    for prefs in parking_functions(n):
-        stats = parking_stats(prefs)
-        outcome = park(prefs)
-        acc_exc[(stats.cosum, stats.exced)] += 1
-        acc_des[(stats.cosum, perm_stats(outcome).des)] += 1
-        acc_inv[(stats.cosum, perm_stats(outcome.inverse()).des)] += 1
+    top_cosum = n * (n + 1) // 2
+    free_all = (1 << n + 1) - 2  # bits 1..n
+
+    def rec(car: int, free: int, prev: int, total: int, exc: int, des: int, inv: int) -> None:
+        if car > n:
+            cosum = top_cosum - total
+            acc_exc[(cosum, exc)] += 1
+            acc_des[(cosum, des)] += 1
+            acc_inv[(cosum, inv)] += 1
+            return
+        for p in range(1, free.bit_length()):
+            above = free >> p << p
+            s = (above & -above).bit_length() - 1  # first free spot >= p
+            rec(car + 1, free ^ 1 << s, s, total + p, exc + (p > car),
+                des + (prev > s), inv + (s < n and not free >> s + 1 & 1))
+
+    rec(1, free_all, 0, 0, 0, 0, 0)
     return BiPoly(acc_exc), BiPoly(acc_des), BiPoly(acc_inv)
 
 
@@ -200,6 +218,9 @@ def parking_poly(n: int, stat: str = "exced") -> BiPoly:
         idx = _PARKING_STATS[stat]
     except KeyError:
         raise ValueError(f"unknown statistic {stat!r}") from None
+    if not 0 <= n <= PARKING_SWEEP_LIMIT:
+        raise ValueError(
+            f"parking polynomials need 0 <= n <= {PARKING_SWEEP_LIMIT}, got n = {n}")
     return _parking_sweep(n)[idx]
 
 

@@ -106,45 +106,40 @@ class Tableau:
 EMPTY_TABLEAU = Tableau(())
 
 
-def _insert_letter(rows: list[list[int]], a: int, bumped: list[int] | None = None) -> None:
-    """Row-insert a into mutable rows, optionally recording every bumped letter."""
-    r = 0
-    while True:
-        if r == len(rows):
+def _insert_word(rows: list[list[int]], word: Iterable[int],
+                 bumped: list[int] | None = None) -> None:
+    """Row-insert each letter of word into mutable rows, optionally
+    recording every bumped letter."""
+    for a in word:
+        for row in rows:
+            j = bisect_right(row, a)
+            if j == len(row):
+                row.append(a)
+                break
+            if bumped is not None:
+                bumped.append(row[j])
+            row[j], a = a, row[j]
+        else:
             rows.append([a])
-            return
-        row = rows[r]
-        j = bisect_right(row, a)
-        if j == len(row):
-            row.append(a)
-            return
-        b = row[j]
-        row[j] = a
-        if bumped is not None:
-            bumped.append(b)
-        a = b
-        r += 1
 
 
 def rsk_P(word: Iterable[int]) -> Tableau:
     """The insertion tableau of a word under row bumping."""
     rows: list[list[int]] = []
-    for a in as_word(word):
-        _insert_letter(rows, a)
+    _insert_word(rows, as_word(word))
     return Tableau(rows)
 
 
 def _rows_after_insert(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
     work = [list(r) for r in rows]
-    _insert_letter(work, a)
+    _insert_word(work, (a,))
     return tuple(tuple(r) for r in work)
 
 
 def _p_of_concat(*parts: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     rows: list[list[int]] = []
     for part in parts:
-        for a in part:
-            _insert_letter(rows, a)
+        _insert_word(rows, part)
     return tuple(tuple(r) for r in rows)
 
 
@@ -239,6 +234,52 @@ def greene_oracle(word: Iterable[int], k: int, mode: str = "increasing") -> int:
     return best(0, tuple([start_value] * k))
 
 
+def greene_sweep(alphabet: int,
+                 max_len: int) -> Iterator[tuple[Word, tuple[int, ...], tuple[int, ...]]]:
+    """Greene invariants of every word over [alphabet] of length at most max_len.
+
+    Yields (word, increasing, decreasing) depth first over the word trie,
+    prefixes before extensions, where increasing[k - 1] (decreasing[k - 1])
+    is the largest subword splittable into k weakly increasing (strictly
+    decreasing) chains, for k = 1..len(word) + 1.  The chain DP runs
+    forward: a state is the sorted tuple of chain ends, its value the most
+    letters placed so far in chains ending that way, and each word takes
+    one step (skip the letter, or append it to one chain) from its prefix's
+    states for every k and both modes.  Only the current path is held.  It
+    shares nothing with row insertion; ``greene_oracle`` is the same DP run
+    backward on one word.
+    """
+    moves: dict[tuple[tuple[int, ...], int, bool], tuple[tuple[int, ...], ...]] = {}
+
+    def step(states: dict[tuple[int, ...], int], a: int, increasing: bool) -> dict:
+        out = dict(states)
+        for state, count in states.items():
+            key = (state, a, increasing)
+            nexts = moves.get(key)
+            if nexts is None:
+                nexts = moves[key] = tuple({
+                    tuple(sorted(state[:pos] + state[pos + 1:] + (a,)))
+                    for pos, last in enumerate(state)
+                    if ((last <= a) if increasing else (a < last))})
+            for nxt in nexts:
+                if out.get(nxt, -1) <= count:
+                    out[nxt] = count + 1
+        return out
+
+    def rec(word: Word, inc: list[dict], dec: list[dict]) -> Iterator:
+        n = len(word) + 1
+        yield (word, tuple(max(d.values()) for d in inc[:n]),
+               tuple(max(d.values()) for d in dec[:n]))
+        if len(word) < max_len:
+            for a in range(1, alphabet + 1):
+                yield from rec(word + (a,), [step(d, a, True) for d in inc],
+                               [step(d, a, False) for d in dec])
+
+    # chain ends start below (increasing) or above (decreasing) every letter
+    ks = range(1, max_len + 2)
+    yield from rec((), [{(0,) * k: 0} for k in ks], [{(alphabet + 1,) * k: 0} for k in ks])
+
+
 # -- reverse complement, evacuation, and the skew threshold machinery --------
 
 
@@ -253,13 +294,11 @@ def reverse_complement(word: Iterable[int], m: int) -> Word:
 def evacuation(t: Tableau, m: int) -> Tableau:
     """Insertion tableau of the reverse complement of the row word.
 
-    Shape preservation is a theorem, asserted here because tau relies on it.
+    It preserves shape, a theorem that ``tau`` checks on every use.
     """
     if t.max_entry() > m:
         raise ValueError(f"entries must be at most {m}")
-    out = rsk_P(reverse_complement(t.row_word(), m))
-    assert out.shape() == t.shape(), "evacuation must preserve shape"
-    return out
+    return rsk_P(reverse_complement(t.row_word(), m))
 
 
 def skew_union(straight: Tableau, skew: frozenset[tuple[int, int, int]]) -> Tableau | None:
@@ -291,13 +330,22 @@ def skew_union(straight: Tableau, skew: frozenset[tuple[int, int, int]]) -> Tabl
         return None
 
 
+def _threshold_evacuation(t: Tableau, m: int) -> Tableau | None:
+    """tau(t, m), or None when the evacuated part and the fixed cells do not
+    reassemble into a tableau of the shape of t."""
+    out = skew_union(evacuation(t.restrict_le(m), m), t.skew_above(m))
+    return out if out is not None and out.shape() == t.shape() else None
+
+
 def tau(t: Tableau, m: int) -> Tableau:
-    """Evacuate the part with entries at most m in place; fix the rest."""
-    low = t.restrict_le(m)
-    high = t.skew_above(m)
-    out = skew_union(evacuation(low, m), high)
-    assert out is not None, "threshold evacuation must reassemble"
-    assert out.shape() == t.shape()
+    """Evacuate the part with entries at most m in place; fix the rest.
+
+    Raises ValueError if the result does not reassemble into a tableau of
+    the same shape, which the reverse-complement theorem rules out.
+    """
+    out = _threshold_evacuation(t, m)
+    if out is None:
+        raise ValueError(f"threshold evacuation of {t!r} at m = {m} does not reassemble")
     return out
 
 
@@ -331,15 +379,19 @@ class CentralizerSet:
 def _knuth_classes(alphabet: int, max_len: int) -> tuple[tuple[Word, tuple[tuple[int, ...], ...]], ...]:
     """One representative word per insertion tableau over [alphabet]^(<= max_len).
 
-    Depth-first over the word tree with incremental insertion; the
-    representative is the first word visited in that order.  Cached because
+    Depth-first over the word tree with incremental insertion, so the
+    representative is the lexicographically first word of its class.  A
+    word whose tableau was seen before is not a representative, and then
+    neither is any extension of it, so the search does not descend below
+    it: the representatives are closed under prefixes.  Cached because
     every centralizer query over the same budget shares the partition.
     """
     classes: dict[tuple[tuple[int, ...], ...], Word] = {}
 
     def rec(word: Word, rows: tuple[tuple[int, ...], ...]) -> None:
-        if rows not in classes:
-            classes[rows] = word
+        if rows in classes:
+            return
+        classes[rows] = word
         if len(word) == max_len:
             return
         for a in range(1, alphabet + 1):
@@ -350,8 +402,44 @@ def _knuth_classes(alphabet: int, max_len: int) -> tuple[tuple[Word, tuple[tuple
 
 
 def _commutes_with(args: tuple[Word, Word]) -> bool:
+    """Whether u and rep commute, by inserting both products from scratch
+    (the oracle of ``_commute_verdicts``)."""
     u, rep = args
     return _p_of_concat(u, rep) == _p_of_concat(rep, u)
+
+
+def _commute_verdicts(args: tuple[Word, int, int, int, int]) -> list[bool]:
+    """Whether u commutes with each class representative in classes[lo:hi].
+
+    Representatives are the lexicographically first words of their classes,
+    so they are closed under prefixes, and in sorted order the latest
+    representative one letter shorter than rep is its prefix rep[:-1].  So
+    P(u rep) is one insertion into the stored P(u rep[:-1]), and P(rep u)
+    inserts u into the class rows.  A slice must start at the empty
+    representative or at a one-letter one.
+    """
+    u, alphabet, max_len, lo, hi = args
+    p_u = [list(r) for r in _p_of_concat(u)]
+    left_by_depth = [p_u]
+    out = []
+    for rep, rows in _knuth_classes(alphabet, max_len)[lo:hi]:
+        d = len(rep)
+        if d:
+            left = [r[:] for r in left_by_depth[d - 1]]
+            _insert_word(left, rep[-1:])
+            del left_by_depth[d:]
+            left_by_depth.append(left)
+        else:
+            left = p_u
+        right = [list(r) for r in rows]
+        _insert_word(right, u)
+        out.append(left == right)
+    return out
+
+
+# member rows of every search so far, by (u, alphabet_cap, length_cap); the
+# rows are those of _knuth_classes, so an entry holds one pointer per member
+_centralizers: dict[tuple[Word, int, int], tuple[tuple[tuple[int, ...], ...], ...]] = {}
 
 
 def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int,
@@ -361,7 +449,9 @@ def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int,
 
     Works class by class: commuting is a Knuth-class property, so one
     product comparison per insertion tableau decides the whole class.  The
-    empty tableau is always a member.
+    empty tableau is always a member.  pmap maps over the first-letter
+    subtries of the classes; results are kept for the life of the process,
+    so a repeated query is not searched again.
     """
     u = as_word(u)
     if alphabet_cap > ALPHABET_BUDGET or length_cap > LENGTH_BUDGET:
@@ -370,10 +460,17 @@ def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int,
             f"or length {length_cap} > {LENGTH_BUDGET}")
     if alphabet_cap < 1 or length_cap < 0:
         raise ValueError("need a positive alphabet and a nonnegative length cap")
-    classes = _knuth_classes(alphabet_cap, length_cap)
-    verdicts = pmap(_commutes_with, [(u, rep) for rep, _ in classes])
-    members = [Tableau(rows) for (rep, rows), ok in zip(classes, verdicts) if ok]
-    return CentralizerSet(u, alphabet_cap, length_cap, members)
+    key = (u, alphabet_cap, length_cap)
+    members = _centralizers.get(key)
+    if members is None:
+        classes = _knuth_classes(alphabet_cap, length_cap)
+        starts = [i for i, (rep, _) in enumerate(classes) if len(rep) <= 1]
+        chunks = [(u, alphabet_cap, length_cap, lo, hi)
+                  for lo, hi in zip(starts, starts[1:] + [len(classes)])]
+        verdicts = [ok for part in pmap(_commute_verdicts, chunks) for ok in part]
+        members = _centralizers[key] = tuple(
+            rows for (_, rows), ok in zip(classes, verdicts) if ok)
+    return CentralizerSet(u, alphabet_cap, length_cap, map(Tableau, members))
 
 
 def check_no_bump(u: Iterable[int], w: Iterable[int]) -> bool:
@@ -386,8 +483,7 @@ def check_no_bump(u: Iterable[int], w: Iterable[int]) -> bool:
     rows = [list(r) for r in rsk_P(w).rows]
     bumped: list[int] = []
     allowed = set(u)
-    for a in u:
-        _insert_letter(rows, a, bumped)
+    _insert_word(rows, u, bumped)
     return all(b in allowed for b in bumped)
 
 
@@ -442,10 +538,17 @@ def verify_rc_correspondence(u: Iterable[int], m: int,
     rc_u = reverse_complement(u, m)
     left = centralizer_search(u, cap, length_cap, pmap=pmap)
     right = centralizer_search(rc_u, cap, length_cap, pmap=pmap)
-    mapped = {tau(t, m) for t in left.members}
-    target = set(right.members)
     name = "centralizer-reverse-complement"
     instances = len(left) + len(right)
+    mapped = set()
+    for t in left.members:
+        image = _threshold_evacuation(t, m)
+        if image is None:
+            return Report(name, instances, COUNTEREXAMPLE, {
+                "u": list(u), "m": m, "member": t.to_json_obj(),
+                "defect": "threshold evacuation does not reassemble"})
+        mapped.add(image)
+    target = set(right.members)
     if mapped != target:
         missing = sorted(target - mapped, key=Tableau.sort_key)[:3]
         extra = sorted(mapped - target, key=Tableau.sort_key)[:3]

@@ -5,9 +5,18 @@ an exactly verified report: any counterexample or skip fails the test and
 prints the offending witness. The lattice sweep, parking sweep, and Knuth
 class caches warm up on first use and persist for the rest of the session,
 so the whole file runs in about a minute.
+
+The last tests pin the quick battery's report bytes to a committed copy
+and break each prefix-shared sweep on purpose to show its criterion fails.
 """
 
-from exactcomb import acceptance
+from pathlib import Path
+
+from exactcomb import acceptance, genfun, plactic
+from exactcomb.core import BiPoly
+from exactcomb.report import reports_to_json
+
+QUICK_BATTERY_JSON = Path(__file__).parent / "data" / "battery_quick.json"
 
 
 def _require(number: int, report) -> None:
@@ -68,3 +77,69 @@ def test_criterion_12_reverse_complement_map():
 
 def test_criterion_13_determinism():
     _require(13, acceptance.criterion_determinism())
+
+
+def test_quick_battery_report_bytes_are_pinned():
+    expected = QUICK_BATTERY_JSON.read_text()
+    assert reports_to_json(acceptance.run_battery(quick=True)) == expected
+
+
+def test_broken_parking_sweep_fails_criterion_06(monkeypatch):
+    sweep = genfun._parking_sweep.__wrapped__
+
+    def broken(n):
+        exc, des, inv = sweep(n)
+        return exc, des + BiPoly.q() ** n, inv
+
+    monkeypatch.setattr(genfun, "_parking_sweep", broken)
+    r = acceptance.criterion_excedance(max_n=3)
+    assert r.status == "counterexample" and r.witness["n"] == 1
+
+
+def test_broken_greene_sweep_fails_criterion_10(monkeypatch):
+    sweep = plactic.greene_sweep
+
+    def broken(alphabet, max_len):
+        for w, inc, dec in sweep(alphabet, max_len):
+            if w == (2, 1, 3, 1, 2):
+                inc = (inc[0] + 1,) + inc[1:]
+            yield w, inc, dec
+
+    monkeypatch.setattr(plactic, "greene_sweep", broken)
+    r = acceptance.criterion_greene(max_len=5)
+    assert r.status == "counterexample"
+    assert r.witness["word"] == [2, 1, 3, 1, 2] and r.witness["k"] == 1
+
+
+def test_greene_oracle_cross_check_fails_criterion_10(monkeypatch):
+    oracle = plactic.greene_oracle
+    monkeypatch.setattr(plactic, "greene_oracle",
+                        lambda w, k, mode: oracle(w, k, mode) + (len(w) == 3))
+    r = acceptance.criterion_greene(max_len=5)
+    assert r.status == "counterexample" and r.witness["defect"] == "trie vs oracle"
+    assert len(r.witness["word"]) == 3
+
+
+def test_broken_commute_verdicts_fail_criterion_12(monkeypatch):
+    verdicts = plactic._commute_verdicts
+
+    def broken(args):
+        out = verdicts(args)
+        return [True] * len(out) if args[0][0] == 1 else out
+
+    monkeypatch.setattr(plactic, "_centralizers", {})
+    monkeypatch.setattr(plactic, "_commute_verdicts", broken)
+    r = acceptance.criterion_reverse_complement(u_len_cap=2, length_cap=4)
+    assert r.status == "counterexample"
+    assert r.witness["unmatched_right"] or r.witness["unmatched_left_images"]
+
+
+def test_non_reassembling_evacuation_fails_criterion_12(monkeypatch):
+    monkeypatch.setattr(plactic, "evacuation",
+                        lambda t, m: plactic.rsk_P(sorted(t.row_word())))
+    r = acceptance.criterion_reverse_complement(u_len_cap=2, length_cap=4)
+    assert r.status == "counterexample"
+    assert r.witness["defect"] == "threshold evacuation does not reassemble"
+    assert {"u", "m", "member"} <= set(r.witness)
+    member = plactic.Tableau(r.witness["member"])
+    assert plactic._threshold_evacuation(member, r.witness["m"]) is None

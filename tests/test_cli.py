@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from exactcomb import plactic
 from exactcomb.cli import main
 
 
@@ -167,6 +168,13 @@ def test_negative_sizes_are_usage_errors(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("n", ["-1", "8"])
+def test_itilde_names_n_when_out_of_range(capsys, n):
+    code, out, err = run(capsys, "genfun", "itilde", "--n", n)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"n = {n}" in err
+
+
 POOLED = {
     "parking verify-fixed-content": ("--n", "3"),
     "plactic centralizer": ("--u", "1", "--alphabet", "2", "--max-len", "3"),
@@ -207,8 +215,12 @@ def test_workers_below_one_are_usage_errors(capsys, command, workers):
     ("parking", "verify-fixed-content", "--n", "5"),
     ("plactic", "verify-rc", "--u", "1,2", "--m", "2", "--max-len", "4"),
 ])
-def test_reports_identical_for_one_and_two_workers(capsys, argv):
+def test_reports_identical_for_one_and_two_workers(capsys, monkeypatch, argv):
+    # centralizer searches are kept per process; empty the store so that
+    # each run searches, and the pooled one through the pool
+    monkeypatch.setattr(plactic, "_centralizers", {})
     code1, serial, _ = run(capsys, *argv, "--output", "json", "--workers", "1")
+    monkeypatch.setattr(plactic, "_centralizers", {})
     code2, pooled, _ = run(capsys, *argv, "--output", "json", "--workers", "2")
     assert code1 == code2 == 0
     assert serial == pooled

@@ -1,9 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from exactcomb.core import BiPoly, Permutation
+from exactcomb import genfun
+from exactcomb.core import BiPoly, Permutation, perm_stats
 from exactcomb.genfun import (
+    PARKING_SWEEP_LIMIT,
     blocking_positions,
     class_membership,
     complement_perm,
@@ -20,7 +23,7 @@ from exactcomb.genfun import (
     verify_simsun_identity,
     zigzag_poly,
 )
-from exactcomb.parking import ParkingFailure, park
+from exactcomb.parking import ParkingFailure, park, parking_functions, parking_stats
 
 
 def perms(n):
@@ -74,6 +77,32 @@ def test_parking_poly():
     assert parking_poly(4, "des-oc") != parking_poly(4, "des-oc-inv")
     with pytest.raises(ValueError):
         parking_poly(2, "area")
+
+
+def _filtered_parking_sweep(n):
+    """(exced, des of outcome, des of inverse outcome) by filtering [n]^n."""
+    acc = [Counter(), Counter(), Counter()]
+    for prefs in parking_functions(n):
+        stats = parking_stats(prefs)
+        outcome = park(prefs)
+        acc[0][(stats.cosum, stats.exced)] += 1
+        acc[1][(stats.cosum, perm_stats(outcome).des)] += 1
+        acc[2][(stats.cosum, perm_stats(outcome.inverse()).des)] += 1
+    return tuple(BiPoly(c) for c in acc)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_parking_sweep_matches_filtered_oracle(n):
+    fast = genfun._parking_sweep(n)
+    assert fast == _filtered_parking_sweep(n)
+    leaves = (n + 1) ** (n - 1) if n else 1
+    assert all(poly.eval_at(1, 1) == leaves for poly in fast)
+
+
+@pytest.mark.parametrize("n", [-1, PARKING_SWEEP_LIMIT + 1])
+def test_parking_poly_rejects_sizes_out_of_range(n):
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        parking_poly(n)
 
 
 def test_simsun_poly():

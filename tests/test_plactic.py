@@ -2,6 +2,9 @@ import itertools
 
 import pytest
 
+from exactcomb import plactic
+from exactcomb.acceptance import _words_over
+from exactcomb.parallel import make_pmap
 from exactcomb.plactic import (
     EMPTY_TABLEAU,
     GREENE_WORD_LIMIT,
@@ -10,6 +13,7 @@ from exactcomb.plactic import (
     check_no_bump,
     evacuation,
     greene_oracle,
+    greene_sweep,
     knuth_class_brute,
     knuth_equivalent,
     knuth_neighbors,
@@ -91,6 +95,17 @@ def test_greene_matches_shape():
         for k in range(1, len(w) + 1):
             assert greene_oracle(w, k, "increasing") == sum(shape[:k])
             assert greene_oracle(w, k, "decreasing") == sum(conj[:k])
+
+
+@pytest.mark.parametrize("alphabet, max_len", [(3, 6), (4, 4)])
+def test_greene_sweep_matches_oracle(alphabet, max_len):
+    swept = list(greene_sweep(alphabet, max_len))
+    assert [w for w, _, _ in swept] == sorted(words(alphabet, max_len))
+    for w, inc, dec in swept:
+        assert len(inc) == len(dec) == len(w) + 1
+        for k in range(1, len(w) + 2):
+            assert inc[k - 1] == greene_oracle(w, k, "increasing"), (w, k)
+            assert dec[k - 1] == greene_oracle(w, k, "decreasing"), (w, k)
 
 
 def test_reverse_complement():
@@ -189,6 +204,38 @@ def test_centralizer_search():
         centralizer_search((1,), 9, 3)
     with pytest.raises(ValueError):
         centralizer_search((1,), 2, 99)
+
+
+@pytest.mark.parametrize("alphabet, max_len", [(2, 7), (3, 6), (4, 5), (5, 4)])
+def test_knuth_class_representatives_are_prefix_closed(alphabet, max_len):
+    classes = plactic._knuth_classes(alphabet, max_len)
+    reps = [rep for rep, _ in classes]
+    assert reps == sorted(reps) and reps[0] == ()
+    assert all(rep[:-1] in set(reps) for rep in reps[1:])
+    # each representative is the lexicographically first word of its class
+    assert all(rsk_P(rep).rows == rows for rep, rows in classes)
+    first = {}
+    for w in words(alphabet, max_len):
+        first.setdefault(rsk_P(w).rows, w)
+    assert sorted(first.values()) == reps
+
+
+@pytest.mark.parametrize("u", _words_over(2, 4) + _words_over(3, 3))
+def test_prefix_shared_verdicts_match_oracle(u):
+    cap, length_cap = max(u) + 2, 7
+    classes = plactic._knuth_classes(cap, length_cap)
+    fast = plactic._commute_verdicts((u, cap, length_cap, 0, len(classes)))
+    assert fast == [plactic._commutes_with((u, rep)) for rep, _ in classes]
+
+
+def test_centralizer_search_is_memoized_and_pool_independent(monkeypatch):
+    monkeypatch.setattr(plactic, "_centralizers", {})
+    serial = centralizer_search((2, 1, 2), 4, 5)
+    assert list(plactic._centralizers) == [((2, 1, 2), 4, 5)]
+    assert centralizer_search((2, 1, 2), 4, 5).members == serial.members
+    monkeypatch.setattr(plactic, "_centralizers", {})
+    pooled = centralizer_search((2, 1, 2), 4, 5, pmap=make_pmap(2))
+    assert pooled.members == serial.members
 
 
 def test_centralizer_members_commute():
