@@ -1,24 +1,23 @@
 """The acceptance battery.
 
 Thirteen checkers, one per headline claim, each returning a Report with
-exact integer or polynomial equality; no tolerances anywhere.  Callers can
-run criteria individually or through run_battery, which also hosts the
-quick tier (every size cap reduced by one).
+exact integer or polynomial equality; no tolerances anywhere.  BATTERY
+lists them in battery order with the caps of the full tier and of the
+quick tier; run_battery runs one tier of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable, Iterable
 from functools import cache
+from typing import NamedTuple
 
 from . import genfun, parking, plactic, posets
 from .core import Permutation, random_unit_upper_triangular
 from .parallel import make_pmap
 from .report import COUNTEREXAMPLE, VERIFIED, Report, reports_to_json
-
-SWEEP_N = 6
-CATALOG_EXTENSION_CAP = 100_000
 
 
 class LatticeSweep:
@@ -54,27 +53,33 @@ def _modular_catalog() -> list[tuple[str, posets.Lattice]]:
             if posets.is_modular(lat)]
 
 
-def criterion_echelon(max_n: int = SWEEP_N,
-                      catalog_cap: int = CATALOG_EXTENSION_CAP) -> Report:
+def _first_failure(name: str, checks: Iterable[tuple[Report, dict]]
+                   ) -> tuple[int, Report | None]:
+    """Run (report, witness extras) pairs until a report is not verified.
+
+    Returns the instances of the verified reports and, if one failed, that
+    report renamed to ``name`` with the extras added to its witness.
+    """
+    instances = 0
+    for r, extras in checks:
+        if r.status != VERIFIED:
+            witness = {**(r.witness or {}), **extras} if extras else r.witness
+            return instances, Report(name, instances, r.status, witness)
+        instances += r.instances
+    return instances, None
+
+
+def criterion_echelon(max_n: int, catalog_cap: int) -> Report:
     """Cover counts transfer along the echelon map, on every modular lattice
     in the exhaustive sweep and on the catalog under an extension cap."""
     name = "echelon-cover-transfer"
     sweep = lattice_sweep(max_n)
-    instances = 0
-    for lat in sweep.modular:
-        r = posets.verify_echelon_theorem(lat)
-        if r.status != VERIFIED:
-            return Report(name, instances, r.status, r.witness)
-        instances += r.instances
     catalog = _modular_catalog()
-    for cname, lat in catalog:
-        r = posets.verify_echelon_theorem(lat, extension_cap=catalog_cap)
-        if r.status != VERIFIED:
-            witness = dict(r.witness or {})
-            witness["catalog"] = cname
-            return Report(name, instances, r.status, witness)
-        instances += r.instances
-    return Report(name, instances, VERIFIED, {
+    instances, failure = _first_failure(name, itertools.chain(
+        ((posets.verify_echelon_theorem(lat), {}) for lat in sweep.modular),
+        ((posets.verify_echelon_theorem(lat, extension_cap=catalog_cap), {"catalog": cname})
+         for cname, lat in catalog)))
+    return failure or Report(name, instances, VERIFIED, {
         "posets_enumerated": sweep.posets_seen,
         "modular_lattices": len(sweep.modular),
         "catalog": [cname for cname, _ in catalog],
@@ -82,22 +87,17 @@ def criterion_echelon(max_n: int = SWEEP_N,
     })
 
 
-def criterion_dilworth(max_n: int = SWEEP_N) -> Report:
+def criterion_dilworth(max_n: int) -> Report:
     """Lower and upper cover-count multisets agree on every modular lattice."""
     name = "cover-count-multisets"
-    sweep = lattice_sweep(max_n)
-    lattices = [lat for lat in sweep.modular] + [lat for _, lat in _modular_catalog()]
-    for lat in lattices:
-        r = posets.verify_dilworth(lat)
-        if r.status != VERIFIED:
-            witness = dict(r.witness or {})
-            witness["covers"] = lat.poset.cover_pairs()
-            return Report(name, len(lattices), r.status, witness)
-    return Report(name, len(lattices), VERIFIED, {"modular_lattices": len(lattices)})
+    lattices = lattice_sweep(max_n).modular + [lat for _, lat in _modular_catalog()]
+    instances, failure = _first_failure(name, (
+        (posets.verify_dilworth(lat), {"covers": lat.poset.cover_pairs()})
+        for lat in lattices))
+    return failure or Report(name, instances, VERIFIED, {"modular_lattices": len(lattices)})
 
 
-def criterion_rowmotion(max_n: int = SWEEP_N,
-                        catalog_cap: int = CATALOG_EXTENSION_CAP) -> Report:
+def criterion_rowmotion(max_n: int, catalog_cap: int) -> Report:
     """Echelonmotion equals distributive rowmotion for every extension of
     every distributive lattice in the sweep and the catalog; identical maps
     across extensions give echelon independence as a corollary."""
@@ -108,23 +108,17 @@ def criterion_rowmotion(max_n: int = SWEEP_N,
     for cname, lat in posets.lattice_catalog().items():
         if posets.is_distributive(lat):
             targets.append((cname, lat, catalog_cap))
-    instances = 0
-    for cname, lat, cap in targets:
-        r = posets.verify_rowmotion(lat, extension_cap=cap)
-        instances += r.instances
-        if r.status != VERIFIED:
-            witness = dict(r.witness or {})
-            witness["source"] = cname
-            witness["covers"] = lat.poset.cover_pairs()
-            return Report(name, instances, r.status, witness)
-    return Report(name, instances, VERIFIED, {
+    instances, failure = _first_failure(name, (
+        (posets.verify_rowmotion(lat, extension_cap=cap),
+         {"source": cname, "covers": lat.poset.cover_pairs()})
+        for cname, lat, cap in targets))
+    return failure or Report(name, instances, VERIFIED, {
         "distributive_lattices": len(targets),
         "pairs_checked": instances,
     })
 
 
-def criterion_bruhat(max_n: int = SWEEP_N, perturbations: int = 100,
-                     seed: int = 0) -> Report:
+def criterion_bruhat(max_n: int, perturbations: int, seed: int = 0) -> Report:
     """bruhat is the identity on permutation matrices and constant on
     B-double-cosets: unit upper-triangular multiplication on either side
     of a catalog Cartan matrix never moves the permutation."""
@@ -167,18 +161,14 @@ WORKED_W = (6, 3, 2, 5, 4, 1)
 WORKED_A = frozenset({1, 2, 4})
 
 
-def criterion_fixed_content(max_n: int = 6, pmap=map) -> Report:
+def criterion_fixed_content(max_n: int, pmap=map) -> Report:
     """The fixed-content equidistribution with its fiber counts and the
     worked insertion instance, reproduced bit for bit."""
     name = "parking-fixed-content"
-    instances = 0
-    for n in range(1, max_n + 1):
-        r = parking.verify_fixed_content(n, pmap=pmap)
-        if r.status != VERIFIED:
-            witness = dict(r.witness or {})
-            witness["n"] = n
-            return Report(name, instances, r.status, witness)
-        instances += r.instances
+    instances, failure = _first_failure(name, (
+        (parking.verify_fixed_content(n, pmap=pmap), {"n": n}) for n in range(1, max_n + 1)))
+    if failure:
+        return failure
     w, a_set = parking.insert_forward(WORKED_CONTENT, WORKED_ROOKS, WORKED_U0)
     replay_ok = (
         w.one_line == WORKED_W
@@ -198,7 +188,7 @@ def criterion_fixed_content(max_n: int = 6, pmap=map) -> Report:
                   {"max_n": max_n, "contents_checked": instances - 1})
 
 
-def criterion_excedance(max_n: int = 7) -> Report:
+def criterion_excedance(max_n: int) -> Report:
     """Excedance and outcome-descent parking polynomials coincide."""
     name = "parking-exced-vs-outcome-descents"
     instances = 0
@@ -216,7 +206,7 @@ def criterion_excedance(max_n: int = 7) -> Report:
     return Report(name, instances, VERIFIED, {"max_n": max_n})
 
 
-def criterion_tree_polys(trees_n: int = 7, parking_n: int = 6) -> Report:
+def criterion_tree_polys(trees_n: int, parking_n: int) -> Report:
     """Tree-inversion polynomials: direct sum equals the recurrence, equals
     the parking sum with inverse-outcome descents, with the q-side cosum
     specialization and the point count (n+1)^(n-1)."""
@@ -251,30 +241,24 @@ def criterion_tree_polys(trees_n: int = 7, parking_n: int = 6) -> Report:
                   {"trees_n": trees_n, "parking_n": parking_n})
 
 
-def criterion_simsun(max_n: int = 9, pmap=map) -> Report:
+def criterion_simsun(max_n: int, pmap=map) -> Report:
     """The q = -1 specialization against simsun descent enumerators."""
     return genfun.verify_simsun_identity(max_n, pmap=pmap)
 
 
-def criterion_alternating(max_n: int = 7) -> Report:
+def criterion_alternating(max_n: int) -> Report:
     """The q = -1 parking specialization against the zig-zag Eulerian
     polynomial, with every intermediate class identity."""
     name = "parking-minus-one-is-zigzag"
-    instances = 0
-    for n in range(2, max_n + 1):
-        r = genfun.verify_alternating_identity(n)
-        if r.status != VERIFIED:
-            witness = dict(r.witness or {})
-            witness["n"] = n
-            return Report(name, instances, r.status, witness)
-        instances += r.instances
-    return Report(name, instances, VERIFIED, {"max_n": max_n})
+    instances, failure = _first_failure(name, (
+        (genfun.verify_alternating_identity(n), {"n": n}) for n in range(2, max_n + 1)))
+    return failure or Report(name, instances, VERIFIED, {"max_n": max_n})
 
 
 GREENE_ORACLE_LEN = 4
 
 
-def criterion_greene(max_len: int = 7, alphabet: int = 3) -> Report:
+def criterion_greene(max_len: int, alphabet: int) -> Report:
     """Greene invariants of every short word equal shape partial sums.
 
     For k beyond the word length both sides are frozen at the length, so
@@ -317,35 +301,25 @@ def _words_over(alphabet: int, max_len: int) -> list[tuple[int, ...]]:
     return out
 
 
-def criterion_first_rows(length_cap: int = 7, pmap=map) -> Report:
+def criterion_first_rows(length_cap: int, pmap=map) -> Report:
     """First-rows bound and the no-bump property over the two u families."""
     name = "centralizer-first-rows"
     u_list = _words_over(2, 4) + _words_over(3, 3)
-    instances = 0
-    for u in u_list:
-        r = plactic.verify_first_rows(u, length_cap=length_cap, pmap=pmap)
-        if r.status != VERIFIED:
-            return Report(name, instances, r.status, r.witness)
-        instances += r.instances
-    return Report(name, instances, VERIFIED,
-                  {"u_count": len(u_list), "length_cap": length_cap})
+    instances, failure = _first_failure(name, (
+        (plactic.verify_first_rows(u, length_cap=length_cap, pmap=pmap), {}) for u in u_list))
+    return failure or Report(name, instances, VERIFIED,
+                             {"u_count": len(u_list), "length_cap": length_cap})
 
 
-def criterion_reverse_complement(u_len_cap: int = 4, length_cap: int = 6,
-                                 pmap=map) -> Report:
+def criterion_reverse_complement(u_len_cap: int, length_cap: int, pmap=map) -> Report:
     """Threshold evacuation between restricted centralizer tableau sets."""
     name = "centralizer-reverse-complement"
-    instances = 0
     pairs = [(u, m) for m in range(1, 4) for u in _words_over(m, u_len_cap)]
-    for u, m in pairs:
-        r = plactic.verify_rc_correspondence(u, m, length_cap=length_cap, pmap=pmap)
-        if r.status != VERIFIED:
-            witness = dict(r.witness or {})
-            witness["m"] = m
-            return Report(name, instances, r.status, witness)
-        instances += r.instances
-    return Report(name, instances, VERIFIED,
-                  {"pairs": len(pairs), "length_cap": length_cap})
+    instances, failure = _first_failure(name, (
+        (plactic.verify_rc_correspondence(u, m, length_cap=length_cap, pmap=pmap), {"m": m})
+        for u, m in pairs))
+    return failure or Report(name, instances, VERIFIED,
+                             {"pairs": len(pairs), "length_cap": length_cap})
 
 
 def _determinism_probe(seed: int) -> str:
@@ -353,7 +327,7 @@ def _determinism_probe(seed: int) -> str:
         criterion_bruhat(max_n=4, perturbations=20, seed=seed),
         criterion_fixed_content(max_n=3),
         criterion_alternating(max_n=4),
-        criterion_greene(max_len=3),
+        criterion_greene(max_len=3, alphabet=3),
         criterion_reverse_complement(u_len_cap=2, length_cap=4),
     ]
     return reports_to_json(reports)
@@ -370,27 +344,44 @@ def criterion_determinism(seed: int = 0) -> Report:
     return Report(name, 2, VERIFIED, {"seed": seed, "report_bytes": len(first)})
 
 
-def run_battery(quick: bool = False, seed: int = 0, workers: int = 1) -> list[Report]:
-    """All thirteen criteria in dependency order.
+class Criterion(NamedTuple):
+    """One row of the battery: a checker and its caps in both tiers."""
 
-    The quick tier lowers every size cap by one and divides the catalog
-    extension cap by ten; it exists for smoke runs, not for acceptance.
-    """
+    check: Callable[..., Report]
+    full: dict
+    quick: dict
+    takes: tuple[str, ...] = ()  # which of seed and pmap the checker is given
+
+    def kwargs(self, quick: bool, seed: int, pmap) -> dict:
+        given = {"seed": seed, "pmap": pmap}
+        return {**(self.quick if quick else self.full), **{k: given[k] for k in self.takes}}
+
+
+# The quick tier lowers every size cap by one and the catalog extension cap
+# tenfold; it exists for smoke runs, not for acceptance.
+BATTERY: tuple[Criterion, ...] = (
+    Criterion(criterion_echelon, {"max_n": 6, "catalog_cap": 100_000},
+              {"max_n": 5, "catalog_cap": 10_000}),
+    Criterion(criterion_dilworth, {"max_n": 6}, {"max_n": 5}),
+    Criterion(criterion_rowmotion, {"max_n": 6, "catalog_cap": 100_000},
+              {"max_n": 5, "catalog_cap": 10_000}),
+    Criterion(criterion_bruhat, {"max_n": 6, "perturbations": 100},
+              {"max_n": 5, "perturbations": 100}, ("seed",)),
+    Criterion(criterion_fixed_content, {"max_n": 6}, {"max_n": 5}, ("pmap",)),
+    Criterion(criterion_excedance, {"max_n": 7}, {"max_n": 6}),
+    Criterion(criterion_tree_polys, {"trees_n": 7, "parking_n": 6},
+              {"trees_n": 6, "parking_n": 5}),
+    Criterion(criterion_simsun, {"max_n": 9}, {"max_n": 8}, ("pmap",)),
+    Criterion(criterion_alternating, {"max_n": 7}, {"max_n": 6}),
+    Criterion(criterion_greene, {"max_len": 7, "alphabet": 3}, {"max_len": 6, "alphabet": 3}),
+    Criterion(criterion_first_rows, {"length_cap": 7}, {"length_cap": 6}, ("pmap",)),
+    Criterion(criterion_reverse_complement, {"u_len_cap": 4, "length_cap": 6},
+              {"u_len_cap": 3, "length_cap": 5}, ("pmap",)),
+    Criterion(criterion_determinism, {}, {}, ("seed",)),
+)
+
+
+def run_battery(quick: bool = False, seed: int = 0, workers: int = 1) -> list[Report]:
+    """All thirteen criteria of BATTERY, in its order, at one tier."""
     pmap = make_pmap(workers)
-    d = 1 if quick else 0
-    cap = CATALOG_EXTENSION_CAP // (10 if quick else 1)
-    return [
-        criterion_echelon(max_n=SWEEP_N - d, catalog_cap=cap),
-        criterion_dilworth(max_n=SWEEP_N - d),
-        criterion_rowmotion(max_n=SWEEP_N - d, catalog_cap=cap),
-        criterion_bruhat(max_n=6 - d, seed=seed),
-        criterion_fixed_content(max_n=6 - d, pmap=pmap),
-        criterion_excedance(max_n=7 - d),
-        criterion_tree_polys(trees_n=7 - d, parking_n=6 - d),
-        criterion_simsun(max_n=9 - d, pmap=pmap),
-        criterion_alternating(max_n=7 - d),
-        criterion_greene(max_len=7 - d),
-        criterion_first_rows(length_cap=7 - d, pmap=pmap),
-        criterion_reverse_complement(u_len_cap=4 - d, length_cap=6 - d, pmap=pmap),
-        criterion_determinism(seed=seed),
-    ]
+    return [c.check(**c.kwargs(quick, seed, pmap)) for c in BATTERY]

@@ -2,8 +2,8 @@
 
 One subcommand group per module plus `verify all` for the full battery.
 Exit codes: 0 for verified or skipped, 1 for a counterexample, 2 for usage
-errors.  JSON output with the same flags and seed is byte-identical across
-runs.
+errors, 3 for an internal error (any other exception).  JSON output with the
+same flags and seed is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -297,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -991,6 +991,8 @@ def poset_from_json_obj(obj) -> Poset:
     # bool is a subclass of int, but true is not an element label
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise PosetError('"n" must be a positive integer')
+    if not isinstance(obj["covers"], list):
+        raise PosetError('"covers" must be a list of [low, high] pairs')
     covers = []
     for pair in obj["covers"]:
         if not (isinstance(pair, list) and len(pair) == 2

@@ -1,22 +1,25 @@
 """Full-scale acceptance battery, one test per criterion.
 
-Each test runs its criterion at the default (full) parameters and demands
-an exactly verified report: any counterexample or skip fails the test and
-prints the offending witness. The lattice sweep, parking sweep, and Knuth
-class caches warm up on first use and persist for the rest of the session,
-so the whole file runs in about a minute.
+Each test runs its row of ``acceptance.BATTERY`` at the full-tier caps and
+demands an exactly verified report: any counterexample or skip fails the
+test and prints the offending witness. The lattice sweep, parking sweep,
+and Knuth class caches warm up on first use and persist for the rest of the
+session, so the whole file runs in about 30 seconds on a 2-vCPU machine.
 
-The last tests pin the quick battery's report bytes to a committed copy
-and break each prefix-shared sweep on purpose to show its criterion fails.
+The last tests pin the quick battery's report bytes to a committed copy,
+check that the benchmark's sweeps call exactly the full tier, and break
+checkers on purpose to show their criterion fails.
 """
 
+import importlib.util
 from pathlib import Path
 
 from exactcomb import acceptance, genfun, plactic
 from exactcomb.core import BiPoly
-from exactcomb.report import reports_to_json
+from exactcomb.report import Report, reports_to_json
 
 QUICK_BATTERY_JSON = Path(__file__).parent / "data" / "battery_quick.json"
+PERFBENCH_WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 
 def _require(number: int, report) -> None:
@@ -27,61 +30,98 @@ def _require(number: int, report) -> None:
     assert report.status == "verified", (line, report.witness)
 
 
+def _require_full_tier(number: int) -> None:
+    row = acceptance.BATTERY[number - 1]
+    _require(number, row.check(**row.kwargs(quick=False, seed=0, pmap=map)))
+
+
 def test_criterion_01_echelon_cover_transfer():
-    _require(1, acceptance.criterion_echelon())
+    _require_full_tier(1)
 
 
 def test_criterion_02_dilworth_profiles():
-    _require(2, acceptance.criterion_dilworth())
+    _require_full_tier(2)
 
 
 def test_criterion_03_rowmotion_agreement():
-    _require(3, acceptance.criterion_rowmotion())
+    _require_full_tier(3)
 
 
 def test_criterion_04_bruhat_invariance():
-    _require(4, acceptance.criterion_bruhat())
+    _require_full_tier(4)
 
 
 def test_criterion_05_fixed_content_bijection():
-    _require(5, acceptance.criterion_fixed_content())
+    _require_full_tier(5)
 
 
 def test_criterion_06_excedance_distribution():
-    _require(6, acceptance.criterion_excedance())
+    _require_full_tier(6)
 
 
 def test_criterion_07_tree_polynomials():
-    _require(7, acceptance.criterion_tree_polys())
+    _require_full_tier(7)
 
 
 def test_criterion_08_simsun_specialization():
-    _require(8, acceptance.criterion_simsun())
+    _require_full_tier(8)
 
 
 def test_criterion_09_alternating_classes():
-    _require(9, acceptance.criterion_alternating())
+    _require_full_tier(9)
 
 
 def test_criterion_10_greene_invariants():
-    _require(10, acceptance.criterion_greene())
+    _require_full_tier(10)
 
 
 def test_criterion_11_first_rows_bound():
-    _require(11, acceptance.criterion_first_rows())
+    _require_full_tier(11)
 
 
 def test_criterion_12_reverse_complement_map():
-    _require(12, acceptance.criterion_reverse_complement())
+    _require_full_tier(12)
 
 
 def test_criterion_13_determinism():
-    _require(13, acceptance.criterion_determinism())
+    _require_full_tier(13)
+
+
+def test_every_battery_row_has_a_full_tier_test():
+    numbers = sorted(int(name[15:17]) for name in globals()
+                     if name.startswith("test_criterion_"))
+    assert numbers == list(range(1, len(acceptance.BATTERY) + 1))
+
+
+def test_first_failure_counts_verified_reports_and_tags_the_failure():
+    ok = Report("part", 3, "verified")
+    bad = Report("part", 5, "counterexample", {"word": [2, 1]})
+    assert acceptance._first_failure("whole", [(ok, {"n": 1})] * 2) == (6, None)
+    instances, failure = acceptance._first_failure(
+        "whole", [(ok, {"n": 1}), (bad, {"n": 2}), (ok, {"n": 3})])
+    assert instances == 3
+    assert failure == Report("whole", 3, "counterexample", {"word": [2, 1], "n": 2})
 
 
 def test_quick_battery_report_bytes_are_pinned():
     expected = QUICK_BATTERY_JSON.read_text()
     assert reports_to_json(acceptance.run_battery(quick=True)) == expected
+
+
+def test_benchmark_sweeps_run_the_full_tier_in_battery_order(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = []
+    for row in acceptance.BATTERY:
+        name = row.check.__name__
+        monkeypatch.setattr(acceptance, name, lambda name=name, **kw: calls.append((name, kw)))
+    seed = 7
+    for sweep in workloads.SWEEPS:
+        for _, call in workloads.sweep_criteria(sweep, seed):
+            call()
+    assert calls == [(row.check.__name__, row.kwargs(quick=False, seed=seed, pmap=map))
+                     for row in acceptance.BATTERY]
 
 
 def test_broken_parking_sweep_fails_criterion_06(monkeypatch):
@@ -96,6 +136,28 @@ def test_broken_parking_sweep_fails_criterion_06(monkeypatch):
     assert r.status == "counterexample" and r.witness["n"] == 1
 
 
+def test_zigzag_not_t_times_jacobi_fails_criterion_09(monkeypatch):
+    jacobi = genfun.jacobi_poly
+    monkeypatch.setattr(genfun, "jacobi_poly", lambda n: BiPoly.t() * jacobi(n))
+    r = acceptance.criterion_alternating(max_n=4)
+    assert r.status == "counterexample"
+    assert r.witness["n"] == 2 and r.witness["defect"] == "zigzag is not t times Jacobi"
+
+
+def test_non_palindromic_jacobi_fails_criterion_09(monkeypatch):
+    jacobi = genfun.jacobi_poly
+
+    def broken(n):
+        return jacobi(n) + (1 if n >= 3 else 0)
+
+    # keep zigzag = t * Jacobi so that only the palindrome check can fail
+    monkeypatch.setattr(genfun, "jacobi_poly", broken)
+    monkeypatch.setattr(genfun, "zigzag_poly", lambda n: BiPoly.t() * broken(n))
+    r = acceptance.criterion_alternating(max_n=4)
+    assert r.status == "counterexample"
+    assert r.witness["n"] == 3 and r.witness["defect"] == "Jacobi polynomial not palindromic"
+
+
 def test_broken_greene_sweep_fails_criterion_10(monkeypatch):
     sweep = plactic.greene_sweep
 
@@ -106,7 +168,7 @@ def test_broken_greene_sweep_fails_criterion_10(monkeypatch):
             yield w, inc, dec
 
     monkeypatch.setattr(plactic, "greene_sweep", broken)
-    r = acceptance.criterion_greene(max_len=5)
+    r = acceptance.criterion_greene(max_len=5, alphabet=3)
     assert r.status == "counterexample"
     assert r.witness["word"] == [2, 1, 3, 1, 2] and r.witness["k"] == 1
 
@@ -115,7 +177,7 @@ def test_greene_oracle_cross_check_fails_criterion_10(monkeypatch):
     oracle = plactic.greene_oracle
     monkeypatch.setattr(plactic, "greene_oracle",
                         lambda w, k, mode: oracle(w, k, mode) + (len(w) == 3))
-    r = acceptance.criterion_greene(max_len=5)
+    r = acceptance.criterion_greene(max_len=5, alphabet=3)
     assert r.status == "counterexample" and r.witness["defect"] == "trie vs oracle"
     assert len(r.witness["word"]) == 3
 

@@ -157,6 +157,26 @@ def test_echelon_map_rejects_bad_sigma(capsys, tmp_path, sigma):
     assert err.startswith("error: --sigma")
 
 
+@pytest.mark.parametrize("covers", [5, None])
+def test_echelon_map_rejects_covers_that_are_not_a_list(capsys, tmp_path, covers):
+    poset = tmp_path / "bad.json"
+    poset.write_text(json.dumps({"n": 3, "covers": covers}))
+    code, out, err = run(capsys, "echelon", "map", "--poset", str(poset),
+                         "--sigma", "0,1,2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and '"covers"' in err
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken(word):
+        raise RuntimeError("kernel broke")
+
+    monkeypatch.setattr(plactic, "rsk_P", broken)
+    code, out, err = run(capsys, "plactic", "p", "--word", "2,1")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: internal error: RuntimeError: kernel broke"]
+
+
 @pytest.mark.parametrize("argv", [
     ("genfun", "i-poly", "--n", "-1"),
     ("parking", "verify-fixed-content", "--n", "-3"),

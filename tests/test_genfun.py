@@ -31,10 +31,34 @@ def perms(n):
         yield Permutation(p)
 
 
+def _reaches_root(parent):
+    for v in range(1, len(parent) + 1):
+        seen = set()
+        while v != 0:
+            if v in seen:
+                return False
+            seen.add(v)
+            v = parent[v - 1]
+    return True
+
+
+def _filtered_trees(n):
+    """Oracle: every parent function on {1..n} whose every vertex reaches 0."""
+    choices = [[p for p in range(n + 1) if p != v] for v in range(1, n + 1)]
+    return [parent for parent in itertools.product(*choices) if _reaches_root(parent)]
+
+
 def test_rooted_tree_counts():
     # Cayley: (n+1)^(n-1) trees on {0..n} rooted at 0
     for n in range(0, 6):
         assert sum(1 for _ in rooted_trees(n)) == (n + 1) ** max(n - 1, 0)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_rooted_trees_are_the_filtered_parent_functions_once_each(n):
+    trees = list(rooted_trees(n))
+    assert len(trees) == len(set(trees))
+    assert sorted(trees) == _filtered_trees(n)
 
 
 def test_tree_stats():
