@@ -48,6 +48,7 @@ from .posets import (
     cartan_matrix,
     echelonmotion,
     enumerate_posets,
+    extension_orders,
     is_distributive,
     is_modular,
     lattice_catalog,

@@ -26,21 +26,20 @@ class LatticeSweep:
     __slots__ = ("posets_seen", "modular", "distributive")
 
     def __init__(self, max_n: int):
-        self.posets_seen = 0
         self.modular: list[posets.Lattice] = []
         self.distributive: list[posets.Lattice] = []
-        for p in posets.enumerate_posets_up_to(max_n):
-            self.posets_seen += 1
-            if not p.is_bounded():
-                continue
+        for p in self._bounded_posets(max_n):
             try:
                 lat = posets.build_lattice(p)
             except posets.NotALatticeError:
                 continue
             if posets.is_modular(lat):
                 self.modular.append(lat)
-                if posets.is_distributive(lat):
+                if posets.m3_witness(lat) is None:
                     self.distributive.append(lat)
+
+    def _bounded_posets(self, max_n: int):
+        self.posets_seen = yield from posets.bounded_posets_up_to(max_n)
 
 
 @cache

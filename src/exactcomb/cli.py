@@ -162,11 +162,11 @@ def _cmd_plactic_rc(args) -> int:
 
 def _cmd_echelon_map(args) -> int:
     p = posets.load_poset_file(args.poset)
-    lattice = posets.build_lattice(p)
     order = _ints(args.sigma, "--sigma")
     if sorted(order) != list(range(p.n)):
         raise posets.PosetError(
             f"--sigma must list each element 0..{p.n - 1} exactly once, got {args.sigma!r}")
+    lattice = posets.build_lattice(p)
     sigma = posets.LinearExtension(order)
     em = posets.echelonmotion(lattice, sigma)
     lines = [f"{x} -> {em(x)}" for x in range(p.n)]
@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     ec = top.add_parser("echelon", help="echelon maps of posets")
     ec_sub = ec.add_subparsers(dest="command", required=True)
     s = ec_sub.add_parser("map", help="echelon map for one extension")
-    s.add_argument("--poset", required=True, help="path to a poset JSON file")
+    s.add_argument("--poset", required=True,
+                   help=f"path to a poset JSON file, at most {posets.POSET_FILE_MAX_N} elements")
     s.add_argument("--sigma", required=True, help="element order, 0-indexed")
     _common(s)
     s.set_defaults(handler=_cmd_echelon_map)

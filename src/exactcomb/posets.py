@@ -10,7 +10,7 @@ masks with exact integer arithmetic only.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator
 
 from .core import IntMatrix, Permutation, int_matrix_rank
 from .report import COUNTEREXAMPLE, SKIPPED, VERIFIED, Report
@@ -33,6 +33,13 @@ class NotALatticeError(PosetError):
 
 class NotDistributiveError(PosetError):
     pass
+
+
+class ModularityCheckError(RuntimeError):
+    """The modular law and the cover characterization disagree on a lattice.
+
+    That is a defect of this program, not a property of the input.
+    """
 
 
 class SingularMatrixError(ValueError):
@@ -69,6 +76,16 @@ class Poset:
         self.down = tuple(down)
         self._cov_up: tuple[int, ...] | None = None
         self._cov_down: tuple[int, ...] | None = None
+
+    @classmethod
+    def _from_masks(cls, up: tuple[int, ...], down: tuple[int, ...]) -> "Poset":
+        # masks already known to be a valid order and its transpose
+        p = cls.__new__(cls)
+        p.n = len(up)
+        p.up = up
+        p.down = down
+        p._cov_up = p._cov_down = None
+        return p
 
     # -- order queries -------------------------------------------------
 
@@ -246,42 +263,72 @@ class LinearExtension:
         return f"LinearExtension({list(self.order)})"
 
 
-def linear_extensions(p: Poset, cap: int | None = None) -> Iterator[LinearExtension]:
-    """Yield every linear extension of p in lexicographic order of the sequence.
+def extension_orders(p: Poset, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield every linear extension of p as an order tuple, in lexicographic order.
 
-    With ``cap`` set, stop silently after that many extensions.
+    With ``cap`` set, stop silently after that many; ``cap=0`` yields
+    nothing and a negative cap raises ValueError.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"extension cap must be at least 0, got {cap}")
+    return _extension_orders(p, cap)
+
+
+def _extension_orders(p: Poset, cap: int | None) -> Iterator[tuple[int, ...]]:
     n = p.n
-    down = p.down
-    order: list[int] = []
-
-    def rec(placed: int) -> Iterator[LinearExtension]:
-        if len(order) == n:
-            yield LinearExtension(order)
-            return
-        for x in range(n):
-            b = 1 << x
-            if placed & b:
-                continue
-            if down[x] & ~(placed | b):
-                continue
-            order.append(x)
-            yield from rec(placed | b)
-            order.pop()
-
+    if cap == 0:
+        return
+    if n == 0:
+        yield ()
+        return
+    upper = p.covers_up()
+    lower = p.covers_down()
+    order = [0] * n
+    # at position i: placed[i] is the mask of order[:i], avail[i] the unplaced
+    # elements whose lower covers are all placed, and rest[i] those of them
+    # not yet tried there, smallest first
+    placed = [0] * n
+    avail = [0] * n
+    rest = [0] * n
+    avail[0] = rest[0] = sum(1 << x for x in range(n) if not lower[x])
+    i = 0
+    last = n - 1
     emitted = 0
-    for ext in rec(0):
-        yield ext
-        emitted += 1
-        if cap is not None and emitted >= cap:
-            return
+    while i >= 0:
+        r = rest[i]
+        if not r:
+            i -= 1
+            continue
+        b = r & -r
+        rest[i] = r ^ b
+        order[i] = b.bit_length() - 1
+        if i == last:
+            yield tuple(order)
+            emitted += 1
+            if emitted == cap:
+                return
+            continue
+        now = placed[i] | b
+        # placing an element can only free its upper covers
+        a = avail[i] ^ b
+        m = upper[order[i]]
+        while m:
+            c = m & -m
+            m ^= c
+            if not lower[c.bit_length() - 1] & ~now:
+                a |= c
+        i += 1
+        placed[i] = now
+        avail[i] = rest[i] = a
+
+
+def linear_extensions(p: Poset, cap: int | None = None) -> Iterator[LinearExtension]:
+    """``extension_orders`` as LinearExtension objects, with their rank tables."""
+    return map(LinearExtension, extension_orders(p, cap))
 
 
 def count_linear_extensions(p: Poset, cap: int | None = None) -> int:
-    k = 0
-    for _ in linear_extensions(p, cap=cap):
-        k += 1
-    return k
+    return sum(1 for _ in extension_orders(p, cap))
 
 
 def is_linear_extension(p: Poset, ext: LinearExtension) -> bool:
@@ -612,15 +659,19 @@ def modular_witness(L: Lattice) -> tuple[int, int, int] | None:
     checks against the cover characterization: for all a, b the relations
     "a ^ b is covered by a" and "b is covered by a v b" must coincide.
     Disagreement between the two routes would be a bug, not a property of
-    the input, hence the assert.
+    the input, so it raises ModularityCheckError.
     """
     p = L.poset
     n = p.n
+    meet = L.meet_table
+    join = L.join_table
     law: tuple[int, int, int] | None = None
     for b in range(n):
+        meet_b = meet[b]
         for a in _bits(p.down[b]):
+            join_a = join[a]
             for x in range(n):
-                if L.join(a, L.meet(x, b)) != L.meet(L.join(a, x), b):
+                if join_a[meet_b[x]] != meet_b[join_a[x]]:
                     law = (a, b, x)
                     break
             if law:
@@ -633,17 +684,20 @@ def modular_witness(L: Lattice) -> tuple[int, int, int] | None:
     cov_up = p.covers_up()
     cover_ok = True
     for a in range(n):
+        meet_a = meet[a]
+        join_a = join[a]
         for b in range(n):
             if a == b:
                 continue
-            lhs = cov_up[L.meet(a, b)] >> a & 1
-            rhs = cov_up[b] >> L.join(a, b) & 1
-            if lhs != rhs:
+            if (cov_up[meet_a[b]] >> a & 1) != (cov_up[b] >> join_a[b] & 1):
                 cover_ok = False
                 break
         if not cover_ok:
             break
-    assert (law is None) == cover_ok, "modularity criteria disagree"
+    if (law is None) != cover_ok:
+        raise ModularityCheckError(
+            f"modularity criteria disagree: modular law {'holds' if law is None else 'fails'}, "
+            f"cover condition {'holds' if cover_ok else 'fails'}")
     return law
 
 
@@ -651,7 +705,7 @@ def is_modular(L: Lattice) -> bool:
     return modular_witness(L) is None
 
 
-def _m3_witness(L: Lattice) -> tuple[int, int, int] | None:
+def m3_witness(L: Lattice) -> tuple[int, int, int] | None:
     """A triple generating a diamond M3 sublattice, if one exists."""
     p = L.poset
     n = p.n
@@ -671,7 +725,7 @@ def _m3_witness(L: Lattice) -> tuple[int, int, int] | None:
 
 def is_distributive(L: Lattice) -> bool:
     """Modular with no M3 sublattice."""
-    return is_modular(L) and _m3_witness(L) is None
+    return is_modular(L) and m3_witness(L) is None
 
 
 # -- distributive rowmotion ------------------------------------------------
@@ -783,8 +837,7 @@ def verify_echelon_theorem(L: Lattice, extension_cap: int | None = None) -> Repo
     up_counts = [m.bit_count() for m in p.covers_up()]
     checked = 0
     pivot_cols = _memo_pivot_cols(p)
-    for ext in linear_extensions(p, cap=extension_cap):
-        order = ext.order
+    for order in extension_orders(p, cap=extension_cap):
         for i, j in enumerate(pivot_cols(order)):
             x = order[j]
             y = order[i]
@@ -810,11 +863,11 @@ def verify_rowmotion(L: Lattice, extension_cap: int | None = None) -> Report:
     rm = rowmotion_distributive(L)
     pivot_cols = _memo_pivot_cols(L.poset)
     checked = 0
-    for ext in linear_extensions(L.poset, cap=extension_cap):
-        echelon = _echelon_mapping(ext.order, pivot_cols(ext.order))
+    for order in extension_orders(L.poset, cap=extension_cap):
+        echelon = _echelon_mapping(order, pivot_cols(order))
         if echelon != rm:
             return Report(name, checked, COUNTEREXAMPLE, {
-                "extension": list(ext.order),
+                "extension": list(order),
                 "echelon": list(echelon),
                 "rowmotion": list(rm),
             })
@@ -859,8 +912,8 @@ def _closed_subsets(k: int, masks: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _extensions(up: tuple[int, ...], down: tuple[int, ...]):
-    """One-point extensions of a labelled poset, new element gets label k.
+def _extension_pairs(up: tuple[int, ...], down: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """One-point extensions of a labelled poset, as (D, U) mask pairs.
 
     Choosing what lies below the new element (a down-closed D) and what
     lies above it (an up-closed U disjoint from and compatible with D)
@@ -868,19 +921,22 @@ def _extensions(up: tuple[int, ...], down: tuple[int, ...]):
     """
     k = len(up)
     full = (1 << k) - 1
-    downsets = _closed_subsets(k, down)
     upsets = _closed_subsets(k, up)
-    for d in downsets:
+    for d in _closed_subsets(k, down):
         allowed = full & ~d
         for x in _bits(d):
             allowed &= up[x]
         for u in upsets:
-            if u & ~allowed:
-                continue
-            bit = 1 << k
-            new_up = tuple(m | bit if d >> x & 1 else m for x, m in enumerate(up))
-            new_down = tuple(m | bit if u >> x & 1 else m for x, m in enumerate(down))
-            yield new_up + (bit | u,), new_down + (bit | d,)
+            if not u & ~allowed:
+                yield d, u
+
+
+def _extend(up: tuple[int, ...], down: tuple[int, ...], d: int, u: int):
+    # the new element gets label k, with D below it and U above it
+    bit = 1 << len(up)
+    new_up = tuple(m | bit if d >> x & 1 else m for x, m in enumerate(up))
+    new_down = tuple(m | bit if u >> x & 1 else m for x, m in enumerate(down))
+    return new_up + (bit | u,), new_down + (bit | d,)
 
 
 def enumerate_posets_up_to(max_n: int) -> Iterator[Poset]:
@@ -891,11 +947,51 @@ def enumerate_posets_up_to(max_n: int) -> Iterator[Poset]:
     def rec(up, down):
         yield up
         if len(up) < max_n:
-            for ext in _extensions(up, down):
-                yield from rec(*ext)
+            for d, u in _extension_pairs(up, down):
+                yield from rec(*_extend(up, down, d, u))
 
     for up in rec((1,), (1,)):
         yield Poset(len(up), up, validate=False)
+
+
+def bounded_posets_up_to(max_n: int) -> Generator[Poset, None, int]:
+    """The bounded posets of ``enumerate_posets_up_to(max_n)``, in its order.
+
+    The generator's return value is how many posets that enumeration
+    yields in all.  Posets on max_n elements are counted, and only those
+    that can be bounded are built: a one-point extension is bounded only
+    if its parent is, or if the new element is a top over a parent with
+    one minimal element, or a bottom under a parent with one maximal one.
+    """
+    if max_n < 1:
+        return 0
+
+    def visit(up, down):
+        k = len(up)
+        min_mask = sum(1 << x for x in range(k) if down[x] == 1 << x)
+        max_mask = sum(1 << x for x in range(k) if up[x] == 1 << x)
+        if min_mask.bit_count() == max_mask.bit_count() == 1:
+            yield Poset._from_masks(up, down)
+        seen = 1
+        if k == max_n:
+            return seen
+        pairs = _extension_pairs(up, down)
+        if k + 1 < max_n:
+            for d, u in pairs:
+                seen += yield from visit(*_extend(up, down, d, u))
+            return seen
+        if min_mask.bit_count() != 1 and max_mask.bit_count() != 1:
+            return seen + sum(1 for _ in pairs)  # no child can be bounded
+        for d, u in pairs:
+            seen += 1
+            # the child's minimal elements: the new one if D is empty, and
+            # the parent's that are not above it; dually for maximal ones
+            if ((not d) + (min_mask & ~u).bit_count() == 1
+                    and (not u) + (max_mask & ~d).bit_count() == 1):
+                yield Poset._from_masks(*_extend(up, down, d, u))
+        return seen
+
+    return (yield from visit((1,), (1,)))
 
 
 ENUMERATION_LIMIT = 6
@@ -984,6 +1080,12 @@ def poset_to_json_obj(p: Poset) -> dict:
     return {"n": p.n, "covers": [[x, y] for x, y in sorted(p.cover_pairs())]}
 
 
+# Poset files feed ``echelon map``, and larger ones are refused before
+# anything is built.  At this bound a chain, whose Cartan matrix is the
+# densest, maps in about 1.6 s on a 2-vCPU machine.
+POSET_FILE_MAX_N = 256
+
+
 def poset_from_json_obj(obj) -> Poset:
     if not isinstance(obj, dict) or set(obj) != {"n", "covers"}:
         raise PosetError('poset JSON must be an object with keys "n" and "covers"')
@@ -991,6 +1093,8 @@ def poset_from_json_obj(obj) -> Poset:
     # bool is a subclass of int, but true is not an element label
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise PosetError('"n" must be a positive integer')
+    if n > POSET_FILE_MAX_N:
+        raise PosetError(f'"n" must be at most {POSET_FILE_MAX_N}, got {n}')
     if not isinstance(obj["covers"], list):
         raise PosetError('"covers" must be a list of [low, high] pairs')
     covers = []

@@ -14,8 +14,8 @@ checkers on purpose to show their criterion fails.
 import importlib.util
 from pathlib import Path
 
-from exactcomb import acceptance, genfun, plactic
-from exactcomb.core import BiPoly
+from exactcomb import acceptance, genfun, plactic, posets
+from exactcomb.core import BiPoly, Permutation
 from exactcomb.report import Report, reports_to_json
 
 QUICK_BATTERY_JSON = Path(__file__).parent / "data" / "battery_quick.json"
@@ -122,6 +122,48 @@ def test_benchmark_sweeps_run_the_full_tier_in_battery_order(monkeypatch):
             call()
     assert calls == [(row.check.__name__, row.kwargs(quick=False, seed=seed, pmap=map))
                      for row in acceptance.BATTERY]
+
+
+def test_full_lattice_sweep_counts():
+    sweep = acceptance.lattice_sweep(6)
+    assert sweep.posets_seen == 134_496
+    assert (len(sweep.modular), len(sweep.distributive)) == (3_095, 2_805)
+
+
+def test_lost_lower_covers_fail_criterion_02(monkeypatch):
+    # every element loses its lower covers, so the bottom of a two-chain
+    # has one upper cover that no element matches from below
+    monkeypatch.setattr(posets.Poset, "covers_down", lambda self: (0,) * self.n)
+    r = acceptance.criterion_dilworth(max_n=3)
+    assert r.status == "counterexample" and r.instances == 1
+    assert r.witness["down_multiset"] == [0, 0]
+    assert r.witness["up_multiset"] == [0, 1]
+    assert r.witness["covers"] == [(1, 0)]  # the sweep's first two-chain
+
+
+def test_identity_bruhat_kernel_fails_criterion_04(monkeypatch):
+    monkeypatch.setattr(posets, "bruhat_permutation",
+                        lambda m: Permutation(range(1, m.rows + 1)))
+    r = acceptance.criterion_bruhat(max_n=3, perturbations=2)
+    assert r.status == "counterexample"
+    assert r.witness == {"permutation": [2, 1], "got": [1, 2]}
+
+
+def test_non_invariant_bruhat_kernel_fails_criterion_04(monkeypatch):
+    # right on 0/1 matrices, the identity on anything else
+    bruhat = posets.bruhat_permutation
+
+    def broken(m):
+        if all(v in (0, 1) for row in m.entries for v in row):
+            return bruhat(m)
+        return Permutation(range(1, m.rows + 1))
+
+    monkeypatch.setattr(posets, "bruhat_permutation", broken)
+    r = acceptance.criterion_bruhat(max_n=3, perturbations=2, seed=5)
+    assert r.status == "counterexample"
+    assert r.witness["catalog"] == "C2xC2"
+    assert r.witness["got"] == [1, 2, 3, 4] != r.witness["expected"]
+    assert {"u1", "u2"} <= set(r.witness)
 
 
 def test_broken_parking_sweep_fails_criterion_06(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from exactcomb import plactic
 from exactcomb.cli import main
+from exactcomb.posets import POSET_FILE_MAX_N
 
 
 def run(capsys, *argv):
@@ -154,6 +155,38 @@ def test_echelon_map_rejects_bad_sigma(capsys, tmp_path, sigma):
     code, out, err = run(capsys, "echelon", "map", "--poset", str(poset),
                          f"--sigma={sigma}")
     assert code == 2 and not out
+    assert err.startswith("error: --sigma")
+
+
+def test_echelon_map_refuses_large_n_before_building(capsys, tmp_path):
+    poset = tmp_path / "huge.json"
+    poset.write_text(json.dumps({"n": 100_000, "covers": []}))
+    code, out, err = run(capsys, "echelon", "map", "--poset", str(poset),
+                         "--sigma", "0,1,2")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f'error: "n" must be at most {POSET_FILE_MAX_N}, got 100000']
+
+
+def test_echelon_map_bound_is_inclusive_and_documented(capsys, tmp_path):
+    n = POSET_FILE_MAX_N
+    sigma = ",".join(map(str, range(n)))
+    for size, expected in ((n, 0), (n + 1, 2)):
+        # a diamond with size - 2 atoms
+        covers = [[0, a] for a in range(1, size - 1)] + [[a, size - 1] for a in range(1, size - 1)]
+        poset = tmp_path / f"diamond{size}.json"
+        poset.write_text(json.dumps({"n": size, "covers": covers}))
+        code, _, _ = run(capsys, "echelon", "map", "--poset", str(poset), "--sigma", sigma)
+        assert code == expected
+    with pytest.raises(SystemExit):
+        main(["echelon", "map", "--help"])
+    assert f"at most {n} elements" in capsys.readouterr().out
+
+
+def test_echelon_map_checks_sigma_before_the_lattice(capsys, tmp_path):
+    poset = tmp_path / "vee.json"
+    poset.write_text(json.dumps({"n": 3, "covers": [[0, 1], [0, 2]]}))
+    code, out, err = run(capsys, "echelon", "map", "--poset", str(poset), "--sigma", "0,1")
+    assert code == 2 and out == ""
     assert err.startswith("error: --sigma")
 
 

@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from exactcomb.posets import (
     ExtensionCapExceeded,
     Lattice,
     LinearExtension,
+    ModularityCheckError,
     NotALatticeError,
     NotDistributiveError,
     Poset,
@@ -25,6 +30,7 @@ from exactcomb.posets import (
     echelonmotion,
     enumerate_posets,
     enumerate_posets_up_to,
+    extension_orders,
     is_distributive,
     is_echelon_independent,
     is_lattice,
@@ -363,3 +369,128 @@ def test_echelon_checkers_fail_on_wrong_pivots(monkeypatch):
     r = acceptance.criterion_rowmotion(max_n=3, catalog_cap=1)
     assert r.status == "counterexample"
     assert r.witness["echelon"] != r.witness["rowmotion"]
+
+
+# -- the iterative extension generator against the recursive oracle ------------
+
+
+def _recursive_extension_orders(p, cap=None):
+    """Every linear extension of p by recursion, in lexicographic order."""
+    n = p.n
+    down = p.down
+    order = []
+
+    def rec(placed):
+        if len(order) == n:
+            yield tuple(order)
+            return
+        for x in range(n):
+            b = 1 << x
+            if placed & b or down[x] & ~(placed | b):
+                continue
+            order.append(x)
+            yield from rec(placed | b)
+            order.pop()
+
+    return list(itertools.islice(rec(0), cap))
+
+
+def test_extension_orders_match_the_recursive_oracle_on_small_posets():
+    checked = 0
+    for p in enumerate_posets_up_to(5):
+        assert list(extension_orders(p)) == _recursive_extension_orders(p), p
+        checked += 1
+    assert checked == 1 + 3 + 19 + 219 + 4231
+
+
+def test_extension_orders_match_the_recursive_oracle_on_the_catalog():
+    for name, lat in lattice_catalog().items():
+        cap = 3000 if name == "GF2_dim3_subspaces" else None
+        expected = _recursive_extension_orders(lat.poset, cap)
+        assert list(extension_orders(lat.poset, cap)) == expected, name
+        assert [e.order for e in linear_extensions(lat.poset, cap)] == expected, name
+
+
+def test_extension_caps():
+    p = diamond(3).poset
+    everything = _recursive_extension_orders(p)
+    for cap in range(1, 8):
+        assert list(extension_orders(p, cap)) == everything[:cap]
+    assert list(extension_orders(p, 0)) == []
+    assert list(linear_extensions(p, 0)) == []
+    assert count_linear_extensions(p, 0) == 0
+    r = verify_echelon_theorem(diamond(3), extension_cap=0)
+    assert r.status == "verified" and r.instances == 0
+    assert posets.verify_rowmotion(build_lattice(b2()), extension_cap=0).instances == 0
+    for call in (lambda: extension_orders(p, -1), lambda: linear_extensions(p, -1),
+                 lambda: verify_echelon_theorem(diamond(3), extension_cap=-1)):
+        with pytest.raises(ValueError):
+            call()
+
+
+# -- the bounded-only enumeration of the lattice sweep -------------------------
+
+
+def test_bounded_posets_match_the_filtered_enumeration():
+    for max_n in range(0, 6):
+        everything = list(enumerate_posets_up_to(max_n))
+        found = posets.bounded_posets_up_to(max_n)
+        bounded = []
+        while True:
+            try:
+                bounded.append(next(found))
+            except StopIteration as done:
+                assert done.value == len(everything), max_n
+                break
+        expected = [p for p in everything if p.is_bounded()]
+        assert [p.up for p in bounded] == [p.up for p in expected], max_n
+        assert [p.down for p in bounded] == [p.down for p in expected], max_n
+
+
+def test_lattice_sweep_matches_a_filter_over_the_enumeration():
+    for max_n in range(1, 6):
+        modular, distributive = [], []
+        everything = list(enumerate_posets_up_to(max_n))
+        for p in everything:
+            if p.is_bounded() and is_lattice(p):
+                lat = build_lattice(p)
+                if is_modular(lat):
+                    modular.append(p.up)
+                if is_distributive(lat):
+                    distributive.append(p.up)
+        sweep = acceptance.LatticeSweep(max_n)
+        assert sweep.posets_seen == len(everything)
+        assert [lat.poset.up for lat in sweep.modular] == modular, max_n
+        assert [lat.poset.up for lat in sweep.distributive] == distributive, max_n
+
+
+# -- the modularity cross-check --------------------------------------------------
+
+
+def test_disagreeing_modularity_criteria_raise(monkeypatch):
+    # with no covers at all the cover condition holds everywhere, while the
+    # modular law fails on the pentagon
+    monkeypatch.setattr(Poset, "covers_up", lambda self: (0,) * self.n)
+    assert is_modular(diamond(3))
+    with pytest.raises(ModularityCheckError, match="modularity criteria disagree"):
+        is_modular(pentagon())
+    assert not issubclass(ModularityCheckError, ValueError)  # exit 3, not 2
+
+
+def test_modularity_cross_check_survives_python_O():
+    script = (
+        "import sys\n"
+        "from exactcomb import posets\n"
+        "assert False, 'asserts are on'\n"
+        "posets.Poset.covers_up = lambda self: (0,) * self.n\n"
+        "try:\n"
+        "    posets.is_modular(posets.pentagon())\n"
+        "except posets.ModularityCheckError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
