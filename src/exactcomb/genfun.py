@@ -7,13 +7,10 @@ All polynomials are exact BiPoly values; q = -1 substitution is symbolic.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterator
 from functools import lru_cache
-from typing import NamedTuple
 
 from .core import BiPoly, Permutation, perm_stats, standardize
 from .report import COUNTEREXAMPLE, VERIFIED, Report
@@ -28,72 +25,46 @@ PARKING_SWEEP_LIMIT = 7
 # -- rooted trees -----------------------------------------------------------
 
 
-def rooted_trees(n: int) -> Iterator[tuple[int, ...]]:
-    """Trees on {0..n} rooted at 0, as parent tuples (parent of 1, ..., parent of n).
+def _tree_sweep(n: int) -> Counter:
+    """(inversions, leaves - 1) over the trees on {0..n} rooted at 0.
 
-    Decodes every Prufer sequence, so each tree comes exactly once and no
-    candidate is wasted.
+    Builds each tree once, by giving the vertices children sets in
+    breadth-first order: the root first, then each vertex's children in
+    increasing order.  An inversion is a vertex below a larger ancestor, so
+    a child adds its larger ancestors, read off its parent's ancestor mask.
+    A vertex that gets no children is a leaf.  While vertices remain
+    unplaced, the last vertex in the queue must take children, so no branch
+    dies, and once all are placed every vertex still queued is a leaf.  The
+    tests compare it with a sum over decoded Prufer sequences.
     """
-    if n > TREES_LIMIT:
-        raise ValueError(f"tree enumeration capped at n = {TREES_LIMIT}")
-    if n == 0:
-        yield ()
-        return
-    for seq in itertools.product(range(n + 1), repeat=n - 1):
-        yield _decode_prufer(seq, n)
+    acc: Counter = Counter()
+    bits = [tuple(v for v in range(n + 1) if m >> v & 1) for m in range(1 << n + 1)]
+    above = [0] * (n + 1)  # above[v]: v and its ancestors, as a bitmask
+    queue = [0]
 
+    def rec(qi: int, unplaced: int, inv: int, leaves: int) -> None:
+        if not unplaced:
+            # the vertices from queue[qi] on are leaves; the exponent is leaves - 1
+            acc[(inv, leaves + len(queue) - qi - 1)] += 1
+            return
+        x = queue[qi]
+        mask = above[x]
+        if qi + 1 < len(queue):  # x may stay a leaf: a later vertex can take children
+            rec(qi + 1, unplaced, inv, leaves + 1)
+        kids = unplaced
+        while kids:
+            added = 0
+            for c in bits[kids]:
+                above[c] = mask | 1 << c
+                added += (mask >> c + 1).bit_count()
+            queue.extend(bits[kids])
+            rec(qi + 1, unplaced ^ kids, inv + added, leaves)
+            del queue[len(queue) - len(bits[kids]):]
+            kids = (kids - 1) & unplaced
 
-def _decode_prufer(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # standard decoding on vertex set {0..n}, then orient toward root 0
-    degree = [1] * (n + 1)
-    for v in seq:
-        degree[v] += 1
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    heap = [v for v in range(n + 1) if degree[v] == 1]
-    heapq.heapify(heap)
-    for v in seq:
-        leaf = heapq.heappop(heap)
-        adj[leaf].append(v)
-        adj[v].append(leaf)
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(heap, v)
-    a = heapq.heappop(heap)
-    b = heapq.heappop(heap)
-    adj[a].append(b)
-    adj[b].append(a)
-    parent = [0] * (n + 1)
-    stack = [0]
-    seen = [False] * (n + 1)
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = x
-                stack.append(y)
-    return tuple(parent[1:])
-
-
-class TreeStats(NamedTuple):
-    inversions: int
-    leaves: int
-
-
-def tree_stats(parent: tuple[int, ...]) -> TreeStats:
-    """Inversions (i < j with j an ancestor of i) and leaf count."""
-    n = len(parent)
-    inv = 0
-    for i in range(1, n + 1):
-        x = parent[i - 1]
-        while x != 0:
-            if x > i:
-                inv += 1
-            x = parent[x - 1]
-    children = set(parent)
-    leaves = sum(1 for v in range(1, n + 1) if v not in children)
-    return TreeStats(inv, leaves)
+    above[0] = 1
+    rec(0, (1 << n + 1) - 2, 0, 0)
+    return acc
 
 
 def q_integer(m: int) -> BiPoly:
@@ -111,11 +82,9 @@ def tree_poly(n: int, method: str = "recurrence") -> BiPoly:
     if n < 0:
         raise ValueError(f"tree polynomials need n >= 0, got n = {n}")
     if method == "trees":
-        acc: Counter = Counter()
-        for parent in rooted_trees(n):
-            st = tree_stats(parent)
-            acc[(st.inversions, st.leaves - 1 if n else 0)] += 1
-        return BiPoly(acc)
+        if n > TREES_LIMIT:
+            raise ValueError(f"tree enumeration capped at n = {TREES_LIMIT}")
+        return BiPoly(_tree_sweep(n))
     if method == "recurrence":
         if n > RECURRENCE_LIMIT:
             raise ValueError(f"recurrence capped at n = {RECURRENCE_LIMIT}")

@@ -18,9 +18,6 @@ from typing import NamedTuple
 from .core import BiPoly, Permutation, perm_stats
 from .report import COUNTEREXAMPLE, VERIFIED, Report
 
-DIRECT_SWEEP_LIMIT = 8
-
-
 class ParkingFailure(ValueError):
     """Some car found every spot from its preference onward occupied."""
 
@@ -193,21 +190,43 @@ def _check_placement(board: Board, rooks: Iterable[tuple[int, int]]) -> list[tup
 # -- the descent-side map and the insertion bijection -----------------------
 
 
+class BijectionCheckError(RuntimeError):
+    """phi or the insertion maps broke a proved statement on valid input.
+
+    That is a defect of this program, not a property of the input.
+    """
+
+
+def _phi_rooks(b: tuple[int, ...], w: Permutation,
+               a_set: frozenset[int]) -> frozenset[tuple[int, int]] | None:
+    """{(outcome(i+1), w(i)) : i in A}, or None when A is not a subset of
+    the descent set of the outcome of b ordered by w."""
+    _, sigma = induced_parking(b, w)
+    if not a_set <= perm_stats(sigma).descents:
+        return None
+    return frozenset((sigma(i + 1), w(i)) for i in a_set)
+
+
 def phi(b: tuple[int, ...], w: Permutation, descents: Iterable[int]) -> frozenset[tuple[int, int]]:
     """The rook placement {(outcome(i+1), w(i)) : i in A} for A a descent subset.
 
-    A must be a subset of the descent set of the outcome of b ordered by w.
-    That the result lands inside the board and is nonattacking is a proved
-    statement, enforced here as an assertion rather than an error.
+    A must be a subset of the descent set of the outcome of b ordered by w,
+    else ValueError.  That the result lands inside the board with one rook
+    per element of A is a proved statement; if it fails, this raises
+    BijectionCheckError.
     """
     a_set = frozenset(descents)
-    _, sigma = induced_parking(b, w)
-    if not a_set <= perm_stats(sigma).descents:
+    rooks = _phi_rooks(b, w, a_set)
+    if rooks is None:
         raise ValueError(f"{sorted(a_set)} is not a subset of the outcome descent set")
-    rooks = frozenset((sigma(i + 1), w(i)) for i in a_set)
     board = Board.from_content(b)
-    checked = _check_placement(board, rooks)
-    assert len(checked) == len(a_set)
+    try:
+        checked = _check_placement(board, rooks)
+    except ValueError as err:
+        raise BijectionCheckError(f"phi({list(w.one_line)}, {sorted(a_set)}): {err}") from None
+    if len(checked) != len(a_set):
+        raise BijectionCheckError(
+            f"phi({list(w.one_line)}, {sorted(a_set)}) placed {len(checked)} rooks")
     return rooks
 
 
@@ -228,6 +247,19 @@ def _park_labels(b: tuple[int, ...], labels: Iterable[int]) -> list[int]:
     return spots
 
 
+def _insert_columns(b: tuple[int, ...], placement: list[tuple[int, int]],
+                    u0: Iterable[int]) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The insertion steps of ``insert_forward`` on a checked placement,
+    sorted bottom row first: the final word and the inserted positions."""
+    word = list(u0)
+    for r, c in placement:
+        occupant = _park_labels(b, word)[r]
+        if not occupant:
+            raise BijectionCheckError(f"spot {r} is empty when column {c} is inserted")
+        word.insert(word.index(occupant), c)
+    return tuple(word), frozenset(word.index(c) + 1 for _, c in placement)
+
+
 def insert_forward(
     b: tuple[int, ...],
     rooks: Iterable[tuple[int, int]],
@@ -240,24 +272,27 @@ def insert_forward(
     column c_j is inserted immediately before that occupant.  Returns the
     final permutation together with the positions of the inserted letters,
     which form a descent subset A of the outcome with phi(w, A) equal to
-    the given placement.
+    the given placement; if they do not, this raises BijectionCheckError.
     """
     n = len(b)
     board = Board.from_content(b)
     placement = _check_placement(board, rooks)
-    word = list(u0)
     expected = sorted(set(range(1, n + 1)) - {c for _, c in placement})
-    if sorted(word) != expected:
+    if sorted(u0) != expected:
         raise ValueError("u0 must order exactly the rook-free columns")
-    for r, c in placement:
-        spots = _park_labels(b, word)
-        occupant = spots[r]
-        assert occupant, f"spot {r} must be occupied before inserting column {c}"
-        word.insert(word.index(occupant), c)
+    word, a_set = _insert_columns(b, placement, u0)
     w = Permutation(word)
-    a_set = frozenset(word.index(c) + 1 for _, c in placement)
-    assert phi(b, w, a_set) == frozenset(placement)
+    if _phi_rooks(b, w, a_set) != frozenset(placement):
+        raise BijectionCheckError(
+            f"inserting {placement} into {list(u0)} gave (w, A) = "
+            f"({list(word)}, {sorted(a_set)}), which phi does not send back")
     return w, a_set
+
+
+def _delete_columns(word: Iterable[int], placement: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The word with the placement's columns removed: ``insert_inverse``'s steps."""
+    cols = {c for _, c in placement}
+    return tuple(v for v in word if v not in cols)
 
 
 def insert_inverse(
@@ -268,70 +303,107 @@ def insert_inverse(
 ) -> tuple[int, ...]:
     """Recover the starting word by deleting rook columns, top row first.
 
-    Requires phi(b, w, descents) to equal the placement; the forward map is
-    replayed on the result as a round-trip assertion.
+    Requires phi(b, w, descents) to equal the placement, else ValueError.
+    The forward insertion is replayed on the result and must give back
+    (w, descents); if it does not, this raises BijectionCheckError.
     """
     a_set = frozenset(descents)
     board = Board.from_content(b)
     placement = _check_placement(board, rooks)
     if phi(b, w, a_set) != frozenset(placement):
         raise ValueError("(w, A) is not a preimage of this placement")
-    word = list(w.one_line)
-    for _, c in reversed(placement):
-        word.remove(c)
-    u0 = tuple(word)
-    assert insert_forward(b, placement, u0) == (w, a_set)
+    u0 = _delete_columns(w.one_line, placement)
+    if _insert_columns(b, placement, u0) != (w.one_line, a_set):
+        raise BijectionCheckError(f"inserting {placement} into {list(u0)} does not "
+                                  f"give back ({list(w.one_line)}, {sorted(a_set)})")
     return u0
 
 
 # -- polynomials and the theorem checker ------------------------------------
 
 
-def excedance_polynomial(b: tuple[int, ...], method: str = "direct") -> BiPoly:
-    """Excedance distribution over all orderings of the content b.
+def excedance_polynomial(b: tuple[int, ...]) -> BiPoly:
+    """Excedance distribution over all orderings of the content b, by the
+    inclusion-exclusion form sum_k rook_k(B_b) (n-k)! (t-1)^k.
 
-    direct: sweep the symmetric group.  rook: the inclusion-exclusion form
-    sum_k rook_k(B_b) (n-k)! (t-1)^k.
+    ``_ordering_sweep`` counts the same distribution directly, and the
+    fixed-content check compares the two.
     """
     n = len(b)
-    if method == "direct":
-        if n > DIRECT_SWEEP_LIMIT:
-            raise ValueError(f"direct sweep capped at n = {DIRECT_SWEEP_LIMIT}")
-        acc: Counter = Counter()
-        for perm in itertools.permutations(range(1, n + 1)):
-            prefs = tuple(b[v - 1] for v in perm)
-            acc[parking_stats(prefs).exced] += 1
-        return BiPoly({(0, e): c for e, c in acc.items()})
-    if method == "rook":
-        counts = rook_numbers(Board.from_content(b))
-        t_minus_1 = BiPoly.t() - BiPoly.one()
-        total = BiPoly.zero()
-        for k, rk in enumerate(counts):
-            if rk:
-                total += BiPoly.constant(rk * math.factorial(n - k)) * t_minus_1 ** k
-        return total
-    raise ValueError(f"unknown method {method!r}")
+    counts = rook_numbers(Board.from_content(b))
+    t_minus_1 = BiPoly.t() - BiPoly.one()
+    total = BiPoly.zero()
+    for k, rk in enumerate(counts):
+        if rk:
+            total += BiPoly.constant(rk * math.factorial(n - k)) * t_minus_1 ** k
+    return total
 
 
-def outcome_descent_polynomial(b: tuple[int, ...]) -> BiPoly:
-    """Sum of t^(descents of the outcome) over all orderings of b."""
+class _Orderings(NamedTuple):
+    exced: Counter       # excedance count -> orderings
+    descents: Counter    # outcome descent count -> orderings
+    fibers: Counter      # parking function -> orderings giving it
+    preimages: Counter   # phi(w, A) -> pairs (w, A); filled only with fibers
+    outcomes: dict       # ordering w -> outcome spots; filled only with fibers
+
+
+def _ordering_sweep(b: tuple[int, ...], with_fibers: bool) -> _Orderings:
+    """One depth-first pass over the orderings w of the content b, in
+    ``itertools.permutations`` order.
+
+    Car i prefers b_w(i) and takes the first free spot from there on, read
+    off a bitmask of free spots.  Each node carries the excedances and the
+    outcome descents of its prefix.  With fibers, each leaf also counts the
+    placement phi(w, A) of every descent subset A, and keeps its outcome.
+    The tests compare all of it with sweeps over ``park`` and ``phi``.
+    """
     n = len(b)
-    if n > DIRECT_SWEEP_LIMIT:
-        raise ValueError(f"direct sweep capped at n = {DIRECT_SWEEP_LIMIT}")
-    acc: Counter = Counter()
-    for perm in itertools.permutations(range(1, n + 1)):
-        prefs = tuple(b[v - 1] for v in perm)
-        acc[perm_stats(park(prefs)).des] += 1
-    return BiPoly({(0, e): c for e, c in acc.items()})
+    out = _Orderings(Counter(), Counter(), Counter(), Counter(), {})
+    perm = [0] * n
+    prefs = [0] * n
+    spots = [0] * (n + 1)  # spots[i] is car i's spot; spots[0] = 0 makes no descent
+
+    def rec(i: int, unused: int, free: int, exc: int, des: int) -> None:
+        if i > n:
+            out.exced[exc] += 1
+            out.descents[des] += 1
+            out.fibers[tuple(prefs)] += 1
+            if with_fibers:
+                w = tuple(perm)
+                out.outcomes[w] = tuple(spots[1:])
+                # the rook of descent j sits in row outcome(j + 1), column w(j);
+                # rows and columns are distinct because outcome and w are permutations
+                placements = [frozenset()]
+                for j in range(1, n):
+                    if spots[j] > spots[j + 1]:
+                        rook = (spots[j + 1], w[j - 1])
+                        placements += [a | {rook} for a in placements]
+                out.preimages.update(placements)
+            return
+        for v in range(1, n + 1):
+            if unused >> v & 1:
+                p = b[v - 1]
+                above = free >> p << p
+                s = (above & -above).bit_length() - 1  # first free spot >= p
+                perm[i - 1] = v
+                prefs[i - 1] = p
+                spots[i] = s
+                rec(i + 1, unused ^ 1 << v, free ^ 1 << s, exc + (p > i),
+                    des + (spots[i - 1] > s))
+
+    bits = (1 << n + 1) - 2  # bits 1..n
+    rec(1, bits, bits, 0, 0)
+    return out
 
 
 def _content_report_row(args: tuple[tuple[int, ...], bool]) -> dict | None:
     """Check one content; None when clean, else a witness dict."""
     b, with_fibers = args
     n = len(b)
-    direct = excedance_polynomial(b, "direct")
-    via_rooks = excedance_polynomial(b, "rook")
-    descent_side = outcome_descent_polynomial(b)
+    sweep = _ordering_sweep(b, with_fibers)
+    direct = BiPoly({(0, e): c for e, c in sweep.exced.items()})
+    via_rooks = excedance_polynomial(b)
+    descent_side = BiPoly({(0, e): c for e, c in sweep.descents.items()})
     if direct != via_rooks:
         return {"b": list(b), "defect": "rook formula mismatch",
                 "direct": direct.to_json_terms(), "rook": via_rooks.to_json_terms()}
@@ -341,11 +413,8 @@ def _content_report_row(args: tuple[tuple[int, ...], bool]) -> dict | None:
 
     # fiber size of the ordering map: every parking function with content b
     # arises from exactly mu(b) orderings
-    fiber: Counter = Counter()
-    for perm in itertools.permutations(range(1, n + 1)):
-        fiber[tuple(b[v - 1] for v in perm)] += 1
     expected_mu = mu(b)
-    for prefs, count in fiber.items():
+    for prefs, count in sweep.fibers.items():
         if count != expected_mu:
             return {"b": list(b), "defect": "mu fiber mismatch",
                     "pi": list(prefs), "count": count, "mu": expected_mu}
@@ -355,26 +424,34 @@ def _content_report_row(args: tuple[tuple[int, ...], bool]) -> dict | None:
 
     # preimage counts of the descent-side map, and the round trip
     board = Board.from_content(b)
-    preimages: Counter = Counter()
-    for perm in itertools.permutations(range(1, n + 1)):
-        w = Permutation(perm)
-        des = sorted(perm_stats(park(tuple(b[v - 1] for v in perm))).descents)
-        for size in range(len(des) + 1):
-            for a_set in itertools.combinations(des, size):
-                preimages[phi(b, w, a_set)] += 1
+    for rooks in sweep.preimages:
+        try:
+            _check_placement(board, rooks)
+        except ValueError as err:
+            return {"b": list(b), "defect": "phi is not a placement on the board",
+                    "rooks": sorted(map(list, rooks)), "error": str(err)}
     for rooks in rook_placements(board):
         k = len(rooks)
-        if preimages.get(rooks, 0) != math.factorial(n - k):
+        if sweep.preimages.get(rooks, 0) != math.factorial(n - k):
             return {"b": list(b), "defect": "preimage count mismatch",
                     "rooks": sorted(map(list, rooks)),
-                    "count": preimages.get(rooks, 0),
+                    "count": sweep.preimages.get(rooks, 0),
                     "expected": math.factorial(n - k)}
+        placement = sorted(rooks)
         free = sorted(set(range(1, n + 1)) - {c for _, c in rooks})
         for u0 in itertools.permutations(free):
-            w, a_set = insert_forward(b, rooks, u0)
-            if insert_inverse(b, rooks, w, a_set) != u0:
-                return {"b": list(b), "defect": "round trip failure",
-                        "rooks": sorted(map(list, rooks)), "u0": list(u0)}
+            w, a_set = _insert_columns(b, placement, u0)
+            sigma = sweep.outcomes[w]
+            if not all(0 < i < n and sigma[i - 1] > sigma[i] for i in a_set):
+                defect = "inserted positions are not outcome descents"
+            elif frozenset((sigma[i], w[i - 1]) for i in a_set) != rooks:
+                defect = "phi does not give back the rooks"
+            elif _delete_columns(w, placement) != u0:
+                defect = "round trip failure"
+            else:
+                continue
+            return {"b": list(b), "defect": defect,
+                    "rooks": sorted(map(list, rooks)), "u0": list(u0)}
     return None
 
 

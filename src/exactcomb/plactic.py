@@ -44,6 +44,15 @@ class Tableau:
                     raise ValueError(f"column strictness fails between rows {i} and {i + 1}")
         self.rows = rows
 
+    @classmethod
+    def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """A tableau from rows that are semistandard by construction: built
+        by row insertion, or a prefix of each row of a valid tableau.  Skips
+        the validation of ``__init__``; the tests compare the two."""
+        t = cls.__new__(cls)
+        t.rows = rows
+        return t
+
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
 
@@ -74,7 +83,7 @@ class Tableau:
             if cut == 0:
                 break
             rows.append(row[:cut])
-        return Tableau(rows)
+        return Tableau._unchecked(tuple(rows))
 
     def skew_above(self, m: int) -> frozenset[tuple[int, int, int]]:
         """Cells (row, col, entry) with entry > m, 0-indexed positions."""
@@ -127,7 +136,7 @@ def rsk_P(word: Iterable[int]) -> Tableau:
     """The insertion tableau of a word under row bumping."""
     rows: list[list[int]] = []
     _insert_word(rows, as_word(word))
-    return Tableau(rows)
+    return Tableau._unchecked(tuple(map(tuple, rows)))
 
 
 def _rows_after_insert(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
@@ -470,7 +479,7 @@ def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int,
         verdicts = [ok for part in pmap(_commute_verdicts, chunks) for ok in part]
         members = _centralizers[key] = tuple(
             rows for (_, rows), ok in zip(classes, verdicts) if ok)
-    return CentralizerSet(u, alphabet_cap, length_cap, map(Tableau, members))
+    return CentralizerSet(u, alphabet_cap, length_cap, map(Tableau._unchecked, members))
 
 
 def check_no_bump(u: Iterable[int], w: Iterable[int]) -> bool:

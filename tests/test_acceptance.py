@@ -4,7 +4,7 @@ Each test runs its row of ``acceptance.BATTERY`` at the full-tier caps and
 demands an exactly verified report: any counterexample or skip fails the
 test and prints the offending witness. The lattice sweep, parking sweep,
 and Knuth class caches warm up on first use and persist for the rest of the
-session, so the whole file runs in about 30 seconds on a 2-vCPU machine.
+session, so the whole file runs in about 20 seconds on a 2-vCPU machine.
 
 The last tests pin the quick battery's report bytes to a committed copy,
 check that the benchmark's sweeps call exactly the full tier, and break
@@ -14,7 +14,10 @@ checkers on purpose to show their criterion fails.
 import importlib.util
 from pathlib import Path
 
-from exactcomb import acceptance, genfun, plactic, posets
+import pytest
+
+from exactcomb import acceptance, genfun, parking, plactic, posets
+from exactcomb.cli import main
 from exactcomb.core import BiPoly, Permutation
 from exactcomb.report import Report, reports_to_json
 
@@ -164,6 +167,72 @@ def test_non_invariant_bruhat_kernel_fails_criterion_04(monkeypatch):
     assert r.witness["catalog"] == "C2xC2"
     assert r.witness["got"] == [1, 2, 3, 4] != r.witness["expected"]
     assert {"u1", "u2"} <= set(r.witness)
+
+
+def _break_ordering_sweep(defect, monkeypatch):
+    """Patch one kernel of the fixed-content check so that exactly the
+    check named by ``defect`` fails."""
+    sweep, insert, delete = (parking._ordering_sweep, parking._insert_columns,
+                             parking._delete_columns)
+
+    def sweep_with(b, with_fibers):
+        out = sweep(b, with_fibers)
+        if b[:3] == (1, 1, 2):
+            if defect == "rook formula mismatch":
+                out.exced[0] -= 1
+                out.exced[1] += 1
+            else:
+                out.preimages[frozenset({(3, 1)})] += 1
+        return out
+
+    if defect in ("rook formula mismatch", "phi is not a placement on the board"):
+        monkeypatch.setattr(parking, "_ordering_sweep", sweep_with)
+    elif defect == "inserted positions are not outcome descents":
+        monkeypatch.setattr(parking, "_insert_columns",
+                            lambda b, placement, u0: (insert(b, placement, u0)[0], {len(b)}))
+    elif defect == "phi does not give back the rooks":
+        monkeypatch.setattr(parking, "_insert_columns",
+                            lambda b, placement, u0: (insert(b, placement, u0)[0], frozenset()))
+    else:
+        monkeypatch.setattr(parking, "_delete_columns",
+                            lambda word, placement: delete(word, placement)[::-1])
+
+
+@pytest.mark.parametrize("defect, b", [
+    ("rook formula mismatch", [1, 1, 2]),
+    ("phi is not a placement on the board", [1, 1, 2]),
+    ("inserted positions are not outcome descents", [1]),
+    ("phi does not give back the rooks", [1, 2]),
+    ("round trip failure", [1, 1]),
+])
+def test_broken_ordering_sweep_fails_criterion_05(monkeypatch, defect, b):
+    _break_ordering_sweep(defect, monkeypatch)
+    r = acceptance.criterion_fixed_content(max_n=4)
+    assert r.status == "counterexample"
+    assert r.witness["defect"] == defect
+    assert r.witness["b"] == b and r.witness["n"] == len(b)
+
+
+def test_broken_ordering_sweep_exits_1_at_the_cli(monkeypatch, capsys):
+    _break_ordering_sweep("rook formula mismatch", monkeypatch)
+    assert main(["parking", "verify-fixed-content", "--n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert '"b": [1, 1, 2, 2]' in out and "rook formula mismatch" in out
+
+
+def test_broken_tree_sweep_fails_criterion_07(monkeypatch):
+    sweep = genfun._tree_sweep
+
+    def broken(n):
+        out = sweep(n)
+        if n == 3:
+            out[(0, 0)] += 1
+        return out
+
+    monkeypatch.setattr(genfun, "_tree_sweep", broken)
+    r = acceptance.criterion_tree_polys(trees_n=4, parking_n=3)
+    assert r.status == "counterexample"
+    assert r.witness["n"] == 3 and r.witness["defect"] == "direct vs recurrence"
 
 
 def test_broken_parking_sweep_fails_criterion_06(monkeypatch):

@@ -1,5 +1,7 @@
+import heapq
 import itertools
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -12,13 +14,12 @@ from exactcomb.genfun import (
     complement_perm,
     jacobi_poly,
     parking_poly,
+    TREES_LIMIT,
     preference_lower_bounds,
-    rooted_trees,
     simsun_eulerian,
     simsun_poly,
     tree_poly,
     tree_poly_at_minus_one,
-    tree_stats,
     verify_alternating_identity,
     verify_simsun_identity,
     zigzag_poly,
@@ -29,6 +30,69 @@ from exactcomb.parking import ParkingFailure, park, parking_functions, parking_s
 def perms(n):
     for p in itertools.permutations(range(1, n + 1)):
         yield Permutation(p)
+
+
+def rooted_trees(n):
+    """Oracle: trees on {0..n} rooted at 0, as parent tuples (parent of 1,
+    ..., parent of n), one per Prufer sequence."""
+    if n == 0:
+        yield ()
+        return
+    for seq in itertools.product(range(n + 1), repeat=n - 1):
+        yield _decode_prufer(seq, n)
+
+
+def _decode_prufer(seq, n):
+    # standard decoding on vertex set {0..n}, then orient toward root 0
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    adj = [[] for _ in range(n + 1)]
+    heap = [v for v in range(n + 1) if degree[v] == 1]
+    heapq.heapify(heap)
+    for v in seq:
+        leaf = heapq.heappop(heap)
+        adj[leaf].append(v)
+        adj[v].append(leaf)
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(heap, v)
+    a = heapq.heappop(heap)
+    b = heapq.heappop(heap)
+    adj[a].append(b)
+    adj[b].append(a)
+    parent = [0] * (n + 1)
+    stack = [0]
+    seen = [False] * (n + 1)
+    seen[0] = True
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                stack.append(y)
+    return tuple(parent[1:])
+
+
+class TreeStats(NamedTuple):
+    inversions: int
+    leaves: int
+
+
+def tree_stats(parent):
+    """Oracle: inversions (i < j with j an ancestor of i) and leaf count."""
+    n = len(parent)
+    inv = 0
+    for i in range(1, n + 1):
+        x = parent[i - 1]
+        while x != 0:
+            if x > i:
+                inv += 1
+            x = parent[x - 1]
+    children = set(parent)
+    leaves = sum(1 for v in range(1, n + 1) if v not in children)
+    return TreeStats(inv, leaves)
 
 
 def _reaches_root(parent):
@@ -69,6 +133,16 @@ def test_tree_stats():
     assert tree_stats((0, 1, 2)).inversions == 0  # increasing path
 
 
+@pytest.mark.parametrize("n", range(TREES_LIMIT + 1))
+def test_tree_sweep_matches_prufer_oracle(n):
+    expected = Counter()
+    for parent in rooted_trees(n):
+        st = tree_stats(parent)
+        expected[(st.inversions, st.leaves - 1 if n else 0)] += 1
+    assert tree_poly(n, "trees") == BiPoly(expected)
+    assert tree_poly(n, "trees").eval_at(1, 1) == (n + 1) ** max(n - 1, 0)
+
+
 def test_tree_poly():
     q, t = BiPoly.q(), BiPoly.t()
     assert tree_poly(1, "trees") == BiPoly.constant(1)
@@ -78,6 +152,8 @@ def test_tree_poly():
         assert tree_poly(n, "trees") == tree_poly(n, "recurrence"), n
     with pytest.raises(ValueError):
         tree_poly(3, "guess")
+    with pytest.raises(ValueError, match=f"capped at n = {TREES_LIMIT}"):
+        tree_poly(TREES_LIMIT + 1, "trees")
 
 
 def test_tree_poly_at_minus_one():

@@ -1,20 +1,26 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from exactcomb import parking
 from exactcomb.core import BiPoly, Permutation, perm_stats
 from exactcomb.parking import (
+    BijectionCheckError,
     Board,
     ParkingFailure,
+    _ordering_sweep,
     excedance_polynomial,
     induced_parking,
     insert_forward,
     insert_inverse,
     is_parking_function,
     mu,
-    outcome_descent_polynomial,
     park,
     parking_contents,
     parking_functions,
@@ -27,6 +33,37 @@ from exactcomb.parking import (
 
 WORKED_B = (1, 1, 2, 4, 5, 6)
 WORKED_ROOKS = frozenset({(1, 3), (2, 6), (4, 5)})
+WORKED_W = Permutation((6, 3, 2, 5, 4, 1))
+
+
+def direct_excedance_polynomial(b):
+    """Oracle: excedances of every ordering of b, counted one by one."""
+    acc = Counter()
+    for perm in itertools.permutations(range(1, len(b) + 1)):
+        acc[parking_stats(tuple(b[v - 1] for v in perm)).exced] += 1
+    return BiPoly({(0, e): c for e, c in acc.items()})
+
+
+def outcome_descent_polynomial(b):
+    """Oracle: sum of t^(descents of the outcome) over all orderings of b."""
+    acc = Counter()
+    for perm in itertools.permutations(range(1, len(b) + 1)):
+        acc[perm_stats(park(tuple(b[v - 1] for v in perm))).des] += 1
+    return BiPoly({(0, e): c for e, c in acc.items()})
+
+
+def phi_preimages(b):
+    """Oracle: phi(w, A) over every ordering w and descent subset A."""
+    n = len(b)
+    fibers = Counter()
+    for w in itertools.permutations(range(1, n + 1)):
+        perm = Permutation(w)
+        _, outcome = induced_parking(b, perm)
+        des = perm_stats(outcome).descents
+        for r in range(len(des) + 1):
+            for a_subset in itertools.combinations(sorted(des), r):
+                fibers[phi(b, perm, a_subset)] += 1
+    return fibers
 
 
 def test_park_examples():
@@ -117,20 +154,40 @@ def test_excedance_polynomial_examples():
     assert excedance_polynomial((1, 1)) == BiPoly.constant(2)
     assert excedance_polynomial((1, 2)) == 1 + t
     for b in ((1, 1, 2), (1, 2, 3), (1, 1, 1)):
-        assert excedance_polynomial(b, "direct") == excedance_polynomial(b, "rook")
+        assert direct_excedance_polynomial(b) == excedance_polynomial(b)
 
 
 def test_excedance_equals_rook_formula_all_small_contents():
     for n in range(1, 6):
         for b in parking_contents(n):
-            assert excedance_polynomial(b, "direct") == excedance_polynomial(b, "rook")
+            assert direct_excedance_polynomial(b) == excedance_polynomial(b)
             assert excedance_polynomial(b) == outcome_descent_polynomial(b)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ordering_sweep_matches_oracles(n):
+    for b in parking_contents(n):
+        sweep = _ordering_sweep(b, with_fibers=n <= 5)
+        assert BiPoly({(0, e): c for e, c in sweep.exced.items()}) \
+            == direct_excedance_polynomial(b), b
+        assert BiPoly({(0, e): c for e, c in sweep.descents.items()}) \
+            == outcome_descent_polynomial(b), b
+        orderings = [tuple(b[v - 1] for v in w)
+                     for w in itertools.permutations(range(1, n + 1))]
+        # same counts, met in the same order, so a failure names the same pi
+        assert list(sweep.fibers.items()) == list(Counter(orderings).items()), b
+        if n <= 5:
+            assert sweep.preimages == phi_preimages(b), b
+            assert sweep.outcomes == {
+                w: park(prefs).one_line
+                for w, prefs in zip(itertools.permutations(range(1, n + 1)), orderings)}
+        else:
+            assert not sweep.preimages and not sweep.outcomes
+
+
 def test_phi_examples():
-    w = Permutation((6, 3, 2, 5, 4, 1))
-    assert phi(WORKED_B, w, {1, 2, 4}) == WORKED_ROOKS
-    assert phi(WORKED_B, w, ()) == frozenset()
+    assert phi(WORKED_B, WORKED_W, {1, 2, 4}) == WORKED_ROOKS
+    assert phi(WORKED_B, WORKED_W, ()) == frozenset()
     assert phi((1, 2), Permutation((2, 1)), {1}) == frozenset({(1, 2)})
     with pytest.raises(ValueError):
         phi((1, 2), Permutation((1, 2)), {1})  # outcome 12 has no descent
@@ -153,8 +210,7 @@ def test_insert_forward_small():
 
 
 def test_insert_inverse():
-    w = Permutation((6, 3, 2, 5, 4, 1))
-    assert insert_inverse(WORKED_B, WORKED_ROOKS, w, {1, 2, 4}) == (2, 4, 1)
+    assert insert_inverse(WORKED_B, WORKED_ROOKS, WORKED_W, {1, 2, 4}) == (2, 4, 1)
     assert insert_inverse((1, 2), {(1, 2)}, Permutation((2, 1)), {1}) == (1,)
     w = Permutation((3, 1, 2))
     assert insert_inverse((1, 1, 2), frozenset(), w, ()) == (3, 1, 2)
@@ -178,15 +234,7 @@ def test_phi_preimage_count():
     # every k-rook placement has exactly (n-k)! preimages among (w, A) pairs
     for n in range(1, 5):
         for b in parking_contents(n):
-            fibers = Counter()
-            for w in itertools.permutations(range(1, n + 1)):
-                perm = Permutation(w)
-                _, outcome = induced_parking(b, perm)
-                des = perm_stats(outcome).descents
-                for r in range(len(des) + 1):
-                    for a_subset in itertools.combinations(sorted(des), r):
-                        fibers[phi(b, perm, a_subset)] += 1
-            for placement, hits in fibers.items():
+            for placement, hits in phi_preimages(b).items():
                 assert hits == math.factorial(n - len(placement)), (b, placement)
 
 
@@ -197,3 +245,67 @@ def test_verify_fixed_content_report():
     assert verify_fixed_content(1).status == "verified"
     with pytest.raises(ValueError):
         verify_fixed_content(9)
+
+
+# -- the proved statements raise, also under python -O -------------------------
+
+
+def _broken_kernels():
+    """(parking attribute, broken replacement, call that must raise) for
+    each proved statement that phi and the insertion maps check."""
+    insert_columns = parking._insert_columns
+
+    def off_board(board, rooks):
+        raise ValueError("rook (9, 9) is outside the board")
+
+    def no_positions(b, placement, u0):
+        return insert_columns(b, placement, u0)[0], frozenset()
+
+    return {
+        "phi off the board": (
+            "_check_placement", off_board,
+            lambda: parking.phi(WORKED_B, WORKED_W, {1, 2, 4})),
+        "insertion finds an empty spot": (
+            "_park_labels", lambda b, labels: [0] * (len(b) + 1),
+            lambda: parking.insert_forward(WORKED_B, WORKED_ROOKS, (2, 4, 1))),
+        "insertion outside phi's preimage": (
+            "_insert_columns", no_positions,
+            lambda: parking.insert_forward(WORKED_B, WORKED_ROOKS, (2, 4, 1))),
+        "inverse not undone by insertion": (
+            "_insert_columns", no_positions,
+            lambda: parking.insert_inverse(WORKED_B, WORKED_ROOKS, WORKED_W, {1, 2, 4})),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_broken_kernels()))
+def test_broken_bijection_kernel_raises(monkeypatch, case):
+    attr, broken, call = _broken_kernels()[case]
+    monkeypatch.setattr(parking, attr, broken)
+    with pytest.raises(BijectionCheckError):
+        call()
+    assert issubclass(BijectionCheckError, RuntimeError)
+    assert not issubclass(BijectionCheckError, ValueError)  # exit 3, not 2
+
+
+def test_broken_bijection_kernels_raise_under_python_O():
+    here = Path(__file__).resolve().parent
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are on'\n"
+        "import test_parking\n"
+        "from exactcomb import parking\n"
+        "for case, (attr, broken, call) in test_parking._broken_kernels().items():\n"
+        "    kept = getattr(parking, attr)\n"
+        "    setattr(parking, attr, broken)\n"
+        "    try:\n"
+        "        call()\n"
+        "    except parking.BijectionCheckError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        sys.exit(f'{case}: nothing raised')\n"
+        "    setattr(parking, attr, kept)\n"
+    )
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -40,6 +40,23 @@ def test_tableau_validation():
     assert EMPTY_TABLEAU.shape() == ()
 
 
+def _validated(t):
+    """The same rows through Tableau's checks; raises if they are not semistandard."""
+    assert type(t.rows) is tuple and all(type(r) is tuple for r in t.rows)
+    return Tableau(t.rows)
+
+
+def test_unchecked_tableaux_equal_validated_ones():
+    for w in words(3, 7):
+        t = rsk_P(w)
+        assert _validated(t) == t and _validated(t).rows == t.rows
+        for m in range(4):
+            low = t.restrict_le(m)
+            assert _validated(low).rows == low.rows
+    for member in centralizer_search((1, 2), 3, 5).members:
+        assert _validated(member).rows == member.rows
+
+
 def test_rsk_p_examples():
     assert rsk_P((1,)).rows == ((1,),)
     assert rsk_P((2, 1, 3, 2)).rows == ((1, 2), (2, 3))
