@@ -5,7 +5,7 @@ Everything is integer or polynomial equality; nothing is approximate.
 """
 
 from .core import BiPoly, IntMatrix, Permutation, perm_stats, standardize
-from .parallel import make_pmap, parallel_map
+from .parallel import parallel_map
 from .parking import (
     Board,
     insert_forward,

@@ -3,7 +3,7 @@
 Thirteen checkers, one per headline claim, each returning a Report with
 exact integer or polynomial equality; no tolerances anywhere.  BATTERY
 lists them in battery order with the caps of the full tier and of the
-quick tier; run_battery runs one tier of it.
+quick tier; run_battery runs one tier of it, block by block.
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Callable, Iterable
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 from . import genfun, parking, plactic, posets
 from .core import Permutation, random_unit_upper_triangular
-from .parallel import make_pmap
+from .parallel import parallel_map
 from .report import COUNTEREXAMPLE, VERIFIED, Report, reports_to_json
 
 
@@ -160,12 +160,13 @@ WORKED_W = (6, 3, 2, 5, 4, 1)
 WORKED_A = frozenset({1, 2, 4})
 
 
+# pmap is accepted and not read: the benchmark still passes it (ROADMAP item 1)
 def criterion_fixed_content(max_n: int, pmap=map) -> Report:
     """The fixed-content equidistribution with its fiber counts and the
     worked insertion instance, reproduced bit for bit."""
     name = "parking-fixed-content"
     instances, failure = _first_failure(name, (
-        (parking.verify_fixed_content(n, pmap=pmap), {"n": n}) for n in range(1, max_n + 1)))
+        (parking.verify_fixed_content(n), {"n": n}) for n in range(1, max_n + 1)))
     if failure:
         return failure
     w, a_set = parking.insert_forward(WORKED_CONTENT, WORKED_ROOKS, WORKED_U0)
@@ -240,9 +241,10 @@ def criterion_tree_polys(trees_n: int, parking_n: int) -> Report:
                   {"trees_n": trees_n, "parking_n": parking_n})
 
 
+# pmap is accepted and not read: the benchmark still passes it (ROADMAP item 1)
 def criterion_simsun(max_n: int, pmap=map) -> Report:
     """The q = -1 specialization against simsun descent enumerators."""
-    return genfun.verify_simsun_identity(max_n, pmap=pmap)
+    return genfun.verify_simsun_identity(max_n)
 
 
 def criterion_alternating(max_n: int) -> Report:
@@ -300,22 +302,24 @@ def _words_over(alphabet: int, max_len: int) -> list[tuple[int, ...]]:
     return out
 
 
+# pmap is accepted and not read: the benchmark still passes it (ROADMAP item 1)
 def criterion_first_rows(length_cap: int, pmap=map) -> Report:
     """First-rows bound and the no-bump property over the two u families."""
     name = "centralizer-first-rows"
     u_list = _words_over(2, 4) + _words_over(3, 3)
     instances, failure = _first_failure(name, (
-        (plactic.verify_first_rows(u, length_cap=length_cap, pmap=pmap), {}) for u in u_list))
+        (plactic.verify_first_rows(u, length_cap=length_cap), {}) for u in u_list))
     return failure or Report(name, instances, VERIFIED,
                              {"u_count": len(u_list), "length_cap": length_cap})
 
 
+# pmap is accepted and not read: the benchmark still passes it (ROADMAP item 1)
 def criterion_reverse_complement(u_len_cap: int, length_cap: int, pmap=map) -> Report:
     """Threshold evacuation between restricted centralizer tableau sets."""
     name = "centralizer-reverse-complement"
     pairs = [(u, m) for m in range(1, 4) for u in _words_over(m, u_len_cap)]
     instances, failure = _first_failure(name, (
-        (plactic.verify_rc_correspondence(u, m, length_cap=length_cap, pmap=pmap), {"m": m})
+        (plactic.verify_rc_correspondence(u, m, length_cap=length_cap), {"m": m})
         for u, m in pairs))
     return failure or Report(name, instances, VERIFIED,
                              {"pairs": len(pairs), "length_cap": length_cap})
@@ -349,11 +353,11 @@ class Criterion(NamedTuple):
     check: Callable[..., Report]
     full: dict
     quick: dict
-    takes: tuple[str, ...] = ()  # which of seed and pmap the checker is given
+    seeded: bool = False  # whether the checker is given the battery's seed
 
-    def kwargs(self, quick: bool, seed: int, pmap) -> dict:
-        given = {"seed": seed, "pmap": pmap}
-        return {**(self.quick if quick else self.full), **{k: given[k] for k in self.takes}}
+    def kwargs(self, quick: bool, seed: int) -> dict:
+        caps = self.quick if quick else self.full
+        return {**caps, "seed": seed} if self.seeded else caps
 
 
 # The quick tier lowers every size cap by one and the catalog extension cap
@@ -365,22 +369,36 @@ BATTERY: tuple[Criterion, ...] = (
     Criterion(criterion_rowmotion, {"max_n": 6, "catalog_cap": 100_000},
               {"max_n": 5, "catalog_cap": 10_000}),
     Criterion(criterion_bruhat, {"max_n": 6, "perturbations": 100},
-              {"max_n": 5, "perturbations": 100}, ("seed",)),
-    Criterion(criterion_fixed_content, {"max_n": 6}, {"max_n": 5}, ("pmap",)),
+              {"max_n": 5, "perturbations": 100}, seeded=True),
+    Criterion(criterion_fixed_content, {"max_n": 6}, {"max_n": 5}),
     Criterion(criterion_excedance, {"max_n": 7}, {"max_n": 6}),
     Criterion(criterion_tree_polys, {"trees_n": 7, "parking_n": 6},
               {"trees_n": 6, "parking_n": 5}),
-    Criterion(criterion_simsun, {"max_n": 9}, {"max_n": 8}, ("pmap",)),
+    Criterion(criterion_simsun, {"max_n": 9}, {"max_n": 8}),
     Criterion(criterion_alternating, {"max_n": 7}, {"max_n": 6}),
     Criterion(criterion_greene, {"max_len": 7, "alphabet": 3}, {"max_len": 6, "alphabet": 3}),
-    Criterion(criterion_first_rows, {"length_cap": 7}, {"length_cap": 6}, ("pmap",)),
+    Criterion(criterion_first_rows, {"length_cap": 7}, {"length_cap": 6}),
     Criterion(criterion_reverse_complement, {"u_len_cap": 4, "length_cap": 6},
-              {"u_len_cap": 3, "length_cap": 5}, ("pmap",)),
-    Criterion(criterion_determinism, {}, {}, ("seed",)),
+              {"u_len_cap": 3, "length_cap": 5}),
+    Criterion(criterion_determinism, {}, {}, seeded=True),
 )
+
+# Consecutive BATTERY rows, by index, that run in one process because they
+# share a process-lifetime cache: lattice_sweep (rows 0-2), _parking_sweep
+# and genfun's lru_caches (5-8), _knuth_classes and plactic._centralizers
+# (10-11).
+BLOCKS: tuple[tuple[int, ...], ...] = ((0, 1, 2), (3,), (4,), (5, 6, 7, 8), (9,), (10, 11), (12,))
+
+
+def _run_block(rows: tuple[int, ...], quick: bool, seed: int) -> list[Report]:
+    return [BATTERY[i].check(**BATTERY[i].kwargs(quick, seed)) for i in rows]
 
 
 def run_battery(quick: bool = False, seed: int = 0, workers: int = 1) -> list[Report]:
-    """All thirteen criteria of BATTERY, in its order, at one tier."""
-    pmap = make_pmap(workers)
-    return [c.check(**c.kwargs(quick, seed, pmap)) for c in BATTERY]
+    """All thirteen criteria of BATTERY, in its order, at one tier.
+
+    The BLOCKS run in up to ``workers`` processes; with one worker they run
+    in this process, one after another.
+    """
+    blocks = parallel_map(partial(_run_block, quick=quick, seed=seed), BLOCKS, workers)
+    return [r for reports in blocks for r in reports]

@@ -14,7 +14,6 @@ import sys
 
 from . import acceptance, genfun, parking, plactic, posets
 from .core import BiPoly, Permutation
-from .parallel import make_pmap
 from .report import Report, reports_to_json, worst_exit_code
 
 
@@ -71,7 +70,7 @@ def _poly_payload(poly: BiPoly) -> dict:
 
 
 def _cmd_parking_verify(args) -> int:
-    r = parking.verify_fixed_content(args.n, pmap=make_pmap(args.workers))
+    r = parking.verify_fixed_content(args.n)
     return _emit_reports([r], args.output)
 
 
@@ -135,8 +134,7 @@ def _cmd_plactic_p(args) -> int:
 
 def _cmd_plactic_centralizer(args) -> int:
     u = _ints(args.u, "--u")
-    found = plactic.centralizer_search(u, args.alphabet, args.max_len,
-                                       pmap=make_pmap(args.workers))
+    found = plactic.centralizer_search(u, args.alphabet, args.max_len)
     members = [t.to_json_obj() for t in found.members]
     lines = [f"members: {len(members)}"]
     lines.extend(json.dumps(m) for m in members)
@@ -147,16 +145,14 @@ def _cmd_plactic_centralizer(args) -> int:
 
 def _cmd_plactic_first_rows(args) -> int:
     r = plactic.verify_first_rows(_ints(args.u, "--u"), alphabet_cap=args.alphabet,
-                                  length_cap=args.max_len,
-                                  pmap=make_pmap(args.workers))
+                                  length_cap=args.max_len)
     return _emit_reports([r], args.output)
 
 
 def _cmd_plactic_rc(args) -> int:
     r = plactic.verify_rc_correspondence(_ints(args.u, "--u"), args.m,
                                          alphabet_cap=args.alphabet,
-                                         length_cap=args.max_len,
-                                         pmap=make_pmap(args.workers))
+                                         length_cap=args.max_len)
     return _emit_reports([r], args.output)
 
 
@@ -190,12 +186,6 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("text", "json"), default="text")
 
 
-def _pooled(sub: argparse.ArgumentParser) -> None:
-    _common(sub)
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker processes, at least 1 (default: 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactcomb",
@@ -207,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk_sub = pk.add_subparsers(dest="command", required=True)
     s = pk_sub.add_parser("verify-fixed-content", help="equidistribution at one size")
     s.add_argument("--n", type=int, required=True)
-    _pooled(s)
+    _common(s)
     s.set_defaults(handler=_cmd_parking_verify)
     s = pk_sub.add_parser("phi", help="rook placement of a descent subset")
     s.add_argument("--b", required=True, help="content, e.g. 1,1,2,4,5,6")
@@ -253,20 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--u", required=True)
     s.add_argument("--alphabet", type=int, required=True)
     s.add_argument("--max-len", type=int, required=True)
-    _pooled(s)
+    _common(s)
     s.set_defaults(handler=_cmd_plactic_centralizer)
     s = pl_sub.add_parser("verify-first-rows", help="first-rows bound over a budget")
     s.add_argument("--u", required=True)
     s.add_argument("--alphabet", type=int, default=None)
     s.add_argument("--max-len", type=int, default=7)
-    _pooled(s)
+    _common(s)
     s.set_defaults(handler=_cmd_plactic_first_rows)
     s = pl_sub.add_parser("verify-rc", help="reverse-complement correspondence")
     s.add_argument("--u", required=True)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--alphabet", type=int, default=None)
     s.add_argument("--max-len", type=int, default=6)
-    _pooled(s)
+    _common(s)
     s.set_defaults(handler=_cmd_plactic_rc)
 
     ec = top.add_parser("echelon", help="echelon maps of posets")
@@ -284,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--quick", action="store_true",
                    help="reduce every size cap by one (smoke tier)")
     s.add_argument("--seed", type=int, default=0)
-    _pooled(s)
+    _common(s)
+    s.add_argument("--workers", type=int, default=1,
+                   help="processes that run blocks of criteria, at least 1 (default: 1)")
     s.set_defaults(handler=_cmd_verify_all)
 
     return parser

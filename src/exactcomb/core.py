@@ -410,6 +410,13 @@ class IntMatrix:
         return int_matrix_rank(self)
 
 
+class BareissDivisionError(RuntimeError):
+    """A Bareiss step left a remainder where the division must be exact.
+
+    That is a defect of this program, not a property of the input.
+    """
+
+
 def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
     """Rank over the rationals, by fraction-free (Bareiss) elimination.
 
@@ -438,7 +445,8 @@ def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
             for c in range(col + 1, nc):
                 num = pv * row[c] - lv * pivot_row[c]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
+                if rem:
+                    raise BareissDivisionError("Bareiss division must be exact")
                 row[c] = q
             row[col] = 0
         prev = pv

@@ -222,7 +222,7 @@ def simsun_eulerian(n: int, method: str = "recurrence") -> BiPoly:
     return simsun_poly(n - 1, method).reciprocal_t(n - 1)
 
 
-def verify_simsun_identity(n: int, pmap=map) -> Report:
+def verify_simsun_identity(n: int) -> Report:
     """The q = -1 tree polynomial against simsun descent enumerators, through size n.
 
     Checks, for every k <= n: the parity-collapsed recurrence equals the

@@ -25,6 +25,9 @@ class ParkingFailure(ValueError):
         self.car = car
         super().__init__(f"car {car} cannot park")
 
+    def __reduce__(self):
+        return type(self), (self.car,)
+
 
 def park(prefs: Iterable[int]) -> Permutation:
     """Run the parking procedure and return the outcome permutation.
@@ -396,9 +399,8 @@ def _ordering_sweep(b: tuple[int, ...], with_fibers: bool) -> _Orderings:
     return out
 
 
-def _content_report_row(args: tuple[tuple[int, ...], bool]) -> dict | None:
+def _content_report_row(b: tuple[int, ...], with_fibers: bool) -> dict | None:
     """Check one content; None when clean, else a witness dict."""
-    b, with_fibers = args
     n = len(b)
     sweep = _ordering_sweep(b, with_fibers)
     direct = BiPoly({(0, e): c for e, c in sweep.exced.items()})
@@ -455,7 +457,7 @@ def _content_report_row(args: tuple[tuple[int, ...], bool]) -> dict | None:
     return None
 
 
-def verify_fixed_content(n: int, pmap=map) -> Report:
+def verify_fixed_content(n: int) -> Report:
     """Both statistics agree content by content; small n adds bijection checks.
 
     For every content b of length n: the excedance polynomial over
@@ -468,9 +470,9 @@ def verify_fixed_content(n: int, pmap=map) -> Report:
     if not 0 <= n <= 6:
         raise ValueError(f"fixed-content sweep needs 0 <= n <= 6, got n = {n}")
     with_fibers = n <= 5
-    contents = list(parking_contents(n))
     checked = 0
-    for witness in pmap(_content_report_row, [(b, with_fibers) for b in contents]):
+    for b in parking_contents(n):
+        witness = _content_report_row(b, with_fibers)
         checked += 1
         if witness is not None:
             return Report("parking-fixed-content", checked, COUNTEREXAMPLE, witness)

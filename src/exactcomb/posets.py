@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Generator, Iterable, Iterator
 
-from .core import IntMatrix, Permutation, int_matrix_rank
+from .core import BareissDivisionError, IntMatrix, Permutation, int_matrix_rank
 from .report import COUNTEREXAMPLE, SKIPPED, VERIFIED, Report
 
 
@@ -29,6 +29,9 @@ class NotALatticeError(PosetError):
         self.pair = (a, b)
         self.reason = reason
         super().__init__(f"elements {a} and {b} have {reason}")
+
+    def __reduce__(self):
+        return type(self), (*self.pair, self.reason)
 
 
 class NotDistributiveError(PosetError):
@@ -50,6 +53,9 @@ class ExtensionCapExceeded(RuntimeError):
     def __init__(self, cap: int):
         self.cap = cap
         super().__init__(f"more than {cap} linear extensions")
+
+    def __reduce__(self):
+        return type(self), (self.cap,)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -391,13 +397,15 @@ def _bruhat_pivot_cols(rows: list[list[int]]) -> list[int]:
                     v = row[c]
                     if v:
                         q, rem = divmod(pv * v, prev)
-                        assert rem == 0, "Bareiss scaling must divide exactly"
+                        if rem:
+                            raise BareissDivisionError("Bareiss scaling must divide exactly")
                         row[c] = q
             else:
                 for c in range(j + 1, n):
                     num = pv * row[c] - lv * prow[c]
                     q, rem = divmod(num, prev)
-                    assert rem == 0, "Bareiss update must divide exactly"
+                    if rem:
+                        raise BareissDivisionError("Bareiss update must divide exactly")
                     row[c] = q
                 row[j] = 0
         col_of_row[piv] = j

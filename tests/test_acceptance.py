@@ -7,8 +7,9 @@ and Knuth class caches warm up on first use and persist for the rest of the
 session, so the whole file runs in about 20 seconds on a 2-vCPU machine.
 
 The last tests pin the quick battery's report bytes to a committed copy,
-check that the benchmark's sweeps call exactly the full tier, and break
-checkers on purpose to show their criterion fails.
+serial and pooled, check that the blocks cover the battery and that the
+benchmark's sweeps call exactly the full tier, and break checkers on
+purpose to show their criterion fails.
 """
 
 import importlib.util
@@ -35,7 +36,7 @@ def _require(number: int, report) -> None:
 
 def _require_full_tier(number: int) -> None:
     row = acceptance.BATTERY[number - 1]
-    _require(number, row.check(**row.kwargs(quick=False, seed=0, pmap=map)))
+    _require(number, row.check(**row.kwargs(quick=False, seed=0)))
 
 
 def test_criterion_01_echelon_cover_transfer():
@@ -111,6 +112,16 @@ def test_quick_battery_report_bytes_are_pinned():
     assert reports_to_json(acceptance.run_battery(quick=True)) == expected
 
 
+def test_pooled_quick_battery_report_bytes_are_pinned():
+    expected = QUICK_BATTERY_JSON.read_text()
+    assert reports_to_json(acceptance.run_battery(quick=True, workers=2)) == expected
+
+
+def test_blocks_cover_each_row_once_in_battery_order():
+    rows = [i for block in acceptance.BLOCKS for i in block]
+    assert rows == list(range(len(acceptance.BATTERY)))
+
+
 def test_benchmark_sweeps_run_the_full_tier_in_battery_order(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH_WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
@@ -123,8 +134,10 @@ def test_benchmark_sweeps_run_the_full_tier_in_battery_order(monkeypatch):
     for sweep in workloads.SWEEPS:
         for _, call in workloads.sweep_criteria(sweep, seed):
             call()
-    assert calls == [(row.check.__name__, row.kwargs(quick=False, seed=seed, pmap=map))
-                     for row in acceptance.BATTERY]
+    assert [(name, {k: v for k, v in kw.items() if k != "pmap"}) for name, kw in calls] == [
+        (row.check.__name__, row.kwargs(quick=False, seed=seed)) for row in acceptance.BATTERY]
+    pmaps = [kw["pmap"] for _, kw in calls if "pmap" in kw]
+    assert pmaps and all(pmap is map for pmap in pmaps)
 
 
 def test_full_lattice_sweep_counts():
@@ -296,9 +309,9 @@ def test_greene_oracle_cross_check_fails_criterion_10(monkeypatch):
 def test_broken_commute_verdicts_fail_criterion_12(monkeypatch):
     verdicts = plactic._commute_verdicts
 
-    def broken(args):
-        out = verdicts(args)
-        return [True] * len(out) if args[0][0] == 1 else out
+    def broken(u, alphabet, max_len):
+        out = verdicts(u, alphabet, max_len)
+        return [True] * len(out) if u[0] == 1 else out
 
     monkeypatch.setattr(plactic, "_centralizers", {})
     monkeypatch.setattr(plactic, "_commute_verdicts", broken)

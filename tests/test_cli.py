@@ -1,10 +1,13 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from exactcomb import plactic
+from exactcomb import plactic, posets
 from exactcomb.cli import main
 from exactcomb.posets import POSET_FILE_MAX_N
 
@@ -229,14 +232,11 @@ def test_itilde_names_n_when_out_of_range(capsys, n):
 
 
 POOLED = {
-    "parking verify-fixed-content": ("--n", "3"),
-    "plactic centralizer": ("--u", "1", "--alphabet", "2", "--max-len", "3"),
-    "plactic verify-first-rows": ("--u", "1", "--max-len", "3"),
-    "plactic verify-rc": ("--u", "1,2", "--m", "2", "--max-len", "4"),
     "verify all": ("--quick",),
 }
 
 UNPOOLED = {
+    "parking verify-fixed-content": ("--n", "3"),
     "parking phi": ("--b", "1,1,2,4,5,6", "--w", "6,3,2,5,4,1", "--A", "1,2,4"),
     "parking insert": ("--b", "1,1,2,4,5,6", "--rooks", "1:3,2:6,4:5", "--u0", "2,4,1"),
     "genfun i-poly": ("--n", "3"),
@@ -244,6 +244,9 @@ UNPOOLED = {
     "genfun verify-simsun": ("--n", "3"),
     "genfun verify-alternating": ("--n", "3"),
     "plactic p": ("--word", "2,1,3,2"),
+    "plactic centralizer": ("--u", "1", "--alphabet", "2", "--max-len", "3"),
+    "plactic verify-first-rows": ("--u", "1", "--max-len", "3"),
+    "plactic verify-rc": ("--u", "1,2", "--m", "2", "--max-len", "4"),
     "echelon map": ("--poset", "diamond.json", "--sigma", "0,1,2,3"),
 }
 
@@ -265,16 +268,61 @@ def test_workers_below_one_are_usage_errors(capsys, command, workers):
 
 
 @pytest.mark.parametrize("argv", [
-    ("parking", "verify-fixed-content", "--n", "5"),
-    ("plactic", "verify-rc", "--u", "1,2", "--m", "2", "--max-len", "4"),
+    ("verify", "all", "--quick"),
+    ("verify", "all", "--quick", "--seed", "5"),
 ])
-def test_reports_identical_for_one_and_two_workers(capsys, monkeypatch, argv):
-    # centralizer searches are kept per process; empty the store so that
-    # each run searches, and the pooled one through the pool
-    monkeypatch.setattr(plactic, "_centralizers", {})
+def test_reports_identical_for_one_and_two_workers(capsys, argv):
     code1, serial, _ = run(capsys, *argv, "--output", "json", "--workers", "1")
-    monkeypatch.setattr(plactic, "_centralizers", {})
     code2, pooled, _ = run(capsys, *argv, "--output", "json", "--workers", "2")
     assert code1 == code2 == 0
     assert serial == pooled
-    assert json.loads(serial)[0]["status"] == "verified"
+    assert all(r["status"] == "verified" for r in json.loads(serial))
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched battery only when forked")
+@pytest.mark.parametrize("raised, code, line", [
+    ("posets.NotALatticeError(0, 1, 'no meet')", 2, "error: elements 0 and 1 have no meet"),
+    ("RuntimeError('kernel broke')", 3, "error: internal error: RuntimeError: kernel broke"),
+])
+def test_pooled_battery_reports_a_criterion_error(raised, code, line):
+    # every row is a cheap stub, and the one in the first block raises
+    script = (
+        "import sys\n"
+        "from exactcomb import acceptance, cli, posets\n"
+        "from exactcomb.report import Report\n"
+        "def verified(**kw):\n"
+        "    return Report('stub', 1, 'verified')\n"
+        "def broken(**kw):\n"
+        f"    raise {raised}\n"
+        "acceptance.BATTERY = tuple(row._replace(check=broken if i == 1 else verified)\n"
+        "                           for i, row in enumerate(acceptance.BATTERY))\n"
+        "sys.exit(cli.main(['verify', 'all', '--workers', '2', '--output', 'json']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code and done.stdout == ""
+    assert done.stderr.splitlines() == [line]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("plactic", "verify-rc", "--u", "1", "--m", "1", "--max-len", "9"), "length 9 > 8"),
+    (("plactic", "centralizer", "--u", "1", "--alphabet", "9", "--max-len", "3"),
+     "alphabet 9 > 5"),
+])
+def test_budget_error_names_only_the_bound_exceeded(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: budget exceeded: {message}"]
+
+
+def test_inexact_bareiss_division_exits_3(capsys, monkeypatch, tmp_path):
+    poset = tmp_path / "diamond.json"
+    poset.write_text(json.dumps({"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}))
+    monkeypatch.setattr(posets, "divmod", lambda a, b: (a // b, 1), raising=False)
+    code, out, err = run(capsys, "echelon", "map", "--poset", str(poset), "--sigma", "0,1,2,3")
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "error: internal error: BareissDivisionError: Bareiss update must divide exactly"]

@@ -1,6 +1,9 @@
+import pickle
+
 import pytest
 
-from exactcomb import parallel
+import exactcomb
+from exactcomb import cli, core, parallel, parking, posets
 
 
 class _RecordingContext:
@@ -34,12 +37,10 @@ def fake_pool(monkeypatch):
 def test_pool_never_exceeds_cpus_or_items(fake_pool):
     assert parallel.parallel_map(abs, range(-100, 0), workers=5000) == list(range(100, 0, -1))
     assert parallel.parallel_map(abs, [-1, -2], workers=5000) == [1, 2]
-    assert parallel.make_pmap(5000)(abs, range(-10, 0)) == list(range(10, 0, -1))
-    assert fake_pool.processes == [3, 2, 3]
+    assert fake_pool.processes == [3, 2]
 
 
 def test_one_worker_or_item_starts_no_pool(fake_pool):
-    assert parallel.make_pmap(1) is map
     assert parallel.parallel_map(abs, [-5], workers=4) == [5]
     assert parallel.parallel_map(abs, [-5, -6], workers=1) == [5, 6]
     assert fake_pool.processes == []
@@ -48,7 +49,40 @@ def test_one_worker_or_item_starts_no_pool(fake_pool):
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_one_raise(fake_pool, workers):
     with pytest.raises(ValueError):
-        parallel.make_pmap(workers)
-    with pytest.raises(ValueError):
         parallel.parallel_map(abs, [1, 2], workers=workers)
     assert fake_pool.processes == []
+
+
+# -- exceptions cross the pool by pickling -------------------------------------
+
+
+EXCEPTIONS = [
+    cli.UsageError("--b expects integers"),
+    core.BareissDivisionError("Bareiss division must be exact"),
+    parking.BijectionCheckError("round trip failure"),
+    parking.ParkingFailure(3),
+    posets.PosetError("bad poset"),
+    posets.CyclicCoversError("cycle through 0"),
+    posets.NotALatticeError(0, 1, "no meet"),
+    posets.NotDistributiveError("M3 inside"),
+    posets.ModularityCheckError("modularity criteria disagree"),
+    posets.SingularMatrixError("no pivot available in column 1"),
+    posets.ExtensionCapExceeded(10),
+]
+
+
+def test_every_exception_class_has_an_example():
+    modules = [getattr(exactcomb, name) for name in dir(exactcomb)]
+    defined = {obj for module in modules if type(module) is type(exactcomb)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == module.__name__}
+    assert defined == {type(exc) for exc in EXCEPTIONS}
+
+
+@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda exc: type(exc).__name__)
+def test_exceptions_survive_a_pickle_round_trip(exc):
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is type(exc)
+    assert str(copy) == str(exc)
+    assert vars(copy) == vars(exc)

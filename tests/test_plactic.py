@@ -4,7 +4,6 @@ import pytest
 
 from exactcomb import plactic
 from exactcomb.acceptance import _words_over
-from exactcomb.parallel import make_pmap
 from exactcomb.plactic import (
     EMPTY_TABLEAU,
     GREENE_WORD_LIMIT,
@@ -241,18 +240,15 @@ def test_knuth_class_representatives_are_prefix_closed(alphabet, max_len):
 def test_prefix_shared_verdicts_match_oracle(u):
     cap, length_cap = max(u) + 2, 7
     classes = plactic._knuth_classes(cap, length_cap)
-    fast = plactic._commute_verdicts((u, cap, length_cap, 0, len(classes)))
-    assert fast == [plactic._commutes_with((u, rep)) for rep, _ in classes]
+    fast = plactic._commute_verdicts(u, cap, length_cap)
+    assert fast == [plactic._commutes_with(u, rep) for rep, _ in classes]
 
 
-def test_centralizer_search_is_memoized_and_pool_independent(monkeypatch):
+def test_centralizer_search_is_memoized(monkeypatch):
     monkeypatch.setattr(plactic, "_centralizers", {})
-    serial = centralizer_search((2, 1, 2), 4, 5)
+    first = centralizer_search((2, 1, 2), 4, 5)
     assert list(plactic._centralizers) == [((2, 1, 2), 4, 5)]
-    assert centralizer_search((2, 1, 2), 4, 5).members == serial.members
-    monkeypatch.setattr(plactic, "_centralizers", {})
-    pooled = centralizer_search((2, 1, 2), 4, 5, pmap=make_pmap(2))
-    assert pooled.members == serial.members
+    assert centralizer_search((2, 1, 2), 4, 5).members == first.members
 
 
 def test_centralizer_members_commute():

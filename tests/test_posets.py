@@ -8,8 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from exactcomb import acceptance, posets
-from exactcomb.core import IntMatrix, Permutation, int_matrix_rank, random_unit_upper_triangular
+from exactcomb import acceptance, core, posets
+from exactcomb.core import (
+    BareissDivisionError,
+    IntMatrix,
+    Permutation,
+    int_matrix_rank,
+    random_unit_upper_triangular,
+)
 from exactcomb.posets import (
     CyclicCoversError,
     ExtensionCapExceeded,
@@ -492,5 +498,56 @@ def test_modularity_cross_check_survives_python_O():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+# -- exact Bareiss division, also under python -O --------------------------------
+
+
+def _inexact_divisions():
+    """(module, call, message) for each exact division of Bareiss elimination;
+    the call must raise once the module's divmod leaves a remainder."""
+    return {
+        "rank": (core, lambda: int_matrix_rank([[1, 2], [3, 4]]), "division"),
+        "pivot update": (posets, lambda: bruhat_permutation(IntMatrix([[1, 1], [1, 0]])), "update"),
+        "pivot scaling": (posets, lambda: bruhat_permutation(IntMatrix([[0, 1], [2, 0]])), "scaling"),
+    }
+
+
+def _divmod_with_remainder(a, b):
+    return a // b, 1
+
+
+@pytest.mark.parametrize("case", sorted(_inexact_divisions()))
+def test_inexact_bareiss_division_raises(monkeypatch, case):
+    module, call, message = _inexact_divisions()[case]
+    call()  # exact with the real divmod
+    monkeypatch.setattr(module, "divmod", _divmod_with_remainder, raising=False)
+    with pytest.raises(BareissDivisionError, match=message):
+        call()
+    assert issubclass(BareissDivisionError, RuntimeError)
+    assert not issubclass(BareissDivisionError, ValueError)  # exit 3, not 2
+
+
+def test_inexact_bareiss_division_raises_under_python_O():
+    here = Path(__file__).resolve().parent
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are on'\n"
+        "import test_posets\n"
+        "from exactcomb.core import BareissDivisionError\n"
+        "for case, (module, call, _) in test_posets._inexact_divisions().items():\n"
+        "    module.divmod = test_posets._divmod_with_remainder\n"
+        "    try:\n"
+        "        call()\n"
+        "    except BareissDivisionError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        sys.exit(f'{case}: nothing raised')\n"
+        "    del module.divmod\n"
+    )
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
