@@ -259,12 +259,25 @@ def test_unpooled_commands_reject_workers(capsys, command):
     assert "--workers" in capsys.readouterr().err
 
 
+# the commands that had --workers before it moved to `verify all` alone
+RETIRED_WORKERS = ("parking verify-fixed-content", "plactic centralizer",
+                   "plactic verify-first-rows", "plactic verify-rc")
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
-@pytest.mark.parametrize("command", sorted(POOLED))
+@pytest.mark.parametrize("command", sorted([*POOLED, *RETIRED_WORKERS]))
 def test_workers_below_one_are_usage_errors(capsys, command, workers):
-    code, out, err = run(capsys, *command.split(), *POOLED[command], "--workers", workers)
-    assert code == 2 and out == ""
-    assert err.startswith("error:")
+    if command in POOLED:
+        code, out, err = run(capsys, *command.split(), *POOLED[command], "--workers", workers)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+    else:
+        # argparse rejects the flag itself, whatever its value
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), *UNPOOLED[command], "--workers", workers])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--workers" in err
 
 
 @pytest.mark.parametrize("argv", [
