@@ -35,7 +35,7 @@ class LatticeSweep:
                 continue
             if posets.is_modular(lat):
                 self.modular.append(lat)
-                if posets.m3_witness(lat) is None:
+                if posets.is_distributive(lat):
                     self.distributive.append(lat)
 
     def _bounded_posets(self, max_n: int):
@@ -47,9 +47,10 @@ def lattice_sweep(max_n: int) -> LatticeSweep:
     return LatticeSweep(max_n)
 
 
-def _modular_catalog() -> list[tuple[str, posets.Lattice]]:
-    return [(name, lat) for name, lat in posets.lattice_catalog().items()
-            if posets.is_modular(lat)]
+@cache
+def lattice_catalog() -> tuple[tuple[str, posets.Lattice], ...]:
+    """The named lattices of posets.lattice_catalog, built once per process."""
+    return tuple(posets.lattice_catalog().items())
 
 
 def _first_failure(name: str, checks: Iterable[tuple[Report, dict]]
@@ -73,7 +74,7 @@ def criterion_echelon(max_n: int, catalog_cap: int) -> Report:
     in the exhaustive sweep and on the catalog under an extension cap."""
     name = "echelon-cover-transfer"
     sweep = lattice_sweep(max_n)
-    catalog = _modular_catalog()
+    catalog = [(cname, lat) for cname, lat in lattice_catalog() if posets.is_modular(lat)]
     instances, failure = _first_failure(name, itertools.chain(
         ((posets.verify_echelon_theorem(lat), {}) for lat in sweep.modular),
         ((posets.verify_echelon_theorem(lat, extension_cap=catalog_cap), {"catalog": cname})
@@ -89,7 +90,8 @@ def criterion_echelon(max_n: int, catalog_cap: int) -> Report:
 def criterion_dilworth(max_n: int) -> Report:
     """Lower and upper cover-count multisets agree on every modular lattice."""
     name = "cover-count-multisets"
-    lattices = lattice_sweep(max_n).modular + [lat for _, lat in _modular_catalog()]
+    lattices = lattice_sweep(max_n).modular + [
+        lat for _, lat in lattice_catalog() if posets.is_modular(lat)]
     instances, failure = _first_failure(name, (
         (posets.verify_dilworth(lat), {"covers": lat.poset.cover_pairs()})
         for lat in lattices))
@@ -104,7 +106,7 @@ def criterion_rowmotion(max_n: int, catalog_cap: int) -> Report:
     sweep = lattice_sweep(max_n)
     targets: list[tuple[str, posets.Lattice, int | None]] = [
         ("sweep", lat, None) for lat in sweep.distributive]
-    for cname, lat in posets.lattice_catalog().items():
+    for cname, lat in lattice_catalog():
         if posets.is_distributive(lat):
             targets.append((cname, lat, catalog_cap))
     instances, failure = _first_failure(name, (
@@ -132,7 +134,7 @@ def criterion_bruhat(max_n: int, perturbations: int, seed: int = 0) -> Report:
                 return Report(name, instances, COUNTEREXAMPLE,
                               {"permutation": list(perm), "got": list(got.one_line)})
     rng = random.Random(seed)
-    for cname, lat in posets.lattice_catalog().items():
+    for cname, lat in lattice_catalog():
         ext = next(posets.linear_extensions(lat.poset))
         w_matrix = posets.cartan_matrix(lat.poset, ext)
         base = posets.bruhat_permutation(w_matrix)
@@ -384,10 +386,10 @@ BATTERY: tuple[Criterion, ...] = (
 )
 
 # Consecutive BATTERY rows, by index, that run in one process because they
-# share a process-lifetime cache: lattice_sweep (rows 0-2), _parking_sweep
-# and genfun's lru_caches (5-8), _knuth_classes and plactic._centralizers
-# (10-11).
-BLOCKS: tuple[tuple[int, ...], ...] = ((0, 1, 2), (3,), (4,), (5, 6, 7, 8), (9,), (10, 11), (12,))
+# share a process-lifetime cache: lattice_sweep (rows 0-2) and
+# _parking_sweep with genfun's lru_caches (5-8).  Rows 10 and 11 search
+# different Knuth classes, so they share nothing and run apart.
+BLOCKS: tuple[tuple[int, ...], ...] = ((0, 1, 2), (3,), (4,), (5, 6, 7, 8), (9,), (10,), (11,), (12,))
 
 
 def _run_block(rows: tuple[int, ...], quick: bool, seed: int) -> list[Report]:

@@ -373,9 +373,6 @@ class CentralizerSet:
         self.length_cap = length_cap
         self.members = tuple(sorted(members, key=Tableau.sort_key))
 
-    def __contains__(self, t: Tableau) -> bool:
-        return t in set(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -508,6 +505,8 @@ def verify_first_rows(u: Iterable[int], alphabet_cap: int | None = None,
         raise ValueError("u must be nonempty")
     m = max(u)
     cap = alphabet_cap if alphabet_cap is not None else m + 2
+    if m > cap:
+        raise ValueError(f"alphabet cap {cap} is below the letter {m} of u")
     ell = len(rsk_P(u).rows)
     found = centralizer_search(u, cap, length_cap)
     name = "centralizer-first-rows"

@@ -587,12 +587,13 @@ def is_echelon_independent(p: Poset, extension_cap: int = 100_000) -> bool:
 class Lattice:
     """A poset together with full meet and join tables."""
 
-    __slots__ = ("poset", "meet_table", "join_table")
+    __slots__ = ("poset", "meet_table", "join_table", "_modularity")
 
     def __init__(self, poset: Poset, meet_table, join_table):
         self.poset = poset
         self.meet_table = meet_table
         self.join_table = join_table
+        self._modularity = False  # the answer of modular_witness once it has run
 
     @property
     def n(self) -> int:
@@ -667,8 +668,10 @@ def modular_witness(L: Lattice) -> tuple[int, int, int] | None:
     checks against the cover characterization: for all a, b the relations
     "a ^ b is covered by a" and "b is covered by a v b" must coincide.
     Disagreement between the two routes would be a bug, not a property of
-    the input, so it raises ModularityCheckError.
+    the input, so it raises ModularityCheckError.  The answer is kept on L.
     """
+    if L._modularity is not False:
+        return L._modularity
     p = L.poset
     n = p.n
     meet = L.meet_table
@@ -690,22 +693,13 @@ def modular_witness(L: Lattice) -> tuple[int, int, int] | None:
     # the cover condition is not symmetric in (a, b): on the pentagon it
     # fails for exactly one ordering of the incomparable pair
     cov_up = p.covers_up()
-    cover_ok = True
-    for a in range(n):
-        meet_a = meet[a]
-        join_a = join[a]
-        for b in range(n):
-            if a == b:
-                continue
-            if (cov_up[meet_a[b]] >> a & 1) != (cov_up[b] >> join_a[b] & 1):
-                cover_ok = False
-                break
-        if not cover_ok:
-            break
+    cover_ok = all((cov_up[meet[a][b]] >> a & 1) == (cov_up[b] >> join[a][b] & 1)
+                   for a in range(n) for b in range(n) if a != b)
     if (law is None) != cover_ok:
         raise ModularityCheckError(
             f"modularity criteria disagree: modular law {'holds' if law is None else 'fails'}, "
             f"cover condition {'holds' if cover_ok else 'fails'}")
+    L._modularity = law
     return law
 
 

@@ -13,6 +13,9 @@ purpose to show their criterion fails.
 """
 
 import importlib.util
+import json
+import random
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -146,6 +149,36 @@ def test_full_lattice_sweep_counts():
     assert (len(sweep.modular), len(sweep.distributive)) == (3_095, 2_805)
 
 
+def test_lattice_criteria_decide_each_lattice_once(monkeypatch):
+    # fresh caches for this test alone, so every lattice is built here
+    monkeypatch.setattr(acceptance, "lattice_sweep", cache(acceptance.LatticeSweep))
+    monkeypatch.setattr(acceptance, "lattice_catalog",
+                        cache(acceptance.lattice_catalog.__wrapped__))
+    catalog_builds = []
+    catalog = posets.lattice_catalog
+    monkeypatch.setattr(posets, "lattice_catalog",
+                        lambda: catalog_builds.append(1) or catalog())
+    built = []
+    build = posets.build_lattice
+    monkeypatch.setattr(posets, "build_lattice", lambda p: built.append(build(p)) or built[-1])
+    decided = []
+    witness = posets.modular_witness
+
+    def deciding(lat):
+        if lat._modularity is False:
+            decided.append(lat)
+        return witness(lat)
+
+    monkeypatch.setattr(posets, "modular_witness", deciding)
+    reports = [row.check(**row.kwargs(quick=True, seed=0)) for row in acceptance.BATTERY[:3]]
+    pinned = json.loads(QUICK_BATTERY_JSON.read_text())[:3]
+    assert json.loads(reports_to_json(reports)) == pinned
+    assert len(catalog_builds) == 1
+    # every lattice built, from the sweep or the catalog, is decided exactly once
+    assert len(built) > len(acceptance.lattice_sweep(5).modular) == 305
+    assert sorted(map(id, decided)) == sorted(map(id, built))
+
+
 def test_lost_lower_covers_fail_criterion_02(monkeypatch):
     # every element loses its lower covers, so the bottom of a two-chain
     # has one upper cover that no element matches from below
@@ -260,6 +293,25 @@ def test_broken_parking_sweep_fails_criterion_06(monkeypatch):
     assert r.status == "counterexample" and r.witness["n"] == 1
 
 
+def _break_minus_one_poly(monkeypatch):
+    minus_one = genfun.tree_poly_at_minus_one
+    monkeypatch.setattr(genfun, "tree_poly_at_minus_one",
+                        lambda n: minus_one(n) + (BiPoly.t() if n == 4 else BiPoly.zero()))
+
+
+def test_broken_minus_one_poly_fails_criterion_08(monkeypatch):
+    _break_minus_one_poly(monkeypatch)
+    r = acceptance.criterion_simsun(max_n=5)
+    assert r.status == "counterexample" and r.instances == 3
+    assert r.witness == {"n": 4, "defect": "parity recurrence vs q = -1 substitution"}
+
+
+def test_broken_minus_one_poly_exits_1_at_the_cli(monkeypatch, capsys):
+    _break_minus_one_poly(monkeypatch)
+    assert main(["genfun", "verify-simsun", "--n", "5"]) == 1
+    assert '"n": 4' in capsys.readouterr().out
+
+
 def test_zigzag_not_t_times_jacobi_fails_criterion_09(monkeypatch):
     jacobi = genfun.jacobi_poly
     monkeypatch.setattr(genfun, "jacobi_poly", lambda n: BiPoly.t() * jacobi(n))
@@ -306,6 +358,26 @@ def test_greene_oracle_cross_check_fails_criterion_10(monkeypatch):
     assert len(r.witness["word"]) == 3
 
 
+def _break_no_bump(monkeypatch):
+    # every member of two or more letters is said to bump a foreign letter
+    no_bump = plactic.check_no_bump
+    monkeypatch.setattr(plactic, "_centralizers", {})
+    monkeypatch.setattr(plactic, "check_no_bump", lambda u, w: no_bump(u, w) and len(w) < 2)
+
+
+def test_broken_no_bump_check_fails_criterion_11(monkeypatch):
+    _break_no_bump(monkeypatch)
+    r = acceptance.criterion_first_rows(length_cap=4)
+    assert r.status == "counterexample" and r.instances == 0
+    assert r.witness == {"u": [1], "member": [[1], [2]], "defect": "foreign letter bumped"}
+
+
+def test_broken_no_bump_check_exits_1_at_the_cli(monkeypatch, capsys):
+    _break_no_bump(monkeypatch)
+    assert main(["plactic", "verify-first-rows", "--u", "1", "--max-len", "3"]) == 1
+    assert "foreign letter bumped" in capsys.readouterr().out
+
+
 def test_broken_commute_verdicts_fail_criterion_12(monkeypatch):
     verdicts = plactic._commute_verdicts
 
@@ -329,3 +401,27 @@ def test_non_reassembling_evacuation_fails_criterion_12(monkeypatch):
     assert {"u", "m", "member"} <= set(r.witness)
     member = plactic.Tableau(r.witness["member"])
     assert plactic._threshold_evacuation(member, r.witness["m"]) is None
+
+
+def test_unseeded_perturbations_fail_criterion_13(monkeypatch):
+    # perturbations drawn from one running stream instead of the seeded rng
+    stream = random.Random(1)
+    draw = acceptance.random_unit_upper_triangular
+    monkeypatch.setattr(acceptance, "random_unit_upper_triangular",
+                        lambda n, rng: draw(n, stream))
+    # the draws reach the report bytes only through a Bruhat counterexample,
+    # which names them; a seeded counterexample repeats itself exactly
+    assert acceptance.criterion_determinism(seed=0).status == "verified"
+    bruhat = posets.bruhat_permutation
+
+    def broken(m):
+        if all(v in (0, 1) for row in m.entries for v in row):
+            return bruhat(m)
+        return Permutation(range(1, m.rows + 1))
+
+    monkeypatch.setattr(posets, "bruhat_permutation", broken)
+    r = acceptance.criterion_determinism(seed=0)
+    assert r.status == "counterexample" and r.instances == 2
+    assert r.witness["seed"] == 0 and set(r.witness) == {"seed", "first_bytes", "second_bytes"}
+    monkeypatch.setattr(acceptance, "random_unit_upper_triangular", draw)
+    assert acceptance.criterion_determinism(seed=0).status == "verified"

@@ -224,6 +224,13 @@ def test_negative_sizes_are_usage_errors(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_first_rows_alphabet_below_a_letter_of_u_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "plactic", "verify-first-rows",
+                         "--u", "2", "--alphabet", "1", "--max-len", "3")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: alphabet cap 1 is below the letter 2 of u"]
+
+
 @pytest.mark.parametrize("n", ["-1", "8"])
 def test_itilde_names_n_when_out_of_range(capsys, n):
     code, out, err = run(capsys, "genfun", "itilde", "--n", n)

@@ -267,6 +267,12 @@ def test_verify_first_rows():
     assert r.status == "verified"
 
 
+def test_verify_first_rows_rejects_an_alphabet_below_a_letter_of_u():
+    with pytest.raises(ValueError, match="alphabet cap 1 is below the letter 2 of u"):
+        verify_first_rows((2,), alphabet_cap=1, length_cap=3)
+    assert verify_first_rows((2,), alphabet_cap=2, length_cap=3).status == "verified"
+
+
 def test_verify_rc_correspondence():
     r = verify_rc_correspondence((1,), 1, length_cap=5)
     assert r.theorem == "centralizer-reverse-complement"

@@ -502,6 +502,22 @@ def test_modularity_cross_check_survives_python_O():
     assert done.returncode == 0, done.stderr
 
 
+def test_modularity_is_decided_once_and_kept_on_the_lattice(monkeypatch):
+    lat = pentagon()
+    w = modular_witness(lat)
+    assert w is not None
+    # broken covers no longer reach the lattice already decided ...
+    monkeypatch.setattr(Poset, "covers_up", lambda self: (0,) * self.n)
+    assert modular_witness(lat) == w
+    assert not is_modular(lat) and not is_distributive(lat)
+    for verify in (verify_echelon_theorem, verify_dilworth):
+        r = verify(lat)
+        assert r.status == "skipped" and r.witness["law_failure"] == list(w)
+    # ... while a fresh one is checked again, and the routes disagree
+    with pytest.raises(ModularityCheckError, match="modularity criteria disagree"):
+        modular_witness(pentagon())
+
+
 # -- exact Bareiss division, also under python -O --------------------------------
 
 
