@@ -145,13 +145,6 @@ def _rows_after_insert(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple
     return tuple(tuple(r) for r in work)
 
 
-def _p_of_concat(*parts: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    rows: list[list[int]] = []
-    for part in parts:
-        _insert_word(rows, part)
-    return tuple(tuple(r) for r in rows)
-
-
 def knuth_equivalent(u: Iterable[int], v: Iterable[int]) -> bool:
     """Same insertion tableau; the relation-graph search is a test-only oracle."""
     return rsk_P(u) == rsk_P(v)
@@ -407,43 +400,116 @@ def _knuth_classes(alphabet: int, max_len: int) -> tuple[tuple[Word, tuple[tuple
     return tuple(sorted((w, rows) for rows, w in classes.items()))
 
 
-def _commutes_with(u: Word, rep: Word) -> bool:
-    """Whether u and rep commute, by inserting both products from scratch
-    (the oracle of ``_commute_verdicts``)."""
-    return _p_of_concat(u, rep) == _p_of_concat(rep, u)
+def _commute_members(us: list[Word], alphabet: int,
+                     max_len: int) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """For each word u of us, the rows of every class of
+    ``_knuth_classes(alphabet, max_len)`` whose representative commutes
+    with u, in class order.
 
-
-def _commute_verdicts(u: Word, alphabet: int, max_len: int) -> list[bool]:
-    """Whether u commutes with each class representative of
-    ``_knuth_classes(alphabet, max_len)``, in order.
-
-    Representatives are the lexicographically first words of their classes,
-    so they are closed under prefixes, and in sorted order the latest
-    representative one letter shorter than rep is its prefix rep[:-1].  So
-    P(u rep) is one insertion into the stored P(u rep[:-1]), and P(rep u)
-    inserts u into the class rows.
+    One pass over the classes serves every u.  P(rep v) for the prefixes v
+    of the u's comes from a trie of those prefixes with one node per
+    insertion tableau, since P(rep v) depends only on P(rep) and P(v).  In
+    preorder, a node inserts the letters of its edge into its parent's
+    rows: in place for the parent's last child, into a copy for the others.
+    Runs of nodes with one child and no u ending there form one edge, so a
+    lone u inserts all its letters in one call per class, as a search of
+    its own would.  P(u rep) is one insertion into the stored P(u rep[:-1]):
+    representatives are the lexicographically first words of their
+    classes, so they are closed under prefixes, and in sorted order the
+    latest representative one letter shorter than rep is rep[:-1].
     """
-    p_u = [list(r) for r in _p_of_concat(u)]
-    left_by_depth = [p_u]
-    out = []
+    node_of: dict[tuple[tuple[int, ...], ...], int] = {(): 0}
+    edges: list[list[tuple[int, int]]] = [[]]  # per node: (letter, child)
+    ends = []
+    for u in us:
+        rows: list[list[int]] = []
+        node = 0
+        for a in u:
+            _insert_word(rows, (a,))
+            key = tuple(map(tuple, rows))
+            child = node_of.get(key)
+            if child is None:
+                child = node_of[key] = len(edges)
+                edges.append([])
+                edges[node].append((a, child))
+            node = child
+        ends.append(node)
+    tableau_of = {node: key for key, node in node_of.items()}
+    target_of = {node: t for t, node in enumerate(dict.fromkeys(ends))}
+
+    # (parent slot, letters, slot, copy, target or -1) in preorder; slots
+    # hold the rows of the root, the targets and the branch points
+    steps = []
+
+    def walk(node: int, slot: int) -> None:
+        last = len(edges[node]) - 1
+        for i, (a, child) in enumerate(edges[node]):
+            letters = [a]
+            while child not in target_of and len(edges[child]) == 1:
+                a, child = edges[child][0]
+                letters.append(a)
+            steps.append((slot, tuple(letters), len(steps) + 1, i < last,
+                          target_of.get(child, -1)))
+            walk(child, len(steps))
+
+    walk(0, 0)
+    at: list = [None] * (len(steps) + 1)
+    root_target = target_of.get(0, -1)
+    # lefts[t][d]: P(u rep) for the u of target t and the latest rep of length d
+    lefts: list[list] = [[None] * (max_len + 1) for _ in target_of]
+    for node, t in target_of.items():
+        lefts[t][0] = [list(r) for r in tableau_of[node]]
+    members: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in target_of]
     for rep, rows in _knuth_classes(alphabet, max_len):
         d = len(rep)
         if d:
-            left = [r[:] for r in left_by_depth[d - 1]]
-            _insert_word(left, rep[-1:])
-            del left_by_depth[d:]
-            left_by_depth.append(left)
-        else:
-            left = p_u
-        right = [list(r) for r in rows]
-        _insert_word(right, u)
-        out.append(left == right)
-    return out
+            a = rep[-1:]
+            for stack in lefts:
+                left = [r[:] for r in stack[d - 1]]
+                _insert_word(left, a)
+                stack[d] = left
+        at[0] = [list(r) for r in rows]
+        if root_target >= 0 and lefts[root_target][d] == at[0]:
+            members[root_target].append(rows)
+        for parent, letters, slot, copy, t in steps:
+            work = [r[:] for r in at[parent]] if copy else at[parent]
+            _insert_word(work, letters)
+            at[slot] = work
+            if t >= 0 and lefts[t][d] == work:
+                members[t].append(rows)
+    return [members[target_of[node]] for node in ends]
 
 
-# member rows of every search so far, by (u, alphabet_cap, length_cap); the
-# rows are those of _knuth_classes, so an entry holds one pointer per member
-_centralizers: dict[tuple[Word, int, int], tuple[tuple[tuple[int, ...], ...], ...]] = {}
+# member rows of every search so far, by (P(u).rows, alphabet_cap,
+# length_cap): commuting with u depends only on its Knuth class.  The rows
+# are those of _knuth_classes, so an entry holds one pointer per member
+_centralizers: dict[tuple[tuple[tuple[int, ...], ...], int, int],
+                    tuple[tuple[tuple[int, ...], ...], ...]] = {}
+
+
+def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int,
+                         length_cap: int) -> None:
+    """Search the centralizer of every word of us not searched before, in
+    one pass over the Knuth classes of the budget, and keep the results
+    for ``centralizer_search``.  Words with one insertion tableau share a
+    search.
+    """
+    if alphabet_cap > ALPHABET_BUDGET:
+        raise ValueError(f"budget exceeded: alphabet {alphabet_cap} > {ALPHABET_BUDGET}")
+    if length_cap > LENGTH_BUDGET:
+        raise ValueError(f"budget exceeded: length {length_cap} > {LENGTH_BUDGET}")
+    if alphabet_cap < 1 or length_cap < 0:
+        raise ValueError("need a positive alphabet and a nonnegative length cap")
+    missing: dict[tuple, Word] = {}
+    for u in us:
+        u = as_word(u)
+        key = (rsk_P(u).rows, alphabet_cap, length_cap)
+        if key not in _centralizers:
+            missing.setdefault(key, u)
+    if missing:
+        found = _commute_members(list(missing.values()), alphabet_cap, length_cap)
+        for key, members in zip(missing, found):
+            _centralizers[key] = tuple(members)
 
 
 def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> CentralizerSet:
@@ -453,22 +519,12 @@ def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> 
     Works class by class: commuting is a Knuth-class property, so one
     product comparison per insertion tableau decides the whole class.  The
     empty tableau is always a member.  Results are kept for the life of the
-    process, so a repeated query is not searched again.
+    process by the insertion tableau of u, so a repeated query, or one for
+    a Knuth-equivalent word, is not searched again.
     """
     u = as_word(u)
-    if alphabet_cap > ALPHABET_BUDGET:
-        raise ValueError(f"budget exceeded: alphabet {alphabet_cap} > {ALPHABET_BUDGET}")
-    if length_cap > LENGTH_BUDGET:
-        raise ValueError(f"budget exceeded: length {length_cap} > {LENGTH_BUDGET}")
-    if alphabet_cap < 1 or length_cap < 0:
-        raise ValueError("need a positive alphabet and a nonnegative length cap")
-    key = (u, alphabet_cap, length_cap)
-    members = _centralizers.get(key)
-    if members is None:
-        classes = _knuth_classes(alphabet_cap, length_cap)
-        verdicts = _commute_verdicts(u, alphabet_cap, length_cap)
-        members = _centralizers[key] = tuple(
-            rows for (_, rows), ok in zip(classes, verdicts) if ok)
+    centralizer_searches((u,), alphabet_cap, length_cap)
+    members = _centralizers[(rsk_P(u).rows, alphabet_cap, length_cap)]
     return CentralizerSet(u, alphabet_cap, length_cap, map(Tableau._unchecked, members))
 
 

@@ -898,20 +898,30 @@ def verify_dilworth(L: Lattice) -> Report:
 
 
 def _closed_subsets(k: int, masks: tuple[int, ...]) -> list[int]:
-    # subsets S with masks[x] a subset of S for every x in S
-    out = []
-    for s in range(1 << k):
-        ok = True
-        m = s
-        while m:
-            x = (m & -m).bit_length() - 1
-            if masks[x] & ~s:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            out.append(s)
-    return out
+    """The subsets S of range(k) with masks[x] a subset of S for every x in
+    S, in ascending order.
+
+    Decides the elements from the highest down: x joins only if its mask
+    names no higher element left out, and stays out only if no mask of a
+    chosen higher element names it.  The sets that pass every decision are
+    exactly the closed ones.
+    """
+    partial = [0]
+    for x in range(k - 1, -1, -1):
+        bit = 1 << x
+        higher = masks[x] & -(bit << 1)
+        namers = 0
+        for y in range(x + 1, k):
+            if masks[y] & bit:
+                namers |= 1 << y
+        grown = []
+        for s in partial:
+            if not s & namers:
+                grown.append(s)
+            if not higher & ~s:
+                grown.append(s | bit)
+        partial = grown
+    return partial
 
 
 def _extension_pairs(up: tuple[int, ...], down: tuple[int, ...]) -> Iterator[tuple[int, int]]:

@@ -378,15 +378,28 @@ def test_broken_no_bump_check_exits_1_at_the_cli(monkeypatch, capsys):
     assert "foreign letter bumped" in capsys.readouterr().out
 
 
-def test_broken_commute_verdicts_fail_criterion_12(monkeypatch):
-    verdicts = plactic._commute_verdicts
+def _break_commute_members(monkeypatch):
+    # every class is said to commute with the searched words that start with 1
+    members = plactic._commute_members
 
-    def broken(u, alphabet, max_len):
-        out = verdicts(u, alphabet, max_len)
-        return [True] * len(out) if u[0] == 1 else out
+    def broken(us, alphabet, max_len):
+        every = [rows for _, rows in plactic._knuth_classes(alphabet, max_len)]
+        return [list(every) if u[:1] == (1,) else found
+                for u, found in zip(us, members(us, alphabet, max_len))]
 
     monkeypatch.setattr(plactic, "_centralizers", {})
-    monkeypatch.setattr(plactic, "_commute_verdicts", broken)
+    monkeypatch.setattr(plactic, "_commute_members", broken)
+
+
+def test_broken_commute_members_fail_criterion_11(monkeypatch):
+    _break_commute_members(monkeypatch)
+    r = acceptance.criterion_first_rows(length_cap=4)
+    assert r.status == "counterexample" and r.instances == 0
+    assert r.witness == {"u": [1], "member": [[2]], "row": 1, "bound": 1}
+
+
+def test_broken_commute_verdicts_fail_criterion_12(monkeypatch):
+    _break_commute_members(monkeypatch)
     r = acceptance.criterion_reverse_complement(u_len_cap=2, length_cap=4)
     assert r.status == "counterexample"
     assert r.witness["unmatched_right"] or r.witness["unmatched_left_images"]

@@ -236,19 +236,89 @@ def test_knuth_class_representatives_are_prefix_closed(alphabet, max_len):
     assert sorted(first.values()) == reps
 
 
+def _commutes_with(u, rep):
+    """Whether u and rep commute, by inserting both products from scratch
+    (the oracle of ``plactic._commute_members``)."""
+    return rsk_P(u + rep) == rsk_P(rep + u)
+
+
+def _oracle_members(u, alphabet, max_len):
+    return [rows for rep, rows in plactic._knuth_classes(alphabet, max_len)
+            if _commutes_with(u, rep)]
+
+
 @pytest.mark.parametrize("u", _words_over(2, 4) + _words_over(3, 3))
 def test_prefix_shared_verdicts_match_oracle(u):
     cap, length_cap = max(u) + 2, 7
+    assert plactic._commute_members([u], cap, length_cap) == [
+        _oracle_members(u, cap, length_cap)]
+
+
+@pytest.mark.parametrize("batch, alphabet, max_len", [
+    (list(words(3, 4)), 5, 5),
+    # Knuth-equivalent words, repeats, the empty word and a shared prefix
+    ([(2, 1, 3), (2, 3, 1), (1, 3, 2), (3, 1, 2), (2, 1, 3), (), (2, 1),
+      (3, 3, 1, 2), (3, 1, 3, 2), (1,), (4, 1, 2, 3)], 4, 5),
+], ids=["all-over-3-to-4", "mixed"])
+def test_batched_verdicts_match_oracle(batch, alphabet, max_len):
+    found = plactic._commute_members(batch, alphabet, max_len)
+    assert len(found) == len(batch)
+    for u, members in zip(batch, found):
+        assert members == _oracle_members(u, alphabet, max_len), u
+
+
+def test_a_single_search_inserts_each_letter_of_u_once_per_class(monkeypatch):
+    # P(rep u) inserts u in one call, P(u rep) one letter: what a search of
+    # u alone did before the searches were batched
+    u, cap, length_cap = (2, 1, 3, 1), 4, 5
+    calls, letters = [], []
+    insert = plactic._insert_word
+
+    def counting(rows, word, bumped=None):
+        word = tuple(word)
+        calls.append(1)
+        letters.append(len(word))
+        insert(rows, word, bumped)
+
+    monkeypatch.setattr(plactic, "_insert_word", counting)
+    plactic._commute_members([u], cap, length_cap)
     classes = plactic._knuth_classes(cap, length_cap)
-    fast = plactic._commute_verdicts(u, cap, length_cap)
-    assert fast == [plactic._commutes_with(u, rep) for rep, _ in classes]
+    nonempty = len(classes) - 1
+    assert len(calls) == len(u) + len(classes) + nonempty  # the trie, then per class
+    assert sum(letters) == len(u) + len(u) * len(classes) + nonempty
 
 
 def test_centralizer_search_is_memoized(monkeypatch):
     monkeypatch.setattr(plactic, "_centralizers", {})
     first = centralizer_search((2, 1, 2), 4, 5)
-    assert list(plactic._centralizers) == [((2, 1, 2), 4, 5)]
+    assert list(plactic._centralizers) == [(((1, 2), (2,)), 4, 5)]
     assert centralizer_search((2, 1, 2), 4, 5).members == first.members
+
+
+def test_knuth_equivalent_words_share_one_search(monkeypatch):
+    monkeypatch.setattr(plactic, "_centralizers", {})
+    plactic.centralizer_searches([(2, 1, 3), (2, 3, 1)], 4, 5)
+    assert list(plactic._centralizers) == [(((1, 3), (2,)), 4, 5)]
+    left, right = centralizer_search((2, 1, 3), 4, 5), centralizer_search((2, 3, 1), 4, 5)
+    assert left.u == (2, 1, 3) and right.u == (2, 3, 1)
+    assert left.members == right.members and len(left) > 1
+
+
+def test_a_batch_answers_later_single_searches(monkeypatch):
+    monkeypatch.setattr(plactic, "_centralizers", {})
+    batch = [(1,), (2, 1), (1, 2), (2, 1, 2)]
+    plactic.centralizer_searches(batch, 3, 4)
+    expected = {u: _oracle_members(u, 3, 4) for u in batch}
+
+    def searched_again(us, alphabet, max_len):
+        raise AssertionError(f"searched {us} again")
+
+    monkeypatch.setattr(plactic, "_commute_members", searched_again)
+    plactic.centralizer_searches(batch, 3, 4)
+    for u in batch:
+        found = centralizer_search(u, 3, 4)
+        assert found.u == u
+        assert {t.rows for t in found.members} == set(expected[u])
 
 
 def test_centralizer_members_commute():

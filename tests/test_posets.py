@@ -97,6 +97,25 @@ def test_enumeration_counts():
         next(enumerate_posets(9))
 
 
+def _closed_subsets_by_filter(k, masks):
+    # every subset, kept when it holds the mask of each of its elements
+    return [s for s in range(1 << k)
+            if all(not masks[x] & ~s for x in range(k) if s >> x & 1)]
+
+
+def test_closed_subsets_match_the_filter_on_all_small_posets():
+    assert posets._closed_subsets(0, ()) == [0]
+    for p in enumerate_posets_up_to(5):
+        for masks in (p.up, p.down):
+            assert posets._closed_subsets(p.n, masks) == _closed_subsets_by_filter(p.n, masks)
+    # masks that need not come from a poset: not reflexive, not transitive
+    rng = random.Random(7)
+    for _ in range(300):
+        k = rng.randrange(7)
+        masks = tuple(rng.randrange(1 << k) for _ in range(k))
+        assert posets._closed_subsets(k, masks) == _closed_subsets_by_filter(k, masks)
+
+
 def test_linear_extension_counts():
     assert count_linear_extensions(Poset.chain(5)) == 1
     assert count_linear_extensions(Poset.antichain(2)) == 2
