@@ -13,7 +13,6 @@ from .parking import (
     is_parking_function,
     park,
     parking_contents,
-    parking_functions,
     parking_stats,
     phi,
     rook_numbers,
@@ -32,7 +31,6 @@ from .plactic import (
     centralizer_search,
     evacuation,
     greene_oracle,
-    knuth_equivalent,
     reverse_complement,
     rsk_P,
     tau,
@@ -47,7 +45,6 @@ from .posets import (
     build_lattice,
     cartan_matrix,
     echelonmotion,
-    enumerate_posets,
     extension_orders,
     is_distributive,
     is_modular,

@@ -156,10 +156,6 @@ class BiPoly:
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, q_exp: int, t_exp: int, coeff: int = 1) -> "BiPoly":
-        return cls({(q_exp, t_exp): coeff})
-
-    @classmethod
     def q(cls) -> "BiPoly":
         return cls({(1, 0): 1})
 
@@ -173,9 +169,6 @@ class BiPoly:
 
     def coefficient(self, q_exp: int, t_exp: int) -> int:
         return self._terms.get((q_exp, t_exp), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -312,22 +305,21 @@ class BiPoly:
             out[(eq, degree - et)] = c
         return BiPoly(out)
 
-    def render(self, names: tuple[str, str] = ("q", "t")) -> str:
-        """Human-readable rendering with terms in exponent order."""
+    def render(self) -> str:
+        """Human-readable rendering in q and t, with terms in exponent order."""
         if not self._terms:
             return "0"
-        qn, tn = names
         parts = []
         for eq, et, c in self.sorted_terms():
             factors = []
             if eq == 1:
-                factors.append(qn)
+                factors.append("q")
             elif eq > 1:
-                factors.append(f"{qn}^{eq}")
+                factors.append(f"q^{eq}")
             if et == 1:
-                factors.append(tn)
+                factors.append("t")
             elif et > 1:
-                factors.append(f"{tn}^{et}")
+                factors.append(f"t^{et}")
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -351,16 +343,6 @@ class BiPoly:
         return [
             {"q": eq, "t": et, "c": str(c)} for eq, et, c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_terms(cls, items: Iterable[dict]) -> "BiPoly":
-        terms: dict[tuple[int, int], int] = {}
-        for item in items:
-            key = (int(item["q"]), int(item["t"]))
-            if key in terms:
-                raise ValueError(f"duplicate term {key} in polynomial payload")
-            terms[key] = int(item["c"])
-        return cls(terms)
 
 
 class IntMatrix:
@@ -456,10 +438,10 @@ def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def random_unit_upper_triangular(n: int, rng, bound: int = 2) -> IntMatrix:
-    """Random upper-triangular matrix with unit diagonal, entries in [-bound, bound]."""
+def random_unit_upper_triangular(n: int, rng) -> IntMatrix:
+    """Random upper-triangular matrix with unit diagonal, entries in [-2, 2]."""
     rows = []
     for i in range(n):
-        row = [0] * i + [1] + [rng.randint(-bound, bound) for _ in range(n - i - 1)]
+        row = [0] * i + [1] + [rng.randint(-2, 2) for _ in range(n - i - 1)]
         rows.append(row)
     return IntMatrix(rows)

@@ -132,8 +132,8 @@ def _parking_sweep(n: int) -> tuple[BiPoly, BiPoly, BiPoly]:
     preference sum, the excedances and both descent counts of its prefix:
     the outcome gains a descent when a car parks left of the previous car,
     its inverse when a car takes spot s while s + 1 is already occupied.
-    The tests compare it with the same sum over ``parking_functions``,
-    ``parking_stats`` and ``park``.
+    The tests compare it with the same sum over the parking functions
+    filtered from all of [n]^n, through ``parking_stats`` and ``park``.
     """
     acc_exc: Counter = Counter()
     acc_des: Counter = Counter()
@@ -215,11 +215,11 @@ def _simsun_rec(m: int) -> BiPoly:
     return (one + BiPoly.constant(m - 1) * t) * prev + t * (one - BiPoly.constant(2) * t) * prev.deriv_t()
 
 
-def simsun_eulerian(n: int, method: str = "recurrence") -> BiPoly:
+def simsun_eulerian(n: int) -> BiPoly:
     """The reciprocal form t^(n-1) R_(n-1)(1/t): descents counted from the top."""
     if n < 1:
         raise ValueError("defined for n >= 1")
-    return simsun_poly(n - 1, method).reciprocal_t(n - 1)
+    return simsun_poly(n - 1).reciprocal_t(n - 1)
 
 
 def verify_simsun_identity(n: int) -> Report:
@@ -338,22 +338,6 @@ def is_alternating(w: Permutation) -> bool:
         elif not w(i) > w(i + 1):
             return False
     return True
-
-
-_CLASS_PREDICATES = {
-    "simsun": is_simsun,
-    "alternating": is_alternating,
-    "jacobi": is_jacobi,
-    "odd-intervals": is_odd_interval_perm,
-    "odd-gaps": is_odd_gap_perm,
-}
-
-
-def class_membership(w: Permutation, tag: str) -> bool:
-    try:
-        return _CLASS_PREDICATES[tag](w)
-    except KeyError:
-        raise ValueError(f"unknown class {tag!r}") from None
 
 
 def jacobi_poly(n: int) -> BiPoly:

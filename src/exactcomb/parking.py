@@ -58,13 +58,6 @@ def is_parking_function(prefs: Iterable[int]) -> bool:
     return all(v >= 1 for v in b) and all(v <= j for j, v in enumerate(b, start=1))
 
 
-def parking_functions(n: int) -> Iterator[tuple[int, ...]]:
-    """All parking functions of length n, in lexicographic order."""
-    for prefs in itertools.product(range(1, n + 1), repeat=n):
-        if is_parking_function(prefs):
-            yield prefs
-
-
 class ParkingStats(NamedTuple):
     cosum: int
     exced: int
@@ -156,8 +149,8 @@ def rook_numbers(board: Board) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rook_placements(board: Board, k: int | None = None) -> Iterator[frozenset[tuple[int, int]]]:
-    """Every nonattacking placement on the board (of size k when given).
+def rook_placements(board: Board) -> Iterator[frozenset[tuple[int, int]]]:
+    """Every nonattacking placement on the board, of every size.
 
     Brute-force recursion over columns; this is the oracle the DP above is
     tested against, and the enumerator behind the preimage-count checks.
@@ -165,8 +158,7 @@ def rook_placements(board: Board, k: int | None = None) -> Iterator[frozenset[tu
 
     def rec(c: int, used_rows: int, placed: list[tuple[int, int]]) -> Iterator[frozenset]:
         if c > len(board.heights):
-            if k is None or len(placed) == k:
-                yield frozenset(placed)
+            yield frozenset(placed)
             return
         yield from rec(c + 1, used_rows, placed)
         for r in range(1, board.heights[c - 1] + 1):

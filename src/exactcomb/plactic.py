@@ -11,7 +11,6 @@ word space twice.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
@@ -143,50 +142,6 @@ def _rows_after_insert(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple
     work = [list(r) for r in rows]
     _insert_word(work, (a,))
     return tuple(tuple(r) for r in work)
-
-
-def knuth_equivalent(u: Iterable[int], v: Iterable[int]) -> bool:
-    """Same insertion tableau; the relation-graph search is a test-only oracle."""
-    return rsk_P(u) == rsk_P(v)
-
-
-def knuth_neighbors(word: Word) -> set[Word]:
-    """Words one Knuth move away (either rule, either direction).
-
-    The two moves swap xzy <-> zxy when x <= y < z and yxz <-> yzx when
-    x < y <= z, acting on three consecutive letters.
-    """
-    word = tuple(word)
-    out: set[Word] = set()
-    for i in range(len(word) - 2):
-        p, q, r = word[i], word[i + 1], word[i + 2]
-        # acb -> cab and back, for a <= b < c
-        if q <= r < p:  # p q r = c a b
-            out.add(word[:i] + (q, p, r) + word[i + 3:])
-        if p <= r < q:  # p q r = a c b
-            out.add(word[:i] + (q, p, r) + word[i + 3:])
-        # bac -> bca and back, for a < b <= c
-        if q < p <= r:  # p q r = b a c
-            out.add(word[:i] + (p, r, q) + word[i + 3:])
-        if r < p <= q:  # p q r = b c a
-            out.add(word[:i] + (p, r, q) + word[i + 3:])
-    return out
-
-
-def knuth_class_brute(word: Iterable[int], cap: int = 100_000) -> frozenset[Word]:
-    """Closure of a word under Knuth moves by graph search (small words only)."""
-    start = as_word(word)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for nb in knuth_neighbors(w):
-            if nb not in seen:
-                if len(seen) >= cap:
-                    raise ValueError("Knuth class larger than the search cap")
-                seen.add(nb)
-                queue.append(nb)
-    return frozenset(seen)
 
 
 def greene_oracle(word: Iterable[int], k: int, mode: str = "increasing") -> int:

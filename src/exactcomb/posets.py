@@ -49,15 +49,6 @@ class SingularMatrixError(ValueError):
     """Raised when Bruhat elimination meets a column with no usable pivot."""
 
 
-class ExtensionCapExceeded(RuntimeError):
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"more than {cap} linear extensions")
-
-    def __reduce__(self):
-        return type(self), (self.cap,)
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         yield (mask & -mask).bit_length() - 1
@@ -126,16 +117,6 @@ class Poset:
     def cover_pairs(self) -> list[tuple[int, int]]:
         return [(x, y) for x in range(self.n) for y in _bits(self.covers_up()[x])]
 
-    def minimal_elements(self) -> list[int]:
-        return [x for x in range(self.n) if self.down[x] == 1 << x]
-
-    def maximal_elements(self) -> list[int]:
-        return [x for x in range(self.n) if self.up[x] == 1 << x]
-
-    def is_bounded(self) -> bool:
-        """True when there is a unique minimum and a unique maximum."""
-        return len(self.minimal_elements()) == 1 and len(self.maximal_elements()) == 1
-
     # -- construction --------------------------------------------------
 
     @classmethod
@@ -179,10 +160,6 @@ class Poset:
         full = (1 << n) - 1
         return cls(n, [full & ~((1 << x) - 1) for x in range(n)], validate=False)
 
-    @classmethod
-    def antichain(cls, n: int) -> "Poset":
-        return cls(n, [1 << x for x in range(n)], validate=False)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
@@ -224,13 +201,6 @@ def poset_product(p: Poset, q: Poset) -> Poset:
                     m |= 1 << (a2 * q.n + b2)
             up.append(m)
     return Poset(n, up, validate=False)
-
-
-def cover_counts(p: Poset) -> tuple[tuple[int, int], ...]:
-    """Per element: (number of lower covers, number of upper covers)."""
-    cu = p.covers_up()
-    cd = p.covers_down()
-    return tuple((cd[x].bit_count(), cu[x].bit_count()) for x in range(p.n))
 
 
 # -- linear extensions ----------------------------------------------------
@@ -331,10 +301,6 @@ def _extension_orders(p: Poset, cap: int | None) -> Iterator[tuple[int, ...]]:
 def linear_extensions(p: Poset, cap: int | None = None) -> Iterator[LinearExtension]:
     """``extension_orders`` as LinearExtension objects, with their rank tables."""
     return map(LinearExtension, extension_orders(p, cap))
-
-
-def count_linear_extensions(p: Poset, cap: int | None = None) -> int:
-    return sum(1 for _ in extension_orders(p, cap))
 
 
 def is_linear_extension(p: Poset, ext: LinearExtension) -> bool:
@@ -486,24 +452,6 @@ def bruhat_permutation(m: IntMatrix) -> Permutation:
     return Permutation(c + 1 for c in cols)
 
 
-def bruhat_rank_profile(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Table r with r[i-1][j-1] = rank of the submatrix on rows i..n, cols 1..j.
-
-    Computed from the pivot positions; tests compare it against ranks of the
-    literal submatrices.
-    """
-    n = m.rows
-    rows = [list(r) for r in m.entries]
-    cols = _bruhat_pivot_cols(rows)
-    table = []
-    for i in range(1, n + 1):
-        table.append(tuple(
-            sum(1 for r, c in enumerate(cols) if r + 1 >= i and c + 1 <= j)
-            for j in range(1, n + 1)
-        ))
-    return tuple(table)
-
-
 # -- echelonmotion ---------------------------------------------------------
 
 
@@ -561,26 +509,6 @@ def _echelon_mapping(order: tuple[int, ...], col_of_row: list[int]) -> tuple[int
     return tuple(mapping)
 
 
-def is_echelon_independent(p: Poset, extension_cap: int = 100_000) -> bool:
-    """Whether every linear extension of p induces the same echelon map.
-
-    Raises ExtensionCapExceeded rather than silently sampling when the
-    poset has more than extension_cap extensions.
-    """
-    first: tuple[int, ...] | None = None
-    seen = 0
-    for ext in linear_extensions(p):
-        seen += 1
-        if seen > extension_cap:
-            raise ExtensionCapExceeded(extension_cap)
-        mapping = echelonmotion(p, ext).mapping
-        if first is None:
-            first = mapping
-        elif mapping != first:
-            return False
-    return True
-
-
 # -- lattices --------------------------------------------------------------
 
 
@@ -605,37 +533,8 @@ class Lattice:
     def join(self, a: int, b: int) -> int:
         return self.join_table[a][b]
 
-    def bottom(self) -> int:
-        (m,) = self.poset.minimal_elements()
-        return m
-
-    def top(self) -> int:
-        (m,) = self.poset.maximal_elements()
-        return m
-
     def __repr__(self) -> str:
         return f"Lattice({self.poset!r})"
-
-
-def _meet_join_tables(n, up, down):
-    """Build both tables or return an offending pair with a reason."""
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for a in range(n):
-        meet[a][a] = a
-        join[a][a] = a
-        for b in range(a):
-            common = up[a] & up[b]
-            z = _least_member(common, up)
-            if z < 0:
-                return None, (b, a, "no least upper bound")
-            join[a][b] = join[b][a] = z
-            common = down[a] & down[b]
-            z = _least_member(common, down)
-            if z < 0:
-                return None, (b, a, "no greatest lower bound")
-            meet[a][b] = meet[b][a] = z
-    return (meet, join), None
 
 
 def _least_member(common: int, up: tuple[int, ...]) -> int:
@@ -648,17 +547,24 @@ def _least_member(common: int, up: tuple[int, ...]) -> int:
 
 def build_lattice(p: Poset) -> Lattice:
     """Promote a poset to a lattice, or raise NotALatticeError."""
-    tables, bad = _meet_join_tables(p.n, p.up, p.down)
-    if tables is None:
-        a, b, reason = bad
-        raise NotALatticeError(a, b, reason)
-    meet, join = tables
+    n, up, down = p.n, p.up, p.down
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        meet[a][a] = a
+        join[a][a] = a
+        for b in range(a):
+            common = up[a] & up[b]
+            z = _least_member(common, up)
+            if z < 0:
+                raise NotALatticeError(b, a, "no least upper bound")
+            join[a][b] = join[b][a] = z
+            common = down[a] & down[b]
+            z = _least_member(common, down)
+            if z < 0:
+                raise NotALatticeError(b, a, "no greatest lower bound")
+            meet[a][b] = meet[b][a] = z
     return Lattice(p, tuple(map(tuple, meet)), tuple(map(tuple, join)))
-
-
-def is_lattice(p: Poset) -> bool:
-    tables, _ = _meet_join_tables(p.n, p.up, p.down)
-    return tables is not None
 
 
 def modular_witness(L: Lattice) -> tuple[int, int, int] | None:
@@ -778,26 +684,11 @@ def rowmotion_distributive(L: Lattice) -> tuple[int, ...]:
                 f"elements {element_of[m]} and {x} lie above the same irreducibles")
         element_of[m] = x
 
-    # count all down-closed subsets of the irreducible subposet; for a
-    # distributive lattice there are exactly n of them
-    ideals = 0
-    for s in range(1 << k):
-        ok = True
-        for a in _bits(s):
-            # need everything below a inside s
-            for b in range(k):
-                if jup[b] >> a & 1 and not s >> b & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            ideals += 1
-            if ideals > n:
-                break
+    # a distributive lattice has exactly n down-closed subsets of its
+    # irreducibles, and as many up-closed ones, their complements
+    ideals = len(_closed_subsets(k, jup))
     if ideals != n:
-        raise NotDistributiveError(
-            f"{ideals if ideals <= n else 'more than ' + str(n)} irreducible ideals for {n} elements")
+        raise NotDistributiveError(f"{ideals} irreducible ideals for {n} elements")
 
     full = (1 << k) - 1
     mapping = []
@@ -951,26 +842,13 @@ def _extend(up: tuple[int, ...], down: tuple[int, ...], d: int, u: int):
     return new_up + (bit | u,), new_down + (bit | d,)
 
 
-def enumerate_posets_up_to(max_n: int) -> Iterator[Poset]:
-    """Every labelled poset on 1 .. max_n elements, each exactly once."""
-    if max_n < 1:
-        return
-
-    def rec(up, down):
-        yield up
-        if len(up) < max_n:
-            for d, u in _extension_pairs(up, down):
-                yield from rec(*_extend(up, down, d, u))
-
-    for up in rec((1,), (1,)):
-        yield Poset(len(up), up, validate=False)
-
-
 def bounded_posets_up_to(max_n: int) -> Generator[Poset, None, int]:
-    """The bounded posets of ``enumerate_posets_up_to(max_n)``, in its order.
+    """The bounded labelled posets on 1 .. max_n elements, each exactly once.
 
-    The generator's return value is how many posets that enumeration
-    yields in all.  Posets on max_n elements are counted, and only those
+    They come in depth-first order: each poset, then the one-point
+    extensions of ``_extension_pairs`` built on it.  The generator's return
+    value is how many labelled posets that walk meets in all, bounded or
+    not.  Posets on max_n elements are counted, and only those
     that can be bounded are built: a one-point extension is bounded only
     if its parent is, or if the new element is a top over a parent with
     one minimal element, or a bottom under a parent with one maximal one.
@@ -1004,25 +882,6 @@ def bounded_posets_up_to(max_n: int) -> Generator[Poset, None, int]:
         return seen
 
     return (yield from visit((1,), (1,)))
-
-
-ENUMERATION_LIMIT = 6
-
-
-def enumerate_posets(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Poset]:
-    """All labelled posets on exactly n elements.
-
-    Sizes above ``limit`` are refused: the counts grow too fast for the
-    exhaustive sweeps this enumerator exists to serve (130023 already at
-    n = 6).
-    """
-    if n > limit:
-        raise ValueError(f"poset enumeration capped at {limit} elements, asked for {n}")
-    if n < 1:
-        raise ValueError("need at least one element")
-    for p in enumerate_posets_up_to(n):
-        if p.n == n:
-            yield p
 
 
 # -- named lattices --------------------------------------------------------

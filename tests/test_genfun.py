@@ -10,8 +10,11 @@ from exactcomb.core import BiPoly, Permutation, perm_stats
 from exactcomb.genfun import (
     PARKING_SWEEP_LIMIT,
     blocking_positions,
-    class_membership,
     complement_perm,
+    is_alternating,
+    is_jacobi,
+    is_odd_gap_perm,
+    is_odd_interval_perm,
     jacobi_poly,
     parking_poly,
     TREES_LIMIT,
@@ -24,7 +27,7 @@ from exactcomb.genfun import (
     verify_simsun_identity,
     zigzag_poly,
 )
-from exactcomb.parking import ParkingFailure, park, parking_functions, parking_stats
+from exactcomb.parking import ParkingFailure, is_parking_function, park, parking_stats
 
 
 def perms(n):
@@ -182,7 +185,9 @@ def test_parking_poly():
 def _filtered_parking_sweep(n):
     """(exced, des of outcome, des of inverse outcome) by filtering [n]^n."""
     acc = [Counter(), Counter(), Counter()]
-    for prefs in parking_functions(n):
+    for prefs in itertools.product(range(1, n + 1), repeat=n):
+        if not is_parking_function(prefs):
+            continue
         stats = parking_stats(prefs)
         outcome = park(prefs)
         acc[0][(stats.cosum, stats.exced)] += 1
@@ -251,31 +256,27 @@ def test_lower_bounds_characterize_outcome_fibers():
 
 
 def test_class_membership_small():
-    def members(n, tag):
-        return {"".join(map(str, w.one_line)) for w in perms(n) if class_membership(w, tag)}
+    def members(n, in_class):
+        return {"".join(map(str, w.one_line)) for w in perms(n) if in_class(w)}
 
-    assert class_membership(Permutation((1, 2)), "alternating")
-    assert members(3, "odd-intervals") == {"213", "321"}
-    assert members(3, "odd-gaps") == {"213", "321"}
-    assert members(3, "jacobi") == {"123", "231"}
-    assert members(3, "alternating") == {"132", "231"}
-    with pytest.raises(ValueError):
-        class_membership(Permutation((1,)), "sorted")
+    assert is_alternating(Permutation((1, 2)))
+    assert members(3, is_odd_interval_perm) == {"213", "321"}
+    assert members(3, is_odd_gap_perm) == {"213", "321"}
+    assert members(3, is_jacobi) == {"123", "231"}
+    assert members(3, is_alternating) == {"132", "231"}
 
 
 def test_odd_gaps_are_inverses_of_odd_intervals():
     for n in range(1, 6):
-        gaps = {w.one_line for w in perms(n) if class_membership(w, "odd-gaps")}
-        via_inverse = {w.inverse().one_line for w in perms(n)
-                       if class_membership(w, "odd-intervals")}
+        gaps = {w.one_line for w in perms(n) if is_odd_gap_perm(w)}
+        via_inverse = {w.inverse().one_line for w in perms(n) if is_odd_interval_perm(w)}
         assert gaps == via_inverse, n
 
 
 def test_complement_swaps_gap_and_jacobi_classes():
     for n in range(1, 6):
-        jac = {w.one_line for w in perms(n) if class_membership(w, "jacobi")}
-        flipped = {complement_perm(w).one_line for w in perms(n)
-                   if class_membership(w, "odd-gaps")}
+        jac = {w.one_line for w in perms(n) if is_jacobi(w)}
+        flipped = {complement_perm(w).one_line for w in perms(n) if is_odd_gap_perm(w)}
         assert jac == flipped, n
 
 

@@ -67,7 +67,6 @@ EXCEPTIONS = [
     posets.NotDistributiveError("M3 inside"),
     posets.ModularityCheckError("modularity criteria disagree"),
     posets.SingularMatrixError("no pivot available in column 1"),
-    posets.ExtensionCapExceeded(10),
 ]
 
 
