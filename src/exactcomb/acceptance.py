@@ -309,11 +309,12 @@ def criterion_first_rows(length_cap: int, pmap=map) -> Report:
     """First-rows bound and the no-bump property over the two u families."""
     name = "centralizer-first-rows"
     u_list = _words_over(2, 4) + _words_over(3, 3)
-    # one search pass per alphabet cap, the default max(u) + 2 of verify_first_rows
+    # one search pass per alphabet cap; the checks read what it found
     for cap in sorted({max(u) + 2 for u in u_list}):
         plactic.centralizer_searches([u for u in u_list if max(u) + 2 == cap], cap, length_cap)
     instances, failure = _first_failure(name, (
-        (plactic.verify_first_rows(u, length_cap=length_cap), {}) for u in u_list))
+        (plactic.verify_first_rows(u, alphabet_cap=max(u) + 2, length_cap=length_cap), {})
+        for u in u_list))
     return failure or Report(name, instances, VERIFIED,
                              {"u_count": len(u_list), "length_cap": length_cap})
 
@@ -323,14 +324,14 @@ def criterion_reverse_complement(u_len_cap: int, length_cap: int, pmap=map) -> R
     """Threshold evacuation between restricted centralizer tableau sets."""
     name = "centralizer-reverse-complement"
     pairs = [(u, m) for m in range(1, 4) for u in _words_over(m, u_len_cap)]
-    # one search pass per threshold, at the default alphabet cap m + 2 of
-    # verify_rc_correspondence, for the words and their reverse complements
+    # one search pass per threshold, for the words and their reverse complements
     for m in range(1, 4):
         us = _words_over(m, u_len_cap)
         plactic.centralizer_searches(
             us + [plactic.reverse_complement(u, m) for u in us], m + 2, length_cap)
     instances, failure = _first_failure(name, (
-        (plactic.verify_rc_correspondence(u, m, length_cap=length_cap), {"m": m})
+        (plactic.verify_rc_correspondence(u, m, alphabet_cap=m + 2, length_cap=length_cap),
+         {"m": m})
         for u, m in pairs))
     return failure or Report(name, instances, VERIFIED,
                              {"pairs": len(pairs), "length_cap": length_cap})

@@ -46,8 +46,9 @@ class Tableau:
     @classmethod
     def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
         """A tableau from rows that are semistandard by construction: built
-        by row insertion, or a prefix of each row of a valid tableau.  Skips
-        the validation of ``__init__``; the tests compare the two."""
+        by row insertion, a prefix of each row of a valid tableau, or glued
+        by threshold evacuation.  Skips the validation of ``__init__``; the
+        tests compare the two."""
         t = cls.__new__(cls)
         t.rows = rows
         return t
@@ -84,15 +85,6 @@ class Tableau:
             rows.append(row[:cut])
         return Tableau._unchecked(tuple(rows))
 
-    def skew_above(self, m: int) -> frozenset[tuple[int, int, int]]:
-        """Cells (row, col, entry) with entry > m, 0-indexed positions."""
-        return frozenset(
-            (i, j, e)
-            for i, row in enumerate(self.rows)
-            for j, e in enumerate(row)
-            if e > m
-        )
-
     def to_json_obj(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
@@ -109,9 +101,6 @@ class Tableau:
 
     def __repr__(self) -> str:
         return f"Tableau({[list(r) for r in self.rows]})"
-
-
-EMPTY_TABLEAU = Tableau(())
 
 
 def _insert_word(rows: list[list[int]], word: Iterable[int],
@@ -237,7 +226,7 @@ def greene_sweep(alphabet: int,
     yield from rec((), [{(0,) * k: 0} for k in ks], [{(alphabet + 1,) * k: 0} for k in ks])
 
 
-# -- reverse complement, evacuation, and the skew threshold machinery --------
+# -- reverse complement, evacuation and threshold evacuation ---------------
 
 
 def reverse_complement(word: Iterable[int], m: int) -> Word:
@@ -258,40 +247,18 @@ def evacuation(t: Tableau, m: int) -> Tableau:
     return rsk_P(reverse_complement(t.row_word(), m))
 
 
-def skew_union(straight: Tableau, skew: frozenset[tuple[int, int, int]]) -> Tableau | None:
-    """Overlay skew cells on a straight tableau; None when the result is not
-    a semistandard Young tableau (overlap, gaps, or ordering failures)."""
-    cells: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(straight.rows):
-        for j, e in enumerate(row):
-            cells[(i, j)] = e
-    for i, j, e in skew:
-        if (i, j) in cells:
-            return None
-        cells[(i, j)] = e
-    if not cells:
-        return EMPTY_TABLEAU
-    height = max(i for i, _ in cells) + 1
-    rows = []
-    for i in range(height):
-        width = [j for r, j in cells if r == i]
-        if not width:
-            return None
-        ln = max(width) + 1
-        if sorted(width) != list(range(ln)):
-            return None
-        rows.append([cells[(i, j)] for j in range(ln)])
-    try:
-        return Tableau(rows)
-    except ValueError:
-        return None
-
-
 def _threshold_evacuation(t: Tableau, m: int) -> Tableau | None:
-    """tau(t, m), or None when the evacuated part and the fixed cells do not
-    reassemble into a tableau of the shape of t."""
-    out = skew_union(evacuation(t.restrict_le(m), m), t.skew_above(m))
-    return out if out is not None and out.shape() == t.shape() else None
+    """tau(t, m), or None when evacuating the entries at most m changes
+    their shape.  Otherwise each row is the evacuated prefix followed by
+    the fixed entries of t; the rows are semistandard, since the evacuated
+    part is, its entries are at most m and every fixed entry is larger.
+    """
+    low = t.restrict_le(m)
+    evac = evacuation(low, m)
+    if evac.shape() != low.shape():
+        return None
+    rows = tuple(e + row[len(e):] for e, row in zip(evac.rows, t.rows))
+    return Tableau._unchecked(rows + t.rows[len(rows):])
 
 
 def tau(t: Tableau, m: int) -> Tableau:
@@ -483,14 +450,14 @@ def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> 
     return CentralizerSet(u, alphabet_cap, length_cap, map(Tableau._unchecked, members))
 
 
-def check_no_bump(u: Iterable[int], w: Iterable[int]) -> bool:
-    """Insert u into the tableau of w; do only letters of u ever get bumped?
+def check_no_bump(u: Iterable[int], t: Tableau) -> bool:
+    """Insert u into the tableau t; do only letters of u ever get bumped?
 
-    True is guaranteed whenever w centralizes u, so the verification sweeps
-    treat a False here as a counterexample.
+    True is guaranteed whenever the words of t centralize u, so the
+    verification sweeps treat a False here as a counterexample.
     """
     u = as_word(u)
-    rows = [list(r) for r in rsk_P(w).rows]
+    rows = [list(r) for r in t.rows]
     bumped: list[int] = []
     allowed = set(u)
     _insert_word(rows, u, bumped)
@@ -527,7 +494,7 @@ def verify_first_rows(u: Iterable[int], alphabet_cap: int | None = None,
                 return Report(name, len(found), COUNTEREXAMPLE, {
                     "u": list(u), "member": t.to_json_obj(),
                     "row": r + 1, "bound": m})
-        if not check_no_bump(u, t.row_word()):
+        if not check_no_bump(u, t):
             return Report(name, len(found), COUNTEREXAMPLE, {
                 "u": list(u), "member": t.to_json_obj(),
                 "defect": "foreign letter bumped"})

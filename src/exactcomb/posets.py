@@ -684,13 +684,17 @@ def rowmotion_distributive(L: Lattice) -> tuple[int, ...]:
                 f"elements {element_of[m]} and {x} lie above the same irreducibles")
         element_of[m] = x
 
-    # a distributive lattice has exactly n down-closed subsets of its
-    # irreducibles, and as many up-closed ones, their complements
-    ideals = len(_closed_subsets(k, jup))
-    if ideals != n:
-        raise NotDistributiveError(f"{ideals} irreducible ideals for {n} elements")
-
+    # the images are down-sets; they are all of them exactly when adding an
+    # irreducible whose strict down-set an image holds gives another image,
+    # since every down-set grows from the empty one an irreducible at a time
     full = (1 << k) - 1
+    for ideal in ideal_of:
+        for a in _bits(full & ~ideal):
+            if ideal_of[jlist[a]] & ~ideal == 1 << a and ideal | 1 << a not in element_of:
+                raise NotDistributiveError(
+                    f"no element lies above exactly the irreducibles "
+                    f"{[jlist[b] for b in _bits(ideal | 1 << a)]}")
+
     mapping = []
     for x in range(n):
         ideal = ideal_of[x]

@@ -362,7 +362,7 @@ def _break_no_bump(monkeypatch):
     # every member of two or more letters is said to bump a foreign letter
     no_bump = plactic.check_no_bump
     monkeypatch.setattr(plactic, "_centralizers", {})
-    monkeypatch.setattr(plactic, "check_no_bump", lambda u, w: no_bump(u, w) and len(w) < 2)
+    monkeypatch.setattr(plactic, "check_no_bump", lambda u, t: no_bump(u, t) and t.size() < 2)
 
 
 def test_broken_no_bump_check_fails_criterion_11(monkeypatch):
@@ -376,6 +376,24 @@ def test_broken_no_bump_check_exits_1_at_the_cli(monkeypatch, capsys):
     _break_no_bump(monkeypatch)
     assert main(["plactic", "verify-first-rows", "--u", "1", "--max-len", "3"]) == 1
     assert "foreign letter bumped" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("criterion, kwargs", [
+    (acceptance.criterion_first_rows, {"length_cap": 4}),
+    (acceptance.criterion_reverse_complement, {"u_len_cap": 2, "length_cap": 4}),
+], ids=["first-rows", "reverse-complement"])
+def test_centralizer_criteria_search_once_per_alphabet_cap(monkeypatch, criterion, kwargs):
+    # the checkers must read the batched searches, never search again
+    members, caps = plactic._commute_members, []
+
+    def counting(us, alphabet, max_len):
+        caps.append(alphabet)
+        return members(us, alphabet, max_len)
+
+    monkeypatch.setattr(plactic, "_centralizers", {})
+    monkeypatch.setattr(plactic, "_commute_members", counting)
+    assert criterion(**kwargs).status == "verified"
+    assert caps == [3, 4, 5]
 
 
 def _break_commute_members(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -346,3 +347,46 @@ def test_inexact_bareiss_division_exits_3(capsys, monkeypatch, tmp_path):
     assert code == 3 and out == ""
     assert err.splitlines() == [
         "error: internal error: BareissDivisionError: Bareiss update must divide exactly"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading, fence):
+    """The first fenced block of the given language under a README heading."""
+    text = README.read_text().split(f"\n{heading}\n", 1)[1]
+    return text.split(f"```{fence}\n", 1)[1].split("\n```", 1)[0]
+
+
+def _readme_commands():
+    """(argv, output lines shown under it) for every ``exactcomb`` line of
+    the README command-line block except ``verify all``."""
+    lines = _readme_block("## Command line", "sh").splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if not line.startswith("exactcomb "):
+            continue
+        argv = shlex.split(line, comments=True)[1:]
+        shown = []
+        for later in lines[i + 1:]:
+            if not later.startswith("# "):
+                break
+            shown.append(later[2:])
+        out.append((argv, shown))
+    return [(argv, shown) for argv, shown in out if argv[:2] != ["verify", "all"]]
+
+
+def test_readme_lists_twelve_command_examples():
+    assert len(_readme_commands()) == 12
+
+
+@pytest.mark.parametrize("argv, shown", [
+    pytest.param(argv, shown, id=" ".join(argv)) for argv, shown in _readme_commands()])
+def test_readme_command_examples_run(capsys, monkeypatch, tmp_path, argv, shown):
+    # the echelon example reads the poset file shown under "Poset files"
+    (tmp_path / "diamond.json").write_text(_readme_block("### Poset files", "json"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if shown:
+        assert out.splitlines() == shown

@@ -5,7 +5,6 @@ import pytest
 from exactcomb import plactic
 from exactcomb.acceptance import _words_over
 from exactcomb.plactic import (
-    EMPTY_TABLEAU,
     GREENE_WORD_LIMIT,
     Tableau,
     centralizer_search,
@@ -15,7 +14,6 @@ from exactcomb.plactic import (
     greene_sweep,
     reverse_complement,
     rsk_P,
-    skew_union,
     tau,
     verify_first_rows,
     verify_rc_correspondence,
@@ -33,7 +31,7 @@ def test_tableau_validation():
     for bad in ([[2, 1]], [[1], [1]], [[1], [2, 3]], [[1, 0]]):
         with pytest.raises(ValueError):
             Tableau(bad)
-    assert EMPTY_TABLEAU.shape() == ()
+    assert Tableau(()).shape() == () and Tableau(()).size() == 0
 
 
 def _validated(t):
@@ -195,16 +193,6 @@ def test_tau():
             assert tau(tau(t, m), m) == t
 
 
-def test_skew_union():
-    t = rsk_P((2, 1, 3, 2))
-    for m in (1, 2, 3):
-        assert skew_union(t.restrict_le(m), t.skew_above(m)) == t
-    assert skew_union(Tableau([[1]]), frozenset({(0, 0, 2)})) is None  # overlap
-    assert skew_union(Tableau([[1]]), frozenset({(0, 2, 2)})) is None  # gap
-    assert skew_union(Tableau([[1]]), frozenset({(1, 0, 1)})) is None  # column order
-    assert skew_union(EMPTY_TABLEAU, frozenset()) == EMPTY_TABLEAU
-
-
 def test_concat_tableau_depends_only_on_tableaux():
     pool = list(words(3, 3))
     for u in pool:
@@ -221,6 +209,59 @@ def test_restriction_commutes_with_small_appends():
                 assert rsk_P(w + x).restrict_le(m) == rsk_P(low + x)
 
 
+def _cells_above(t, m):
+    """Cells (row, col, entry) of t with entry > m, 0-indexed positions."""
+    return frozenset((i, j, e) for i, row in enumerate(t.rows)
+                     for j, e in enumerate(row) if e > m)
+
+
+def _overlay(straight, cells):
+    """Overlay cells on a straight tableau; None when the result is not a
+    semistandard Young tableau (overlap, gaps, or ordering failures)."""
+    grid = {(i, j): e for i, row in enumerate(straight.rows) for j, e in enumerate(row)}
+    for i, j, e in cells:
+        if (i, j) in grid:
+            return None
+        grid[(i, j)] = e
+    rows = []
+    for i in range(max((i for i, _ in grid), default=-1) + 1):
+        width = sorted(j for r, j in grid if r == i)
+        if not width or width != list(range(len(width))):
+            return None
+        rows.append([grid[(i, j)] for j in width])
+    try:
+        return Tableau(rows)
+    except ValueError:
+        return None
+
+
+def _overlay_tau(t, m):
+    """tau(t, m) as the overlay of the fixed cells on the evacuated part,
+    kept only with the shape of t (the oracle of
+    ``plactic._threshold_evacuation``)."""
+    out = _overlay(plactic.evacuation(t.restrict_le(m), m), _cells_above(t, m))
+    return out if out is not None and out.shape() == t.shape() else None
+
+
+def test_threshold_evacuation_matches_the_overlay(monkeypatch):
+    tableaux = sorted({rsk_P(w) for w in words(4, 6)}, key=Tableau.sort_key)
+    for t in tableaux:
+        for m in range(1, 5):
+            glued = plactic._threshold_evacuation(t, m)
+            assert glued == _overlay_tau(t, m), (t, m)
+            assert _validated(glued).rows == glued.rows
+    # an evacuation that sorts the word into one row changes the shape of
+    # every part of two or more rows, and then neither reassembles
+    monkeypatch.setattr(plactic, "evacuation", lambda t, m: rsk_P(sorted(t.row_word())))
+    rejected = 0
+    for t in tableaux:
+        for m in range(1, 5):
+            glued = plactic._threshold_evacuation(t, m)
+            assert glued == _overlay_tau(t, m), (t, m)
+            rejected += glued is None
+    assert 0 < rejected < 4 * len(tableaux)
+
+
 def test_barrier_reassembly():
     # appending small letters: whenever the skew part still fits on top of the
     # updated low tableau, the union is the true insertion tableau
@@ -228,17 +269,19 @@ def test_barrier_reassembly():
         u_tab = rsk_P(w)
         for m in (1, 2, 3):
             low = u_tab.restrict_le(m)
-            high = u_tab.skew_above(m)
+            high = _cells_above(u_tab, m)
             for x in words(m, 2, min_len=1):
-                glued = skew_union(rsk_P(low.row_word() + x), high)
+                glued = _overlay(rsk_P(low.row_word() + x), high)
                 if glued is not None:
                     assert glued == rsk_P(u_tab.row_word() + x)
 
 
 def test_check_no_bump():
-    assert check_no_bump((1,), (1,))
-    assert check_no_bump((1,), (1, 1))
-    assert not check_no_bump((1,), (2,))  # the 1 displaces the 2
+    assert check_no_bump((1,), Tableau([[1]]))
+    assert check_no_bump((1,), Tableau([[1, 1]]))
+    assert check_no_bump((1,), Tableau(()))
+    assert not check_no_bump((1,), Tableau([[2]]))  # the 1 displaces the 2
+    assert not check_no_bump((2, 1), Tableau([[1, 3]]))  # the 2 displaces the 3
 
 
 def test_centralizer_search():
