@@ -8,7 +8,7 @@ a Python int, so nothing ever rounds or overflows.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -41,10 +41,6 @@ class Permutation:
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of [{len(word)}]: {word!r}")
         self.one_line = word
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
 
     @property
     def n(self) -> int:
@@ -100,17 +96,6 @@ class Permutation:
         )
 
 
-class PermStats(NamedTuple):
-    descents: frozenset[int]
-    des: int
-    des_big: int
-
-
-def perm_stats(w: Permutation) -> PermStats:
-    """Descent set, descent count and big-descent count of w."""
-    return PermStats(w.descent_set(), w.des(), w.big_descent_count())
-
-
 def standardize(word: Sequence[int]) -> Permutation:
     """Permutation of ranks of a word with pairwise distinct values.
 
@@ -156,19 +141,12 @@ class BiPoly:
         return cls({(0, 0): c})
 
     @classmethod
-    def q(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
     def t(cls) -> "BiPoly":
         return cls({(0, 1): 1})
 
     def sorted_terms(self) -> tuple[tuple[int, int, int], ...]:
         """Terms as (q_exp, t_exp, coeff), sorted by exponents."""
         return tuple((eq, et, c) for (eq, et), c in sorted(self._terms.items()))
-
-    def coefficient(self, q_exp: int, t_exp: int) -> int:
-        return self._terms.get((q_exp, t_exp), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -355,10 +333,6 @@ class IntMatrix:
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows in matrix")
         self.entries = rows
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from .core import BiPoly, Permutation, perm_stats, standardize
+from .core import BiPoly, Permutation, standardize
 from .report import COUNTEREXAMPLE, VERIFIED, Report
 
 TREES_LIMIT = 7
@@ -198,7 +198,7 @@ def simsun_poly(m: int, method: str = "recurrence") -> BiPoly:
         for perm in itertools.permutations(range(1, m + 1)):
             w = Permutation(perm)
             if is_simsun(w):
-                acc[(0, perm_stats(w).des)] += 1
+                acc[(0, w.des())] += 1
         return BiPoly(acc)
     if method == "recurrence":
         return _simsun_rec(m)
@@ -346,7 +346,7 @@ def jacobi_poly(n: int) -> BiPoly:
     for perm in itertools.permutations(range(1, n + 1)):
         w = Permutation(perm)
         if is_jacobi(w):
-            acc[(0, perm_stats(w.inverse()).des)] += 1
+            acc[(0, w.inverse().des())] += 1
     return BiPoly(acc)
 
 
@@ -362,7 +362,7 @@ def zigzag_poly(n: int) -> BiPoly:
     for perm in itertools.permutations(range(1, n + 1)):
         w = Permutation(perm)
         if is_alternating(w):
-            acc[(0, perm_stats(w.inverse()).des_big + 1)] += 1
+            acc[(0, w.inverse().big_descent_count() + 1)] += 1
     return BiPoly(acc)
 
 
@@ -384,7 +384,7 @@ def verify_alternating_identity(n: int) -> Report:
 
     odd_intervals = [Permutation(p) for p in itertools.permutations(range(1, n + 1))
                      if is_odd_interval_perm(Permutation(p))]
-    by_descents = BiPoly(Counter((0, perm_stats(s).des) for s in odd_intervals))
+    by_descents = BiPoly(Counter((0, s.des()) for s in odd_intervals))
     if lhs != by_descents:
         return Report(name, 0, COUNTEREXAMPLE,
                       {"n": n, "defect": "grouping by outcome",

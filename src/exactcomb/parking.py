@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from .core import BiPoly, Permutation, perm_stats
+from .core import BiPoly, Permutation
 from .report import COUNTEREXAMPLE, VERIFIED, Report
 
 class ParkingFailure(ValueError):
@@ -197,7 +197,7 @@ def _phi_rooks(b: tuple[int, ...], w: Permutation,
     """{(outcome(i+1), w(i)) : i in A}, or None when A is not a subset of
     the descent set of the outcome of b ordered by w."""
     _, sigma = induced_parking(b, w)
-    if not a_set <= perm_stats(sigma).descents:
+    if not a_set <= sigma.descent_set():
         return None
     return frozenset((sigma(i + 1), w(i)) for i in a_set)
 
@@ -211,10 +211,10 @@ def phi(b: tuple[int, ...], w: Permutation, descents: Iterable[int]) -> frozense
     BijectionCheckError.
     """
     a_set = frozenset(descents)
+    board = Board.from_content(b)
     rooks = _phi_rooks(b, w, a_set)
     if rooks is None:
         raise ValueError(f"{sorted(a_set)} is not a subset of the outcome descent set")
-    board = Board.from_content(b)
     try:
         checked = _check_placement(board, rooks)
     except ValueError as err:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 
 from .core import Word, as_word
 from .report import COUNTEREXAMPLE, VERIFIED, Report
@@ -125,12 +124,6 @@ def rsk_P(word: Iterable[int]) -> Tableau:
     rows: list[list[int]] = []
     _insert_word(rows, as_word(word))
     return Tableau._unchecked(tuple(map(tuple, rows)))
-
-
-def _rows_after_insert(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
-    work = [list(r) for r in rows]
-    _insert_word(work, (a,))
-    return tuple(tuple(r) for r in work)
 
 
 def greene_oracle(word: Iterable[int], k: int, mode: str = "increasing") -> int:
@@ -247,30 +240,21 @@ def evacuation(t: Tableau, m: int) -> Tableau:
     return rsk_P(reverse_complement(t.row_word(), m))
 
 
-def _threshold_evacuation(t: Tableau, m: int) -> Tableau | None:
-    """tau(t, m), or None when evacuating the entries at most m changes
-    their shape.  Otherwise each row is the evacuated prefix followed by
-    the fixed entries of t; the rows are semistandard, since the evacuated
-    part is, its entries are at most m and every fixed entry is larger.
+def tau(t: Tableau, m: int) -> Tableau:
+    """Evacuate the part with entries at most m in place; fix the rest.
+
+    Each row is the evacuated prefix followed by the fixed entries of t;
+    the rows are semistandard, since the evacuated part is, its entries
+    are at most m and every fixed entry is larger.  Raises ValueError when
+    the evacuation changes the shape of the part, so that the result does
+    not reassemble, which the reverse-complement theorem rules out.
     """
     low = t.restrict_le(m)
     evac = evacuation(low, m)
     if evac.shape() != low.shape():
-        return None
+        raise ValueError(f"threshold evacuation of {t!r} at m = {m} does not reassemble")
     rows = tuple(e + row[len(e):] for e, row in zip(evac.rows, t.rows))
     return Tableau._unchecked(rows + t.rows[len(rows):])
-
-
-def tau(t: Tableau, m: int) -> Tableau:
-    """Evacuate the part with entries at most m in place; fix the rest.
-
-    Raises ValueError if the result does not reassemble into a tableau of
-    the same shape, which the reverse-complement theorem rules out.
-    """
-    out = _threshold_evacuation(t, m)
-    if out is None:
-        raise ValueError(f"threshold evacuation of {t!r} at m = {m} does not reassemble")
-    return out
 
 
 # -- centralizer search ------------------------------------------------------
@@ -296,49 +280,24 @@ class CentralizerSet:
                 f"length_cap={self.length_cap}, members={len(self.members)})")
 
 
-@lru_cache(maxsize=None)
-def _knuth_classes(alphabet: int, max_len: int) -> tuple[tuple[Word, tuple[tuple[int, ...], ...]], ...]:
-    """One representative word per insertion tableau over [alphabet]^(<= max_len).
-
-    Depth-first over the word tree with incremental insertion, so the
-    representative is the lexicographically first word of its class.  A
-    word whose tableau was seen before is not a representative, and then
-    neither is any extension of it, so the search does not descend below
-    it: the representatives are closed under prefixes.  Cached because
-    every centralizer query over the same budget shares the partition.
-    """
-    classes: dict[tuple[tuple[int, ...], ...], Word] = {}
-
-    def rec(word: Word, rows: tuple[tuple[int, ...], ...]) -> None:
-        if rows in classes:
-            return
-        classes[rows] = word
-        if len(word) == max_len:
-            return
-        for a in range(1, alphabet + 1):
-            rec(word + (a,), _rows_after_insert(rows, a))
-
-    rec((), ())
-    return tuple(sorted((w, rows) for rows, w in classes.items()))
-
-
 def _commute_members(us: list[Word], alphabet: int,
                      max_len: int) -> list[list[tuple[tuple[int, ...], ...]]]:
-    """For each word u of us, the rows of every class of
-    ``_knuth_classes(alphabet, max_len)`` whose representative commutes
-    with u, in class order.
+    """For each word u of us, the rows of every insertion tableau of a word
+    over [alphabet] of length at most max_len that commutes with u, in the
+    lexicographic order of the first words of their Knuth classes.
 
-    One pass over the classes serves every u.  P(rep v) for the prefixes v
-    of the u's comes from a trie of those prefixes with one node per
-    insertion tableau, since P(rep v) depends only on P(rep) and P(v).  In
-    preorder, a node inserts the letters of its edge into its parent's
-    rows: in place for the parent's last child, into a copy for the others.
-    Runs of nodes with one child and no u ending there form one edge, so a
-    lone u inserts all its letters in one call per class, as a search of
-    its own would.  P(u rep) is one insertion into the stored P(u rep[:-1]):
-    representatives are the lexicographically first words of their
-    classes, so they are closed under prefixes, and in sorted order the
-    latest representative one letter shorter than rep is rep[:-1].
+    One depth-first walk over the words serves every u.  Trying letters in
+    increasing order, it visits each class at its lexicographically first
+    word w and skips a word whose tableau was seen before, with everything
+    below it: appending the same letters to Knuth-equivalent words keeps
+    them equivalent.  The walk holds P(w) and, for each u, P(u w), so a
+    step down inserts one letter into each.  P(w v) for the prefixes v of
+    the u's comes from a trie of those prefixes with one node per insertion
+    tableau, since P(w v) depends only on P(w) and P(v).  In preorder, a
+    node inserts the letters of its edge into its parent's rows: in place
+    for the parent's last child, into a copy for the others.  Runs of nodes
+    with one child and no u ending there form one edge, so a lone u inserts
+    all its letters in one call per class, as a search of its own would.
     """
     node_of: dict[tuple[tuple[int, ...], ...], int] = {(): 0}
     edges: list[list[tuple[int, int]]] = [[]]  # per node: (letter, child)
@@ -363,7 +322,7 @@ def _commute_members(us: list[Word], alphabet: int,
     # hold the rows of the root, the targets and the branch points
     steps = []
 
-    def walk(node: int, slot: int) -> None:
+    def flatten(node: int, slot: int) -> None:
         last = len(edges[node]) - 1
         for i, (a, child) in enumerate(edges[node]):
             letters = [a]
@@ -372,39 +331,45 @@ def _commute_members(us: list[Word], alphabet: int,
                 letters.append(a)
             steps.append((slot, tuple(letters), len(steps) + 1, i < last,
                           target_of.get(child, -1)))
-            walk(child, len(steps))
+            flatten(child, len(steps))
 
-    walk(0, 0)
+    flatten(0, 0)
     at: list = [None] * (len(steps) + 1)
     root_target = target_of.get(0, -1)
-    # lefts[t][d]: P(u rep) for the u of target t and the latest rep of length d
-    lefts: list[list] = [[None] * (max_len + 1) for _ in target_of]
-    for node, t in target_of.items():
-        lefts[t][0] = [list(r) for r in tableau_of[node]]
     members: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in target_of]
-    for rep, rows in _knuth_classes(alphabet, max_len):
-        d = len(rep)
-        if d:
-            a = rep[-1:]
-            for stack in lefts:
-                left = [r[:] for r in stack[d - 1]]
-                _insert_word(left, a)
-                stack[d] = left
-        at[0] = [list(r) for r in rows]
-        if root_target >= 0 and lefts[root_target][d] == at[0]:
-            members[root_target].append(rows)
+    seen = {()}
+
+    def visit(rows: list[list[int]], key: tuple, lefts: list, depth: int) -> None:
+        # rows is P(w), key its tuple form, lefts[t] P(u w) for the u of target t
+        if root_target >= 0 and lefts[root_target] == rows:
+            members[root_target].append(key)
+        at[0] = [r[:] for r in rows]
         for parent, letters, slot, copy, t in steps:
             work = [r[:] for r in at[parent]] if copy else at[parent]
             _insert_word(work, letters)
             at[slot] = work
-            if t >= 0 and lefts[t][d] == work:
-                members[t].append(rows)
+            if t >= 0 and lefts[t] == work:
+                members[t].append(key)
+        if depth == max_len:
+            return
+        for a in range(1, alphabet + 1):
+            below = [r[:] for r in rows]
+            _insert_word(below, (a,))
+            below_key = tuple(map(tuple, below))
+            if below_key not in seen:
+                seen.add(below_key)
+                lefts_below = [[r[:] for r in left] for left in lefts]
+                for left in lefts_below:
+                    _insert_word(left, (a,))
+                visit(below, below_key, lefts_below, depth + 1)
+
+    visit([], (), [[list(r) for r in tableau_of[node]] for node in target_of], 0)
     return [members[target_of[node]] for node in ends]
 
 
 # member rows of every search so far, by (P(u).rows, alphabet_cap,
 # length_cap): commuting with u depends only on its Knuth class.  The rows
-# are those of _knuth_classes, so an entry holds one pointer per member
+# are the walk's tableau keys, so an entry holds one pointer per member
 _centralizers: dict[tuple[tuple[tuple[int, ...], ...], int, int],
                     tuple[tuple[tuple[int, ...], ...], ...]] = {}
 
@@ -412,7 +377,7 @@ _centralizers: dict[tuple[tuple[tuple[int, ...], ...], int, int],
 def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int,
                          length_cap: int) -> None:
     """Search the centralizer of every word of us not searched before, in
-    one pass over the Knuth classes of the budget, and keep the results
+    one walk over the Knuth classes of the budget, and keep the results
     for ``centralizer_search``.  Words with one insertion tableau share a
     search.
     """
@@ -522,12 +487,12 @@ def verify_rc_correspondence(u: Iterable[int], m: int,
     instances = len(left) + len(right)
     mapped = set()
     for t in left.members:
-        image = _threshold_evacuation(t, m)
-        if image is None:
+        try:
+            mapped.add(tau(t, m))
+        except ValueError:
             return Report(name, instances, COUNTEREXAMPLE, {
                 "u": list(u), "m": m, "member": t.to_json_obj(),
                 "defect": "threshold evacuation does not reassemble"})
-        mapped.add(image)
     target = set(right.members)
     if mapped != target:
         missing = sorted(target - mapped, key=Tableau.sort_key)[:3]

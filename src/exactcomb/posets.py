@@ -60,10 +60,9 @@ class Poset:
 
     __slots__ = ("n", "up", "down", "_cov_up", "_cov_down")
 
-    def __init__(self, n: int, up_masks: Iterable[int], *, validate: bool = True):
+    def __init__(self, n: int, up_masks: Iterable[int]):
         up = tuple(up_masks)
-        if validate:
-            _validate_up_masks(n, up)
+        _validate_up_masks(n, up)
         down = [0] * n
         for x in range(n):
             for y in _bits(up[x]):
@@ -153,12 +152,12 @@ class Poset:
             for y in _bits(succ[x]):
                 m |= up[y]
             up[x] = m
-        return cls(n, up, validate=False)
+        return cls(n, up)
 
     @classmethod
     def chain(cls, n: int) -> "Poset":
         full = (1 << n) - 1
-        return cls(n, [full & ~((1 << x) - 1) for x in range(n)], validate=False)
+        return cls(n, [full & ~((1 << x) - 1) for x in range(n)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
@@ -200,7 +199,7 @@ def poset_product(p: Poset, q: Poset) -> Poset:
                 for b2 in _bits(q.up[b]):
                     m |= 1 << (a2 * q.n + b2)
             up.append(m)
-    return Poset(n, up, validate=False)
+    return Poset(n, up)
 
 
 # -- linear extensions ----------------------------------------------------
@@ -928,7 +927,7 @@ def subspace_lattice_gf2_dim3() -> Lattice:
             if s <= t:
                 m |= 1 << j
         up.append(m)
-    return build_lattice(Poset(n, up, validate=False))
+    return build_lattice(Poset(n, up))
 
 
 def lattice_catalog() -> dict[str, Lattice]:

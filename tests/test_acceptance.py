@@ -2,9 +2,9 @@
 
 Each test runs its row of ``acceptance.BATTERY`` at the full-tier caps and
 demands an exactly verified report: any counterexample or skip fails the
-test and prints the offending witness. The lattice sweep, parking sweep,
-and Knuth class caches warm up on first use and persist for the rest of the
-session, so the whole file runs in about 20 seconds on a 2-vCPU machine.
+test and prints the offending witness. The lattice sweep and parking sweep
+caches warm up on first use and persist for the rest of the session, so the
+whole file runs in about 20 seconds on a 2-vCPU machine.
 
 The last tests pin the quick battery's report bytes to a committed copy,
 serial and pooled, check that the blocks cover the battery and that the
@@ -13,6 +13,7 @@ purpose to show their criterion fails.
 """
 
 import importlib.util
+import itertools
 import json
 import random
 from functools import cache
@@ -286,7 +287,7 @@ def test_broken_parking_sweep_fails_criterion_06(monkeypatch):
 
     def broken(n):
         exc, des, inv = sweep(n)
-        return exc, des + BiPoly.q() ** n, inv
+        return exc, des + BiPoly({(n, 0): 1}), inv
 
     monkeypatch.setattr(genfun, "_parking_sweep", broken)
     r = acceptance.criterion_excedance(max_n=3)
@@ -396,12 +397,23 @@ def test_centralizer_criteria_search_once_per_alphabet_cap(monkeypatch, criterio
     assert caps == [3, 4, 5]
 
 
+@cache
+def _knuth_class_rows(alphabet, max_len):
+    """The rows of every Knuth class of words over [alphabet] of length at
+    most max_len, in the order of their first words, by inserting every word."""
+    first = {}
+    for length in range(max_len + 1):
+        for w in itertools.product(range(1, alphabet + 1), repeat=length):
+            first.setdefault(plactic.rsk_P(w).rows, w)
+    return [rows for _, rows in sorted((w, rows) for rows, w in first.items())]
+
+
 def _break_commute_members(monkeypatch):
     # every class is said to commute with the searched words that start with 1
     members = plactic._commute_members
 
     def broken(us, alphabet, max_len):
-        every = [rows for _, rows in plactic._knuth_classes(alphabet, max_len)]
+        every = _knuth_class_rows(alphabet, max_len)
         return [list(every) if u[:1] == (1,) else found
                 for u, found in zip(us, members(us, alphabet, max_len))]
 
@@ -431,7 +443,8 @@ def test_non_reassembling_evacuation_fails_criterion_12(monkeypatch):
     assert r.witness["defect"] == "threshold evacuation does not reassemble"
     assert {"u", "m", "member"} <= set(r.witness)
     member = plactic.Tableau(r.witness["member"])
-    assert plactic._threshold_evacuation(member, r.witness["m"]) is None
+    with pytest.raises(ValueError, match="does not reassemble"):
+        plactic.tau(member, r.witness["m"])
 
 
 def test_unseeded_perturbations_fail_criterion_13(monkeypatch):

@@ -106,6 +106,14 @@ def test_bad_descent_set_is_usage_error(capsys):
     assert code == 2 and err
 
 
+def test_phi_names_a_bad_content_as_insert_does(capsys):
+    # (1, 3) is not a parking content; phi must say so before it parks
+    for argv in (("phi", "--w", "1,2", "--A="), ("insert", "--rooks=", "--u0", "1,2")):
+        code, out, err = run(capsys, "parking", argv[0], "--b", "1,3", *argv[1:])
+        assert code == 2 and not out
+        assert err == "error: (1, 3) is not a parking content\n", argv
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["plactic", "p", "--wort", "1"])

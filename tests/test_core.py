@@ -9,7 +9,6 @@ from exactcomb.core import (
     Permutation,
     as_word,
     int_matrix_rank,
-    perm_stats,
     random_unit_upper_triangular,
     standardize,
 )
@@ -34,18 +33,17 @@ def test_inverse_is_involutive():
         assert w.inverse().n == n
 
 
-def test_perm_stats_examples():
+def test_descent_statistics_examples():
     # 621543: descents at 1, 2, 4 and also 5 (4 > 3)
-    s = perm_stats(Permutation((6, 2, 1, 5, 4, 3)))
-    assert s.descents == frozenset({1, 2, 4, 5})
-    assert s.des == 4
-    assert frozenset({1, 2, 4}) <= s.descents
-    ident = perm_stats(Permutation(range(1, 8)))
-    assert ident.descents == frozenset()
-    assert ident.des == 0 and ident.des_big == 0
-    s = perm_stats(Permutation((2, 1, 3)))
-    assert s.des == 1
-    assert s.des_big == 0  # 2 > 1 but not > 1+1
+    w = Permutation((6, 2, 1, 5, 4, 3))
+    assert w.descent_set() == frozenset({1, 2, 4, 5})
+    assert w.des() == 4
+    ident = Permutation(range(1, 8))
+    assert ident.descent_set() == frozenset()
+    assert ident.des() == 0 and ident.big_descent_count() == 0
+    w = Permutation((2, 1, 3))
+    assert w.des() == 1
+    assert w.big_descent_count() == 0  # 2 > 1 but not > 1+1
 
 
 def test_descents_of_reverse_partition_positions():
@@ -53,13 +51,13 @@ def test_descents_of_reverse_partition_positions():
         for vals in itertools.permutations(range(1, n + 1)):
             w = Permutation(vals)
             rev = Permutation(vals[::-1])
-            assert perm_stats(w).des + perm_stats(rev).des == n - 1
+            assert w.des() + rev.des() == n - 1
 
 
 def test_big_descents():
-    assert perm_stats(Permutation((3, 1, 2))).des_big == 1
-    assert perm_stats(Permutation((2, 1))).des_big == 0
-    assert perm_stats(Permutation((3, 1, 4, 2))).des_big == 2
+    assert Permutation((3, 1, 2)).big_descent_count() == 1
+    assert Permutation((2, 1)).big_descent_count() == 0
+    assert Permutation((3, 1, 4, 2)).big_descent_count() == 2
 
 
 def test_standardize():
@@ -79,7 +77,7 @@ def test_word_validation():
 
 
 def test_bipoly_basic_arithmetic():
-    q, t = BiPoly.q(), BiPoly.t()
+    q, t = BiPoly({(1, 0): 1}), BiPoly.t()
     assert (q + t) + (-t) == q
     assert (1 + q) * (1 + t) == 1 + q + t + q * t
     assert (t - 1) ** 2 == t * t - 2 * t + 1
@@ -88,13 +86,13 @@ def test_bipoly_basic_arithmetic():
 
 
 def test_bipoly_no_zero_terms_stored():
-    p = (BiPoly.q() + 1) * (BiPoly.q() - 1)  # q^2 - 1
+    q = BiPoly({(1, 0): 1})
+    p = (q + 1) * (q - 1)  # q^2 - 1, with no q term
     assert p.sorted_terms() == ((0, 0, -1), (2, 0, 1))
-    assert p.coefficient(1, 0) == 0
 
 
 def test_substitution_examples():
-    p = BiPoly.constant(2) + BiPoly.q()
+    p = BiPoly({(0, 0): 2, (1, 0): 1})
     assert p.subs_q(1) == BiPoly.constant(3)
     assert p.subs_q(-1) == BiPoly.one()
     assert BiPoly.zero().subs_q(17) == BiPoly.zero()
@@ -139,7 +137,7 @@ def test_render():
 
 
 def test_rank_examples():
-    assert IntMatrix.identity(3).rank() == 3
+    assert IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rank() == 3
     assert IntMatrix([[1, 1], [1, 1]]).rank() == 1
     assert IntMatrix([[1, 0], [1, 1]]).rank() == 2
     assert int_matrix_rank([]) == 0

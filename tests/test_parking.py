@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from exactcomb import parking
-from exactcomb.core import BiPoly, Permutation, perm_stats
+from exactcomb.core import BiPoly, Permutation
 from exactcomb.parking import (
     BijectionCheckError,
     Board,
@@ -47,7 +47,7 @@ def outcome_descent_polynomial(b):
     """Oracle: sum of t^(descents of the outcome) over all orderings of b."""
     acc = Counter()
     for perm in itertools.permutations(range(1, len(b) + 1)):
-        acc[perm_stats(park(tuple(b[v - 1] for v in perm))).des] += 1
+        acc[park(tuple(b[v - 1] for v in perm)).des()] += 1
     return BiPoly({(0, e): c for e, c in acc.items()})
 
 
@@ -58,7 +58,7 @@ def phi_preimages(b):
     for w in itertools.permutations(range(1, n + 1)):
         perm = Permutation(w)
         _, outcome = induced_parking(b, perm)
-        des = perm_stats(outcome).descents
+        des = outcome.descent_set()
         for r in range(len(des) + 1):
             for a_subset in itertools.combinations(sorted(des), r):
                 fibers[phi(b, perm, a_subset)] += 1

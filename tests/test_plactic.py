@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -237,17 +238,24 @@ def _overlay(straight, cells):
 
 def _overlay_tau(t, m):
     """tau(t, m) as the overlay of the fixed cells on the evacuated part,
-    kept only with the shape of t (the oracle of
-    ``plactic._threshold_evacuation``)."""
+    kept only with the shape of t, else None (the oracle of ``tau``)."""
     out = _overlay(plactic.evacuation(t.restrict_le(m), m), _cells_above(t, m))
     return out if out is not None and out.shape() == t.shape() else None
+
+
+def _tau_or_none(t, m):
+    try:
+        return tau(t, m)
+    except ValueError as err:
+        assert "does not reassemble" in str(err)
+        return None
 
 
 def test_threshold_evacuation_matches_the_overlay(monkeypatch):
     tableaux = sorted({rsk_P(w) for w in words(4, 6)}, key=Tableau.sort_key)
     for t in tableaux:
         for m in range(1, 5):
-            glued = plactic._threshold_evacuation(t, m)
+            glued = tau(t, m)
             assert glued == _overlay_tau(t, m), (t, m)
             assert _validated(glued).rows == glued.rows
     # an evacuation that sorts the word into one row changes the shape of
@@ -256,7 +264,7 @@ def test_threshold_evacuation_matches_the_overlay(monkeypatch):
     rejected = 0
     for t in tableaux:
         for m in range(1, 5):
-            glued = plactic._threshold_evacuation(t, m)
+            glued = _tau_or_none(t, m)
             assert glued == _overlay_tau(t, m), (t, m)
             rejected += glued is None
     assert 0 < rejected < 4 * len(tableaux)
@@ -297,18 +305,24 @@ def test_centralizer_search():
         centralizer_search((1,), 2, 99)
 
 
-@pytest.mark.parametrize("alphabet, max_len", [(2, 7), (3, 6), (4, 5), (5, 4)])
-def test_knuth_class_representatives_are_prefix_closed(alphabet, max_len):
-    classes = plactic._knuth_classes(alphabet, max_len)
-    reps = [rep for rep, _ in classes]
-    assert reps == sorted(reps) and reps[0] == ()
-    assert all(rep[:-1] in set(reps) for rep in reps[1:])
-    # each representative is the lexicographically first word of its class
-    assert all(rsk_P(rep).rows == rows for rep, rows in classes)
+@functools.cache
+def _knuth_classes(alphabet, max_len):
+    """(first word, rows) of every Knuth class of words over [alphabet] of
+    length at most max_len, in the lexicographic order of the first words,
+    by inserting every word.  The words of a class share one length, and
+    ``words`` lists each length in lexicographic order."""
     first = {}
     for w in words(alphabet, max_len):
         first.setdefault(rsk_P(w).rows, w)
-    assert sorted(first.values()) == reps
+    return sorted((w, rows) for rows, w in first.items())
+
+
+@pytest.mark.parametrize("alphabet, max_len", [(2, 7), (3, 6), (4, 5), (5, 4)])
+def test_the_walk_lists_every_class_once_in_first_word_order(alphabet, max_len):
+    # the empty word commutes with everything, so its members are every
+    # class, each once
+    [found] = plactic._commute_members([()], alphabet, max_len)
+    assert found == [rows for _, rows in _knuth_classes(alphabet, max_len)]
 
 
 def _commutes_with(u, rep):
@@ -318,7 +332,7 @@ def _commutes_with(u, rep):
 
 
 def _oracle_members(u, alphabet, max_len):
-    return [rows for rep, rows in plactic._knuth_classes(alphabet, max_len)
+    return [rows for rep, rows in _knuth_classes(alphabet, max_len)
             if _commutes_with(u, rep)]
 
 
@@ -343,8 +357,9 @@ def test_batched_verdicts_match_oracle(batch, alphabet, max_len):
 
 
 def test_a_single_search_inserts_each_letter_of_u_once_per_class(monkeypatch):
-    # P(rep u) inserts u in one call, P(u rep) one letter: what a search of
-    # u alone did before the searches were batched
+    # P(w u) inserts u in one call per class, as a search of u alone did
+    # before the searches were batched; each step down the walk inserts its
+    # letter into P(w) and P(u w)
     u, cap, length_cap = (2, 1, 3, 1), 4, 5
     calls, letters = [], []
     insert = plactic._insert_word
@@ -357,10 +372,12 @@ def test_a_single_search_inserts_each_letter_of_u_once_per_class(monkeypatch):
 
     monkeypatch.setattr(plactic, "_insert_word", counting)
     plactic._commute_members([u], cap, length_cap)
-    classes = plactic._knuth_classes(cap, length_cap)
+    classes = _knuth_classes(cap, length_cap)
     nonempty = len(classes) - 1
-    assert len(calls) == len(u) + len(classes) + nonempty  # the trie, then per class
-    assert sum(letters) == len(u) + len(u) * len(classes) + nonempty
+    tried = cap * sum(len(w) < length_cap for w, _ in classes)
+    # the trie, then per class, then the walk's tries and its steps into P(u w)
+    assert len(calls) == len(u) + len(classes) + tried + nonempty
+    assert sum(letters) == len(u) + len(u) * len(classes) + tried + nonempty
 
 
 def test_centralizer_search_is_memoized(monkeypatch):

@@ -1,5 +1,6 @@
 """No test-only code in the package: every module-level function, class and
-constant of ``src/exactcomb`` is read by the package or by the benchmark.
+constant of ``src/exactcomb``, and every non-dunder method and class
+attribute of its classes, is read by the package or by the benchmark.
 
 Oracles that only tests use live in the test files."""
 
@@ -22,24 +23,46 @@ def _definitions(stmt):
     return []
 
 
-def _reads(stmt):
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _loads(stmt):
+    """(name, is_attribute) for every name and attribute the statement reads."""
     for node in ast.walk(stmt):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            yield node.attr, True
+
+
+def _unread(defined, read):
+    return sorted(f"{label} ({where})" for label, name, where in defined
+                  if not read.get(name, set()) - {where})
 
 
 def test_every_package_definition_is_read_outside_the_tests():
-    defined = []  # (name, "module:line" of its definition)
+    defined = []  # (label, name, "module:line" of its definition)
+    members = []  # the same for class members, located at their own statement
     read = {}  # name -> "module:line" of each top-level statement reading it
+    attrs = {}  # attribute -> "module:line" of each top-level or class-body statement reading it
     for path in PLACES:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             where = f"{path.relative_to(ROOT)}:{stmt.lineno}"
             if path in PACKAGE:
-                defined += [(name, where) for name in _definitions(stmt)]
-            for name in _reads(stmt):
+                defined += [(name, name, where) for name in _definitions(stmt)]
+            for name, _ in _loads(stmt):
                 read.setdefault(name, set()).add(where)
-    unread = sorted(f"{name} ({where})" for name, where in defined
-                    if not read.get(name, set()) - {where})
+            # a member read only inside its own definition is unread
+            for unit in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                unit_at = f"{path.relative_to(ROOT)}:{unit.lineno}"
+                if path in PACKAGE and unit is not stmt:
+                    members += [(f"{stmt.name}.{name}", name, unit_at)
+                                for name in _definitions(unit) if not _is_dunder(name)]
+                for name, is_attribute in _loads(unit):
+                    if is_attribute:
+                        attrs.setdefault(name, set()).add(unit_at)
+    unread = _unread(defined, read)
     assert not unread, "read by no package or benchmark code: " + ", ".join(unread)
+    unread = _unread(members, attrs)
+    assert not unread, "read as an attribute by no package or benchmark code: " + ", ".join(unread)
