@@ -119,14 +119,27 @@ class BiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[tuple[int, int], int] | None = None):
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (eq, et), c in terms.items():
-                if eq < 0 or et < 0:
-                    raise ValueError(f"negative exponent in term ({eq}, {et})")
-                if c:
-                    clean[(eq, et)] = c
-        self._terms = clean
+        terms = terms or {}
+        for eq, et in terms:
+            if eq < 0 or et < 0:
+                raise ValueError(f"negative exponent in term ({eq}, {et})")
+        self._terms = {k: c for k, c in terms.items() if c}
+
+    @staticmethod
+    def _sum(out: dict[tuple[int, int], int],
+             terms: Iterable[tuple[tuple[int, int], int]] = ()) -> "BiPoly":
+        """The polynomial of the coefficients in out, which it takes over,
+        plus the (exponents, coefficient) pairs of terms, with coefficients
+        of equal exponents summed and zeros dropped.
+
+        Every arithmetic result is built here, without the exponent check
+        of ``BiPoly(terms)``: its exponents are sums of valid ones.
+        """
+        for k, c in terms:
+            out[k] = out.get(k, 0) + c
+        p = BiPoly.__new__(BiPoly)
+        p._terms = {k: c for k, c in out.items() if c}
+        return p
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -163,23 +176,12 @@ class BiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in o._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
+        return BiPoly._sum(dict(self._terms), o._terms.items())
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        p = BiPoly.__new__(BiPoly)
-        p._terms = {k: -c for k, c in self._terms.items()}
-        return p
+        return BiPoly._sum({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "BiPoly":
         o = self._coerce(other)
@@ -201,14 +203,8 @@ class BiPoly:
         for (aq, at), ac in self._terms.items():
             for (bq, bt), bc in o._terms.items():
                 k = (aq + bq, at + bt)
-                s = out.get(k, 0) + ac * bc
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
+                out[k] = out.get(k, 0) + ac * bc
+        return BiPoly._sum(out)
 
     __rmul__ = __mul__
 
@@ -238,50 +234,26 @@ class BiPoly:
 
     def subs_q(self, value: int) -> "BiPoly":
         """Substitute an integer for q, leaving a polynomial in t."""
-        out: dict[tuple[int, int], int] = {}
-        for (eq, et), c in self._terms.items():
-            k = (0, et)
-            s = out.get(k, 0) + c * value**eq
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
+        return BiPoly._sum({}, (((0, et), c * value**eq)
+                                for (eq, et), c in self._terms.items()))
 
     def subs_t(self, value: int) -> "BiPoly":
-        out: dict[tuple[int, int], int] = {}
-        for (eq, et), c in self._terms.items():
-            k = (eq, 0)
-            s = out.get(k, 0) + c * value**et
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
+        return BiPoly._sum({}, (((eq, 0), c * value**et)
+                                for (eq, et), c in self._terms.items()))
 
     def eval_at(self, q_value: int, t_value: int) -> int:
         return sum(c * q_value**eq * t_value**et for (eq, et), c in self._terms.items())
 
     def deriv_t(self) -> "BiPoly":
         """Formal derivative with respect to the second variable."""
-        out = {}
-        for (eq, et), c in self._terms.items():
-            if et:
-                out[(eq, et - 1)] = et * c
-        return BiPoly(out)
+        return BiPoly._sum({(eq, et - 1): et * c for (eq, et), c in self._terms.items() if et})
 
     def reciprocal_t(self, degree: int) -> "BiPoly":
         """Replace t^k by t^(degree-k); requires t-degree <= degree."""
-        out = {}
-        for (eq, et), c in self._terms.items():
+        for _, et in self._terms:
             if et > degree:
                 raise ValueError(f"t-degree {et} exceeds reciprocal degree {degree}")
-            out[(eq, degree - et)] = c
-        return BiPoly(out)
+        return BiPoly._sum({(eq, degree - et): c for (eq, et), c in self._terms.items()})
 
     def render(self) -> str:
         """Human-readable rendering in q and t, with terms in exponent order."""
@@ -361,9 +333,6 @@ class IntMatrix:
                 for row in self.entries
             )
         )
-
-    def rank(self) -> int:
-        return int_matrix_rank(self)
 
 
 class BareissDivisionError(RuntimeError):

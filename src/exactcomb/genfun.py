@@ -237,7 +237,7 @@ def verify_simsun_identity(n: int) -> Report:
     instances = 0
     for k in range(1, n + 1):
         lhs = tree_poly_at_minus_one(k)
-        if k <= RECURRENCE_LIMIT and lhs != tree_poly(k, "recurrence").subs_q(-1):
+        if lhs != tree_poly(k, "recurrence").subs_q(-1):
             return Report(name, instances, COUNTEREXAMPLE,
                           {"n": k, "defect": "parity recurrence vs q = -1 substitution"})
         rhs = simsun_eulerian(k)

@@ -113,16 +113,16 @@ class Board:
 
     __slots__ = ("n", "heights")
 
-    def __init__(self, heights: Iterable[int], n: int | None = None):
+    def __init__(self, heights: Iterable[int]):
         self.heights = tuple(heights)
-        self.n = len(self.heights) if n is None else n
+        self.n = len(self.heights)
 
     @classmethod
     def from_content(cls, b: Iterable[int]) -> "Board":
         b = tuple(b)
         if not (is_parking_function(b) and tuple(sorted(b)) == b):
             raise ValueError(f"{b} is not a parking content")
-        return cls((v - 1 for v in b), n=len(b))
+        return cls(v - 1 for v in b)
 
     def contains(self, r: int, c: int) -> bool:
         return 1 <= c <= len(self.heights) and 1 <= r <= self.heights[c - 1]

@@ -374,12 +374,12 @@ _centralizers: dict[tuple[tuple[tuple[int, ...], ...], int, int],
                     tuple[tuple[tuple[int, ...], ...], ...]] = {}
 
 
-def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int,
-                         length_cap: int) -> None:
-    """Search the centralizer of every word of us not searched before, in
-    one walk over the Knuth classes of the budget, and keep the results
-    for ``centralizer_search``.  Words with one insertion tableau share a
-    search.
+def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int, length_cap: int
+                         ) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The member rows of the centralizer of each word of us, as
+    ``centralizer_search`` finds them.  Words not searched before are
+    searched in one walk over the Knuth classes of the budget, and the
+    results are kept; words with one insertion tableau share a search.
     """
     if alphabet_cap > ALPHABET_BUDGET:
         raise ValueError(f"budget exceeded: alphabet {alphabet_cap} > {ALPHABET_BUDGET}")
@@ -387,16 +387,17 @@ def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int,
         raise ValueError(f"budget exceeded: length {length_cap} > {LENGTH_BUDGET}")
     if alphabet_cap < 1 or length_cap < 0:
         raise ValueError("need a positive alphabet and a nonnegative length cap")
+    us = [as_word(u) for u in us]
+    keys = [(rsk_P(u).rows, alphabet_cap, length_cap) for u in us]
     missing: dict[tuple, Word] = {}
-    for u in us:
-        u = as_word(u)
-        key = (rsk_P(u).rows, alphabet_cap, length_cap)
+    for key, u in zip(keys, us):
         if key not in _centralizers:
             missing.setdefault(key, u)
     if missing:
         found = _commute_members(list(missing.values()), alphabet_cap, length_cap)
         for key, members in zip(missing, found):
             _centralizers[key] = tuple(members)
+    return [_centralizers[key] for key in keys]
 
 
 def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> CentralizerSet:
@@ -410,8 +411,7 @@ def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> 
     a Knuth-equivalent word, is not searched again.
     """
     u = as_word(u)
-    centralizer_searches((u,), alphabet_cap, length_cap)
-    members = _centralizers[(rsk_P(u).rows, alphabet_cap, length_cap)]
+    [members] = centralizer_searches((u,), alphabet_cap, length_cap)
     return CentralizerSet(u, alphabet_cap, length_cap, map(Tableau._unchecked, members))
 
 

@@ -85,9 +85,6 @@ class Poset:
 
     # -- order queries -------------------------------------------------
 
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.up[x] >> y & 1)
-
     def covers_up(self) -> tuple[int, ...]:
         """Bitmask per element of its upper covers."""
         if self._cov_up is None:
@@ -526,12 +523,6 @@ class Lattice:
     def n(self) -> int:
         return self.poset.n
 
-    def meet(self, a: int, b: int) -> int:
-        return self.meet_table[a][b]
-
-    def join(self, a: int, b: int) -> int:
-        return self.join_table[a][b]
-
     def __repr__(self) -> str:
         return f"Lattice({self.poset!r})"
 
@@ -612,36 +603,54 @@ def is_modular(L: Lattice) -> bool:
     return modular_witness(L) is None
 
 
-def m3_witness(L: Lattice) -> tuple[int, int, int] | None:
-    """A triple generating a diamond M3 sublattice, if one exists."""
+def _birkhoff_sets(L: Lattice) -> tuple[list[int], list[int], dict[int, int]]:
+    """L as the lattice of down-sets of its join irreducibles, or
+    NotDistributiveError.
+
+    Returns the join irreducibles (the elements with exactly one lower
+    cover), the set I(x) of those below each element x as a mask over that
+    list, and the element of each set.  By Birkhoff's representation
+    theorem a finite lattice is distributive exactly when x -> I(x) is a
+    bijection onto the down-sets of its join irreducibles; it is always
+    order preserving and reflecting, since x is the join of I(x).
+    """
     p = L.poset
-    n = p.n
-    for x in range(n):
-        for y in range(x + 1, n):
-            if p.leq(x, y) or p.leq(y, x):
-                continue
-            mxy = L.meet(x, y)
-            jxy = L.join(x, y)
-            for z in range(y + 1, n):
-                if p.leq(x, z) or p.leq(z, x) or p.leq(y, z) or p.leq(z, y):
-                    continue
-                if L.meet(x, z) == L.meet(y, z) == mxy and L.join(x, z) == L.join(y, z) == jxy:
-                    return (x, y, z)
-    return None
+    cd = p.covers_down()
+    jlist = [x for x in range(p.n) if cd[x].bit_count() == 1]
+    ideal_of = [0] * p.n
+    for a, j in enumerate(jlist):
+        for x in _bits(p.up[j]):
+            ideal_of[x] |= 1 << a
+    element_of = {}
+    for x, m in enumerate(ideal_of):
+        if m in element_of:
+            raise NotDistributiveError(
+                f"elements {element_of[m]} and {x} lie above the same irreducibles")
+        element_of[m] = x
+
+    # the images are down-sets; they are all of them exactly when adding an
+    # irreducible whose strict down-set an image holds gives another image,
+    # since every down-set grows from the empty one an irreducible at a time
+    full = (1 << len(jlist)) - 1
+    for ideal in ideal_of:
+        for a in _bits(full & ~ideal):
+            if ideal_of[jlist[a]] & ~ideal == 1 << a and ideal | 1 << a not in element_of:
+                raise NotDistributiveError(
+                    f"no element lies above exactly the irreducibles "
+                    f"{[jlist[b] for b in _bits(ideal | 1 << a)]}")
+    return jlist, ideal_of, element_of
 
 
 def is_distributive(L: Lattice) -> bool:
-    """Modular with no M3 sublattice."""
-    return is_modular(L) and m3_witness(L) is None
+    """Whether L is the lattice of down-sets of its join irreducibles."""
+    try:
+        _birkhoff_sets(L)
+    except NotDistributiveError:
+        return False
+    return True
 
 
 # -- distributive rowmotion ------------------------------------------------
-
-
-def join_irreducibles(L: Lattice) -> list[int]:
-    """Elements with exactly one lower cover."""
-    cd = L.poset.covers_down()
-    return [x for x in range(L.n) if cd[x].bit_count() == 1]
 
 
 def rowmotion_distributive(L: Lattice) -> tuple[int, ...]:
@@ -656,47 +665,15 @@ def rowmotion_distributive(L: Lattice) -> tuple[int, ...]:
     Raises NotDistributiveError when the irreducible sets fail to realize
     L as the lattice of down-closed subsets.
     """
-    p = L.poset
-    n = p.n
-    jlist = join_irreducibles(L)
-    k = len(jlist)
-    # order on irreducibles, in jlist coordinates
-    jup = []
-    for a in range(k):
-        m = 0
-        for b in range(k):
-            if p.leq(jlist[a], jlist[b]):
-                m |= 1 << b
-        jup.append(m)
-
-    ideal_of = []
-    for x in range(n):
-        m = 0
-        for a in range(k):
-            if p.leq(jlist[a], x):
-                m |= 1 << a
-        ideal_of.append(m)
-    element_of = {}
-    for x, m in enumerate(ideal_of):
-        if m in element_of:
-            raise NotDistributiveError(
-                f"elements {element_of[m]} and {x} lie above the same irreducibles")
-        element_of[m] = x
-
-    # the images are down-sets; they are all of them exactly when adding an
-    # irreducible whose strict down-set an image holds gives another image,
-    # since every down-set grows from the empty one an irreducible at a time
-    full = (1 << k) - 1
-    for ideal in ideal_of:
-        for a in _bits(full & ~ideal):
-            if ideal_of[jlist[a]] & ~ideal == 1 << a and ideal | 1 << a not in element_of:
-                raise NotDistributiveError(
-                    f"no element lies above exactly the irreducibles "
-                    f"{[jlist[b] for b in _bits(ideal | 1 << a)]}")
-
+    jlist, ideal_of, element_of = _birkhoff_sets(L)
+    # the irreducibles above each irreducible, in jlist coordinates
+    jup = [0] * len(jlist)
+    for b, j in enumerate(jlist):
+        for a in _bits(ideal_of[j]):
+            jup[a] |= 1 << b
+    full = (1 << len(jlist)) - 1
     mapping = []
-    for x in range(n):
-        ideal = ideal_of[x]
+    for ideal in ideal_of:
         filt = 0
         for a in _bits(ideal):
             if not jup[a] & ideal & ~(1 << a):

@@ -13,7 +13,6 @@ purpose to show their criterion fails.
 """
 
 import importlib.util
-import itertools
 import json
 import random
 from functools import cache
@@ -25,6 +24,7 @@ from exactcomb import acceptance, genfun, parking, plactic, posets
 from exactcomb.cli import main
 from exactcomb.core import BiPoly, Permutation
 from exactcomb.report import Report, reports_to_json
+from test_plactic import _knuth_classes
 
 QUICK_BATTERY_JSON = Path(__file__).parent / "data" / "battery_quick.json"
 PERFBENCH_WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
@@ -397,24 +397,13 @@ def test_centralizer_criteria_search_once_per_alphabet_cap(monkeypatch, criterio
     assert caps == [3, 4, 5]
 
 
-@cache
-def _knuth_class_rows(alphabet, max_len):
-    """The rows of every Knuth class of words over [alphabet] of length at
-    most max_len, in the order of their first words, by inserting every word."""
-    first = {}
-    for length in range(max_len + 1):
-        for w in itertools.product(range(1, alphabet + 1), repeat=length):
-            first.setdefault(plactic.rsk_P(w).rows, w)
-    return [rows for _, rows in sorted((w, rows) for rows, w in first.items())]
-
-
 def _break_commute_members(monkeypatch):
     # every class is said to commute with the searched words that start with 1
     members = plactic._commute_members
 
     def broken(us, alphabet, max_len):
-        every = _knuth_class_rows(alphabet, max_len)
-        return [list(every) if u[:1] == (1,) else found
+        every = [rows for _, rows in _knuth_classes(alphabet, max_len)]
+        return [every if u[:1] == (1,) else found
                 for u, found in zip(us, members(us, alphabet, max_len))]
 
     monkeypatch.setattr(plactic, "_centralizers", {})

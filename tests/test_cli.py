@@ -398,3 +398,12 @@ def test_readme_command_examples_run(capsys, monkeypatch, tmp_path, argv, shown)
     assert code == 0, err
     if shown:
         assert out.splitlines() == shown
+
+
+def test_readme_library_block_runs(capsys):
+    exec(compile(_readme_block("## Library use", "python"), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "(3, 2, 1, 0)"
+    assert lines[1].startswith("1 + 4*t + t^2 + 2*q + ")
+    assert lines[2] == "((1, 2), (2, 3))"

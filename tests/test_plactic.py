@@ -387,6 +387,30 @@ def test_centralizer_search_is_memoized(monkeypatch):
     assert centralizer_search((2, 1, 2), 4, 5).members == first.members
 
 
+def test_a_centralizer_search_inserts_u_once(monkeypatch):
+    calls = []
+    original = plactic.rsk_P
+
+    def counting(word):
+        calls.append(tuple(word))
+        return original(word)
+
+    monkeypatch.setattr(plactic, "_centralizers", {})
+    monkeypatch.setattr(plactic, "rsk_P", counting)
+    for u in ((2, 1, 2), (2, 1, 2), (1, 2, 2)):
+        calls.clear()
+        centralizer_search(u, 4, 5)
+        assert calls == [u]
+
+
+def test_a_batch_returns_the_members_of_each_word(monkeypatch):
+    monkeypatch.setattr(plactic, "_centralizers", {})
+    batch = [(2, 1, 3), (1,), (2, 3, 1)]
+    found = plactic.centralizer_searches(iter(batch), 4, 5)
+    assert found == [tuple(_oracle_members(u, 4, 5)) for u in batch]
+    assert found[0] is found[2]
+
+
 def test_knuth_equivalent_words_share_one_search(monkeypatch):
     monkeypatch.setattr(plactic, "_centralizers", {})
     plactic.centralizer_searches([(2, 1, 3), (2, 3, 1)], 4, 5)

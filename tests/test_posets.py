@@ -56,6 +56,10 @@ def b2():
     return Poset.from_cover_pairs(4, B2_COVERS)
 
 
+def leq(p, x, y):
+    return bool(p.up[x] >> y & 1)
+
+
 def antichain(n):
     return Poset.from_cover_pairs(n, [])
 
@@ -76,8 +80,8 @@ def enumerate_posets_up_to(max_n):
 
 def test_from_cover_pairs_closure():
     p = b2()
-    assert p.leq(0, 3)  # transitive closure, not just covers
-    assert not p.leq(1, 2)
+    assert leq(p, 0, 3)  # transitive closure, not just covers
+    assert not leq(p, 1, 2)
     assert sorted(p.cover_pairs()) == sorted(B2_COVERS)
 
 
@@ -94,8 +98,8 @@ def test_generated_posets_are_transitively_closed():
         for x in range(p.n):
             for y in range(p.n):
                 for z in range(p.n):
-                    if p.leq(x, y) and p.leq(y, z):
-                        assert p.leq(x, z)
+                    if leq(p, x, y) and leq(p, y, z):
+                        assert leq(p, x, z)
 
 
 def test_enumeration_counts():
@@ -214,8 +218,8 @@ def test_bruhat_rejects_singular():
 
 def test_build_lattice_examples():
     lat = build_lattice(b2())
-    assert lat.meet(1, 2) == 0 and lat.join(1, 2) == 3
-    assert lat.meet(0, 3) == 0 and lat.join(0, 3) == 3
+    assert lat.meet_table[1][2] == 0 and lat.join_table[1][2] == 3
+    assert lat.meet_table[0][3] == 0 and lat.join_table[0][3] == 3
     with pytest.raises(NotALatticeError, match="no least upper bound"):
         build_lattice(antichain(2))
     with pytest.raises(NotALatticeError, match="no greatest lower bound"):
@@ -225,15 +229,16 @@ def test_build_lattice_examples():
 def test_meet_join_algebra():
     for name, lat in lattice_catalog().items():
         n = lat.n
+        meet, join = lat.meet_table, lat.join_table
         for a in range(n):
-            assert lat.meet(a, a) == a and lat.join(a, a) == a
+            assert meet[a][a] == a and join[a][a] == a
             for b in range(n):
-                assert lat.meet(a, b) == lat.meet(b, a)
-                assert lat.join(a, b) == lat.join(b, a)
-                assert lat.meet(a, lat.join(a, b)) == a  # absorption
+                assert meet[a][b] == meet[b][a]
+                assert join[a][b] == join[b][a]
+                assert meet[a][join[a][b]] == a  # absorption
         for a, b, c in itertools.product(range(n), repeat=3):
-            assert lat.meet(lat.meet(a, b), c) == lat.meet(a, lat.meet(b, c))
-            assert lat.join(lat.join(a, b), c) == lat.join(a, lat.join(b, c))
+            assert meet[meet[a][b]][c] == meet[a][meet[b][c]]
+            assert join[join[a][b]][c] == join[a][join[b][c]]
 
 
 def test_modularity_classifier():
@@ -244,8 +249,9 @@ def test_modularity_classifier():
     assert w is not None
     a, b, x = w
     lat = pentagon()
-    assert lat.poset.leq(a, b)
-    assert lat.join(a, lat.meet(x, b)) != lat.meet(lat.join(a, x), b)
+    assert leq(lat.poset, a, b)
+    meet, join = lat.meet_table, lat.join_table
+    assert join[a][meet[x][b]] != meet[join[a][x]][b]
     chain = build_lattice(Poset.chain(5))
     assert is_modular(chain)
     assert is_distributive(chain)
@@ -254,6 +260,60 @@ def test_modularity_classifier():
     gf2 = subspace_lattice_gf2_dim3()
     assert gf2.n == 16
     assert is_modular(gf2) and not is_distributive(gf2)
+
+
+def _m3_witness(lat):
+    """Three pairwise incomparable elements with one meet and one join, the
+    atoms of a diamond M3 sublattice, if lat has any (the oracle of
+    ``is_distributive``: a lattice is distributive exactly when it is
+    modular and has no M3 sublattice)."""
+    p, meet, join = lat.poset, lat.meet_table, lat.join_table
+    n = p.n
+
+    def apart(x, y):
+        return not leq(p, x, y) and not leq(p, y, x)
+
+    for x, y, z in itertools.combinations(range(n), 3):
+        if (apart(x, y) and apart(x, z) and apart(y, z)
+                and meet[x][y] == meet[x][z] == meet[y][z]
+                and join[x][y] == join[x][z] == join[y][z]):
+            return x, y, z
+    return None
+
+
+def _distributive_by_m3(lat):
+    return is_modular(lat) and _m3_witness(lat) is None
+
+
+def test_distributivity_matches_the_m3_oracle_on_every_small_lattice():
+    seen = distributive = 0
+    for p in posets.bounded_posets_up_to(6):
+        try:
+            lat = build_lattice(p)
+        except NotALatticeError:
+            continue
+        seen += 1
+        expected = _distributive_by_m3(lat)
+        assert is_distributive(lat) == expected, p
+        distributive += expected
+    assert seen == 6815 and 0 < distributive < seen
+
+
+def test_distributivity_matches_the_m3_oracle_on_named_lattices():
+    named = [*lattice_catalog().items(), *((f"M{k}", diamond(k)) for k in range(3, 9)),
+             ("GF(2)^3", subspace_lattice_gf2_dim3())]
+    for name, lat in named:
+        assert is_distributive(lat) == _distributive_by_m3(lat), name
+    assert _m3_witness(diamond(3)) == (1, 2, 3)
+
+
+def test_distributivity_needs_neither_modularity_nor_rowmotion(monkeypatch):
+    def refused(lat):
+        raise AssertionError("is_distributive must decide on its own")
+
+    monkeypatch.setattr(posets, "modular_witness", refused)
+    monkeypatch.setattr(posets, "rowmotion_distributive", refused)
+    assert is_distributive(build_lattice(b2())) and not is_distributive(diamond(3))
 
 
 def test_cover_counts():
