@@ -309,12 +309,13 @@ def criterion_first_rows(length_cap: int, pmap=map) -> Report:
     """First-rows bound and the no-bump property over the two u families."""
     name = "centralizer-first-rows"
     u_list = _words_over(2, 4) + _words_over(3, 3)
-    # one search pass per alphabet cap; the checks read what it found
+    # one search per alphabet cap max(u) + 2; the checks take what it found
+    found = {}
     for cap in sorted({max(u) + 2 for u in u_list}):
-        plactic.centralizer_searches([u for u in u_list if max(u) + 2 == cap], cap, length_cap)
+        us = [u for u in u_list if max(u) + 2 == cap]
+        found.update(zip(us, plactic.centralizer_searches(us, cap, length_cap)))
     instances, failure = _first_failure(name, (
-        (plactic.verify_first_rows(u, alphabet_cap=max(u) + 2, length_cap=length_cap), {})
-        for u in u_list))
+        (plactic.first_rows_report(found[u]), {}) for u in u_list))
     return failure or Report(name, instances, VERIFIED,
                              {"u_count": len(u_list), "length_cap": length_cap})
 
@@ -323,18 +324,16 @@ def criterion_first_rows(length_cap: int, pmap=map) -> Report:
 def criterion_reverse_complement(u_len_cap: int, length_cap: int, pmap=map) -> Report:
     """Threshold evacuation between restricted centralizer tableau sets."""
     name = "centralizer-reverse-complement"
-    pairs = [(u, m) for m in range(1, 4) for u in _words_over(m, u_len_cap)]
-    # one search pass per threshold, for the words and their reverse complements
+    checks = []
     for m in range(1, 4):
+        # one search per threshold: the words over [m] are closed under reverse complement
         us = _words_over(m, u_len_cap)
-        plactic.centralizer_searches(
-            us + [plactic.reverse_complement(u, m) for u in us], m + 2, length_cap)
-    instances, failure = _first_failure(name, (
-        (plactic.verify_rc_correspondence(u, m, alphabet_cap=m + 2, length_cap=length_cap),
-         {"m": m})
-        for u, m in pairs))
+        found = dict(zip(us, plactic.centralizer_searches(us, m + 2, length_cap)))
+        checks += [(plactic.rc_report(m, found[u], found[plactic.reverse_complement(u, m)]),
+                    {"m": m}) for u in us]
+    instances, failure = _first_failure(name, checks)
     return failure or Report(name, instances, VERIFIED,
-                             {"pairs": len(pairs), "length_cap": length_cap})
+                             {"pairs": len(checks), "length_cap": length_cap})
 
 
 def _determinism_probe(seed: int) -> str:
@@ -397,8 +396,9 @@ BATTERY: tuple[Criterion, ...] = (
 
 # Consecutive BATTERY rows, by index, that run in one process because they
 # share a process-lifetime cache: lattice_sweep (rows 0-2) and
-# _parking_sweep with genfun's lru_caches (5-8).  Rows 10 and 11 search
-# different Knuth classes, so they share nothing and run apart.
+# _parking_sweep with genfun's lru_caches (5-8).  Rows 10 and 11 keep their
+# centralizer searches only while they run, so they share nothing and run
+# apart.
 BLOCKS: tuple[tuple[int, ...], ...] = ((0, 1, 2), (3,), (4,), (5, 6, 7, 8), (9,), (10,), (11,), (12,))
 
 

@@ -367,20 +367,10 @@ def _commute_members(us: list[Word], alphabet: int,
     return [members[target_of[node]] for node in ends]
 
 
-# member rows of every search so far, by (P(u).rows, alphabet_cap,
-# length_cap): commuting with u depends only on its Knuth class.  The rows
-# are the walk's tableau keys, so an entry holds one pointer per member
-_centralizers: dict[tuple[tuple[tuple[int, ...], ...], int, int],
-                    tuple[tuple[tuple[int, ...], ...], ...]] = {}
-
-
-def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int, length_cap: int
-                         ) -> list[tuple[tuple[tuple[int, ...], ...], ...]]:
-    """The member rows of the centralizer of each word of us, as
-    ``centralizer_search`` finds them.  Words not searched before are
-    searched in one walk over the Knuth classes of the budget, and the
-    results are kept; words with one insertion tableau share a search.
-    """
+def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int,
+                         length_cap: int) -> list[CentralizerSet]:
+    """The centralizer of each word of us, as ``centralizer_search`` finds
+    it, from one walk over the Knuth classes of the budget."""
     if alphabet_cap > ALPHABET_BUDGET:
         raise ValueError(f"budget exceeded: alphabet {alphabet_cap} > {ALPHABET_BUDGET}")
     if length_cap > LENGTH_BUDGET:
@@ -388,16 +378,8 @@ def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int, length_
     if alphabet_cap < 1 or length_cap < 0:
         raise ValueError("need a positive alphabet and a nonnegative length cap")
     us = [as_word(u) for u in us]
-    keys = [(rsk_P(u).rows, alphabet_cap, length_cap) for u in us]
-    missing: dict[tuple, Word] = {}
-    for key, u in zip(keys, us):
-        if key not in _centralizers:
-            missing.setdefault(key, u)
-    if missing:
-        found = _commute_members(list(missing.values()), alphabet_cap, length_cap)
-        for key, members in zip(missing, found):
-            _centralizers[key] = tuple(members)
-    return [_centralizers[key] for key in keys]
+    return [CentralizerSet(u, alphabet_cap, length_cap, map(Tableau._unchecked, members))
+            for u, members in zip(us, _commute_members(us, alphabet_cap, length_cap))]
 
 
 def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> CentralizerSet:
@@ -406,13 +388,10 @@ def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> 
 
     Works class by class: commuting is a Knuth-class property, so one
     product comparison per insertion tableau decides the whole class.  The
-    empty tableau is always a member.  Results are kept for the life of the
-    process by the insertion tableau of u, so a repeated query, or one for
-    a Knuth-equivalent word, is not searched again.
+    empty tableau is always a member.  Each call walks the classes once and
+    keeps nothing; ``centralizer_searches`` serves many words with one walk.
     """
-    u = as_word(u)
-    [members] = centralizer_searches((u,), alphabet_cap, length_cap)
-    return CentralizerSet(u, alphabet_cap, length_cap, map(Tableau._unchecked, members))
+    return centralizer_searches((u,), alphabet_cap, length_cap)[0]
 
 
 def check_no_bump(u: Iterable[int], t: Tableau) -> bool:
@@ -432,26 +411,17 @@ def check_no_bump(u: Iterable[int], t: Tableau) -> bool:
 # -- theorem checkers --------------------------------------------------------
 
 
-# pmap is accepted and not read: the benchmark still passes it (ROADMAP item 1)
-def verify_first_rows(u: Iterable[int], alphabet_cap: int | None = None,
-                      length_cap: int = 7, pmap=map) -> Report:
+def first_rows_report(found: CentralizerSet) -> Report:
     """Every centralizer member keeps its first rows within the alphabet of u.
 
-    With ell the number of rows of the insertion tableau of u and m its
-    largest letter, rows 1..ell of every member must contain only entries
-    at most m.  The no-bump property is checked for every member alongside.
-    The default alphabet cap m + 2 makes sure larger letters genuinely
-    compete.
+    With u = found.u, ell the number of rows of its insertion tableau and m
+    its largest letter, rows 1..ell of every member must contain only
+    entries at most m.  The no-bump property is checked for every member
+    alongside.
     """
-    u = as_word(u)
-    if not u:
-        raise ValueError("u must be nonempty")
+    u = found.u
     m = max(u)
-    cap = alphabet_cap if alphabet_cap is not None else m + 2
-    if m > cap:
-        raise ValueError(f"alphabet cap {cap} is below the letter {m} of u")
     ell = len(rsk_P(u).rows)
-    found = centralizer_search(u, cap, length_cap)
     name = "centralizer-first-rows"
     for t in found.members:
         for r in range(min(ell, len(t.rows))):
@@ -464,25 +434,16 @@ def verify_first_rows(u: Iterable[int], alphabet_cap: int | None = None,
                 "u": list(u), "member": t.to_json_obj(),
                 "defect": "foreign letter bumped"})
     return Report(name, len(found), VERIFIED,
-                  {"u": list(u), "alphabet": cap, "max_len": length_cap,
-                   "members": len(found)})
+                  {"u": list(u), "alphabet": found.alphabet_cap,
+                   "max_len": found.length_cap, "members": len(found)})
 
 
-def verify_rc_correspondence(u: Iterable[int], m: int,
-                             alphabet_cap: int | None = None,
-                             length_cap: int = 6) -> Report:
-    """Threshold evacuation carries the centralizer of u onto that of its
-    reverse complement, as an exact set equality of insertion tableaux.
+def rc_report(m: int, left: CentralizerSet, right: CentralizerSet) -> Report:
+    """Threshold evacuation at m carries the centralizer of u = left.u onto
+    right, that of its reverse complement, as an exact set equality of
+    insertion tableaux.
     """
-    u = as_word(u)
-    if any(a > m for a in u):
-        raise ValueError(f"letters of u must be at most {m}")
-    cap = alphabet_cap if alphabet_cap is not None else m + 2
-    if m > cap:
-        raise ValueError("threshold exceeds the alphabet cap")
-    rc_u = reverse_complement(u, m)
-    left = centralizer_search(u, cap, length_cap)
-    right = centralizer_search(rc_u, cap, length_cap)
+    u = left.u
     name = "centralizer-reverse-complement"
     instances = len(left) + len(right)
     mapped = set()
@@ -503,3 +464,39 @@ def verify_rc_correspondence(u: Iterable[int], m: int,
             "unmatched_left_images": [t.to_json_obj() for t in extra]})
     return Report(name, instances, VERIFIED,
                   {"u": list(u), "m": m, "members": len(left)})
+
+
+# pmap is accepted and not read: the benchmark still passes it (ROADMAP item 1)
+def verify_first_rows(u: Iterable[int], alphabet_cap: int | None = None,
+                      length_cap: int = 7, pmap=map) -> Report:
+    """``first_rows_report`` on the centralizer of u.
+
+    The default alphabet cap, the largest letter of u plus 2, makes sure
+    larger letters genuinely compete.
+    """
+    u = as_word(u)
+    if not u:
+        raise ValueError("u must be nonempty")
+    m = max(u)
+    cap = alphabet_cap if alphabet_cap is not None else m + 2
+    if m > cap:
+        raise ValueError(f"alphabet cap {cap} is below the letter {m} of u")
+    return first_rows_report(centralizer_search(u, cap, length_cap))
+
+
+def verify_rc_correspondence(u: Iterable[int], m: int,
+                             alphabet_cap: int | None = None,
+                             length_cap: int = 6) -> Report:
+    """``rc_report`` on the centralizers of u and of its reverse complement,
+    searched in one walk.
+    """
+    u = as_word(u)
+    if m < 1:
+        raise ValueError(f"threshold m = {m} must be at least 1")
+    if any(a > m for a in u):
+        raise ValueError(f"letters of u must be at most {m}")
+    cap = alphabet_cap if alphabet_cap is not None else m + 2
+    if m > cap:
+        raise ValueError("threshold exceeds the alphabet cap")
+    left, right = centralizer_searches((u, reverse_complement(u, m)), cap, length_cap)
+    return rc_report(m, left, right)

@@ -24,7 +24,7 @@ from exactcomb import acceptance, genfun, parking, plactic, posets
 from exactcomb.cli import main
 from exactcomb.core import BiPoly, Permutation
 from exactcomb.report import Report, reports_to_json
-from test_plactic import _knuth_classes
+from test_plactic import _knuth_classes, _record_walks
 
 QUICK_BATTERY_JSON = Path(__file__).parent / "data" / "battery_quick.json"
 PERFBENCH_WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
@@ -362,7 +362,6 @@ def test_greene_oracle_cross_check_fails_criterion_10(monkeypatch):
 def _break_no_bump(monkeypatch):
     # every member of two or more letters is said to bump a foreign letter
     no_bump = plactic.check_no_bump
-    monkeypatch.setattr(plactic, "_centralizers", {})
     monkeypatch.setattr(plactic, "check_no_bump", lambda u, t: no_bump(u, t) and t.size() < 2)
 
 
@@ -391,10 +390,24 @@ def test_centralizer_criteria_search_once_per_alphabet_cap(monkeypatch, criterio
         caps.append(alphabet)
         return members(us, alphabet, max_len)
 
-    monkeypatch.setattr(plactic, "_centralizers", {})
     monkeypatch.setattr(plactic, "_commute_members", counting)
     assert criterion(**kwargs).status == "verified"
     assert caps == [3, 4, 5]
+
+
+def test_first_rows_criterion_inserts_each_u_once(monkeypatch):
+    calls = []
+    rsk_P = plactic.rsk_P
+    monkeypatch.setattr(plactic, "rsk_P", lambda w: calls.append(tuple(w)) or rsk_P(w))
+    assert acceptance.criterion_first_rows(length_cap=5).status == "verified"
+    u_list = acceptance._words_over(2, 4) + acceptance._words_over(3, 3)
+    assert len(u_list) == 69 and calls == u_list
+
+
+def test_determinism_probe_walks_the_classes_in_both_runs(monkeypatch):
+    walks = _record_walks(monkeypatch)
+    assert acceptance.criterion_determinism(seed=0).status == "verified"
+    assert [alphabet for _, alphabet, _, _ in walks] == [3, 4, 5] * 2
 
 
 def _break_commute_members(monkeypatch):
@@ -406,7 +419,6 @@ def _break_commute_members(monkeypatch):
         return [every if u[:1] == (1,) else found
                 for u, found in zip(us, members(us, alphabet, max_len))]
 
-    monkeypatch.setattr(plactic, "_centralizers", {})
     monkeypatch.setattr(plactic, "_commute_members", broken)
 
 

@@ -240,6 +240,13 @@ def test_first_rows_alphabet_below_a_letter_of_u_is_a_usage_error(capsys):
     assert err.splitlines() == ["error: alphabet cap 1 is below the letter 2 of u"]
 
 
+@pytest.mark.parametrize("m", ["-1", "0"])
+def test_rc_threshold_below_1_is_a_usage_error(capsys, m):
+    code, out, err = run(capsys, "plactic", "verify-rc", "--u=", "--m", m, "--max-len", "2")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: threshold m = {m} must be at least 1"]
+
+
 @pytest.mark.parametrize("n", ["-1", "8"])
 def test_itilde_names_n_when_out_of_range(capsys, n):
     code, out, err = run(capsys, "genfun", "itilde", "--n", n)

@@ -380,14 +380,23 @@ def test_a_single_search_inserts_each_letter_of_u_once_per_class(monkeypatch):
     assert sum(letters) == len(u) + len(u) * len(classes) + tried + nonempty
 
 
-def test_centralizer_search_is_memoized(monkeypatch):
-    monkeypatch.setattr(plactic, "_centralizers", {})
-    first = centralizer_search((2, 1, 2), 4, 5)
-    assert list(plactic._centralizers) == [(((1, 2), (2,)), 4, 5)]
-    assert centralizer_search((2, 1, 2), 4, 5).members == first.members
+def _record_walks(monkeypatch):
+    """Record (us, alphabet, max_len, found) for every walk of
+    ``plactic._commute_members`` from now on."""
+    walks = []
+    walk = plactic._commute_members
+
+    def recording(us, alphabet, max_len):
+        found = walk(us, alphabet, max_len)
+        walks.append((list(us), alphabet, max_len, found))
+        return found
+
+    monkeypatch.setattr(plactic, "_commute_members", recording)
+    return walks
 
 
 def test_a_centralizer_search_inserts_u_once(monkeypatch):
+    # u goes into the walk's trie, once, and never through rsk_P
     calls = []
     original = plactic.rsk_P
 
@@ -395,46 +404,34 @@ def test_a_centralizer_search_inserts_u_once(monkeypatch):
         calls.append(tuple(word))
         return original(word)
 
-    monkeypatch.setattr(plactic, "_centralizers", {})
     monkeypatch.setattr(plactic, "rsk_P", counting)
+    walks = _record_walks(monkeypatch)
     for u in ((2, 1, 2), (2, 1, 2), (1, 2, 2)):
-        calls.clear()
+        walks.clear()
         centralizer_search(u, 4, 5)
-        assert calls == [u]
+        assert calls == [] and [us for us, *_ in walks] == [[u]]
 
 
 def test_a_batch_returns_the_members_of_each_word(monkeypatch):
-    monkeypatch.setattr(plactic, "_centralizers", {})
+    walks = _record_walks(monkeypatch)
     batch = [(2, 1, 3), (1,), (2, 3, 1)]
     found = plactic.centralizer_searches(iter(batch), 4, 5)
-    assert found == [tuple(_oracle_members(u, 4, 5)) for u in batch]
-    assert found[0] is found[2]
+    assert len(walks) == 1
+    assert [(c.u, c.alphabet_cap, c.length_cap) for c in found] == [(u, 4, 5) for u in batch]
+    for u, c in zip(batch, found):
+        expected = _oracle_members(u, 4, 5)
+        assert len(c) == len(expected) and {t.rows for t in c.members} == set(expected)
 
 
 def test_knuth_equivalent_words_share_one_search(monkeypatch):
-    monkeypatch.setattr(plactic, "_centralizers", {})
-    plactic.centralizer_searches([(2, 1, 3), (2, 3, 1)], 4, 5)
-    assert list(plactic._centralizers) == [(((1, 3), (2,)), 4, 5)]
-    left, right = centralizer_search((2, 1, 3), 4, 5), centralizer_search((2, 3, 1), 4, 5)
+    # the walk's trie has one node per insertion tableau, so the two words
+    # share one target and its list of members
+    walks = _record_walks(monkeypatch)
+    left, right = plactic.centralizer_searches([(2, 1, 3), (2, 3, 1)], 4, 5)
+    [(_, _, _, found)] = walks
+    assert found[0] is found[1]
     assert left.u == (2, 1, 3) and right.u == (2, 3, 1)
     assert left.members == right.members and len(left) > 1
-
-
-def test_a_batch_answers_later_single_searches(monkeypatch):
-    monkeypatch.setattr(plactic, "_centralizers", {})
-    batch = [(1,), (2, 1), (1, 2), (2, 1, 2)]
-    plactic.centralizer_searches(batch, 3, 4)
-    expected = {u: _oracle_members(u, 3, 4) for u in batch}
-
-    def searched_again(us, alphabet, max_len):
-        raise AssertionError(f"searched {us} again")
-
-    monkeypatch.setattr(plactic, "_commute_members", searched_again)
-    plactic.centralizer_searches(batch, 3, 4)
-    for u in batch:
-        found = centralizer_search(u, 3, 4)
-        assert found.u == u
-        assert {t.rows for t in found.members} == set(expected[u])
 
 
 def test_centralizer_members_commute():
@@ -466,3 +463,16 @@ def test_verify_rc_correspondence():
     assert verify_rc_correspondence((1, 2), 2, alphabet_cap=4,
                                     length_cap=5).status == "verified"
     assert verify_rc_correspondence((1, 1, 2), 3, length_cap=5).status == "verified"
+
+
+def test_verify_rc_correspondence_walks_once(monkeypatch):
+    walks = _record_walks(monkeypatch)
+    assert verify_rc_correspondence((1, 1, 2), 3, length_cap=5).status == "verified"
+    assert [(us, alphabet, max_len) for us, alphabet, max_len, _ in walks] == [
+        ([(1, 1, 2), (2, 3, 3)], 5, 5)]
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_verify_rc_correspondence_rejects_a_threshold_below_1(m):
+    with pytest.raises(ValueError, match=f"threshold m = {m} must be at least 1"):
+        verify_rc_correspondence((), m, length_cap=2)

@@ -1,6 +1,8 @@
 """No test-only code in the package: every module-level function, class and
 constant of ``src/exactcomb``, and every non-dunder method and class
 attribute of its classes, is read by the package or by the benchmark.
+No module of the package keeps a store of results for the life of the
+process.
 
 Oracles that only tests use live in the test files."""
 
@@ -66,3 +68,25 @@ def test_every_package_definition_is_read_outside_the_tests():
     assert not unread, "read by no package or benchmark code: " + ", ".join(unread)
     unread = _unread(members, attrs)
     assert not unread, "read as an attribute by no package or benchmark code: " + ", ".join(unread)
+
+
+def _is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set") and not node.args and not node.keywords)
+
+
+def test_no_module_level_result_store():
+    # a module-level name bound to an empty dict, list or set can only be
+    # filled as a side channel that lives as long as the process; searches
+    # return their results to the caller instead
+    stores = []
+    for path in sorted((ROOT / "src" / "exactcomb").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None \
+                    and _is_empty_container(stmt.value):
+                stores += [f"{path.stem}.{name}" for name in _definitions(stmt)]
+    assert not stores, "module-level stores: " + ", ".join(stores)
