@@ -382,8 +382,8 @@ def verify_alternating_identity(n: int) -> Report:
         raise ValueError("stated for n >= 2 only")
     lhs = parking_poly(n, "exced").subs_q(-1)
 
-    odd_intervals = [Permutation(p) for p in itertools.permutations(range(1, n + 1))
-                     if is_odd_interval_perm(Permutation(p))]
+    odd_intervals = [s for s in map(Permutation, itertools.permutations(range(1, n + 1)))
+                     if is_odd_interval_perm(s)]
     by_descents = BiPoly(Counter((0, s.des()) for s in odd_intervals))
     if lhs != by_descents:
         return Report(name, 0, COUNTEREXAMPLE,

@@ -290,66 +290,45 @@ def _commute_members(us: list[Word], alphabet: int,
     increasing order, it visits each class at its lexicographically first
     word w and skips a word whose tableau was seen before, with everything
     below it: appending the same letters to Knuth-equivalent words keeps
-    them equivalent.  The walk holds P(w) and, for each u, P(u w), so a
-    step down inserts one letter into each.  P(w v) for the prefixes v of
-    the u's comes from a trie of those prefixes with one node per insertion
-    tableau, since P(w v) depends only on P(w) and P(v).  In preorder, a
-    node inserts the letters of its edge into its parent's rows: in place
-    for the parent's last child, into a copy for the others.  Runs of nodes
-    with one child and no u ending there form one edge, so a lone u inserts
-    all its letters in one call per class, as a search of its own would.
+    them equivalent.  Its targets are the distinct P(u), and Knuth-equivalent
+    u share one target and its list of members.  The walk holds P(w) and,
+    for each target, P(u w), so a step down inserts one letter into each.
+    Row-insertion bumps never return to the first row, so the first row of
+    P(w u) comes from the first row of P(w) and u alone; only when it equals
+    the first row of P(u w) is u inserted into a copy of P(w) and the two
+    tableaux compared.
     """
-    node_of: dict[tuple[tuple[int, ...], ...], int] = {(): 0}
-    edges: list[list[tuple[int, int]]] = [[]]  # per node: (letter, child)
-    ends = []
+    targets: dict[tuple[tuple[int, ...], ...], int] = {}
+    words, tableaux, ends = [], [], []  # per target: a u and P(u); per u: its target
     for u in us:
         rows: list[list[int]] = []
-        node = 0
-        for a in u:
-            _insert_word(rows, (a,))
-            key = tuple(map(tuple, rows))
-            child = node_of.get(key)
-            if child is None:
-                child = node_of[key] = len(edges)
-                edges.append([])
-                edges[node].append((a, child))
-            node = child
-        ends.append(node)
-    tableau_of = {node: key for key, node in node_of.items()}
-    target_of = {node: t for t, node in enumerate(dict.fromkeys(ends))}
-
-    # (parent slot, letters, slot, copy, target or -1) in preorder; slots
-    # hold the rows of the root, the targets and the branch points
-    steps = []
-
-    def flatten(node: int, slot: int) -> None:
-        last = len(edges[node]) - 1
-        for i, (a, child) in enumerate(edges[node]):
-            letters = [a]
-            while child not in target_of and len(edges[child]) == 1:
-                a, child = edges[child][0]
-                letters.append(a)
-            steps.append((slot, tuple(letters), len(steps) + 1, i < last,
-                          target_of.get(child, -1)))
-            flatten(child, len(steps))
-
-    flatten(0, 0)
-    at: list = [None] * (len(steps) + 1)
-    root_target = target_of.get(0, -1)
-    members: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in target_of]
+        _insert_word(rows, u)
+        key = tuple(map(tuple, rows))
+        if key not in targets:
+            targets[key] = len(words)
+            words.append(u)
+            tableaux.append(rows)
+        ends.append(targets[key])
+    members: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in words]
     seen = {()}
 
     def visit(rows: list[list[int]], key: tuple, lefts: list, depth: int) -> None:
         # rows is P(w), key its tuple form, lefts[t] P(u w) for the u of target t
-        if root_target >= 0 and lefts[root_target] == rows:
-            members[root_target].append(key)
-        at[0] = [r[:] for r in rows]
-        for parent, letters, slot, copy, t in steps:
-            work = [r[:] for r in at[parent]] if copy else at[parent]
-            _insert_word(work, letters)
-            at[slot] = work
-            if t >= 0 and lefts[t] == work:
-                members[t].append(key)
+        top = rows[0] if rows else []
+        for t, u in enumerate(words):
+            first = top[:]
+            for a in u:
+                j = bisect_right(first, a)
+                if j == len(first):
+                    first.append(a)
+                else:
+                    first[j] = a
+            left = lefts[t]
+            if first == (left[0] if left else []):
+                work = [r[:] for r in rows]
+                _insert_word(work, u)
+                if work == left:
+                    members[t].append(key)
         if depth == max_len:
             return
         for a in range(1, alphabet + 1):
@@ -363,8 +342,8 @@ def _commute_members(us: list[Word], alphabet: int,
                     _insert_word(left, (a,))
                 visit(below, below_key, lefts_below, depth + 1)
 
-    visit([], (), [[list(r) for r in tableau_of[node]] for node in target_of], 0)
-    return [members[target_of[node]] for node in ends]
+    visit([], (), tableaux, 0)
+    return [members[t] for t in ends]
 
 
 def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int,

@@ -25,13 +25,7 @@ class CyclicCoversError(PosetError):
 
 
 class NotALatticeError(PosetError):
-    def __init__(self, a: int, b: int, reason: str):
-        self.pair = (a, b)
-        self.reason = reason
-        super().__init__(f"elements {a} and {b} have {reason}")
-
-    def __reduce__(self):
-        return type(self), (*self.pair, self.reason)
+    pass
 
 
 class NotDistributiveError(PosetError):
@@ -547,12 +541,12 @@ def build_lattice(p: Poset) -> Lattice:
             common = up[a] & up[b]
             z = _least_member(common, up)
             if z < 0:
-                raise NotALatticeError(b, a, "no least upper bound")
+                raise NotALatticeError(f"elements {b} and {a} have no least upper bound")
             join[a][b] = join[b][a] = z
             common = down[a] & down[b]
             z = _least_member(common, down)
             if z < 0:
-                raise NotALatticeError(b, a, "no greatest lower bound")
+                raise NotALatticeError(f"elements {b} and {a} have no greatest lower bound")
             meet[a][b] = meet[b][a] = z
     return Lattice(p, tuple(map(tuple, meet)), tuple(map(tuple, join)))
 

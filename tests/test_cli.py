@@ -318,7 +318,8 @@ def test_reports_identical_for_one_and_two_workers(capsys, argv):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers see the patched battery only when forked")
 @pytest.mark.parametrize("raised, code, line", [
-    ("posets.NotALatticeError(0, 1, 'no meet')", 2, "error: elements 0 and 1 have no meet"),
+    ("posets.NotALatticeError('elements 0 and 1 have no meet')", 2,
+     "error: elements 0 and 1 have no meet"),
     ("RuntimeError('kernel broke')", 3, "error: internal error: RuntimeError: kernel broke"),
 ])
 def test_pooled_battery_reports_a_criterion_error(raised, code, line):

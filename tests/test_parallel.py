@@ -63,7 +63,7 @@ EXCEPTIONS = [
     parking.ParkingFailure(3),
     posets.PosetError("bad poset"),
     posets.CyclicCoversError("cycle through 0"),
-    posets.NotALatticeError(0, 1, "no meet"),
+    posets.NotALatticeError("elements 0 and 1 have no meet"),
     posets.NotDistributiveError("M3 inside"),
     posets.ModularityCheckError("modularity criteria disagree"),
     posets.SingularMatrixError("no pivot available in column 1"),

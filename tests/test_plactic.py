@@ -357,10 +357,15 @@ def test_batched_verdicts_match_oracle(batch, alphabet, max_len):
 
 
 def test_a_single_search_inserts_each_letter_of_u_once_per_class(monkeypatch):
-    # P(w u) inserts u in one call per class, as a search of u alone did
-    # before the searches were batched; each step down the walk inserts its
-    # letter into P(w) and P(u w)
+    # a lone u costs one call of its letters for P(u) and at most one more
+    # per class: only a class w whose P(w u) and P(u w) share the first row
+    # inserts u into P(w).  Each step down the walk inserts its letter into
+    # P(w) and P(u w)
     u, cap, length_cap = (2, 1, 3, 1), 4, 5
+    classes = _knuth_classes(cap, length_cap)
+    nonempty = len(classes) - 1
+    tried = cap * sum(len(w) < length_cap for w, _ in classes)
+    agree = sum(rsk_P(w + u).rows[0] == rsk_P(u + w).rows[0] for w, _ in classes)
     calls, letters = [], []
     insert = plactic._insert_word
 
@@ -371,13 +376,34 @@ def test_a_single_search_inserts_each_letter_of_u_once_per_class(monkeypatch):
         insert(rows, word, bumped)
 
     monkeypatch.setattr(plactic, "_insert_word", counting)
-    plactic._commute_members([u], cap, length_cap)
-    classes = _knuth_classes(cap, length_cap)
-    nonempty = len(classes) - 1
-    tried = cap * sum(len(w) < length_cap for w, _ in classes)
-    # the trie, then per class, then the walk's tries and its steps into P(u w)
-    assert len(calls) == len(u) + len(classes) + tried + nonempty
-    assert sum(letters) == len(u) + len(u) * len(classes) + tried + nonempty
+    [found] = plactic._commute_members([u], cap, length_cap)
+    assert len(found) < agree < len(classes)
+    assert len(calls) == 1 + agree + tried + nonempty
+    assert sum(letters) == len(u) * (1 + agree) + tried + nonempty
+
+
+def test_the_whole_tableaux_decide_when_the_first_rows_agree(monkeypatch):
+    # P(3 1 2 1) and P(2 1 3 1) share the first row (1, 1) but not the rest,
+    # so the class of 3 1 passes the first-row test, u goes into P(3 1), and
+    # the comparison of the whole tableaux rejects it
+    u, w = (2, 1), (3, 1)
+    assert rsk_P(w + u).rows[0] == rsk_P(u + w).rows[0]
+    assert rsk_P(w + u) != rsk_P(u + w)
+    expected = _oracle_members(u, 3, 2)
+    inserted_into = []
+    insert = plactic._insert_word
+
+    def recording(rows, word, bumped=None):
+        word = tuple(word)
+        if word == u:
+            inserted_into.append(tuple(map(tuple, rows)))
+        insert(rows, word, bumped)
+
+    monkeypatch.setattr(plactic, "_insert_word", recording)
+    [found] = plactic._commute_members([u], 3, 2)
+    assert rsk_P(w).rows in inserted_into
+    assert rsk_P(w).rows not in found
+    assert found == expected
 
 
 def _record_walks(monkeypatch):
@@ -396,7 +422,7 @@ def _record_walks(monkeypatch):
 
 
 def test_a_centralizer_search_inserts_u_once(monkeypatch):
-    # u goes into the walk's trie, once, and never through rsk_P
+    # the walk inserts u once for its target, and never through rsk_P
     calls = []
     original = plactic.rsk_P
 
@@ -424,8 +450,8 @@ def test_a_batch_returns_the_members_of_each_word(monkeypatch):
 
 
 def test_knuth_equivalent_words_share_one_search(monkeypatch):
-    # the walk's trie has one node per insertion tableau, so the two words
-    # share one target and its list of members
+    # the walk has one target per insertion tableau, so the two words share
+    # one target and its list of members
     walks = _record_walks(monkeypatch)
     left, right = plactic.centralizer_searches([(2, 1, 3), (2, 3, 1)], 4, 5)
     [(_, _, _, found)] = walks
