@@ -142,16 +142,8 @@ class BiPoly:
         return p
 
     @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "BiPoly":
         return cls({(0, 0): 1})
-
-    @classmethod
-    def constant(cls, c: int) -> "BiPoly":
-        return cls({(0, 0): c})
 
     @classmethod
     def t(cls) -> "BiPoly":
@@ -169,7 +161,7 @@ class BiPoly:
         if isinstance(other, BiPoly):
             return other
         if isinstance(other, int):
-            return BiPoly.constant(other)
+            return BiPoly({(0, 0): other})
         return None
 
     def __add__(self, other) -> "BiPoly":

@@ -99,7 +99,7 @@ def _tree_poly_rec(n: int) -> BiPoly:
     total = q_integer(n) * _tree_poly_rec(n - 1)
     t = BiPoly.t()
     for i in range(0, n - 1):
-        term = BiPoly.constant(math.comb(n - 1, i)) * q_integer(i + 1)
+        term = math.comb(n - 1, i) * q_integer(i + 1)
         total += t * term * _tree_poly_rec(i) * _tree_poly_rec(n - 1 - i)
     return total
 
@@ -111,11 +111,11 @@ def tree_poly_at_minus_one(n: int) -> BiPoly:
         raise ValueError(f"q = -1 recurrence capped at n = {MINUS_ONE_LIMIT}")
     if n == 0:
         return BiPoly.one()
-    total = tree_poly_at_minus_one(n - 1) if n % 2 == 1 else BiPoly.zero()
+    total = tree_poly_at_minus_one(n - 1) if n % 2 == 1 else BiPoly()
     t = BiPoly.t()
     for i in range(0, n - 1, 2):
-        term = BiPoly.constant(math.comb(n - 1, i))
-        total += t * term * tree_poly_at_minus_one(i) * tree_poly_at_minus_one(n - 1 - i)
+        total += (math.comb(n - 1, i) * t
+                  * tree_poly_at_minus_one(i) * tree_poly_at_minus_one(n - 1 - i))
     return total
 
 
@@ -211,8 +211,7 @@ def _simsun_rec(m: int) -> BiPoly:
         return BiPoly.one()
     prev = _simsun_rec(m - 1)
     t = BiPoly.t()
-    one = BiPoly.one()
-    return (one + BiPoly.constant(m - 1) * t) * prev + t * (one - BiPoly.constant(2) * t) * prev.deriv_t()
+    return (1 + (m - 1) * t) * prev + t * (1 - 2 * t) * prev.deriv_t()
 
 
 def simsun_eulerian(n: int) -> BiPoly:
@@ -234,13 +233,14 @@ def verify_simsun_identity(n: int) -> Report:
     if not 0 <= n <= 10:
         raise ValueError(f"simsun verification needs 0 <= n <= 10, got n = {n}")
     name = "tree-minus-one-is-simsun"
+    t = BiPoly.t()
     instances = 0
+    rhs = simsun_eulerian(1)
     for k in range(1, n + 1):
         lhs = tree_poly_at_minus_one(k)
         if lhs != tree_poly(k, "recurrence").subs_q(-1):
             return Report(name, instances, COUNTEREXAMPLE,
                           {"n": k, "defect": "parity recurrence vs q = -1 substitution"})
-        rhs = simsun_eulerian(k)
         if lhs != rhs:
             return Report(name, instances, COUNTEREXAMPLE,
                           {"n": k, "defect": "tree side vs simsun side",
@@ -248,15 +248,11 @@ def verify_simsun_identity(n: int) -> Report:
         if k - 1 <= SIMSUN_BRUTE_LIMIT - 1 and simsun_poly(k - 1, "brute") != simsun_poly(k - 1):
             return Report(name, instances, COUNTEREXAMPLE,
                           {"m": k - 1, "defect": "simsun brute vs recurrence"})
-        # the reciprocal-side recurrence, symbolically
+        # the reciprocal-side recurrence, symbolically; its left side is the
+        # next round's simsun side
         if k < n:
-            a_k = simsun_eulerian(k)
-            lhs_rec = simsun_eulerian(k + 1)
-            t = BiPoly.t()
-            one = BiPoly.one()
-            rhs_rec = (one + BiPoly.constant(k) * (t - one)) * a_k \
-                + t * (BiPoly.constant(2) - t) * a_k.deriv_t()
-            if lhs_rec != rhs_rec:
+            a_k, rhs = rhs, simsun_eulerian(k + 1)
+            if rhs != (1 + k * (t - 1)) * a_k + t * (2 - t) * a_k.deriv_t():
                 return Report(name, instances, COUNTEREXAMPLE,
                               {"n": k, "defect": "reciprocal recurrence"})
         instances += 1
@@ -314,12 +310,9 @@ def is_odd_gap_perm(tau: Permutation) -> bool:
     return all((p - blocks[p - 1]) % 2 == 1 for p in range(1, tau.n + 1))
 
 
-def is_jacobi(w: Permutation) -> bool:
-    """Complement of the odd-gap class; splits at the minimum instead."""
-    return is_odd_gap_perm(complement_perm(w))
-
-
 def _is_jacobi_recursive(word: tuple[int, ...]) -> bool:
+    """Jacobi: the minimum sits at an odd position (counting from 1), and
+    the words left and right of it, standardized, are Jacobi."""
     if not word:
         return True
     p = word.index(min(word))
@@ -338,16 +331,6 @@ def is_alternating(w: Permutation) -> bool:
         elif not w(i) > w(i + 1):
             return False
     return True
-
-
-def jacobi_poly(n: int) -> BiPoly:
-    """Sum of t^(des of the inverse) over Jacobi permutations of [n]."""
-    acc: Counter = Counter()
-    for perm in itertools.permutations(range(1, n + 1)):
-        w = Permutation(perm)
-        if is_jacobi(w):
-            acc[(0, w.inverse().des())] += 1
-    return BiPoly(acc)
 
 
 def zigzag_poly(n: int) -> BiPoly:
@@ -381,9 +364,16 @@ def verify_alternating_identity(n: int) -> Report:
     if n < 2:
         raise ValueError("stated for n >= 2 only")
     lhs = parking_poly(n, "exced").subs_q(-1)
+    # one pass over S_n sorts out all three classes and keeps only their members
+    odd_intervals, odd_gaps, jacobi = [], [], []
+    for w in map(Permutation, itertools.permutations(range(1, n + 1))):
+        if is_odd_interval_perm(w):
+            odd_intervals.append(w)
+        if is_odd_gap_perm(w):
+            odd_gaps.append(w)
+        if _is_jacobi_recursive(w.one_line):
+            jacobi.append(w)
 
-    odd_intervals = [s for s in map(Permutation, itertools.permutations(range(1, n + 1)))
-                     if is_odd_interval_perm(s)]
     by_descents = BiPoly(Counter((0, s.des()) for s in odd_intervals))
     if lhs != by_descents:
         return Report(name, 0, COUNTEREXAMPLE,
@@ -391,17 +381,13 @@ def verify_alternating_identity(n: int) -> Report:
                        "parking_side": lhs.to_json_terms(),
                        "outcome_side": by_descents.to_json_terms()})
 
-    odd_gaps = {p for p in itertools.permutations(range(1, n + 1))
-                if is_odd_gap_perm(Permutation(p))}
-    if {s.inverse().one_line for s in odd_intervals} != odd_gaps:
+    if {s.inverse().one_line for s in odd_intervals} != {w.one_line for w in odd_gaps}:
         return Report(name, 0, COUNTEREXAMPLE, {"n": n, "defect": "inverse class mismatch"})
-    if {complement_perm(Permutation(p)).one_line for p in odd_gaps} \
-            != {p for p in itertools.permutations(range(1, n + 1))
-                if _is_jacobi_recursive(p)}:
+    if {complement_perm(w).one_line for w in odd_gaps} != {w.one_line for w in jacobi}:
         return Report(name, 0, COUNTEREXAMPLE, {"n": n, "defect": "complement class mismatch"})
 
     rhs = zigzag_poly(n)
-    jac = jacobi_poly(n)
+    jac = BiPoly(Counter((0, w.inverse().des()) for w in jacobi))
     if rhs != BiPoly.t() * jac:
         return Report(name, 0, COUNTEREXAMPLE,
                       {"n": n, "defect": "zigzag is not t times Jacobi",

@@ -18,21 +18,15 @@ from typing import NamedTuple
 from .core import BiPoly, Permutation
 from .report import COUNTEREXAMPLE, VERIFIED, Report
 
+
 class ParkingFailure(ValueError):
     """Some car found every spot from its preference onward occupied."""
-
-    def __init__(self, car: int):
-        self.car = car
-        super().__init__(f"car {car} cannot park")
-
-    def __reduce__(self):
-        return type(self), (self.car,)
 
 
 def park(prefs: Iterable[int]) -> Permutation:
     """Run the parking procedure and return the outcome permutation.
 
-    Raises ParkingFailure(i) for the first car i that runs off the end of
+    Raises ParkingFailure naming the first car that runs off the end of
     the street, which happens exactly when prefs is not a parking function.
     """
     prefs = tuple(prefs)
@@ -41,12 +35,12 @@ def park(prefs: Iterable[int]) -> Permutation:
     spots = [0] * n
     for i, p in enumerate(prefs, start=1):
         if not 1 <= p <= n:
-            raise ParkingFailure(i)
+            raise ParkingFailure(f"car {i} cannot park")
         s = p
         while s <= n and taken[s]:
             s += 1
         if s > n:
-            raise ParkingFailure(i)
+            raise ParkingFailure(f"car {i} cannot park")
         taken[s] = True
         spots[i - 1] = s
     return Permutation(spots)
@@ -237,7 +231,7 @@ def _park_labels(b: tuple[int, ...], labels: Iterable[int]) -> list[int]:
         while s <= n and spots[s]:
             s += 1
         if s > n:
-            raise ParkingFailure(d)
+            raise ParkingFailure(f"car {d} cannot park")
         spots[s] = d
     return spots
 
@@ -326,11 +320,11 @@ def excedance_polynomial(b: tuple[int, ...]) -> BiPoly:
     """
     n = len(b)
     counts = rook_numbers(Board.from_content(b))
-    t_minus_1 = BiPoly.t() - BiPoly.one()
-    total = BiPoly.zero()
+    t_minus_1 = BiPoly.t() - 1
+    total = BiPoly()
     for k, rk in enumerate(counts):
         if rk:
-            total += BiPoly.constant(rk * math.factorial(n - k)) * t_minus_1 ** k
+            total += rk * math.factorial(n - k) * t_minus_1 ** k
     return total
 
 

@@ -4,7 +4,7 @@ Each test runs its row of ``acceptance.BATTERY`` at the full-tier caps and
 demands an exactly verified report: any counterexample or skip fails the
 test and prints the offending witness. The lattice sweep and parking sweep
 caches warm up on first use and persist for the rest of the session, so the
-whole file runs in about 20 seconds on a 2-vCPU machine.
+whole file runs in about 5 seconds on a 2-vCPU AMD EPYC with Python 3.11.
 
 The last tests pin the quick battery's report bytes to a committed copy,
 serial and pooled, check that the blocks cover the battery and that the
@@ -13,8 +13,10 @@ purpose to show their criterion fails.
 """
 
 import importlib.util
+import itertools
 import json
 import random
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -297,7 +299,7 @@ def test_broken_parking_sweep_fails_criterion_06(monkeypatch):
 def _break_minus_one_poly(monkeypatch):
     minus_one = genfun.tree_poly_at_minus_one
     monkeypatch.setattr(genfun, "tree_poly_at_minus_one",
-                        lambda n: minus_one(n) + (BiPoly.t() if n == 4 else BiPoly.zero()))
+                        lambda n: minus_one(n) + (BiPoly.t() if n == 4 else 0))
 
 
 def test_broken_minus_one_poly_fails_criterion_08(monkeypatch):
@@ -313,26 +315,115 @@ def test_broken_minus_one_poly_exits_1_at_the_cli(monkeypatch, capsys):
     assert '"n": 4' in capsys.readouterr().out
 
 
+def _break_simsun_eulerian(monkeypatch, at):
+    simsun_eulerian = genfun.simsun_eulerian
+    monkeypatch.setattr(genfun, "simsun_eulerian",
+                        lambda n: simsun_eulerian(n) + (BiPoly.t() if n == at else 0))
+
+
+def test_broken_simsun_side_fails_criterion_08(monkeypatch):
+    # a wrong value at n >= 2 first meets the reciprocal recurrence one step
+    # earlier, so only n = 1 reaches the tree side unchecked
+    _break_simsun_eulerian(monkeypatch, 1)
+    r = acceptance.criterion_simsun(max_n=5)
+    assert r.status == "counterexample" and r.instances == 0
+    assert r.witness["n"] == 1 and r.witness["defect"] == "tree side vs simsun side"
+
+
+def test_broken_reciprocal_recurrence_fails_criterion_08(monkeypatch):
+    _break_simsun_eulerian(monkeypatch, 3)
+    r = acceptance.criterion_simsun(max_n=5)
+    assert r.status == "counterexample" and r.instances == 1
+    assert r.witness == {"n": 2, "defect": "reciprocal recurrence"}
+
+
+def test_broken_simsun_test_fails_criterion_08(monkeypatch):
+    is_simsun = genfun.is_simsun
+    monkeypatch.setattr(genfun, "is_simsun",
+                        lambda w: is_simsun(w) or w.one_line == (3, 2, 1))
+    r = acceptance.criterion_simsun(max_n=5)
+    assert r.status == "counterexample" and r.instances == 3
+    assert r.witness == {"m": 3, "defect": "simsun brute vs recurrence"}
+
+
+def test_broken_parking_side_fails_criterion_09(monkeypatch):
+    parking_poly = genfun.parking_poly
+    monkeypatch.setattr(genfun, "parking_poly",
+                        lambda n, stat: parking_poly(n, stat) + BiPoly.t())
+    r = acceptance.criterion_alternating(max_n=4)
+    assert r.status == "counterexample"
+    assert r.witness["n"] == 2 and r.witness["defect"] == "grouping by outcome"
+
+
+def test_broken_odd_gap_class_fails_criterion_09(monkeypatch):
+    is_odd_gap_perm = genfun.is_odd_gap_perm
+    monkeypatch.setattr(genfun, "is_odd_gap_perm",
+                        lambda w: is_odd_gap_perm(w) or w.one_line == (1, 2))
+    r = acceptance.criterion_alternating(max_n=4)
+    assert r.status == "counterexample"
+    assert r.witness == {"n": 2, "defect": "inverse class mismatch"}
+
+
+def test_broken_jacobi_class_fails_criterion_09(monkeypatch):
+    is_jacobi = genfun._is_jacobi_recursive
+    monkeypatch.setattr(genfun, "_is_jacobi_recursive",
+                        lambda word: is_jacobi(word) or word == (2, 1))
+    r = acceptance.criterion_alternating(max_n=4)
+    assert r.status == "counterexample"
+    assert r.witness == {"n": 2, "defect": "complement class mismatch"}
+
+
 def test_zigzag_not_t_times_jacobi_fails_criterion_09(monkeypatch):
-    jacobi = genfun.jacobi_poly
-    monkeypatch.setattr(genfun, "jacobi_poly", lambda n: BiPoly.t() * jacobi(n))
+    zigzag = genfun.zigzag_poly
+    monkeypatch.setattr(genfun, "zigzag_poly", lambda n: BiPoly.t() * zigzag(n))
     r = acceptance.criterion_alternating(max_n=4)
     assert r.status == "counterexample"
     assert r.witness["n"] == 2 and r.witness["defect"] == "zigzag is not t times Jacobi"
 
 
+def _odd_gap_descents(n):
+    """Sum of t^(des of the inverse) over the odd-gap permutations of [n]."""
+    return BiPoly(Counter((0, w.inverse().des()) for w in
+                          map(Permutation, itertools.permutations(range(1, n + 1)))
+                          if genfun.is_odd_gap_perm(w)))
+
+
 def test_non_palindromic_jacobi_fails_criterion_09(monkeypatch):
-    jacobi = genfun.jacobi_poly
-
-    def broken(n):
-        return jacobi(n) + (1 if n >= 3 else 0)
-
-    # keep zigzag = t * Jacobi so that only the palindrome check can fail
-    monkeypatch.setattr(genfun, "jacobi_poly", broken)
-    monkeypatch.setattr(genfun, "zigzag_poly", lambda n: BiPoly.t() * broken(n))
+    # From n = 3 on, the Jacobi class is swapped for the odd-gap class.  The
+    # complement check would catch that, so it is patched too: complement_perm
+    # is the identity there.  Zigzag stays t times the swapped polynomial, so
+    # only the palindrome check can fail.
+    is_jacobi, complement, zigzag = (genfun._is_jacobi_recursive, genfun.complement_perm,
+                                     genfun.zigzag_poly)
+    monkeypatch.setattr(genfun, "_is_jacobi_recursive", lambda word: (
+        genfun.is_odd_gap_perm(Permutation(word)) if len(word) >= 3 else is_jacobi(word)))
+    monkeypatch.setattr(genfun, "complement_perm", lambda w: w if w.n >= 3 else complement(w))
+    monkeypatch.setattr(genfun, "zigzag_poly", lambda n: (
+        BiPoly.t() * _odd_gap_descents(n) if n >= 3 else zigzag(n)))
     r = acceptance.criterion_alternating(max_n=4)
     assert r.status == "counterexample"
     assert r.witness["n"] == 3 and r.witness["defect"] == "Jacobi polynomial not palindromic"
+
+
+def test_zigzag_side_fails_criterion_09(monkeypatch):
+    # The last link, parking side against zigzag side, fires only when every
+    # link before it holds, so the grouping check is patched too: the
+    # permutations of the one pass over S_n count one descent too many, and
+    # the parking side is shifted to match.  Their inverses, and with them
+    # the Jacobi polynomial and zigzag, are plain permutations and stay true.
+    class OneMoreDescent(Permutation):
+        __slots__ = ()
+
+        def des(self):
+            return super().des() + 1
+
+    parking_poly = genfun.parking_poly
+    monkeypatch.setattr(genfun, "Permutation", OneMoreDescent)
+    monkeypatch.setattr(genfun, "parking_poly",
+                        lambda n, stat: BiPoly.t() * parking_poly(n, stat))
+    r = acceptance.criterion_alternating(max_n=4)
+    assert r.status == "counterexample"
+    assert r.witness["n"] == 2 and r.witness["defect"] == "zigzag side"
 
 
 def test_broken_greene_sweep_fails_criterion_10(monkeypatch):

@@ -11,11 +11,10 @@ from exactcomb.genfun import (
     PARKING_SWEEP_LIMIT,
     blocking_positions,
     complement_perm,
+    _is_jacobi_recursive,
     is_alternating,
-    is_jacobi,
     is_odd_gap_perm,
     is_odd_interval_perm,
-    jacobi_poly,
     parking_poly,
     TREES_LIMIT,
     preference_lower_bounds,
@@ -148,7 +147,7 @@ def test_tree_sweep_matches_prufer_oracle(n):
 
 def test_tree_poly():
     q, t = BiPoly({(1, 0): 1}), BiPoly.t()
-    assert tree_poly(1, "trees") == BiPoly.constant(1)
+    assert tree_poly(1, "trees") == 1
     assert tree_poly(2, "trees") == 1 + q + t
     assert tree_poly(2).subs_t(1) == 2 + q
     for n in range(1, 7):
@@ -161,7 +160,7 @@ def test_tree_poly():
 
 def test_tree_poly_at_minus_one():
     t = BiPoly.t()
-    assert tree_poly_at_minus_one(1) == BiPoly.constant(1)
+    assert tree_poly_at_minus_one(1) == 1
     assert tree_poly_at_minus_one(2) == t
     assert tree_poly_at_minus_one(3) == t + t * t
     assert tree_poly_at_minus_one(4) == 4 * t * t + t * t * t
@@ -212,7 +211,7 @@ def test_parking_poly_rejects_sizes_out_of_range(n):
 
 def test_simsun_poly():
     t = BiPoly.t()
-    assert simsun_poly(0) == BiPoly.constant(1)
+    assert simsun_poly(0) == 1
     assert simsun_poly(2) == 1 + t
     assert simsun_poly(3, "brute") == 1 + 4 * t
     for m in range(8):
@@ -262,7 +261,7 @@ def test_class_membership_small():
     assert is_alternating(Permutation((1, 2)))
     assert members(3, is_odd_interval_perm) == {"213", "321"}
     assert members(3, is_odd_gap_perm) == {"213", "321"}
-    assert members(3, is_jacobi) == {"123", "231"}
+    assert members(3, lambda w: _is_jacobi_recursive(w.one_line)) == {"123", "231"}
     assert members(3, is_alternating) == {"132", "231"}
 
 
@@ -275,7 +274,7 @@ def test_odd_gaps_are_inverses_of_odd_intervals():
 
 def test_complement_swaps_gap_and_jacobi_classes():
     for n in range(1, 6):
-        jac = {w.one_line for w in perms(n) if is_jacobi(w)}
+        jac = {w.one_line for w in perms(n) if _is_jacobi_recursive(w.one_line)}
         flipped = {complement_perm(w).one_line for w in perms(n) if is_odd_gap_perm(w)}
         assert jac == flipped, n
 
@@ -283,6 +282,12 @@ def test_complement_swaps_gap_and_jacobi_classes():
 def test_blocking_positions():
     assert blocking_positions(Permutation((1, 2, 3))) == (0, 0, 0)
     assert blocking_positions(Permutation((3, 1, 2))) == (0, 1, 1)
+
+
+def jacobi_poly(n):
+    """Oracle: sum of t^(des of the inverse) over the Jacobi permutations of [n]."""
+    return BiPoly(Counter((0, w.inverse().des()) for w in perms(n)
+                          if _is_jacobi_recursive(w.one_line)))
 
 
 def test_jacobi_and_zigzag_polys():
@@ -302,3 +307,21 @@ def test_verify_alternating_identity():
         r = verify_alternating_identity(n)
         assert r.status == "verified", r.witness
         assert r.theorem == "parking-minus-one-is-zigzag"
+
+
+def test_alternating_identity_walks_s_n_once_besides_zigzag(monkeypatch):
+    # one pass over S_n sorts out the odd-interval, odd-gap and Jacobi classes;
+    # zigzag_poly, the independent right-hand side, makes the other walk
+    walks = []
+    permutations = itertools.permutations
+
+    def counting(values):
+        walks.append(tuple(values))
+        return permutations(walks[-1])
+
+    monkeypatch.setattr(genfun.itertools, "permutations", counting)
+    genfun.zigzag_poly(5)
+    assert walks == [(1, 2, 3, 4, 5)]
+    walks.clear()
+    assert verify_alternating_identity(5).status == "verified"
+    assert walks == [(1, 2, 3, 4, 5)] * 2

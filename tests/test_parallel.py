@@ -60,7 +60,7 @@ EXCEPTIONS = [
     cli.UsageError("--b expects integers"),
     core.BareissDivisionError("Bareiss division must be exact"),
     parking.BijectionCheckError("round trip failure"),
-    parking.ParkingFailure(3),
+    parking.ParkingFailure("car 3 cannot park"),
     posets.PosetError("bad poset"),
     posets.CyclicCoversError("cycle through 0"),
     posets.NotALatticeError("elements 0 and 1 have no meet"),

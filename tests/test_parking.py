@@ -69,9 +69,8 @@ def test_park_examples():
     assert park((6, 2, 1, 5, 4, 1)).one_line == (6, 2, 1, 5, 4, 3)
     for n in range(1, 6):
         assert park(tuple(range(1, n + 1))) == Permutation(range(1, n + 1))
-    with pytest.raises(ParkingFailure) as err:
+    with pytest.raises(ParkingFailure, match="car 2 cannot park"):
         park((2, 2))
-    assert err.value.car == 2
 
 
 def test_park_succeeds_iff_sorted_criterion():
@@ -151,7 +150,7 @@ def test_rook_dp_matches_enumerator():
 
 def test_excedance_polynomial_examples():
     t = BiPoly.t()
-    assert excedance_polynomial((1, 1)) == BiPoly.constant(2)
+    assert excedance_polynomial((1, 1)) == 2
     assert excedance_polynomial((1, 2)) == 1 + t
     for b in ((1, 1, 2), (1, 2, 3), (1, 1, 1)):
         assert direct_excedance_polynomial(b) == excedance_polynomial(b)

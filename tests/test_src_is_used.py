@@ -1,8 +1,8 @@
 """No test-only code in the package: every module-level function, class and
 constant of ``src/exactcomb``, and every non-dunder method and class
 attribute of its classes, is read by the package or by the benchmark.
-No module of the package keeps a store of results for the life of the
-process.
+Every import of a package module is read by that module.  No module of the
+package keeps a store of results for the life of the process.
 
 Oracles that only tests use live in the test files."""
 
@@ -90,3 +90,23 @@ def test_no_module_level_result_store():
                     and _is_empty_container(stmt.value):
                 stores += [f"{path.stem}.{name}" for name in _definitions(stmt)]
     assert not stores, "module-level stores: " + ", ".join(stores)
+
+
+def _imported_names(tree):
+    """(name bound by an import, line) for every import of the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.split(".")[0], node.lineno)
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias.asname or alias.name, node.lineno) for alias in node.names)
+
+
+def test_every_package_import_is_read():
+    unused = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {name for name, is_attribute in _loads(tree) if not is_attribute}
+        unused += [f"{name} ({path.relative_to(ROOT)}:{line})"
+                   for name, line in _imported_names(tree) if name not in read]
+    assert not unused, "imported and never read: " + ", ".join(unused)
