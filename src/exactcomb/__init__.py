@@ -4,7 +4,7 @@ parking-function statistic identities, and plactic centralizer structure.
 Everything is integer or polynomial equality; nothing is approximate.
 """
 
-from .core import BiPoly, IntMatrix, Permutation, standardize
+from .core import BiPoly, IntMatrix, Permutation
 from .parallel import parallel_map
 from .parking import (
     Board,

@@ -96,18 +96,6 @@ class Permutation:
         )
 
 
-def standardize(word: Sequence[int]) -> Permutation:
-    """Permutation of ranks of a word with pairwise distinct values.
-
-    >>> standardize((4, 9, 2)).one_line
-    (2, 3, 1)
-    """
-    if len(set(word)) != len(word):
-        raise ValueError(f"cannot standardize a word with repeats: {word!r}")
-    ranks = {v: i for i, v in enumerate(sorted(word), start=1)}
-    return Permutation(ranks[v] for v in word)
-
-
 class BiPoly:
     """Sparse polynomial in two variables with exact integer coefficients.
 

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from .core import BiPoly, Permutation, standardize
+from .core import BiPoly, Permutation
 from .report import COUNTEREXAMPLE, VERIFIED, Report
 
 TREES_LIMIT = 7
@@ -312,14 +312,17 @@ def is_odd_gap_perm(tau: Permutation) -> bool:
 
 def _is_jacobi_recursive(word: tuple[int, ...]) -> bool:
     """Jacobi: the minimum sits at an odd position (counting from 1), and
-    the words left and right of it, standardized, are Jacobi."""
+    the words left and right of it, standardized, are Jacobi.
+
+    ``word`` has distinct letters.  The test reads only where minima sit,
+    which standardizing does not move, so the sides recurse as they are.
+    """
     if not word:
         return True
     p = word.index(min(word))
     if p % 2 == 1:
         return False
-    return _is_jacobi_recursive(standardize(word[:p]).one_line) \
-        and _is_jacobi_recursive(standardize(word[p + 1:]).one_line)
+    return _is_jacobi_recursive(word[:p]) and _is_jacobi_recursive(word[p + 1:])
 
 
 def is_alternating(w: Permutation) -> bool:

@@ -369,64 +369,207 @@ def _bruhat_pivot_cols(rows: list[list[int]]) -> list[int]:
     return col_of_row
 
 
-def _memo_pivot_cols(p: Poset):
-    """A function ``order -> col_of_row`` for the linear extensions of p.
+def _zeta_rank(down: tuple[int, ...], rows: int, cols: int) -> int:
+    """Rank of the zeta matrix of a poset on the rows ``rows`` and the
+    columns ``cols``, both element masks, by exact elimination.
 
-    It gives what ``_bruhat_pivot_cols`` gives on the Cartan matrix of
-    (p, order), from ranks shared between extensions.  In extension
-    coordinates the lower-left rank r(i, j) is the rank of the zeta matrix
-    on the rows order[i:] and the columns order[:j+1].  The rows form an
-    up-set and the columns a down-set, so r depends on that pair of sets
-    only, and each rank is computed once per poset, by exact elimination.
-
-    The pivot of column j is the largest i with r(i, j) > r(i, j-1).  That
-    condition holds exactly for i up to the pivot, and r(i, j-1) needs no
-    lookup: it counts the pivots of the earlier columns in rows >= i.  The
-    pivot is a row without a pivot yet, so the search tries those rows
-    from the highest down and stops at the first that passes; the lowest
-    one passes without a test.  On the GF(2)^3 subspace lattice about
-    three pivots in four are the highest such row.  The pivot may lie above
-    the diagonal, on a zero entry, so the search never assumes i >= j.
+    Repeated and zero rows do not change the rank, so they are dropped
+    first.  Two distinct nonzero 0/1 rows are never proportional, so when
+    at most two are left their count is the rank.
     """
+    distinct = set()
+    while rows:
+        b = rows & -rows
+        rows ^= b
+        distinct.add(down[b.bit_length() - 1] & cols)
+    distinct.discard(0)
+    if len(distinct) < 3:
+        return len(distinct)
+    col_list = list(_bits(cols))
+    return int_matrix_rank([[row >> c & 1 for c in col_list] for row in distinct])
+
+
+class _ZetaRanks(dict):
+    """The ranks of one poset's zeta matrix, keyed ``rows << n | cols``,
+    each computed by ``_zeta_rank`` on its first lookup."""
+
+    __slots__ = ("down",)
+
+    def __init__(self, down: tuple[int, ...]):
+        super().__init__()
+        self.down = down
+
+    def __missing__(self, key: int) -> int:
+        n = len(self.down)
+        r = self[key] = _zeta_rank(self.down, key >> n, key & ((1 << n) - 1))
+        return r
+
+
+def _echelon_walk(p: Poset, allowed: list[int], cap: int | None
+                  ) -> Iterator[tuple[list[int], list[int] | None]]:
+    """Walk the linear extensions of p in lexicographic order, finding the
+    Bruhat pivots of their Cartan matrices as each prefix grows.
+
+    Yields ``(order, col_of_row)`` for each extension, with ``col_of_row``
+    what ``_bruhat_pivot_cols`` gives on its Cartan matrix; both are the
+    walk's own lists, valid until the next step.  A pivot at row i, column j
+    sends order[j] to order[i], and each is checked against ``allowed``, a
+    mask of permitted images per element, as soon as it is found.  At the
+    first pivot that fails, the walk yields the lex-first extension through
+    that prefix with ``None`` for its pivots, and stops: it is the first
+    extension in lexicographic order whose echelon map breaks ``allowed``.
+    With ``cap`` set the walk stops after that many extensions; a negative
+    cap raises ValueError.
+
+    Write R(a, b) for the rank of the zeta matrix on the rows order[a:] and
+    the columns order[:b].  It counts the pivots in rows >= a and columns
+    < b, since the lower-left ranks jump exactly at the pivots.  The rows
+    form an up-set and the columns a down-set, so R depends on that pair
+    of sets only, and each rank is computed once per walk by ``_zeta_rank``.
+    While a, b <= k + 1, R(a, b) depends on order[:k+1] alone, so placing
+    order[k] settles exactly the pivots in row k and in column k that lie
+    in the leading k + 1 rows and columns.  The walk keeps as masks the
+    pending columns (before k, with their pivot in a row >= k) and the open
+    rows (before k, with their pivot in a column >= k); there are as many
+    of each, and they give R(k, b) and R(a, k) for a, b <= k.
+
+    - R(k+1, k+1) is the count of pending columns, one less if row k's
+      pivot is one of them, one more if column k's pivot lies below row k.
+      Where that leaves a doubt, R(k+1, k) below the count places row k's
+      pivot among the pending columns.
+    - That pivot is found by scanning the pending columns descending: it
+      lies past column i iff R(k+1, i+1) counts every pending column up to
+      i.  On the GF(2)^3 subspace lattice it is mostly the highest one.
+    - Column k's pivot, unless below row k, is the highest candidate a (row
+      k while it has no pivot, then the open rows descending) with
+      R(a, k+1) > R(a, k).
+
+    In both scans the last candidate passes without a test.
+    """
+    if cap is not None and cap < 0:
+        raise ValueError(f"extension cap must be at least 0, got {cap}")
     n = p.n
+    if cap == 0:
+        return
+    if n == 0:
+        yield [], []
+        return
     down = p.down
+    upper = p.covers_up()
+    lower = p.covers_down()
     full = (1 << n) - 1
-    memo: dict[int, int] = {}  # rowmask << n | colmask -> rank
+    rank = _ZetaRanks(down)
 
-    def col_of_row(order: tuple[int, ...]) -> list[int]:
-        row_keys = []  # row_keys[i] = (mask of order[i:]) << n
-        below = 0
-        for x in order:
-            row_keys.append((full ^ below) << n)
-            below |= 1 << x
-        result = [-1] * n
-        free = full  # rows without a pivot, bit i for row i
-        cols = 0
-        for j, x in enumerate(order):
-            cols |= 1 << x
-            rest = free  # free rows not tried yet for this column
-            while True:
-                i = rest.bit_length() - 1
-                rest ^= 1 << i
-                if not rest:
-                    break  # the lowest free row is the pivot if no higher one is
-                key = row_keys[i] | cols
-                try:
-                    r = memo[key]
-                except KeyError:
-                    # repeated rows do not change the rank, so each is taken once
-                    col_list = list(_bits(cols))
-                    r = memo[key] = int_matrix_rank(
-                        [[row >> c & 1 for c in col_list]
-                         for row in {down[y] & cols for y in _bits(key >> n)}])
-                # r(i, j-1) counts the rows from i up that have a pivot
-                if r > n - i - (free >> i).bit_count():
-                    break
-            result[i] = j
-            free ^= 1 << i
-        return result
+    order = [0] * n
+    col_of_row = [-1] * n
+    # at position k: placed[k] is the mask of order[:k], avail[k] the unplaced
+    # elements whose lower covers are all placed, rest[k] those of them not
+    # yet tried there, pend[k] the pending columns and opn[k] the open rows
+    placed = [0] * (n + 1)
+    avail = [0] * n
+    rest = [0] * n
+    pend = [0] * n
+    opn = [0] * n
+    avail[0] = rest[0] = sum(1 << x for x in range(n) if not lower[x])
+    k = 0
+    last = n - 1
+    emitted = 0
+    while k >= 0:
+        r = rest[k]
+        if not r:
+            k -= 1
+            continue
+        b = r & -r
+        rest[k] = r ^ b
+        x = order[k] = b.bit_length() - 1
+        before = placed[k]
+        now = before | b
+        cols = pend[k]
+        rows = opn[k]
+        count = cols.bit_count()
+        lower_rows = (full ^ now) << n  # rows order[k+1:], shifted into a key
+        # R(k+1, k+1) - count: one up if column k's pivot lies below row k,
+        # one down if row k's pivot is a pending column
+        s = rank[lower_rows | now] - count
+        ok = True
+        if s > 0:
+            cols |= 1 << k
+            rows |= 1 << k
+        else:
+            row_in = s < 0 or (cols and rank[lower_rows | before] < count)
+            if row_in:
+                # the pending columns descending: row k's pivot lies past
+                # column i iff R(k+1, i+1) counts every pending column up to i
+                m = cols
+                j = m.bit_length() - 1
+                m ^= 1 << j
+                while m:
+                    i = m.bit_length() - 1
+                    if rank[lower_rows | placed[i + 1]] == m.bit_count():
+                        break
+                    j = i
+                    m ^= 1 << j
+                col_of_row[k] = j
+                cols ^= 1 << j
+                ok = allowed[order[j]] >> x & 1
+            if s == 0 and row_in:
+                cols |= 1 << k  # column k's pivot lies below row k
+            else:
+                # column k's pivot is row k, if that has none yet, or an open
+                # row: the highest a among them with R(a, k+1) > R(a, k)
+                if not row_in and (not rows or rank[(full ^ before) << n | now] > count):
+                    i = k
+                else:
+                    m = rows
+                    while True:
+                        i = m.bit_length() - 1
+                        m ^= 1 << i
+                        if not m:
+                            break
+                        # R(i, k) counts the pending columns and the rows from
+                        # i to k - 1 that have their pivot
+                        settled = k - i - (rows >> i).bit_count()
+                        if rank[(full ^ placed[i]) << n | now] > count + settled:
+                            break
+                    rows ^= 1 << i
+                    if not row_in:
+                        rows |= 1 << k
+                col_of_row[i] = k
+                ok = ok and allowed[x] >> order[i] & 1
+        if not ok:
+            yield _lex_first_completion(p, order[:k + 1]), None
+            return
+        if k == last:
+            yield order, col_of_row
+            emitted += 1
+            if emitted == cap:
+                return
+            continue
+        # placing an element can only free its upper covers
+        a = avail[k] ^ b
+        m = upper[x]
+        while m:
+            c = m & -m
+            m ^= c
+            if not lower[c.bit_length() - 1] & ~now:
+                a |= c
+        k += 1
+        placed[k] = now
+        avail[k] = rest[k] = a
+        pend[k] = cols
+        opn[k] = rows
 
-    return col_of_row
+
+def _lex_first_completion(p: Poset, prefix: list[int]) -> list[int]:
+    """The lexicographically first linear extension of p that starts with prefix."""
+    order = list(prefix)
+    placed = sum(1 << x for x in order)
+    while len(order) < p.n:
+        x = next(x for x in range(p.n)
+                 if not placed >> x & 1 and not p.down[x] & ~placed & ~(1 << x))
+        order.append(x)
+        placed |= 1 << x
+    return order
 
 
 def bruhat_permutation(m: IntMatrix) -> Permutation:
@@ -687,10 +830,12 @@ def verify_echelon_theorem(L: Lattice, extension_cap: int | None = None) -> Repo
     below x|.  Skips with a witness when L is not modular, since the claim
     only holds on modular lattices.
 
-    The sweep takes its pivots from ranks memoized per lattice
-    (``_memo_pivot_cols``), not from a fresh elimination per extension;
-    Bareiss pivoting (``_bruhat_pivot_cols``, behind ``echelonmotion``)
-    remains the oracle that the tests compare the memo against.
+    One prefix walk (``_echelon_walk``) checks each pivot as soon as the
+    growing extension settles it, with ranks memoized for this lattice.
+    The first extension it fails on is taken again by Bareiss pivoting
+    (``_bruhat_pivot_cols``, behind ``echelonmotion``), which gives the
+    witness: the first failing row.  Should Bareiss pivoting find no
+    failing row there, the walk is at fault and RuntimeError is raised.
     """
     name = "echelon-cover-transfer"
     w = modular_witness(L)
@@ -702,20 +847,22 @@ def verify_echelon_theorem(L: Lattice, extension_cap: int | None = None) -> Repo
     n = p.n
     down_counts = [m.bit_count() for m in p.covers_down()]
     up_counts = [m.bit_count() for m in p.covers_up()]
+    allowed = [sum(1 << y for y in range(n) if up_counts[y] == d) for d in down_counts]
     checked = 0
-    pivot_cols = _memo_pivot_cols(p)
-    for order in extension_orders(p, cap=extension_cap):
-        for i, j in enumerate(pivot_cols(order)):
-            x = order[j]
-            y = order[i]
-            if up_counts[y] != down_counts[x]:
-                return Report(name, checked + 1, COUNTEREXAMPLE, {
-                    "extension": list(order),
-                    "element": x,
-                    "image": y,
-                    "covers_below_element": down_counts[x],
-                    "covers_above_image": up_counts[y],
-                })
+    for order, col_of_row in _echelon_walk(p, allowed, extension_cap):
+        if col_of_row is None:
+            for i, j in enumerate(_bruhat_pivot_cols(_cartan_rows(p.down, order))):
+                x = order[j]
+                y = order[i]
+                if up_counts[y] != down_counts[x]:
+                    return Report(name, checked + 1, COUNTEREXAMPLE, {
+                        "extension": order,
+                        "element": x,
+                        "image": y,
+                        "covers_below_element": down_counts[x],
+                        "covers_above_image": up_counts[y],
+                    })
+            raise _walk_disagrees(order)
         checked += 1
     return Report(name, checked, VERIFIED)
 
@@ -724,22 +871,30 @@ def verify_rowmotion(L: Lattice, extension_cap: int | None = None) -> Report:
     """Check that every linear extension's echelon map is rowmotion.
 
     L must be distributive (``rowmotion_distributive`` raises otherwise).
-    Pivots come from the same per-lattice rank memo as the echelon sweep.
+    The same prefix walk as the echelon sweep checks each pivot against
+    rowmotion, and Bareiss pivoting gives the echelon map of the witness.
     """
     name = "echelon-equals-rowmotion"
     rm = rowmotion_distributive(L)
-    pivot_cols = _memo_pivot_cols(L.poset)
+    p = L.poset
     checked = 0
-    for order in extension_orders(L.poset, cap=extension_cap):
-        echelon = _echelon_mapping(order, pivot_cols(order))
-        if echelon != rm:
+    for order, col_of_row in _echelon_walk(p, [1 << y for y in rm], extension_cap):
+        if col_of_row is None:
+            echelon = _echelon_mapping(order, _bruhat_pivot_cols(_cartan_rows(p.down, order)))
+            if echelon == rm:
+                raise _walk_disagrees(order)
             return Report(name, checked, COUNTEREXAMPLE, {
-                "extension": list(order),
+                "extension": order,
                 "echelon": list(echelon),
                 "rowmotion": list(rm),
             })
         checked += 1
     return Report(name, checked, VERIFIED)
+
+
+def _walk_disagrees(order: list[int]) -> RuntimeError:
+    # a defect of this program, not a property of the lattice
+    return RuntimeError(f"the prefix walk fails extension {order}, Bareiss pivoting does not")
 
 
 def verify_dilworth(L: Lattice) -> Report:

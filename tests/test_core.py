@@ -11,7 +11,6 @@ from exactcomb.core import (
     as_word,
     int_matrix_rank,
     random_unit_upper_triangular,
-    standardize,
 )
 
 
@@ -59,13 +58,6 @@ def test_big_descents():
     assert Permutation((3, 1, 2)).big_descent_count() == 1
     assert Permutation((2, 1)).big_descent_count() == 0
     assert Permutation((3, 1, 4, 2)).big_descent_count() == 2
-
-
-def test_standardize():
-    assert standardize((5, 2, 9)).one_line == (2, 1, 3)
-    assert standardize(()).one_line == ()
-    with pytest.raises(ValueError):
-        standardize((1, 1))
 
 
 def test_word_validation():

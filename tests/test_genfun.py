@@ -272,6 +272,30 @@ def test_odd_gaps_are_inverses_of_odd_intervals():
         assert gaps == via_inverse, n
 
 
+def _standardize(word):
+    ranks = {v: i for i, v in enumerate(sorted(word), start=1)}
+    return tuple(ranks[v] for v in word)
+
+
+def _is_jacobi_standardized(word):
+    """Oracle: the Jacobi recursion with each side standardized first."""
+    if not word:
+        return True
+    p = word.index(min(word))
+    return p % 2 == 0 and _is_jacobi_standardized(_standardize(word[:p])) \
+        and _is_jacobi_standardized(_standardize(word[p + 1:]))
+
+
+def test_jacobi_recursion_needs_no_standardized_sides():
+    assert _standardize((5, 2, 9)) == (2, 1, 3)
+    for n in range(8):
+        for w in perms(n):
+            assert _is_jacobi_recursive(w.one_line) == _is_jacobi_standardized(w.one_line), w
+    # and on words that are not permutations
+    for word in itertools.permutations((2, 9, 4, 7, 5, 11)):
+        assert _is_jacobi_recursive(word) == _is_jacobi_standardized(_standardize(word)), word
+
+
 def test_complement_swaps_gap_and_jacobi_classes():
     for n in range(1, 6):
         jac = {w.one_line for w in perms(n) if _is_jacobi_recursive(w.one_line)}

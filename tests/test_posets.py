@@ -18,6 +18,7 @@ from exactcomb.core import (
     int_matrix_rank,
     random_unit_upper_triangular,
 )
+from exactcomb.report import Report
 from exactcomb.posets import (
     CyclicCoversError,
     Lattice,
@@ -445,46 +446,154 @@ def test_json_rejects_booleans():
         poset_from_json_obj({"n": 2, "covers": [[False, 1]]})
 
 
-# -- the rank memo of echelon sweeps against Bareiss pivoting -------------------
+# -- the echelon walk's pivots, from its rank memo, against Bareiss pivoting ---
 
 
-def _assert_memo_matches_bareiss(p, cap=None):
-    memo_pivots = posets._memo_pivot_cols(p)
-    checked = 0
-    for ext in linear_extensions(p, cap=cap):
-        expected = posets._bruhat_pivot_cols(posets._cartan_rows(p.down, ext.order))
-        assert memo_pivots(ext.order) == expected, (p, ext)
-        checked += 1
-    return checked
+def _bareiss_pivots(p, order):
+    return posets._bruhat_pivot_cols(posets._cartan_rows(p.down, order))
+
+
+def _walk_leaves(p, cap=None):
+    """(order, pivots) of every extension the walk reaches when nothing fails."""
+    anything = [(1 << p.n) - 1] * p.n
+    return [(tuple(order), list(cols)) for order, cols in posets._echelon_walk(p, anything, cap)]
+
+
+def _assert_walk_matches_bareiss(p, cap=None):
+    leaves = _walk_leaves(p, cap)
+    assert [order for order, _ in leaves] == list(extension_orders(p, cap)), p
+    for order, cols in leaves:
+        assert cols == _bareiss_pivots(p, order), (p, order)
+    return len(leaves)
 
 
 def test_memo_pivots_match_bareiss_on_sweep_lattices():
     sweep = acceptance.LatticeSweep(5)
     assert len(sweep.modular) > 100
-    checked = sum(_assert_memo_matches_bareiss(lat.poset) for lat in sweep.modular)
+    checked = sum(_assert_walk_matches_bareiss(lat.poset) for lat in sweep.modular)
     assert checked > len(sweep.modular)
 
 
 def test_memo_pivots_match_bareiss_on_catalog():
     for name, lat in lattice_catalog().items():
         cap = 2000 if name == "GF2_dim3_subspaces" else None
-        assert _assert_memo_matches_bareiss(lat.poset, cap=cap) > 0, name
+        assert _assert_walk_matches_bareiss(lat.poset, cap=cap) > 0, name
 
 
 def test_memo_pivots_on_posets_that_are_not_lattices():
     for p in enumerate_posets_up_to(4):
-        _assert_memo_matches_bareiss(p)
+        _assert_walk_matches_bareiss(p)
+
+
+def test_walk_leaves_follow_extension_orders_under_caps():
+    p = diamond(3).poset
+    assert len(list(extension_orders(p))) == 6
+    for cap in (None, 0, 1, 2, 5, 6, 7, 100):
+        assert [order for order, _ in _walk_leaves(p, cap)] == list(extension_orders(p, cap))
+    assert _walk_leaves(Poset.chain(1)) == [((0,), [0])]
+    assert _walk_leaves(Poset.chain(1), 1) == [((0,), [0])]
+    assert _walk_leaves(Poset.chain(1), 0) == []
+    with pytest.raises(ValueError):
+        _walk_leaves(p, -1)
+
+
+def _bareiss_echelon_report(L, cap=None):
+    """verify_echelon_theorem, less its modularity gate, by Bareiss pivoting
+    of each extension in turn."""
+    p = L.poset
+    down_counts = [m.bit_count() for m in p.covers_down()]
+    up_counts = [m.bit_count() for m in p.covers_up()]
+    checked = 0
+    for order in extension_orders(p, cap):
+        for i, j in enumerate(_bareiss_pivots(p, order)):
+            x, y = order[j], order[i]
+            if up_counts[y] != down_counts[x]:
+                return Report("echelon-cover-transfer", checked + 1, "counterexample", {
+                    "extension": list(order), "element": x, "image": y,
+                    "covers_below_element": down_counts[x],
+                    "covers_above_image": up_counts[y]})
+        checked += 1
+    return Report("echelon-cover-transfer", checked, "verified")
+
+
+def _bareiss_rowmotion_report(L, target, cap=None):
+    """verify_rowmotion with ``target`` for rowmotion, by Bareiss pivoting of
+    each extension in turn."""
+    p = L.poset
+    checked = 0
+    for order in extension_orders(p, cap):
+        echelon = posets._echelon_mapping(order, _bareiss_pivots(p, order))
+        if echelon != target:
+            return Report("echelon-equals-rowmotion", checked, "counterexample", {
+                "extension": list(order), "echelon": list(echelon), "rowmotion": list(target)})
+        checked += 1
+    return Report("echelon-equals-rowmotion", checked, "verified")
+
+
+def _assert_first_failure_matches(p, verify, oracle, cap=None):
+    """On the extensions of p, verify(c) equals oracle(c) at ``cap``, and
+    with the cap just before and just at the first failing extension.
+    Returns the failing extension's place in lexicographic order (0 for the
+    first), or None when nothing fails."""
+    expected = oracle(cap)
+    assert verify(cap) == expected
+    if expected.status == "verified":
+        return None
+    failing = expected.witness["extension"]
+    place = list(extension_orders(p, cap)).index(tuple(failing))
+    assert verify(place) == oracle(place) == Report(expected.theorem, place, "verified")
+    assert verify(place + 1) == oracle(place + 1) == expected
+    return place
+
+
+def test_echelon_walk_finds_the_first_failure_of_the_bareiss_oracle(monkeypatch):
+    # Without the modularity gate the cover counts fail on posets that are
+    # not modular lattices, mostly at the first extension.  The checker
+    # reads no meet or join, so any poset serves, in a shell Lattice.
+    monkeypatch.setattr(posets, "modular_witness", lambda L: None)
+    places = Counter()
+    for p in enumerate_posets_up_to(5):
+        lat = Lattice(p, None, None)
+        places[_assert_first_failure_matches(
+            p, lambda cap: verify_echelon_theorem(lat, extension_cap=cap),
+            lambda cap: _bareiss_echelon_report(lat, cap))] += 1
+    assert places[0] > 3000
+    assert sum(n for place, n in places.items() if place) >= 20
+
+
+def test_rowmotion_walk_finds_the_first_failure_of_the_bareiss_oracle(monkeypatch):
+    # The echelon map of the last extension in place of rowmotion: the walk
+    # must stop at the first extension whose map differs.
+    lattices = [(lat, None) for lat in acceptance.lattice_sweep(6).modular]
+    lattices += [(lat, 200 if name == "GF2_dim3_subspaces" else None)
+                 for name, lat in lattice_catalog().items() if is_modular(lat)]
+    places = Counter()
+    for lat, cap in lattices:
+        p = lat.poset
+        last = list(extension_orders(p, cap))[-1]
+        target = posets._echelon_mapping(last, _bareiss_pivots(p, last))
+        monkeypatch.setattr(posets, "rowmotion_distributive", lambda L: target)
+        places[_assert_first_failure_matches(
+            p, lambda c: posets.verify_rowmotion(lat, extension_cap=c),
+            lambda c: _bareiss_rowmotion_report(lat, target, c), cap)] += 1
+    assert sum(n for place, n in places.items() if place is not None) == 294
+    assert sum(n for place, n in places.items() if place) > 100
 
 
 def test_echelon_checkers_fail_on_wrong_pivots(monkeypatch):
-    # every element sent to itself: the bottom has no lower covers but some upper ones
-    monkeypatch.setattr(posets, "_memo_pivot_cols", lambda p: lambda order: list(range(p.n)))
-    r = verify_echelon_theorem(subspace_lattice_gf2_dim3())
-    assert r.status == "counterexample"
-    assert r.witness["covers_below_element"] != r.witness["covers_above_image"]
-    r = acceptance.criterion_rowmotion(max_n=3, catalog_cap=1)
-    assert r.status == "counterexample"
-    assert r.witness["echelon"] != r.witness["rowmotion"]
+    # ranks of the identity matrix: the walk pivots on the diagonal, so every
+    # element is its own image, and the bottom has no lower covers but some
+    # upper ones.  Bareiss pivoting does not confirm that failure, so the
+    # checkers raise rather than verify or report a counterexample.
+    monkeypatch.setattr(posets, "_zeta_rank", lambda down, rows, cols: (rows & cols).bit_count())
+    lat = subspace_lattice_gf2_dim3()
+    anything = [(1 << lat.n) - 1] * lat.n
+    order, cols = next(posets._echelon_walk(lat.poset, anything, None))
+    assert cols == list(range(lat.n))
+    with pytest.raises(RuntimeError, match="prefix walk fails extension"):
+        verify_echelon_theorem(lat)
+    with pytest.raises(RuntimeError, match="prefix walk fails extension"):
+        acceptance.criterion_rowmotion(max_n=3, catalog_cap=1)
 
 
 # -- the iterative extension generator against the recursive oracle ------------
