@@ -67,17 +67,38 @@ def _tree_sweep(n: int) -> Counter:
     return acc
 
 
-def q_integer(m: int) -> BiPoly:
-    """1 + q + ... + q^(m-1)."""
-    return BiPoly({(e, 0): 1 for e in range(m)})
+class PackingCheckError(RuntimeError):
+    """A packed tree polynomial does not fit its slots, or decodes to the wrong count."""
+
+
+def _tree_counts(limit: int) -> tuple[int, ...]:
+    """N_0..N_limit: the tree recurrence at q = t = 1, on plain ints.
+
+    Every term of the recurrence is nonnegative, so N_k bounds each
+    coefficient of T_k and of every partial sum that builds it.
+    """
+    counts = [1]
+    for k in range(1, limit + 1):
+        counts.append(k * counts[k - 1] + sum(
+            math.comb(k - 1, i) * (i + 1) * counts[i] * counts[k - 1 - i]
+            for i in range(k - 1)))
+    return tuple(counts)
+
+
+_TREE_COUNTS = _tree_counts(RECURRENCE_LIMIT)
+# q^a t^b of a packed T_k sits in slot a * _T_SLOTS + b; the t-degree of
+# T_k and of every product it is built from stays below k <= RECURRENCE_LIMIT
+_T_SLOTS = RECURRENCE_LIMIT + 1
+# whole bytes per slot, enough for N_RECURRENCE_LIMIT
+_SLOT_BYTES = _TREE_COUNTS[-1].bit_length() // 8 + 1
 
 
 def tree_poly(n: int, method: str = "recurrence") -> BiPoly:
     """The inversion/leaf enumerator over rooted trees on {0..n}.
 
     trees: direct sum of q^inv t^(leaves - 1).  recurrence: the convolution
-    identity splitting at the subtree of vertex n (both must agree, which
-    the test suite checks on the overlap range).
+    identity splitting at the subtree of vertex n, on packed ints (both
+    must agree, which the test suite checks on the overlap range).
     """
     if n < 0:
         raise ValueError(f"tree polynomials need n >= 0, got n = {n}")
@@ -88,20 +109,58 @@ def tree_poly(n: int, method: str = "recurrence") -> BiPoly:
     if method == "recurrence":
         if n > RECURRENCE_LIMIT:
             raise ValueError(f"recurrence capped at n = {RECURRENCE_LIMIT}")
-        return _tree_poly_rec(n)
+        return _unpack_tree(_tree_packed(n), n)
     raise ValueError(f"unknown method {method!r}")
 
 
 @lru_cache(maxsize=None)
-def _tree_poly_rec(n: int) -> BiPoly:
-    if n == 0:
-        return BiPoly.one()
-    total = q_integer(n) * _tree_poly_rec(n - 1)
-    t = BiPoly.t()
-    for i in range(0, n - 1):
-        term = math.comb(n - 1, i) * q_integer(i + 1)
-        total += t * term * _tree_poly_rec(i) * _tree_poly_rec(n - 1 - i)
+def _tree_packed(k: int) -> int:
+    """T_k = [k]_q T_(k-1) + t sum_(i < k-1) C(k-1, i) [i+1]_q T_i T_(k-1-i),
+    evaluated exactly at q = 2^(bits * _T_SLOTS), t = 2^bits.
+
+    The terms i and k-1-i share one product.  The q-integers are applied
+    as shifted adds, sum_i [i+1]_q P_i = sum_a q^a sum_(i >= a) P_i, never
+    as a packed factor.  No slot carries while N_k fits a slot, since N_k
+    bounds every coefficient on the way.
+    """
+    bits = 8 * _SLOT_BYTES
+    if _TREE_COUNTS[k] >> bits:
+        raise PackingCheckError(
+            f"the bound N_{k} = {_TREE_COUNTS[k]} does not fit {bits}-bit slots")
+    if k == 0:
+        return 1
+    q_shift = bits * _T_SLOTS
+    prev = _tree_packed(k - 1)
+    products = [prev] + [0] * (k - 2)  # P_i = C(k-1, i) T_i T_(k-1-i); P_0 = T_(k-1)
+    for i in range(1, (k + 1) // 2):
+        products[i] = products[k - 1 - i] = \
+            math.comb(k - 1, i) * (_tree_packed(i) * _tree_packed(k - 1 - i))
+    total = suffix = 0
+    for a in range(k - 2, -1, -1):
+        suffix += products[a]
+        total += suffix << a * q_shift
+    total <<= bits
+    for a in range(k):
+        total += prev << a * q_shift
     return total
+
+
+def _unpack_tree(packed: int, n: int) -> BiPoly:
+    """Read T_n's coefficients back from its packed int, slot by slot.
+
+    A carry between slots changes the coefficient sum, so the sum must be N_n.
+    """
+    width = _SLOT_BYTES
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    terms = {}
+    for slot, start in enumerate(range(0, len(raw), width)):
+        c = int.from_bytes(raw[start:start + width], "little")
+        if c:
+            terms[divmod(slot, _T_SLOTS)] = c
+    if sum(terms.values()) != _TREE_COUNTS[n]:
+        raise PackingCheckError(
+            f"T_{n} decodes to coefficient sum {sum(terms.values())}, not {_TREE_COUNTS[n]}")
+    return BiPoly(terms)
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +289,8 @@ def verify_simsun_identity(n: int) -> Report:
     force matches R from the derivative recurrence wherever brute force is
     feasible.
     """
-    if not 0 <= n <= 10:
-        raise ValueError(f"simsun verification needs 0 <= n <= 10, got n = {n}")
+    if not 1 <= n <= 10:
+        raise ValueError(f"simsun verification needs 1 <= n <= 10, got n = {n}")
     name = "tree-minus-one-is-simsun"
     t = BiPoly.t()
     instances = 0
@@ -364,8 +423,9 @@ def verify_alternating_identity(n: int) -> Report:
     intermediate steps of the derivation checked on the way.
     """
     name = "parking-minus-one-is-zigzag"
-    if n < 2:
-        raise ValueError("stated for n >= 2 only")
+    if not 2 <= n <= PARKING_SWEEP_LIMIT:
+        raise ValueError(
+            f"alternating identity needs 2 <= n <= {PARKING_SWEEP_LIMIT}, got n = {n}")
     lhs = parking_poly(n, "exced").subs_q(-1)
     # one pass over S_n sorts out all three classes and keeps only their members
     odd_intervals, odd_gaps, jacobi = [], [], []

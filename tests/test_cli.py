@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from exactcomb import plactic, posets
+from exactcomb import genfun, plactic, posets
 from exactcomb.cli import main
 from exactcomb.posets import POSET_FILE_MAX_N
 
@@ -226,6 +226,7 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     ("genfun", "i-poly", "--n", "-1"),
     ("parking", "verify-fixed-content", "--n", "-3"),
     ("genfun", "verify-simsun", "--n", "-1"),
+    ("genfun", "verify-simsun", "--n", "0"),
 ])
 def test_negative_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -252,6 +253,24 @@ def test_itilde_names_n_when_out_of_range(capsys, n):
     code, out, err = run(capsys, "genfun", "itilde", "--n", n)
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"n = {n}" in err
+
+
+def test_alternating_identity_names_its_own_range(capsys):
+    code, out, err = run(capsys, "genfun", "verify-alternating", "--n", "8")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: alternating identity needs 2 <= n <= 7, got n = 8"]
+
+
+def test_tree_polynomial_that_outgrows_its_slots_exits_3(capsys, monkeypatch):
+    genfun._tree_packed.cache_clear()
+    monkeypatch.setattr(genfun, "_SLOT_BYTES", 1)
+    try:
+        code, out, err = run(capsys, "genfun", "i-poly", "--n", "8")
+    finally:
+        genfun._tree_packed.cache_clear()
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: internal error: PackingCheckError: "
+                                "the bound N_8 = 4782969 does not fit 8-bit slots"]
 
 
 POOLED = {

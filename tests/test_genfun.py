@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 from collections import Counter
 from typing import NamedTuple
 
@@ -9,6 +10,8 @@ from exactcomb import genfun
 from exactcomb.core import BiPoly, Permutation
 from exactcomb.genfun import (
     PARKING_SWEEP_LIMIT,
+    RECURRENCE_LIMIT,
+    PackingCheckError,
     blocking_positions,
     complement_perm,
     _is_jacobi_recursive,
@@ -145,17 +148,87 @@ def test_tree_sweep_matches_prufer_oracle(n):
     assert tree_poly(n, "trees").eval_at(1, 1) == (n + 1) ** max(n - 1, 0)
 
 
+def q_integer(m):
+    """1 + q + ... + q^(m-1)."""
+    return BiPoly({(e, 0): 1 for e in range(m)})
+
+
+def tree_polys_by_dicts(limit):
+    """Oracle: T_0..T_limit by the recurrence of ``tree_poly`` on dict polynomials,
+    T_k = [k]_q T_(k-1) + t sum_(i < k-1) C(k-1, i) [i+1]_q T_i T_(k-1-i)."""
+    polys = [BiPoly.one()]
+    t = BiPoly.t()
+    for k in range(1, limit + 1):
+        total = q_integer(k) * polys[k - 1]
+        for i in range(k - 1):
+            total += t * (math.comb(k - 1, i) * q_integer(i + 1)) * polys[i] * polys[k - 1 - i]
+        polys.append(total)
+    return polys
+
+
 def test_tree_poly():
     q, t = BiPoly({(1, 0): 1}), BiPoly.t()
     assert tree_poly(1, "trees") == 1
     assert tree_poly(2, "trees") == 1 + q + t
     assert tree_poly(2).subs_t(1) == 2 + q
-    for n in range(1, 7):
+    for n in range(TREES_LIMIT + 1):
         assert tree_poly(n, "trees") == tree_poly(n, "recurrence"), n
     with pytest.raises(ValueError):
         tree_poly(3, "guess")
     with pytest.raises(ValueError, match=f"capped at n = {TREES_LIMIT}"):
         tree_poly(TREES_LIMIT + 1, "trees")
+
+
+def test_packed_recurrence_matches_dict_oracle():
+    for n, poly in enumerate(tree_polys_by_dicts(RECURRENCE_LIMIT)):
+        assert tree_poly(n) == poly, n
+        assert poly.eval_at(1, 1) == genfun._TREE_COUNTS[n] == (n + 1) ** max(n - 1, 0)
+    with pytest.raises(ValueError, match=f"capped at n = {RECURRENCE_LIMIT}"):
+        tree_poly(RECURRENCE_LIMIT + 1)
+
+
+@pytest.fixture
+def cold_packed_trees():
+    """Empties the packed-tree cache before and after, so that no level
+    packed at one slot width is read at another."""
+    genfun._tree_packed.cache_clear()
+    yield
+    genfun._tree_packed.cache_clear()
+
+
+def test_slot_width_is_the_least_whole_bytes_above_the_largest_bound():
+    top = genfun._TREE_COUNTS[RECURRENCE_LIMIT]
+    assert top < 1 << 8 * genfun._SLOT_BYTES
+    assert top >= 1 << 8 * (genfun._SLOT_BYTES - 1)
+
+
+def test_one_byte_slots_hold_the_levels_whose_bound_fits(monkeypatch, cold_packed_trees):
+    monkeypatch.setattr(genfun, "_SLOT_BYTES", 1)
+    assert [genfun._TREE_COUNTS[n] for n in range(6)] == [1, 1, 3, 16, 125, 1296]
+    for n, poly in enumerate(tree_polys_by_dicts(4)):
+        assert tree_poly(n) == poly, n
+
+
+def test_bound_guard_refuses_a_level_that_cannot_fit(monkeypatch, cold_packed_trees):
+    monkeypatch.setattr(genfun, "_SLOT_BYTES", 1)
+    with pytest.raises(PackingCheckError, match="N_8 = 4782969 does not fit 8-bit slots"):
+        tree_poly(8)
+    # N_5 = 1296 is the first bound that needs more than a byte
+    with pytest.raises(PackingCheckError, match="N_5 = 1296 does not fit"):
+        tree_poly(5)
+
+
+def test_a_slot_carry_trips_the_coefficient_sum_guard(monkeypatch, cold_packed_trees):
+    counts = genfun._TREE_COUNTS
+    monkeypatch.setattr(genfun, "_SLOT_BYTES", 1)
+    # understated bounds let levels up to 8 past the first guard, so slots carry
+    monkeypatch.setattr(genfun, "_TREE_COUNTS", (0,) * len(counts))
+    packed = genfun._tree_packed(8)
+    monkeypatch.setattr(genfun, "_TREE_COUNTS", counts)
+    with pytest.raises(PackingCheckError, match=f"T_8 decodes to coefficient sum .*, not {counts[8]}"):
+        genfun._unpack_tree(packed, 8)
+    # the true polynomial does not fit: its largest coefficient needs more than a byte
+    assert max(c for _, _, c in tree_polys_by_dicts(8)[8].sorted_terms()) > 255
 
 
 def test_tree_poly_at_minus_one():
@@ -228,6 +301,14 @@ def test_verify_simsun_identity():
     r = verify_simsun_identity(3)
     assert r.status == "verified" and r.theorem == "tree-minus-one-is-simsun"
     assert verify_simsun_identity(6).status == "verified"
+    assert verify_simsun_identity(1).instances == 1
+
+
+@pytest.mark.parametrize("n", [-1, 0, 11])
+def test_verify_simsun_identity_rejects_sizes_out_of_range(n):
+    # n = 0 would check nothing and still report verified
+    with pytest.raises(ValueError, match=f"needs 1 <= n <= 10, got n = {n}"):
+        verify_simsun_identity(n)
 
 
 def test_preference_lower_bounds():
@@ -331,6 +412,14 @@ def test_verify_alternating_identity():
         r = verify_alternating_identity(n)
         assert r.status == "verified", r.witness
         assert r.theorem == "parking-minus-one-is-zigzag"
+
+
+@pytest.mark.parametrize("n", [1, PARKING_SWEEP_LIMIT + 1])
+def test_verify_alternating_identity_names_its_own_range(n):
+    with pytest.raises(ValueError) as err:
+        verify_alternating_identity(n)
+    assert str(err.value) == (
+        f"alternating identity needs 2 <= n <= {PARKING_SWEEP_LIMIT}, got n = {n}")
 
 
 def test_alternating_identity_walks_s_n_once_besides_zigzag(monkeypatch):

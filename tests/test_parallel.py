@@ -3,7 +3,7 @@ import pickle
 import pytest
 
 import exactcomb
-from exactcomb import cli, core, parallel, parking, posets
+from exactcomb import cli, core, genfun, parallel, parking, posets
 
 
 class _RecordingContext:
@@ -59,6 +59,7 @@ def test_workers_below_one_raise(fake_pool, workers):
 EXCEPTIONS = [
     cli.UsageError("--b expects integers"),
     core.BareissDivisionError("Bareiss division must be exact"),
+    genfun.PackingCheckError("the bound N_8 = 4782969 does not fit 8-bit slots"),
     parking.BijectionCheckError("round trip failure"),
     parking.ParkingFailure("car 3 cannot park"),
     posets.PosetError("bad poset"),
