@@ -125,8 +125,9 @@ def _cmd_genfun_alternating(args) -> int:
 
 
 def _cmd_plactic_p(args) -> int:
-    t = plactic.rsk_P(_ints(args.word, "--word"))
-    return _emit_obj({"word": list(_ints(args.word, "--word")),
+    word = _ints(args.word, "--word")
+    t = plactic.rsk_P(word)
+    return _emit_obj({"word": list(word),
                       "tableau": t.to_json_obj(), "shape": list(t.shape())},
                      [" ".join(map(str, row)) for row in t.rows] or ["(empty)"],
                      args.output)

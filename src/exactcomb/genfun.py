@@ -166,6 +166,8 @@ def _unpack_tree(packed: int, n: int) -> BiPoly:
 @lru_cache(maxsize=None)
 def tree_poly_at_minus_one(n: int) -> BiPoly:
     """The q = -1 value via the parity-collapsed recurrence (even split sizes only)."""
+    if n < 0:
+        raise ValueError(f"q = -1 tree polynomials need n >= 0, got n = {n}")
     if n > MINUS_ONE_LIMIT:
         raise ValueError(f"q = -1 recurrence capped at n = {MINUS_ONE_LIMIT}")
     if n == 0:
@@ -401,6 +403,8 @@ def zigzag_poly(n: int) -> BiPoly:
     It factors as t times the Jacobi polynomial, with the Jacobi factor
     palindromic of degree n - 2; ``verify_alternating_identity`` checks both.
     """
+    if n < 0:
+        raise ValueError(f"zigzag polynomials need n >= 0, got n = {n}")
     if n > 10:
         raise ValueError("zigzag enumeration capped at n = 10")
     acc: Counter = Counter()

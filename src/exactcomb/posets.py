@@ -235,57 +235,72 @@ def extension_orders(p: Poset, cap: int | None = None) -> Iterator[tuple[int, ..
     With ``cap`` set, stop silently after that many; ``cap=0`` yields
     nothing and a negative cap raises ValueError.
     """
+    order, _, steps = _extension_dfs(p, cap)
+    return (tuple(order) for _ in steps)
+
+
+def _extension_dfs(p: Poset, cap: int | None
+                   ) -> tuple[list[int], list[int], Iterator[int]]:
+    """The linear extensions of p in lexicographic order, by one depth-first
+    search that places the lowest available element first.
+
+    Returns ``(order, placed, steps)``.  Each step of ``steps`` leaves the
+    next extension in ``order``, with ``placed[k]`` the mask of ``order[:k]``
+    for k <= n, and yields the first position that changed since the
+    previous extension (0 for the first).  From that position k on, the
+    extension is the lexicographically first one through ``order[:k+1]``.
+    ``cap`` stops the search after that many extensions; a negative cap
+    raises ValueError at once.
+    """
     if cap is not None and cap < 0:
         raise ValueError(f"extension cap must be at least 0, got {cap}")
-    return _extension_orders(p, cap)
-
-
-def _extension_orders(p: Poset, cap: int | None) -> Iterator[tuple[int, ...]]:
     n = p.n
-    if cap == 0:
-        return
-    if n == 0:
-        yield ()
-        return
-    upper = p.covers_up()
-    lower = p.covers_down()
     order = [0] * n
-    # at position i: placed[i] is the mask of order[:i], avail[i] the unplaced
-    # elements whose lower covers are all placed, and rest[i] those of them
-    # not yet tried there, smallest first
-    placed = [0] * n
-    avail = [0] * n
-    rest = [0] * n
-    avail[0] = rest[0] = sum(1 << x for x in range(n) if not lower[x])
-    i = 0
-    last = n - 1
-    emitted = 0
-    while i >= 0:
-        r = rest[i]
-        if not r:
-            i -= 1
-            continue
-        b = r & -r
-        rest[i] = r ^ b
-        order[i] = b.bit_length() - 1
-        if i == last:
-            yield tuple(order)
-            emitted += 1
-            if emitted == cap:
-                return
-            continue
-        now = placed[i] | b
-        # placing an element can only free its upper covers
-        a = avail[i] ^ b
-        m = upper[order[i]]
-        while m:
-            c = m & -m
-            m ^= c
-            if not lower[c.bit_length() - 1] & ~now:
-                a |= c
-        i += 1
-        placed[i] = now
-        avail[i] = rest[i] = a
+    placed = [0] * (n + 1)
+
+    def steps() -> Iterator[int]:
+        if cap == 0:
+            return
+        if n == 0:
+            yield 0
+            return
+        upper = p.covers_up()
+        lower = p.covers_down()
+        # at position i: avail[i] the unplaced elements whose lower covers are
+        # all placed, and rest[i] those of them not yet tried there, smallest first
+        avail = [0] * n
+        rest = [0] * n
+        avail[0] = rest[0] = sum(1 << x for x in range(n) if not lower[x])
+        i = changed = emitted = 0
+        last = n - 1
+        while i >= 0:
+            r = rest[i]
+            if not r:
+                i -= 1
+                changed = i
+                continue
+            b = r & -r
+            rest[i] = r ^ b
+            x = order[i] = b.bit_length() - 1
+            now = placed[i + 1] = placed[i] | b
+            if i == last:
+                yield changed
+                emitted += 1
+                if emitted == cap:
+                    return
+                continue
+            # placing an element can only free its upper covers
+            a = avail[i] ^ b
+            m = upper[x]
+            while m:
+                c = m & -m
+                m ^= c
+                if not lower[c.bit_length() - 1] & ~now:
+                    a |= c
+            i += 1
+            avail[i] = rest[i] = a
+
+    return order, placed, steps()
 
 
 def linear_extensions(p: Poset, cap: int | None = None) -> Iterator[LinearExtension]:
@@ -410,16 +425,19 @@ def _echelon_walk(p: Poset, allowed: list[int], cap: int | None
     """Walk the linear extensions of p in lexicographic order, finding the
     Bruhat pivots of their Cartan matrices as each prefix grows.
 
+    The extensions are those of ``_extension_dfs``; at each one the walk
+    redoes the pivot step only from the first position that changed.
     Yields ``(order, col_of_row)`` for each extension, with ``col_of_row``
     what ``_bruhat_pivot_cols`` gives on its Cartan matrix; both are the
     walk's own lists, valid until the next step.  A pivot at row i, column j
     sends order[j] to order[i], and each is checked against ``allowed``, a
     mask of permitted images per element, as soon as it is found.  At the
-    first pivot that fails, the walk yields the lex-first extension through
-    that prefix with ``None`` for its pivots, and stops: it is the first
-    extension in lexicographic order whose echelon map breaks ``allowed``.
-    With ``cap`` set the walk stops after that many extensions; a negative
-    cap raises ValueError.
+    first pivot that fails, in row or column k, the search's extension is
+    the lex-first one through order[:k+1], so it is the first extension in
+    lexicographic order whose echelon map breaks ``allowed``: the walk
+    yields a copy of it with ``None`` for its pivots, and stops.  With
+    ``cap`` set the walk stops after that many extensions; a negative cap
+    raises ValueError on the first step.
 
     Write R(a, b) for the rank of the zeta matrix on the rows order[a:] and
     the columns order[:b].  It counts the pivots in rows >= a and columns
@@ -446,130 +464,77 @@ def _echelon_walk(p: Poset, allowed: list[int], cap: int | None
 
     In both scans the last candidate passes without a test.
     """
-    if cap is not None and cap < 0:
-        raise ValueError(f"extension cap must be at least 0, got {cap}")
+    order, placed, steps = _extension_dfs(p, cap)
     n = p.n
-    if cap == 0:
-        return
-    if n == 0:
-        yield [], []
-        return
-    down = p.down
-    upper = p.covers_up()
-    lower = p.covers_down()
     full = (1 << n) - 1
-    rank = _ZetaRanks(down)
-
-    order = [0] * n
+    rank = _ZetaRanks(p.down)
     col_of_row = [-1] * n
-    # at position k: placed[k] is the mask of order[:k], avail[k] the unplaced
-    # elements whose lower covers are all placed, rest[k] those of them not
-    # yet tried there, pend[k] the pending columns and opn[k] the open rows
-    placed = [0] * (n + 1)
-    avail = [0] * n
-    rest = [0] * n
-    pend = [0] * n
-    opn = [0] * n
-    avail[0] = rest[0] = sum(1 << x for x in range(n) if not lower[x])
-    k = 0
-    last = n - 1
-    emitted = 0
-    while k >= 0:
-        r = rest[k]
-        if not r:
-            k -= 1
-            continue
-        b = r & -r
-        rest[k] = r ^ b
-        x = order[k] = b.bit_length() - 1
-        before = placed[k]
-        now = before | b
-        cols = pend[k]
-        rows = opn[k]
-        count = cols.bit_count()
-        lower_rows = (full ^ now) << n  # rows order[k+1:], shifted into a key
-        # R(k+1, k+1) - count: one up if column k's pivot lies below row k,
-        # one down if row k's pivot is a pending column
-        s = rank[lower_rows | now] - count
-        ok = True
-        if s > 0:
-            cols |= 1 << k
-            rows |= 1 << k
-        else:
-            row_in = s < 0 or (cols and rank[lower_rows | before] < count)
-            if row_in:
-                # the pending columns descending: row k's pivot lies past
-                # column i iff R(k+1, i+1) counts every pending column up to i
-                m = cols
-                j = m.bit_length() - 1
-                m ^= 1 << j
-                while m:
-                    i = m.bit_length() - 1
-                    if rank[lower_rows | placed[i + 1]] == m.bit_count():
-                        break
-                    j = i
-                    m ^= 1 << j
-                col_of_row[k] = j
-                cols ^= 1 << j
-                ok = allowed[order[j]] >> x & 1
-            if s == 0 and row_in:
-                cols |= 1 << k  # column k's pivot lies below row k
+    # before position k: pend[k] the pending columns and opn[k] the open rows
+    pend = [0] * (n + 1)
+    opn = [0] * (n + 1)
+    for changed in steps:
+        for k in range(changed, n):
+            x = order[k]
+            before = placed[k]
+            now = placed[k + 1]
+            cols = pend[k]
+            rows = opn[k]
+            count = cols.bit_count()
+            lower_rows = (full ^ now) << n  # rows order[k+1:], shifted into a key
+            # R(k+1, k+1) - count: one up if column k's pivot lies below row k,
+            # one down if row k's pivot is a pending column
+            s = rank[lower_rows | now] - count
+            ok = True
+            if s > 0:
+                cols |= 1 << k
+                rows |= 1 << k
             else:
-                # column k's pivot is row k, if that has none yet, or an open
-                # row: the highest a among them with R(a, k+1) > R(a, k)
-                if not row_in and (not rows or rank[(full ^ before) << n | now] > count):
-                    i = k
-                else:
-                    m = rows
-                    while True:
+                row_in = s < 0 or (cols and rank[lower_rows | before] < count)
+                if row_in:
+                    # the pending columns descending: row k's pivot lies past
+                    # column i iff R(k+1, i+1) counts every pending column up to i
+                    m = cols
+                    j = m.bit_length() - 1
+                    m ^= 1 << j
+                    while m:
                         i = m.bit_length() - 1
-                        m ^= 1 << i
-                        if not m:
+                        if rank[lower_rows | placed[i + 1]] == m.bit_count():
                             break
-                        # R(i, k) counts the pending columns and the rows from
-                        # i to k - 1 that have their pivot
-                        settled = k - i - (rows >> i).bit_count()
-                        if rank[(full ^ placed[i]) << n | now] > count + settled:
-                            break
-                    rows ^= 1 << i
-                    if not row_in:
-                        rows |= 1 << k
-                col_of_row[i] = k
-                ok = ok and allowed[x] >> order[i] & 1
-        if not ok:
-            yield _lex_first_completion(p, order[:k + 1]), None
-            return
-        if k == last:
-            yield order, col_of_row
-            emitted += 1
-            if emitted == cap:
+                        j = i
+                        m ^= 1 << j
+                    col_of_row[k] = j
+                    cols ^= 1 << j
+                    ok = allowed[order[j]] >> x & 1
+                if s == 0 and row_in:
+                    cols |= 1 << k  # column k's pivot lies below row k
+                else:
+                    # column k's pivot is row k, if that has none yet, or an open
+                    # row: the highest a among them with R(a, k+1) > R(a, k)
+                    if not row_in and (not rows or rank[(full ^ before) << n | now] > count):
+                        i = k
+                    else:
+                        m = rows
+                        while True:
+                            i = m.bit_length() - 1
+                            m ^= 1 << i
+                            if not m:
+                                break
+                            # R(i, k) counts the pending columns and the rows from
+                            # i to k - 1 that have their pivot
+                            settled = k - i - (rows >> i).bit_count()
+                            if rank[(full ^ placed[i]) << n | now] > count + settled:
+                                break
+                        rows ^= 1 << i
+                        if not row_in:
+                            rows |= 1 << k
+                    col_of_row[i] = k
+                    ok = ok and allowed[x] >> order[i] & 1
+            if not ok:
+                yield list(order), None
                 return
-            continue
-        # placing an element can only free its upper covers
-        a = avail[k] ^ b
-        m = upper[x]
-        while m:
-            c = m & -m
-            m ^= c
-            if not lower[c.bit_length() - 1] & ~now:
-                a |= c
-        k += 1
-        placed[k] = now
-        avail[k] = rest[k] = a
-        pend[k] = cols
-        opn[k] = rows
-
-
-def _lex_first_completion(p: Poset, prefix: list[int]) -> list[int]:
-    """The lexicographically first linear extension of p that starts with prefix."""
-    order = list(prefix)
-    placed = sum(1 << x for x in order)
-    while len(order) < p.n:
-        x = next(x for x in range(p.n)
-                 if not placed >> x & 1 and not p.down[x] & ~placed & ~(1 << x))
-        order.append(x)
-        placed |= 1 << x
-    return order
+            pend[k + 1] = cols
+            opn[k + 1] = rows
+        yield order, col_of_row
 
 
 def bruhat_permutation(m: IntMatrix) -> Permutation:
@@ -830,12 +795,11 @@ def verify_echelon_theorem(L: Lattice, extension_cap: int | None = None) -> Repo
     below x|.  Skips with a witness when L is not modular, since the claim
     only holds on modular lattices.
 
-    One prefix walk (``_echelon_walk``) checks each pivot as soon as the
-    growing extension settles it, with ranks memoized for this lattice.
-    The first extension it fails on is taken again by Bareiss pivoting
-    (``_bruhat_pivot_cols``, behind ``echelonmotion``), which gives the
-    witness: the first failing row.  Should Bareiss pivoting find no
-    failing row there, the walk is at fault and RuntimeError is raised.
+    One prefix walk (``_echelon_walk``) over the extension search checks
+    each pivot as soon as the growing extension settles it, with ranks
+    memoized for this lattice.  The search's own extension at the first
+    failing pivot is the first that fails; ``_confirmed_pivots`` takes it
+    again by Bareiss pivoting, and its first failing row is the witness.
     """
     name = "echelon-cover-transfer"
     w = modular_witness(L)
@@ -851,18 +815,16 @@ def verify_echelon_theorem(L: Lattice, extension_cap: int | None = None) -> Repo
     checked = 0
     for order, col_of_row in _echelon_walk(p, allowed, extension_cap):
         if col_of_row is None:
-            for i, j in enumerate(_bruhat_pivot_cols(_cartan_rows(p.down, order))):
-                x = order[j]
-                y = order[i]
-                if up_counts[y] != down_counts[x]:
-                    return Report(name, checked + 1, COUNTEREXAMPLE, {
-                        "extension": order,
-                        "element": x,
-                        "image": y,
-                        "covers_below_element": down_counts[x],
-                        "covers_above_image": up_counts[y],
-                    })
-            raise _walk_disagrees(order)
+            x, y = next((order[j], order[i])
+                        for i, j in enumerate(_confirmed_pivots(p, allowed, order))
+                        if up_counts[order[i]] != down_counts[order[j]])
+            return Report(name, checked + 1, COUNTEREXAMPLE, {
+                "extension": order,
+                "element": x,
+                "image": y,
+                "covers_below_element": down_counts[x],
+                "covers_above_image": up_counts[y],
+            })
         checked += 1
     return Report(name, checked, VERIFIED)
 
@@ -872,17 +834,17 @@ def verify_rowmotion(L: Lattice, extension_cap: int | None = None) -> Report:
 
     L must be distributive (``rowmotion_distributive`` raises otherwise).
     The same prefix walk as the echelon sweep checks each pivot against
-    rowmotion, and Bareiss pivoting gives the echelon map of the witness.
+    rowmotion; at the first extension it fails on, ``_confirmed_pivots``
+    gives the Bareiss pivots, and so the echelon map of the witness.
     """
     name = "echelon-equals-rowmotion"
     rm = rowmotion_distributive(L)
     p = L.poset
+    allowed = [1 << y for y in rm]
     checked = 0
-    for order, col_of_row in _echelon_walk(p, [1 << y for y in rm], extension_cap):
+    for order, col_of_row in _echelon_walk(p, allowed, extension_cap):
         if col_of_row is None:
-            echelon = _echelon_mapping(order, _bruhat_pivot_cols(_cartan_rows(p.down, order)))
-            if echelon == rm:
-                raise _walk_disagrees(order)
+            echelon = _echelon_mapping(order, _confirmed_pivots(p, allowed, order))
             return Report(name, checked, COUNTEREXAMPLE, {
                 "extension": order,
                 "echelon": list(echelon),
@@ -892,9 +854,16 @@ def verify_rowmotion(L: Lattice, extension_cap: int | None = None) -> Report:
     return Report(name, checked, VERIFIED)
 
 
-def _walk_disagrees(order: list[int]) -> RuntimeError:
-    # a defect of this program, not a property of the lattice
-    return RuntimeError(f"the prefix walk fails extension {order}, Bareiss pivoting does not")
+def _confirmed_pivots(p: Poset, allowed: list[int], order: list[int]) -> list[int]:
+    """The Bareiss pivots of an extension the prefix walk failed on.
+
+    Raises RuntimeError when they satisfy ``allowed`` everywhere: that is a
+    defect of this program, not a property of the lattice.
+    """
+    cols = _bruhat_pivot_cols(_cartan_rows(p.down, order))
+    if all(allowed[order[j]] >> order[i] & 1 for i, j in enumerate(cols)):
+        raise RuntimeError(f"the prefix walk fails extension {order}, Bareiss pivoting does not")
+    return cols
 
 
 def verify_dilworth(L: Lattice) -> Report:

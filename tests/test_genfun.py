@@ -241,6 +241,17 @@ def test_tree_poly_at_minus_one():
         assert tree_poly(n).subs_q(-1) == tree_poly_at_minus_one(n), n
 
 
+def test_negative_sizes_are_rejected():
+    # n = 0 keeps its value: one tree, and the empty alternating permutation
+    assert tree_poly_at_minus_one(0) == 1
+    assert zigzag_poly(0) == BiPoly.t()
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match=f"need n >= 0, got n = {n}"):
+            tree_poly_at_minus_one(n)
+        with pytest.raises(ValueError, match=f"need n >= 0, got n = {n}"):
+            zigzag_poly(n)
+
+
 def test_parking_poly():
     assert parking_poly(2, "exced") == BiPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1})
     assert parking_poly(2, "exced").subs_q(-1) == BiPoly.t()

@@ -446,6 +446,30 @@ def test_json_rejects_booleans():
         poset_from_json_obj({"n": 2, "covers": [[False, 1]]})
 
 
+# -- the recursive extension oracle, independent of the search it checks -------
+
+
+def _recursive_extension_orders(p, cap=None):
+    """Every linear extension of p by recursion, in lexicographic order."""
+    n = p.n
+    down = p.down
+    order = []
+
+    def rec(placed):
+        if len(order) == n:
+            yield tuple(order)
+            return
+        for x in range(n):
+            b = 1 << x
+            if placed & b or down[x] & ~(placed | b):
+                continue
+            order.append(x)
+            yield from rec(placed | b)
+            order.pop()
+
+    return list(itertools.islice(rec(0), cap))
+
+
 # -- the echelon walk's pivots, from its rank memo, against Bareiss pivoting ---
 
 
@@ -461,7 +485,7 @@ def _walk_leaves(p, cap=None):
 
 def _assert_walk_matches_bareiss(p, cap=None):
     leaves = _walk_leaves(p, cap)
-    assert [order for order, _ in leaves] == list(extension_orders(p, cap)), p
+    assert [order for order, _ in leaves] == _recursive_extension_orders(p, cap), p
     for order, cols in leaves:
         assert cols == _bareiss_pivots(p, order), (p, order)
     return len(leaves)
@@ -487,9 +511,9 @@ def test_memo_pivots_on_posets_that_are_not_lattices():
 
 def test_walk_leaves_follow_extension_orders_under_caps():
     p = diamond(3).poset
-    assert len(list(extension_orders(p))) == 6
+    assert len(_recursive_extension_orders(p)) == 6
     for cap in (None, 0, 1, 2, 5, 6, 7, 100):
-        assert [order for order, _ in _walk_leaves(p, cap)] == list(extension_orders(p, cap))
+        assert [order for order, _ in _walk_leaves(p, cap)] == _recursive_extension_orders(p, cap)
     assert _walk_leaves(Poset.chain(1)) == [((0,), [0])]
     assert _walk_leaves(Poset.chain(1), 1) == [((0,), [0])]
     assert _walk_leaves(Poset.chain(1), 0) == []
@@ -504,7 +528,7 @@ def _bareiss_echelon_report(L, cap=None):
     down_counts = [m.bit_count() for m in p.covers_down()]
     up_counts = [m.bit_count() for m in p.covers_up()]
     checked = 0
-    for order in extension_orders(p, cap):
+    for order in _recursive_extension_orders(p, cap):
         for i, j in enumerate(_bareiss_pivots(p, order)):
             x, y = order[j], order[i]
             if up_counts[y] != down_counts[x]:
@@ -521,7 +545,7 @@ def _bareiss_rowmotion_report(L, target, cap=None):
     each extension in turn."""
     p = L.poset
     checked = 0
-    for order in extension_orders(p, cap):
+    for order in _recursive_extension_orders(p, cap):
         echelon = posets._echelon_mapping(order, _bareiss_pivots(p, order))
         if echelon != target:
             return Report("echelon-equals-rowmotion", checked, "counterexample", {
@@ -540,7 +564,7 @@ def _assert_first_failure_matches(p, verify, oracle, cap=None):
     if expected.status == "verified":
         return None
     failing = expected.witness["extension"]
-    place = list(extension_orders(p, cap)).index(tuple(failing))
+    place = _recursive_extension_orders(p, cap).index(tuple(failing))
     assert verify(place) == oracle(place) == Report(expected.theorem, place, "verified")
     assert verify(place + 1) == oracle(place + 1) == expected
     return place
@@ -570,7 +594,7 @@ def test_rowmotion_walk_finds_the_first_failure_of_the_bareiss_oracle(monkeypatc
     places = Counter()
     for lat, cap in lattices:
         p = lat.poset
-        last = list(extension_orders(p, cap))[-1]
+        last = _recursive_extension_orders(p, cap)[-1]
         target = posets._echelon_mapping(last, _bareiss_pivots(p, last))
         monkeypatch.setattr(posets, "rowmotion_distributive", lambda L: target)
         places[_assert_first_failure_matches(
@@ -597,27 +621,6 @@ def test_echelon_checkers_fail_on_wrong_pivots(monkeypatch):
 
 
 # -- the iterative extension generator against the recursive oracle ------------
-
-
-def _recursive_extension_orders(p, cap=None):
-    """Every linear extension of p by recursion, in lexicographic order."""
-    n = p.n
-    down = p.down
-    order = []
-
-    def rec(placed):
-        if len(order) == n:
-            yield tuple(order)
-            return
-        for x in range(n):
-            b = 1 << x
-            if placed & b or down[x] & ~(placed | b):
-                continue
-            order.append(x)
-            yield from rec(placed | b)
-            order.pop()
-
-    return list(itertools.islice(rec(0), cap))
 
 
 def test_extension_orders_match_the_recursive_oracle_on_small_posets():
@@ -650,6 +653,23 @@ def test_extension_caps():
                  lambda: verify_echelon_theorem(diamond(3), extension_cap=-1)):
         with pytest.raises(ValueError):
             call()
+
+
+def test_the_empty_poset_has_one_empty_extension():
+    p = Poset(0, [])
+    assert list(extension_orders(p)) == [()]
+    assert list(linear_extensions(p)) == [LinearExtension(())]
+    assert list(posets._echelon_walk(p, [], None)) == [([], [])]
+    assert list(extension_orders(p, 0)) == []
+    assert list(linear_extensions(p, 0)) == []
+    assert list(posets._echelon_walk(p, [], 0)) == []
+    # a negative cap: the listings refuse it when called, the walk on its first step
+    for call in (lambda: extension_orders(p, -1), lambda: linear_extensions(p, -1)):
+        with pytest.raises(ValueError):
+            call()
+    walk = posets._echelon_walk(p, [], -1)
+    with pytest.raises(ValueError):
+        next(walk)
 
 
 # -- the bounded-only enumeration of the lattice sweep -------------------------
