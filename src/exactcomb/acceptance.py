@@ -396,9 +396,11 @@ BATTERY: tuple[Criterion, ...] = (
 
 # Consecutive BATTERY rows, by index, that run in one process because they
 # share a process-lifetime cache: lattice_sweep (rows 0-2) and
-# _parking_sweep with genfun's lru_caches (5-8).  Rows 10 and 11 keep their
-# centralizer searches only while they run, so they share nothing and run
-# apart.
+# _parking_sweep with genfun's lru_caches (5-8).  The parking sweep is a
+# dynamic program that costs about 0.05 s, so splitting rows 5-8 would lose
+# little; no benchmark workload runs --workers 2 to show it would gain.
+# Rows 10 and 11 keep their centralizer searches only while they run, so
+# they share nothing and run apart.
 BLOCKS: tuple[tuple[int, ...], ...] = ((0, 1, 2), (3,), (4,), (5, 6, 7, 8), (9,), (10,), (11,), (12,))
 
 

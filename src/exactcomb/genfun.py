@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Callable
 from functools import lru_cache
 
 from .core import BiPoly, Permutation
@@ -18,7 +19,6 @@ from .report import COUNTEREXAMPLE, VERIFIED, Report
 TREES_LIMIT = 7
 RECURRENCE_LIMIT = 20
 MINUS_ONE_LIMIT = 30
-SIMSUN_BRUTE_LIMIT = 9
 PARKING_SWEEP_LIMIT = 7
 
 
@@ -183,40 +183,56 @@ def tree_poly_at_minus_one(n: int) -> BiPoly:
 # -- parking-side polynomials ------------------------------------------------
 
 
+def _shift_into(acc: dict, src: dict, shift: int) -> None:
+    for key, count in src.items():
+        key += shift
+        acc[key] = acc.get(key, 0) + count
+
+
 @lru_cache(maxsize=None)
 def _parking_sweep(n: int) -> tuple[BiPoly, BiPoly, BiPoly]:
-    """One pass over all parking functions: (exced, des of outcome, des of inverse outcome).
+    """(exced, des of outcome, des of inverse outcome) over all parking
+    functions, by a dynamic program with one layer per car.
 
-    Builds the preference sequences car by car.  A car parks exactly when
-    it prefers a spot no higher than the highest free one, so every leaf is
-    a parking function and nothing is rejected.  Each node carries the
-    preference sum, the excedances and both descent counts of its prefix:
-    the outcome gains a descent when a car parks left of the previous car,
-    its inverse when a car takes spot s while s + 1 is already occupied.
-    The tests compare it with the same sum over the parking functions
-    filtered from all of [n]^n, through ``parking_stats`` and ``park``.
+    A car parks exactly when it prefers a spot no higher than the highest
+    free one, and takes the first free spot from there on.  So the cars
+    that park at a free spot s are those that prefer r + 1..s, with r the
+    highest free spot below s (or 0).  What a car adds depends only on the
+    free spots, the last car's spot and its own preference: an excedance
+    when car i prefers a spot above i, an outcome descent when it parks
+    left of the last car, and an inverse-outcome descent when it takes spot
+    s while s + 1 is already occupied.  So prefixes merge on the state
+    (free-spot mask, last spot), which carries the three marginals keyed
+    cosum * (n + 1) + statistic.  The spots sum to n(n + 1)/2, so a car
+    that prefers p and parks at s adds s - p to the cosum.  The tests
+    compare it with the car-by-car depth-first sweep at n = 7 and with the
+    parking functions filtered from [n]^n for n <= 6.
     """
-    acc_exc: Counter = Counter()
-    acc_des: Counter = Counter()
-    acc_inv: Counter = Counter()
-    top_cosum = n * (n + 1) // 2
-    free_all = (1 << n + 1) - 2  # bits 1..n
-
-    def rec(car: int, free: int, prev: int, total: int, exc: int, des: int, inv: int) -> None:
-        if car > n:
-            cosum = top_cosum - total
-            acc_exc[(cosum, exc)] += 1
-            acc_des[(cosum, des)] += 1
-            acc_inv[(cosum, inv)] += 1
-            return
-        for p in range(1, free.bit_length()):
-            above = free >> p << p
-            s = (above & -above).bit_length() - 1  # first free spot >= p
-            rec(car + 1, free ^ 1 << s, s, total + p, exc + (p > car),
-                des + (prev > s), inv + (s < n and not free >> s + 1 & 1))
-
-    rec(1, free_all, 0, 0, 0, 0, 0)
-    return BiPoly(acc_exc), BiPoly(acc_des), BiPoly(acc_inv)
+    width = n + 1  # statistic slots per cosum
+    layer = {((1 << n + 1) - 2, 0): ({0: 1}, {0: 1}, {0: 1})}  # free spots 1..n
+    for car in range(1, n + 1):
+        merged: dict = {}
+        for (free, last), (exc, des, inv) in layer.items():
+            below = 0  # the highest free spot below s
+            for s in range(1, free.bit_length()):
+                if not free >> s & 1:
+                    continue
+                to_exc, to_des, to_inv = merged.setdefault((free ^ 1 << s, s), ({}, {}, {}))
+                des_step = last > s
+                inv_step = s < n and not free >> s + 1 & 1
+                for p in range(below + 1, s + 1):
+                    shift = (s - p) * width
+                    _shift_into(to_exc, exc, shift + (p > car))
+                    _shift_into(to_des, des, shift + des_step)
+                    _shift_into(to_inv, inv, shift + inv_step)
+                below = s
+        layer = merged
+    totals: tuple[Counter, Counter, Counter] = (Counter(), Counter(), Counter())
+    for marginals in layer.values():
+        for total, marginal in zip(totals, marginals):
+            for key, count in marginal.items():
+                total[divmod(key, width)] += count
+    return tuple(BiPoly(total) for total in totals)
 
 
 _PARKING_STATS = {"exced": 0, "des-oc": 1, "des-oc-inv": 2}
@@ -237,30 +253,55 @@ def parking_poly(n: int, stat: str = "exced") -> BiPoly:
 # -- simsun permutations -----------------------------------------------------
 
 
-def has_double_descent(word: tuple[int, ...]) -> bool:
-    return any(word[i - 1] > word[i] > word[i + 1] for i in range(1, len(word) - 1))
+def _simsun_walk(m: int) -> BiPoly:
+    """Descent enumerator of the simsun permutations of [m], by insertion.
 
+    w is simsun when its restriction to [j] has no double descent for any
+    j.  Inserting j, the largest letter, into a simsun word on [j - 1] can
+    only make the double descent j > w[p] > w[p + 1], so letter j may go
+    anywhere except directly before a descent.  It adds a descent at the
+    front of a nonempty word and inside an ascent, and none at the end or
+    inside a descent.  The tests compare it with the simsun permutations
+    filtered from S_m.
+    """
+    acc: Counter = Counter()
+    word: list[int] = []
 
-def is_simsun(w: Permutation) -> bool:
-    """No initial-value-range restriction of w has a double descent."""
-    for j in range(1, w.n + 1):
-        filtered = tuple(v for v in w.one_line if v <= j)
-        if has_double_descent(filtered):
-            return False
-    return True
+    def rec(j: int, des: int) -> None:
+        if j > m:
+            acc[(0, des)] += 1
+            return
+        end = j - 1  # word holds 1..j-1; slot p puts j before word[p]
+        for p in range(j):
+            if p < end - 1 and word[p] > word[p + 1]:
+                continue  # directly before a descent
+            if p == end:
+                step = 0
+            elif p == 0:
+                step = 1
+            else:
+                step = word[p - 1] < word[p]
+            word.insert(p, j)
+            rec(j + 1, des + step)
+            del word[p]
+
+    rec(1, 0)
+    return BiPoly(acc)
 
 
 def simsun_poly(m: int, method: str = "recurrence") -> BiPoly:
-    """Descent enumerator of simsun permutations of [m], in the t variable."""
-    if method == "brute":
-        if m > SIMSUN_BRUTE_LIMIT:
-            raise ValueError(f"brute force capped at m = {SIMSUN_BRUTE_LIMIT}")
-        acc: Counter = Counter()
-        for perm in itertools.permutations(range(1, m + 1)):
-            w = Permutation(perm)
-            if is_simsun(w):
-                acc[(0, w.des())] += 1
-        return BiPoly(acc)
+    """Descent enumerator of simsun permutations of [m], in the t variable.
+
+    walk: insertion over the simsun permutations themselves.  recurrence:
+    the derivative recurrence (both must agree, which
+    ``verify_simsun_identity`` checks for every m it reaches).
+    """
+    if m < 0:
+        raise ValueError(f"simsun polynomials need m >= 0, got m = {m}")
+    if method == "walk":
+        if m > 10:
+            raise ValueError("simsun walk capped at m = 10")
+        return _simsun_walk(m)
     if method == "recurrence":
         return _simsun_rec(m)
     raise ValueError(f"unknown method {method!r}")
@@ -287,9 +328,8 @@ def verify_simsun_identity(n: int) -> Report:
 
     Checks, for every k <= n: the parity-collapsed recurrence equals the
     full recurrence at q = -1 and equals t^(k-1) R_(k-1)(1/t); the reversed
-    enumerator satisfies its own derivative recurrence; and R from brute
-    force matches R from the derivative recurrence wherever brute force is
-    feasible.
+    enumerator satisfies its own derivative recurrence; and R from the
+    insertion walk matches R from the derivative recurrence.
     """
     if not 1 <= n <= 10:
         raise ValueError(f"simsun verification needs 1 <= n <= 10, got n = {n}")
@@ -306,7 +346,7 @@ def verify_simsun_identity(n: int) -> Report:
             return Report(name, instances, COUNTEREXAMPLE,
                           {"n": k, "defect": "tree side vs simsun side",
                            "tree_side": lhs.to_json_terms(), "simsun_side": rhs.to_json_terms()})
-        if k - 1 <= SIMSUN_BRUTE_LIMIT - 1 and simsun_poly(k - 1, "brute") != simsun_poly(k - 1):
+        if simsun_poly(k - 1, "walk") != simsun_poly(k - 1):
             return Report(name, instances, COUNTEREXAMPLE,
                           {"m": k - 1, "defect": "simsun brute vs recurrence"})
         # the reciprocal-side recurrence, symbolically; its left side is the
@@ -323,78 +363,76 @@ def verify_simsun_identity(n: int) -> Report:
 # -- permutation classes for the alternating identity ------------------------
 
 
-def preference_lower_bounds(sigma: Permutation) -> tuple[int, ...]:
-    """Minimum preference each car can have and still park in its outcome spot.
+def _prefix_walk(n: int, admits: Callable[[list[int], int, int], bool]
+                 ) -> list[tuple[int, ...]]:
+    """The permutations of [n], in lex order, whose every prefix is admitted.
 
-    Entry i is one more than the largest value below sigma(i) (zero
-    allowed) that is not among sigma(1..i-1).  A preference sequence parks
-    to outcome sigma exactly when every entry lies between this bound and
-    sigma(i), which the tests confirm by brute force.
+    Builds each permutation left to right: value v may follow ``prefix``
+    when ``admits(prefix, used, v)`` holds, with ``used`` the mask of the
+    prefix's values.  A class whose condition at position i reads only the
+    prefix is walked without visiting its non-members' completions.
     """
-    used: set[int] = set()
     out = []
-    for i in range(1, sigma.n + 1):
-        target = sigma(i)
-        r = target - 1
-        while r in used:
-            r -= 1
-        out.append(r + 1)
-        used.add(target)
-    return tuple(out)
+    word: list[int] = []
+
+    def rec(used: int) -> None:
+        if len(word) == n:
+            out.append(tuple(word))
+            return
+        for v in range(1, n + 1):
+            if not used >> v & 1 and admits(word, used, v):
+                word.append(v)
+                rec(used | 1 << v)
+                word.pop()
+
+    rec(0)
+    return out
 
 
-def blocking_positions(tau: Permutation) -> tuple[int, ...]:
-    """For each position p: the rightmost earlier position holding a larger value, or 0."""
+def _odd_interval_step(prefix: list[int], used: int, v: int) -> bool:
+    """Odd-interval: sigma(i) shares parity with its preference lower bound,
+    one more than the largest value below sigma(i) (zero allowed) that is
+    not among sigma(1..i-1).  A preference sequence parks to outcome sigma
+    exactly when every entry lies between that bound and sigma(i)."""
+    r = v - 1
+    while used >> r & 1:
+        r -= 1
+    return (v - r) % 2 == 1
+
+
+def _odd_gap_step(prefix: list[int], used: int, v: int) -> bool:
+    """Odd-gap: every position sits an odd distance after its blocking
+    position, the rightmost earlier position holding a larger value, or 0."""
+    block = 0
+    for j, u in enumerate(prefix, start=1):
+        if u > v:
+            block = j
+    return (len(prefix) + 1 - block) % 2 == 1
+
+
+def _alternating_step(prefix: list[int], used: int, v: int) -> bool:
+    """Up-down: a rise into every even position, a fall into every odd one."""
+    return not prefix or (v > prefix[-1]) == (len(prefix) % 2 == 1)
+
+
+def _jacobi_words(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The Jacobi arrangements of the increasing ``letters``, by their
+    recursion: the minimum sits at an odd position (counting from 1), and
+    the words left and right of it are Jacobi."""
+    if not letters:
+        return [()]
+    low, rest = letters[0], letters[1:]
     out = []
-    for p in range(1, tau.n + 1):
-        best = 0
-        for j in range(1, p):
-            if tau(j) > tau(p):
-                best = j
-        out.append(best)
-    return tuple(out)
+    for size in range(0, len(rest) + 1, 2):  # the minimum lands at position size + 1
+        for left in itertools.combinations(rest, size):
+            right = tuple(v for v in rest if v not in left)
+            rights = _jacobi_words(right)
+            out.extend(lw + (low,) + rw for lw in _jacobi_words(left) for rw in rights)
+    return out
 
 
 def complement_perm(w: Permutation) -> Permutation:
     return Permutation(w.n + 1 - w(i) for i in range(1, w.n + 1))
-
-
-def is_odd_interval_perm(sigma: Permutation) -> bool:
-    """sigma(i) and its preference lower bound always share parity."""
-    bounds = preference_lower_bounds(sigma)
-    return all(sigma(i) % 2 == bounds[i - 1] % 2 for i in range(1, sigma.n + 1))
-
-
-def is_odd_gap_perm(tau: Permutation) -> bool:
-    """Every position sits an odd distance after its blocking position."""
-    blocks = blocking_positions(tau)
-    return all((p - blocks[p - 1]) % 2 == 1 for p in range(1, tau.n + 1))
-
-
-def _is_jacobi_recursive(word: tuple[int, ...]) -> bool:
-    """Jacobi: the minimum sits at an odd position (counting from 1), and
-    the words left and right of it, standardized, are Jacobi.
-
-    ``word`` has distinct letters.  The test reads only where minima sit,
-    which standardizing does not move, so the sides recurse as they are.
-    """
-    if not word:
-        return True
-    p = word.index(min(word))
-    if p % 2 == 1:
-        return False
-    return _is_jacobi_recursive(word[:p]) and _is_jacobi_recursive(word[p + 1:])
-
-
-def is_alternating(w: Permutation) -> bool:
-    """Up-down: rises at odd positions, falls at even ones."""
-    for i in range(1, w.n):
-        if i % 2 == 1:
-            if not w(i) < w(i + 1):
-                return False
-        elif not w(i) > w(i + 1):
-            return False
-    return True
 
 
 def zigzag_poly(n: int) -> BiPoly:
@@ -407,12 +445,8 @@ def zigzag_poly(n: int) -> BiPoly:
         raise ValueError(f"zigzag polynomials need n >= 0, got n = {n}")
     if n > 10:
         raise ValueError("zigzag enumeration capped at n = 10")
-    acc: Counter = Counter()
-    for perm in itertools.permutations(range(1, n + 1)):
-        w = Permutation(perm)
-        if is_alternating(w):
-            acc[(0, w.inverse().big_descent_count() + 1)] += 1
-    return BiPoly(acc)
+    return BiPoly(Counter((0, Permutation(w).inverse().big_descent_count() + 1)
+                          for w in _prefix_walk(n, _alternating_step)))
 
 
 def _is_palindromic(p: BiPoly, degree: int) -> bool:
@@ -425,21 +459,18 @@ def _is_palindromic(p: BiPoly, degree: int) -> bool:
 def verify_alternating_identity(n: int) -> Report:
     """The q = -1 parking polynomial equals the zigzag polynomial, with all
     intermediate steps of the derivation checked on the way.
+
+    Each class comes from its own walk, never from another class, so the
+    inverse and complement checks compare independent enumerations.
     """
     name = "parking-minus-one-is-zigzag"
     if not 2 <= n <= PARKING_SWEEP_LIMIT:
         raise ValueError(
             f"alternating identity needs 2 <= n <= {PARKING_SWEEP_LIMIT}, got n = {n}")
     lhs = parking_poly(n, "exced").subs_q(-1)
-    # one pass over S_n sorts out all three classes and keeps only their members
-    odd_intervals, odd_gaps, jacobi = [], [], []
-    for w in map(Permutation, itertools.permutations(range(1, n + 1))):
-        if is_odd_interval_perm(w):
-            odd_intervals.append(w)
-        if is_odd_gap_perm(w):
-            odd_gaps.append(w)
-        if _is_jacobi_recursive(w.one_line):
-            jacobi.append(w)
+    odd_intervals = [Permutation(w) for w in _prefix_walk(n, _odd_interval_step)]
+    odd_gaps = _prefix_walk(n, _odd_gap_step)
+    jacobi = _jacobi_words(tuple(range(1, n + 1)))
 
     by_descents = BiPoly(Counter((0, s.des()) for s in odd_intervals))
     if lhs != by_descents:
@@ -448,13 +479,13 @@ def verify_alternating_identity(n: int) -> Report:
                        "parking_side": lhs.to_json_terms(),
                        "outcome_side": by_descents.to_json_terms()})
 
-    if {s.inverse().one_line for s in odd_intervals} != {w.one_line for w in odd_gaps}:
+    if {s.inverse().one_line for s in odd_intervals} != set(odd_gaps):
         return Report(name, 0, COUNTEREXAMPLE, {"n": n, "defect": "inverse class mismatch"})
-    if {complement_perm(w).one_line for w in odd_gaps} != {w.one_line for w in jacobi}:
+    if {complement_perm(Permutation(w)).one_line for w in odd_gaps} != set(jacobi):
         return Report(name, 0, COUNTEREXAMPLE, {"n": n, "defect": "complement class mismatch"})
 
     rhs = zigzag_poly(n)
-    jac = BiPoly(Counter((0, w.inverse().des()) for w in jacobi))
+    jac = BiPoly(Counter((0, Permutation(w).inverse().des()) for w in jacobi))
     if rhs != BiPoly.t() * jac:
         return Report(name, 0, COUNTEREXAMPLE,
                       {"n": n, "defect": "zigzag is not t times Jacobi",

@@ -24,7 +24,7 @@ import pytest
 
 from exactcomb import acceptance, genfun, parking, plactic, posets
 from exactcomb.cli import main
-from exactcomb.core import BiPoly, Permutation
+from exactcomb.core import BiPoly, IntMatrix, Permutation
 from exactcomb.report import Report, reports_to_json
 from test_plactic import _knuth_classes, _record_walks
 
@@ -218,6 +218,33 @@ def test_non_invariant_bruhat_kernel_fails_criterion_04(monkeypatch):
     assert {"u1", "u2"} <= set(r.witness)
 
 
+def _perturb_one_side(monkeypatch, side):
+    """Transpose every u1 (side 0) or every u2 (side 1) that criterion 4
+    draws: a unit lower-triangular factor is outside B, so it may move the
+    permutation."""
+    draw, drawn = acceptance.random_unit_upper_triangular, itertools.count()
+
+    def one_side_lower(n, rng):
+        u = draw(n, rng)
+        return IntMatrix(zip(*u.entries)) if next(drawn) % 2 == side else u
+
+    monkeypatch.setattr(acceptance, "random_unit_upper_triangular", one_side_lower)
+
+
+@pytest.mark.parametrize("side, factor, instances", [(0, "u1", 6), (1, "u2", 13)])
+def test_perturbation_on_one_side_fails_criterion_04(monkeypatch, side, factor, instances):
+    # A check that dropped this side's factor would still verify.  C2xC2's
+    # matrix lies in the big cell, which most lower factors do not leave,
+    # so the failure comes a few perturbations in.
+    _perturb_one_side(monkeypatch, side)
+    r = acceptance.criterion_bruhat(max_n=2, perturbations=100)
+    assert r.status == "counterexample" and r.witness["catalog"] == "C2xC2"
+    assert r.instances == instances  # 1! + 2! permutations, then the perturbations
+    lower = r.witness[factor]
+    assert any(lower[i][j] for i in range(len(lower)) for j in range(i))
+    assert r.witness["got"] != r.witness["expected"]
+
+
 def _break_ordering_sweep(defect, monkeypatch):
     """Patch one kernel of the fixed-content check so that exactly the
     check named by ``defect`` fails."""
@@ -338,9 +365,10 @@ def test_broken_reciprocal_recurrence_fails_criterion_08(monkeypatch):
 
 
 def test_broken_simsun_test_fails_criterion_08(monkeypatch):
-    is_simsun = genfun.is_simsun
-    monkeypatch.setattr(genfun, "is_simsun",
-                        lambda w: is_simsun(w) or w.one_line == (3, 2, 1))
+    # the insertion walk also yields 321, with its two descents
+    walk = genfun._simsun_walk
+    monkeypatch.setattr(genfun, "_simsun_walk",
+                        lambda m: walk(m) + (BiPoly.t() ** 2 if m == 3 else 0))
     r = acceptance.criterion_simsun(max_n=5)
     assert r.status == "counterexample" and r.instances == 3
     assert r.witness == {"m": 3, "defect": "simsun brute vs recurrence"}
@@ -356,18 +384,20 @@ def test_broken_parking_side_fails_criterion_09(monkeypatch):
 
 
 def test_broken_odd_gap_class_fails_criterion_09(monkeypatch):
-    is_odd_gap_perm = genfun.is_odd_gap_perm
-    monkeypatch.setattr(genfun, "is_odd_gap_perm",
-                        lambda w: is_odd_gap_perm(w) or w.one_line == (1, 2))
+    # the odd-gap walk also lets 2 follow 1, so it yields 12 at n = 2
+    step = genfun._odd_gap_step
+    monkeypatch.setattr(genfun, "_odd_gap_step", lambda prefix, used, v: (
+        step(prefix, used, v) or (prefix == [1] and v == 2)))
     r = acceptance.criterion_alternating(max_n=4)
     assert r.status == "counterexample"
     assert r.witness == {"n": 2, "defect": "inverse class mismatch"}
 
 
 def test_broken_jacobi_class_fails_criterion_09(monkeypatch):
-    is_jacobi = genfun._is_jacobi_recursive
-    monkeypatch.setattr(genfun, "_is_jacobi_recursive",
-                        lambda word: is_jacobi(word) or word == (2, 1))
+    # the Jacobi recursion also puts the minimum of two letters second
+    words = genfun._jacobi_words
+    monkeypatch.setattr(genfun, "_jacobi_words", lambda letters: (
+        words(letters) + [letters[::-1]] if len(letters) == 2 else words(letters)))
     r = acceptance.criterion_alternating(max_n=4)
     assert r.status == "counterexample"
     assert r.witness == {"n": 2, "defect": "complement class mismatch"}
@@ -381,22 +411,24 @@ def test_zigzag_not_t_times_jacobi_fails_criterion_09(monkeypatch):
     assert r.witness["n"] == 2 and r.witness["defect"] == "zigzag is not t times Jacobi"
 
 
+def _odd_gap_walk(n):
+    return genfun._prefix_walk(n, genfun._odd_gap_step)
+
+
 def _odd_gap_descents(n):
     """Sum of t^(des of the inverse) over the odd-gap permutations of [n]."""
-    return BiPoly(Counter((0, w.inverse().des()) for w in
-                          map(Permutation, itertools.permutations(range(1, n + 1)))
-                          if genfun.is_odd_gap_perm(w)))
+    return BiPoly(Counter((0, Permutation(w).inverse().des()) for w in _odd_gap_walk(n)))
 
 
 def test_non_palindromic_jacobi_fails_criterion_09(monkeypatch):
-    # From n = 3 on, the Jacobi class is swapped for the odd-gap class.  The
+    # From n = 3 on, the Jacobi walk is swapped for the odd-gap walk.  The
     # complement check would catch that, so it is patched too: complement_perm
     # is the identity there.  Zigzag stays t times the swapped polynomial, so
     # only the palindrome check can fail.
-    is_jacobi, complement, zigzag = (genfun._is_jacobi_recursive, genfun.complement_perm,
-                                     genfun.zigzag_poly)
-    monkeypatch.setattr(genfun, "_is_jacobi_recursive", lambda word: (
-        genfun.is_odd_gap_perm(Permutation(word)) if len(word) >= 3 else is_jacobi(word)))
+    words, complement, zigzag = (genfun._jacobi_words, genfun.complement_perm,
+                                 genfun.zigzag_poly)
+    monkeypatch.setattr(genfun, "_jacobi_words", lambda letters: (
+        _odd_gap_walk(len(letters)) if len(letters) >= 3 else words(letters)))
     monkeypatch.setattr(genfun, "complement_perm", lambda w: w if w.n >= 3 else complement(w))
     monkeypatch.setattr(genfun, "zigzag_poly", lambda n: (
         BiPoly.t() * _odd_gap_descents(n) if n >= 3 else zigzag(n)))
@@ -408,7 +440,7 @@ def test_non_palindromic_jacobi_fails_criterion_09(monkeypatch):
 def test_zigzag_side_fails_criterion_09(monkeypatch):
     # The last link, parking side against zigzag side, fires only when every
     # link before it holds, so the grouping check is patched too: the
-    # permutations of the one pass over S_n count one descent too many, and
+    # permutations of the odd-interval walk count one descent too many, and
     # the parking side is shifted to match.  Their inverses, and with them
     # the Jacobi polynomial and zigzag, are plain permutations and stay true.
     class OneMoreDescent(Permutation):

@@ -12,15 +12,9 @@ from exactcomb.genfun import (
     PARKING_SWEEP_LIMIT,
     RECURRENCE_LIMIT,
     PackingCheckError,
-    blocking_positions,
     complement_perm,
-    _is_jacobi_recursive,
-    is_alternating,
-    is_odd_gap_perm,
-    is_odd_interval_perm,
     parking_poly,
     TREES_LIMIT,
-    preference_lower_bounds,
     simsun_eulerian,
     simsun_poly,
     tree_poly,
@@ -287,19 +281,85 @@ def test_parking_sweep_matches_filtered_oracle(n):
     assert all(poly.eval_at(1, 1) == leaves for poly in fast)
 
 
+def _parking_dfs(n):
+    """(exced, des of outcome, des of inverse outcome) by a depth-first pass
+    over all parking functions, built car by car.
+
+    A car parks exactly when it prefers a spot no higher than the highest
+    free one, so every leaf is a parking function.  Each node carries the
+    preference sum, the excedances and both descent counts of its prefix.
+    """
+    acc = [Counter(), Counter(), Counter()]
+    top_cosum = n * (n + 1) // 2
+
+    def rec(car, free, prev, total, exc, des, inv):
+        if car > n:
+            cosum = top_cosum - total
+            for a, stat in zip(acc, (exc, des, inv)):
+                a[(cosum, stat)] += 1
+            return
+        for p in range(1, free.bit_length()):
+            above = free >> p << p
+            s = (above & -above).bit_length() - 1  # first free spot >= p
+            rec(car + 1, free ^ 1 << s, s, total + p, exc + (p > car),
+                des + (prev > s), inv + (s < n and not free >> s + 1 & 1))
+
+    rec(1, (1 << n + 1) - 2, 0, 0, 0, 0, 0)
+    return tuple(BiPoly(a) for a in acc)
+
+
+def test_parking_dp_matches_depth_first_oracle():
+    # the filtered oracle covers n <= 6; the depth-first sweep reaches the limit
+    n = PARKING_SWEEP_LIMIT
+    assert genfun._parking_sweep(n) == _parking_dfs(n)
+    assert _parking_dfs(5) == _filtered_parking_sweep(5)
+
+
 @pytest.mark.parametrize("n", [-1, PARKING_SWEEP_LIMIT + 1])
 def test_parking_poly_rejects_sizes_out_of_range(n):
     with pytest.raises(ValueError, match=f"n = {n}"):
         parking_poly(n)
 
 
+def has_double_descent(word):
+    return any(word[i - 1] > word[i] > word[i + 1] for i in range(1, len(word) - 1))
+
+
+def is_simsun(w):
+    """Oracle: no initial-value-range restriction of w has a double descent."""
+    for j in range(1, w.n + 1):
+        if has_double_descent(tuple(v for v in w.one_line if v <= j)):
+            return False
+    return True
+
+
 def test_simsun_poly():
     t = BiPoly.t()
     assert simsun_poly(0) == 1
     assert simsun_poly(2) == 1 + t
-    assert simsun_poly(3, "brute") == 1 + 4 * t
-    for m in range(8):
-        assert simsun_poly(m, "brute") == simsun_poly(m, "recurrence"), m
+    assert simsun_poly(3, "walk") == 1 + 4 * t
+    for m in range(10):
+        assert simsun_poly(m, "walk") == simsun_poly(m, "recurrence"), m
+    with pytest.raises(ValueError, match="capped at m = 10"):
+        simsun_poly(11, "walk")
+    with pytest.raises(ValueError, match="need m >= 0, got m = -1"):
+        simsun_poly(-1)
+    with pytest.raises(ValueError):
+        simsun_poly(3, "brute")
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_simsun_walk_matches_filtered_oracle(m):
+    filtered = BiPoly(Counter((0, w.des()) for w in perms(m) if is_simsun(w)))
+    assert simsun_poly(m, "walk") == filtered
+
+
+def test_verify_simsun_identity_walks_every_m_below_n(monkeypatch):
+    walked = []
+    walk = genfun._simsun_walk
+    monkeypatch.setattr(genfun, "_simsun_walk", lambda m: walked.append(m) or walk(m))
+    assert verify_simsun_identity(9).status == "verified"
+    assert walked == list(range(9))
 
 
 def test_simsun_eulerian():
@@ -320,6 +380,70 @@ def test_verify_simsun_identity_rejects_sizes_out_of_range(n):
     # n = 0 would check nothing and still report verified
     with pytest.raises(ValueError, match=f"needs 1 <= n <= 10, got n = {n}"):
         verify_simsun_identity(n)
+
+
+def preference_lower_bounds(sigma):
+    """Oracle: entry i is one more than the largest value below sigma(i)
+    (zero allowed) that is not among sigma(1..i-1)."""
+    used = set()
+    out = []
+    for target in sigma.one_line:
+        r = target - 1
+        while r in used:
+            r -= 1
+        out.append(r + 1)
+        used.add(target)
+    return tuple(out)
+
+
+def blocking_positions(tau):
+    """Oracle: for each position p, the rightmost earlier position holding a larger value, or 0."""
+    out = []
+    for p in range(1, tau.n + 1):
+        best = 0
+        for j in range(1, p):
+            if tau(j) > tau(p):
+                best = j
+        out.append(best)
+    return tuple(out)
+
+
+def is_odd_interval_perm(sigma):
+    """Oracle: sigma(i) and its preference lower bound always share parity."""
+    bounds = preference_lower_bounds(sigma)
+    return all(sigma(i) % 2 == bounds[i - 1] % 2 for i in range(1, sigma.n + 1))
+
+
+def is_odd_gap_perm(tau):
+    """Oracle: every position sits an odd distance after its blocking position."""
+    blocks = blocking_positions(tau)
+    return all((p - blocks[p - 1]) % 2 == 1 for p in range(1, tau.n + 1))
+
+
+def _is_jacobi_recursive(word):
+    """The Jacobi class: the minimum sits at an odd position (counting from
+    1), and the words left and right of it, standardized, are Jacobi.
+
+    ``word`` has distinct letters.  The test reads only where minima sit,
+    which standardizing does not move, so the sides recurse as they are.
+    """
+    if not word:
+        return True
+    p = word.index(min(word))
+    if p % 2 == 1:
+        return False
+    return _is_jacobi_recursive(word[:p]) and _is_jacobi_recursive(word[p + 1:])
+
+
+def is_alternating(w):
+    """Oracle: up-down, with rises at odd positions and falls at even ones."""
+    for i in range(1, w.n):
+        if i % 2 == 1:
+            if not w(i) < w(i + 1):
+                return False
+        elif not w(i) > w(i + 1):
+            return False
+    return True
 
 
 def test_preference_lower_bounds():
@@ -355,6 +479,19 @@ def test_class_membership_small():
     assert members(3, is_odd_gap_perm) == {"213", "321"}
     assert members(3, lambda w: _is_jacobi_recursive(w.one_line)) == {"123", "231"}
     assert members(3, is_alternating) == {"132", "231"}
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_class_walks_match_filtered_oracles(n):
+    for step, in_class in ((genfun._odd_interval_step, is_odd_interval_perm),
+                           (genfun._odd_gap_step, is_odd_gap_perm),
+                           (genfun._alternating_step, is_alternating)):
+        assert genfun._prefix_walk(n, step) == [w.one_line for w in perms(n) if in_class(w)]
+    jacobi = genfun._jacobi_words(tuple(range(1, n + 1)))
+    assert len(jacobi) == len(set(jacobi))
+    assert set(jacobi) == {w.one_line for w in perms(n) if _is_jacobi_recursive(w.one_line)}
+    assert zigzag_poly(n) == BiPoly(Counter((0, w.inverse().big_descent_count() + 1)
+                                            for w in perms(n) if is_alternating(w)))
 
 
 def test_odd_gaps_are_inverses_of_odd_intervals():
@@ -433,19 +570,12 @@ def test_verify_alternating_identity_names_its_own_range(n):
         f"alternating identity needs 2 <= n <= {PARKING_SWEEP_LIMIT}, got n = {n}")
 
 
-def test_alternating_identity_walks_s_n_once_besides_zigzag(monkeypatch):
-    # one pass over S_n sorts out the odd-interval, odd-gap and Jacobi classes;
-    # zigzag_poly, the independent right-hand side, makes the other walk
-    walks = []
-    permutations = itertools.permutations
+def test_alternating_identity_and_zigzag_never_walk_s_n(monkeypatch):
+    # every class comes from its own walk; no filter over S_n is left
+    def refuse(*args):
+        raise AssertionError("itertools.permutations called")
 
-    def counting(values):
-        walks.append(tuple(values))
-        return permutations(walks[-1])
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    assert zigzag_poly(7).eval_at(1, 1) == 272  # the Euler number E_7
+    assert verify_alternating_identity(7).status == "verified"
 
-    monkeypatch.setattr(genfun.itertools, "permutations", counting)
-    genfun.zigzag_poly(5)
-    assert walks == [(1, 2, 3, 4, 5)]
-    walks.clear()
-    assert verify_alternating_identity(5).status == "verified"
-    assert walks == [(1, 2, 3, 4, 5)] * 2

@@ -246,6 +246,21 @@ def test_verify_fixed_content_report():
         verify_fixed_content(9)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_fixed_content_round_trips_every_placement_through_n_5(monkeypatch, n):
+    # one insertion per rook placement and free-column order, so a bound on
+    # the fiber checks below 5 shows as a shortfall
+    inserted = []
+    insert = parking._insert_columns
+    monkeypatch.setattr(parking, "_insert_columns",
+                        lambda b, placement, u0: inserted.append(b) or insert(b, placement, u0))
+    assert verify_fixed_content(n).status == "verified"
+    expected = {b: sum(r * math.factorial(n - k)
+                       for k, r in enumerate(rook_numbers(Board.from_content(b))))
+                for b in parking_contents(n)}
+    assert Counter(inserted) == expected
+
+
 # -- the proved statements raise, also under python -O -------------------------
 
 
