@@ -8,6 +8,7 @@ a Python int, so nothing ever rounds or overflows.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -286,6 +287,15 @@ class IntMatrix:
             raise ValueError("ragged rows in matrix")
         self.entries = rows
 
+    @classmethod
+    def _unchecked(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix from rows that are equally long tuples of ints by
+        construction, such as a product's.  Skips the checks of
+        ``__init__``; the tests compare the two."""
+        m = cls.__new__(cls)
+        m.entries = entries
+        return m
+
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -306,13 +316,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bt = list(zip(*other.entries))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.entries
-            )
-        )
+        cols = list(zip(*other.entries))
+        return IntMatrix._unchecked(tuple(
+            tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries))
 
 
 class BareissDivisionError(RuntimeError):

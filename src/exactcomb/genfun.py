@@ -34,23 +34,41 @@ def _tree_sweep(n: int) -> Counter:
     a child adds its larger ancestors, read off its parent's ancestor mask.
     A vertex that gets no children is a leaf.  While vertices remain
     unplaced, the last vertex in the queue must take children, so no branch
-    dies, and once all are placed every vertex still queued is a leaf.  The
-    tests compare it with a sum over decoded Prufer sequences.
+    dies, and once all are placed every vertex still queued is a leaf.
+
+    What can still happen depends only on the unplaced set U and, for each
+    queued vertex y, the number of y's ancestors (y included) above each
+    c in U: a child c of y adds that many inversions, and its own counts
+    are y's plus one below c.  The completions do not depend on the queue
+    order, so they merge on (U, the sorted counts of the queue).  Each
+    state's completions are one packed int, q^inv t^(leaves - 1) in slot
+    inv * (n + 1) + leaves - 1; no slot carries, since each of the n
+    non-root vertices picks one of n + 1 parents, so at most (n + 1)^n
+    trees extend any state.  The tests compare it with a sum over decoded
+    Prufer sequences.
     """
-    acc: Counter = Counter()
+    width = ((n + 1) ** n).bit_length()  # bits per slot
+    inv_shift = (n + 1) * width
     bits = [tuple(v for v in range(n + 1) if m >> v & 1) for m in range(1 << n + 1)]
     above = [0] * (n + 1)  # above[v]: v and its ancestors, as a bitmask
     queue = [0]
+    memo: dict[tuple[int, tuple[tuple[int, ...], ...]], int] = {}
 
-    def rec(qi: int, unplaced: int, inv: int, leaves: int) -> None:
+    def rec(qi: int, unplaced: int) -> int:
         if not unplaced:
             # the vertices from queue[qi] on are leaves; the exponent is leaves - 1
-            acc[(inv, leaves + len(queue) - qi - 1)] += 1
-            return
+            return 1 << (len(queue) - qi - 1) * width
+        rest = bits[unplaced]
+        key = (unplaced, tuple(sorted(
+            tuple((above[y] >> c + 1).bit_count() for c in rest) for y in queue[qi:])))
+        total = memo.get(key)
+        if total is not None:
+            return total
+        total = 0
         x = queue[qi]
         mask = above[x]
         if qi + 1 < len(queue):  # x may stay a leaf: a later vertex can take children
-            rec(qi + 1, unplaced, inv, leaves + 1)
+            total = rec(qi + 1, unplaced) << width
         kids = unplaced
         while kids:
             added = 0
@@ -58,12 +76,21 @@ def _tree_sweep(n: int) -> Counter:
                 above[c] = mask | 1 << c
                 added += (mask >> c + 1).bit_count()
             queue.extend(bits[kids])
-            rec(qi + 1, unplaced ^ kids, inv + added, leaves)
+            total += rec(qi + 1, unplaced ^ kids) << added * inv_shift
             del queue[len(queue) - len(bits[kids]):]
             kids = (kids - 1) & unplaced
+        memo[key] = total
+        return total
 
     above[0] = 1
-    rec(0, (1 << n + 1) - 2, 0, 0)
+    packed = rec(0, (1 << n + 1) - 2)
+    memo.clear()
+    acc: Counter = Counter()
+    slot_mask = (1 << width) - 1
+    for slot in range(-(-packed.bit_length() // width)):
+        count = packed >> slot * width & slot_mask
+        if count:
+            acc[divmod(slot, n + 1)] = count
     return acc
 
 

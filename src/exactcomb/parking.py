@@ -353,32 +353,42 @@ def _ordering_sweep(b: tuple[int, ...], with_fibers: bool) -> _Orderings:
     spots = [0] * (n + 1)  # spots[i] is car i's spot; spots[0] = 0 makes no descent
 
     def rec(i: int, unused: int, free: int, exc: int, des: int) -> None:
-        if i > n:
-            out.exced[exc] += 1
-            out.descents[des] += 1
-            out.fibers[tuple(prefs)] += 1
-            if with_fibers:
-                w = tuple(perm)
-                out.outcomes[w] = tuple(spots[1:])
-                # the rook of descent j sits in row outcome(j + 1), column w(j);
-                # rows and columns are distinct because outcome and w are permutations
-                placements = [frozenset()]
-                for j in range(1, n):
-                    if spots[j] > spots[j + 1]:
-                        rook = (spots[j + 1], w[j - 1])
-                        placements += [a | {rook} for a in placements]
-                out.preimages.update(placements)
+        if i < n:
+            for v in range(1, n + 1):
+                if unused >> v & 1:
+                    p = b[v - 1]
+                    above = free >> p << p
+                    s = (above & -above).bit_length() - 1  # first free spot >= p
+                    perm[i - 1] = v
+                    prefs[i - 1] = p
+                    spots[i] = s
+                    rec(i + 1, unused ^ 1 << v, free ^ 1 << s, exc + (p > i),
+                        des + (spots[i - 1] > s))
             return
-        for v in range(1, n + 1):
-            if unused >> v & 1:
-                p = b[v - 1]
-                above = free >> p << p
-                s = (above & -above).bit_length() - 1  # first free spot >= p
-                perm[i - 1] = v
-                prefs[i - 1] = p
-                spots[i] = s
-                rec(i + 1, unused ^ 1 << v, free ^ 1 << s, exc + (p > i),
-                    des + (spots[i - 1] > s))
+        if n:  # the last car, placed here: one label and one free spot are left
+            v = unused.bit_length() - 1
+            p = b[v - 1]
+            above = free >> p << p
+            s = (above & -above).bit_length() - 1
+            perm[n - 1] = v
+            prefs[n - 1] = p
+            spots[n] = s
+            exc += p > n
+            des += spots[n - 1] > s
+        out.exced[exc] += 1
+        out.descents[des] += 1
+        out.fibers[tuple(prefs)] += 1
+        if with_fibers:
+            w = tuple(perm)
+            out.outcomes[w] = tuple(spots[1:])
+            # the rook of descent j sits in row outcome(j + 1), column w(j);
+            # rows and columns are distinct because outcome and w are permutations
+            placements = [frozenset()]
+            for j in range(1, n):
+                if spots[j] > spots[j + 1]:
+                    rook = (spots[j + 1], w[j - 1])
+                    placements += [a | {rook} for a in placements]
+            out.preimages.update(placements)
 
     bits = (1 << n + 1) - 2  # bits 1..n
     rec(1, bits, bits, 0, 0)

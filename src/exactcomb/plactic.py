@@ -184,20 +184,25 @@ def greene_sweep(alphabet: int,
     forward: a state is the sorted tuple of chain ends, its value the most
     letters placed so far in chains ending that way, and each word takes
     one step (skip the letter, or append it to one chain) from its prefix's
-    states for every k and both modes.  Only the current path is held.  It
-    shares nothing with row insertion; ``greene_oracle`` is the same DP run
-    backward on one word.
+    states for every k and both modes.  Every letter is at least 1, so an
+    increasing chain ending at 1 takes the same letters as an empty one:
+    the moves record end 1 as the start value 0, and states with equal
+    futures merge under the max.  A word one letter short of max_len reads
+    its children's invariants off its own states, without stepping them.
+    Only the current path is held.  It shares nothing with row insertion;
+    ``greene_oracle`` is the same DP run backward on one word.
     """
     moves: dict[tuple[tuple[int, ...], int, bool], tuple[tuple[int, ...], ...]] = {}
 
     def step(states: dict[tuple[int, ...], int], a: int, increasing: bool) -> dict:
         out = dict(states)
+        end = 0 if increasing and a == 1 else a
         for state, count in states.items():
             key = (state, a, increasing)
             nexts = moves.get(key)
             if nexts is None:
                 nexts = moves[key] = tuple({
-                    tuple(sorted(state[:pos] + state[pos + 1:] + (a,)))
+                    tuple(sorted(state[:pos] + state[pos + 1:] + (end,)))
                     for pos, last in enumerate(state)
                     if ((last <= a) if increasing else (a < last))})
             for nxt in nexts:
@@ -205,11 +210,22 @@ def greene_sweep(alphabet: int,
                     out[nxt] = count + 1
         return out
 
+    def leaf(states: dict[tuple[int, ...], int], a: int, increasing: bool) -> int:
+        # the most letters after appending a: a chain takes it when the
+        # smallest end is at most a (increasing) or the largest is above a
+        if increasing:
+            return max(count + (state[0] <= a) for state, count in states.items())
+        return max(count + (a < state[-1]) for state, count in states.items())
+
     def rec(word: Word, inc: list[dict], dec: list[dict]) -> Iterator:
         n = len(word) + 1
         yield (word, tuple(max(d.values()) for d in inc[:n]),
                tuple(max(d.values()) for d in dec[:n]))
-        if len(word) < max_len:
+        if n == max_len:
+            for a in range(1, alphabet + 1):
+                yield (word + (a,), tuple(leaf(d, a, True) for d in inc[:n + 1]),
+                       tuple(leaf(d, a, False) for d in dec[:n + 1]))
+        elif n < max_len:
             for a in range(1, alphabet + 1):
                 yield from rec(word + (a,), [step(d, a, True) for d in inc],
                                [step(d, a, False) for d in dec])
@@ -217,6 +233,7 @@ def greene_sweep(alphabet: int,
     # chain ends start below (increasing) or above (decreasing) every letter
     ks = range(1, max_len + 2)
     yield from rec((), [{(0,) * k: 0} for k in ks], [{(alphabet + 1,) * k: 0} for k in ks])
+    moves.clear()
 
 
 # -- reverse complement, evacuation and threshold evacuation ---------------
@@ -280,6 +297,21 @@ class CentralizerSet:
                 f"length_cap={self.length_cap}, members={len(self.members)})")
 
 
+def _insert_letter(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of P(w a) from those of P(w), as tuples: only the rows on
+    the bump path are rebuilt, the rows below it are shared."""
+    out = []
+    for i, row in enumerate(rows):
+        j = bisect_right(row, a)
+        if j == len(row):
+            out.append(row + (a,))
+            return (*out, *rows[i + 1:])
+        out.append(row[:j] + (a,) + row[j + 1:])
+        a = row[j]
+    out.append((a,))
+    return tuple(out)
+
+
 def _commute_members(us: list[Word], alphabet: int,
                      max_len: int) -> list[list[tuple[tuple[int, ...], ...]]]:
     """For each word u of us, the rows of every insertion tableau of a word
@@ -291,12 +323,14 @@ def _commute_members(us: list[Word], alphabet: int,
     word w and skips a word whose tableau was seen before, with everything
     below it: appending the same letters to Knuth-equivalent words keeps
     them equivalent.  Its targets are the distinct P(u), and Knuth-equivalent
-    u share one target and its list of members.  The walk holds P(w) and,
-    for each target, P(u w), so a step down inserts one letter into each.
-    Row-insertion bumps never return to the first row, so the first row of
-    P(w u) comes from the first row of P(w) and u alone; only when it equals
-    the first row of P(u w) is u inserted into a copy of P(w) and the two
-    tableaux compared.
+    u share one target and its list of members.  Row-insertion bumps never
+    return to the first row, so the first row of P(w u) comes from the
+    first row of P(w) and u alone, and the first row of P(u w a) from that
+    of P(u w) and a alone.  The walk holds P(w) as tuples and, for each
+    first row of a P(u), only the first row of P(u w), which a step down
+    updates by one bisection.  Only when the two first rows agree are
+    P(w u) and P(u w) built, by inserting u into P(w) and w into P(u), and
+    compared.
     """
     targets: dict[tuple[tuple[int, ...], ...], int] = {}
     words, tableaux, ends = [], [], []  # per target: a u and P(u); per u: its target
@@ -307,14 +341,18 @@ def _commute_members(us: list[Word], alphabet: int,
         if key not in targets:
             targets[key] = len(words)
             words.append(u)
-            tableaux.append(rows)
+            tableaux.append(key)
         ends.append(targets[key])
     members: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in words]
+    # targets whose P(u) share the first row share the first rows of P(u w)
+    starts: dict[tuple[int, ...], int] = {}
+    slot = [starts.setdefault(key[0] if key else (), len(starts)) for key in tableaux]
     seen = {()}
+    path: list[int] = []  # w, the first word of the class visited
 
-    def visit(rows: list[list[int]], key: tuple, lefts: list, depth: int) -> None:
-        # rows is P(w), key its tuple form, lefts[t] P(u w) for the u of target t
-        top = rows[0] if rows else []
+    def visit(rows: tuple, firsts: list[tuple[int, ...]]) -> None:
+        # rows is P(w), firsts[slot[t]] the first row of P(u w) for the u of target t
+        top = list(rows[0]) if rows else []
         for t, u in enumerate(words):
             first = top[:]
             for a in u:
@@ -323,26 +361,29 @@ def _commute_members(us: list[Word], alphabet: int,
                     first.append(a)
                 else:
                     first[j] = a
-            left = lefts[t]
-            if first == (left[0] if left else []):
-                work = [r[:] for r in rows]
+            if tuple(first) == firsts[slot[t]]:
+                work = [list(r) for r in rows]
                 _insert_word(work, u)
+                left = [list(r) for r in tableaux[t]]
+                _insert_word(left, path)
                 if work == left:
-                    members[t].append(key)
-        if depth == max_len:
+                    members[t].append(rows)
+        if len(path) == max_len:
             return
         for a in range(1, alphabet + 1):
-            below = [r[:] for r in rows]
-            _insert_word(below, (a,))
-            below_key = tuple(map(tuple, below))
-            if below_key not in seen:
-                seen.add(below_key)
-                lefts_below = [[r[:] for r in left] for left in lefts]
-                for left in lefts_below:
-                    _insert_word(left, (a,))
-                visit(below, below_key, lefts_below, depth + 1)
+            below = _insert_letter(rows, a)
+            if below not in seen:
+                seen.add(below)
+                below_firsts = []
+                for first in firsts:
+                    j = bisect_right(first, a)
+                    below_firsts.append(first[:j] + (a,) + first[j + 1:])
+                path.append(a)
+                visit(below, below_firsts)
+                path.pop()
 
-    visit([], (), tableaux, 0)
+    visit((), list(starts))
+    seen.clear()
     return [members[t] for t in ends]
 
 

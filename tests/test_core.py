@@ -164,6 +164,34 @@ def test_rank_product_bound_and_permutation_invariance():
         assert int_matrix_rank(cols) == int_matrix_rank(a)
 
 
+def _naive_product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def test_matrix_product_matches_a_triple_loop():
+    # rectangular shapes, 1 x n and n x 1 among them, with negative entries;
+    # the product skips the constructor's checks, so it must equal a
+    # validated matrix of the same rows
+    rng = random.Random(7)
+    shapes = [(1, 1, 1), (1, 4, 1), (4, 1, 4), (1, 3, 5), (5, 3, 1), (2, 3, 4), (3, 5, 2)]
+    shapes += [tuple(rng.randrange(1, 6) for _ in range(3)) for _ in range(20)]
+    for rows, inner, cols in shapes:
+        a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+        product = IntMatrix(a) @ IntMatrix(b)
+        assert product == IntMatrix(_naive_product(a, b))
+        assert product.entries == IntMatrix(product.entries).entries
+        assert type(product.entries) is tuple
+        assert all(type(row) is tuple and all(type(x) is int for x in row)
+                   for row in product.entries)
+        assert (product.rows, product.cols) == (rows, cols)
+    with pytest.raises(ValueError, match="shape mismatch: 2x3 @ 2x3"):
+        IntMatrix([[1, 2, 3], [4, 5, 6]]) @ IntMatrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="shape mismatch: 1x4 @ 1x4"):
+        IntMatrix([[1, -2, 3, -4]]) @ IntMatrix([[1, 2, 3, 4]])
+
+
 def test_random_unit_upper_triangular():
     rng = random.Random(0)
     for n in (1, 3, 5):

@@ -142,6 +142,11 @@ def test_tree_sweep_matches_prufer_oracle(n):
     assert tree_poly(n, "trees").eval_at(1, 1) == (n + 1) ** max(n - 1, 0)
 
 
+def test_tree_sweep_matches_the_recurrence_past_the_limit():
+    # one size beyond what criterion 7 and the Prufer oracle reach
+    assert BiPoly(genfun._tree_sweep(TREES_LIMIT + 1)) == tree_poly(TREES_LIMIT + 1, "recurrence")
+
+
 def q_integer(m):
     """1 + q + ... + q^(m-1)."""
     return BiPoly({(e, 0): 1 for e in range(m)})

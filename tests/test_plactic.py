@@ -1,9 +1,11 @@
 import functools
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
-from exactcomb import plactic
+from exactcomb import genfun, plactic
 from exactcomb.acceptance import _words_over
 from exactcomb.plactic import (
     GREENE_WORD_LIMIT,
@@ -357,29 +359,50 @@ def test_batched_verdicts_match_oracle(batch, alphabet, max_len):
 
 
 def test_a_single_search_inserts_each_letter_of_u_once_per_class(monkeypatch):
-    # a lone u costs one call of its letters for P(u) and at most one more
-    # per class: only a class w whose P(w u) and P(u w) share the first row
-    # inserts u into P(w).  Each step down the walk inserts its letter into
-    # P(w) and P(u w)
+    # a lone u costs one insertion of its letters for P(u).  After that only
+    # a class w whose P(w u) and P(u w) share the first row inserts words:
+    # u into P(w), then w into P(u), once each.  A step down the walk
+    # updates P(w) and the first row of P(u w) without inserting words
     u, cap, length_cap = (2, 1, 3, 1), 4, 5
     classes = _knuth_classes(cap, length_cap)
-    nonempty = len(classes) - 1
-    tried = cap * sum(len(w) < length_cap for w, _ in classes)
-    agree = sum(rsk_P(w + u).rows[0] == rsk_P(u + w).rows[0] for w, _ in classes)
-    calls, letters = [], []
+    agree = [w for w, _ in classes if rsk_P(w + u).rows[0] == rsk_P(u + w).rows[0]]
+    expected = [((), u)] + [
+        call for w in agree for call in ((rsk_P(w).rows, u), (rsk_P(u).rows, w))]
+    calls = []
     insert = plactic._insert_word
 
-    def counting(rows, word, bumped=None):
+    def recording(rows, word, bumped=None):
         word = tuple(word)
-        calls.append(1)
-        letters.append(len(word))
+        calls.append((tuple(map(tuple, rows)), word))
         insert(rows, word, bumped)
 
-    monkeypatch.setattr(plactic, "_insert_word", counting)
+    monkeypatch.setattr(plactic, "_insert_word", recording)
     [found] = plactic._commute_members([u], cap, length_cap)
-    assert len(found) < agree < len(classes)
-    assert len(calls) == 1 + agree + tried + nonempty
-    assert sum(letters) == len(u) * (1 + agree) + tried + nonempty
+    assert len(found) < len(agree) < len(classes)
+    assert calls == expected
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: plactic._commute_members([(2, 1, 3), (1, 2)], 4, 7),
+    lambda: genfun._tree_sweep(7),
+], ids=["commute-members", "tree-sweep"])
+def test_a_walk_keeps_no_table_once_it_returns(walk):
+    # with the collector off, a table held by a reference cycle outlives its
+    # call; the first call fills the interpreter's free lists, and the second
+    # must leave less than 0.2 MiB behind besides its return value
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        walk()
+        before = tracemalloc.get_traced_memory()[0]
+        result = walk()
+        del result
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained < 0.2 * 2 ** 20
 
 
 def test_the_whole_tableaux_decide_when_the_first_rows_agree(monkeypatch):
