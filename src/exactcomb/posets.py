@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Generator, Iterable, Iterator
+from itertools import islice
 
 from .core import BareissDivisionError, IntMatrix, Permutation, int_matrix_rank
 from .report import COUNTEREXAMPLE, SKIPPED, VERIFIED, Report
@@ -235,34 +236,35 @@ def extension_orders(p: Poset, cap: int | None = None) -> Iterator[tuple[int, ..
     With ``cap`` set, stop silently after that many; ``cap=0`` yields
     nothing and a negative cap raises ValueError.
     """
-    order, _, steps = _extension_dfs(p, cap)
-    return (tuple(order) for _ in steps)
+    _check_cap(cap)
+    order, _, steps = _extension_dfs(p)
+    last = p.n - 1
+    return islice((tuple(order) for k in steps if k == last), cap)
 
 
-def _extension_dfs(p: Poset, cap: int | None
-                   ) -> tuple[list[int], list[int], Iterator[int]]:
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 0:
+        raise ValueError(f"extension cap must be at least 0, got {cap}")
+
+
+def _extension_dfs(p: Poset) -> tuple[list[int], list[int], Generator[int, bool | None, None]]:
     """The linear extensions of p in lexicographic order, by one depth-first
     search that places the lowest available element first.
 
-    Returns ``(order, placed, steps)``.  Each step of ``steps`` leaves the
-    next extension in ``order``, with ``placed[k]`` the mask of ``order[:k]``
-    for k <= n, and yields the first position that changed since the
-    previous extension (0 for the first).  From that position k on, the
-    extension is the lexicographically first one through ``order[:k+1]``.
-    ``cap`` stops the search after that many extensions; a negative cap
-    raises ValueError at once.
+    Returns ``(order, placed, steps)``.  ``steps`` yields k each time it
+    places ``order[k]``, with ``placed[k + 1]`` the mask of ``order[:k+1]``;
+    a yield of n - 1 completes an extension (the empty poset's one
+    extension is a yield of -1).  A consumer that answers a yield with
+    ``steps.send(True)`` skips the extensions through ``order[:k+1]``: the
+    search goes on with the next prefix in lexicographic order.
     """
-    if cap is not None and cap < 0:
-        raise ValueError(f"extension cap must be at least 0, got {cap}")
     n = p.n
     order = [0] * n
     placed = [0] * (n + 1)
 
-    def steps() -> Iterator[int]:
-        if cap == 0:
-            return
+    def steps() -> Generator[int, bool | None, None]:
         if n == 0:
-            yield 0
+            yield -1
             return
         upper = p.covers_up()
         lower = p.covers_down()
@@ -271,23 +273,18 @@ def _extension_dfs(p: Poset, cap: int | None
         avail = [0] * n
         rest = [0] * n
         avail[0] = rest[0] = sum(1 << x for x in range(n) if not lower[x])
-        i = changed = emitted = 0
+        i = 0
         last = n - 1
         while i >= 0:
             r = rest[i]
             if not r:
                 i -= 1
-                changed = i
                 continue
             b = r & -r
             rest[i] = r ^ b
             x = order[i] = b.bit_length() - 1
             now = placed[i + 1] = placed[i] | b
-            if i == last:
-                yield changed
-                emitted += 1
-                if emitted == cap:
-                    return
+            if (yield i) or i == last:
                 continue
             # placing an element can only free its upper covers
             a = avail[i] ^ b
@@ -421,23 +418,23 @@ class _ZetaRanks(dict):
 
 
 def _echelon_walk(p: Poset, allowed: list[int], cap: int | None
-                  ) -> Iterator[tuple[list[int], list[int] | None]]:
+                  ) -> Generator[tuple[list[int], list[int]], None, tuple[int, list[int] | None]]:
     """Walk the linear extensions of p in lexicographic order, finding the
-    Bruhat pivots of their Cartan matrices as each prefix grows.
+    Bruhat pivots of their Cartan matrices as each prefix grows, and
+    deciding each state of the walk once.
 
-    The extensions are those of ``_extension_dfs``; at each one the walk
-    redoes the pivot step only from the first position that changed.
-    Yields ``(order, col_of_row)`` for each extension, with ``col_of_row``
-    what ``_bruhat_pivot_cols`` gives on its Cartan matrix; both are the
-    walk's own lists, valid until the next step.  A pivot at row i, column j
-    sends order[j] to order[i], and each is checked against ``allowed``, a
-    mask of permitted images per element, as soon as it is found.  At the
-    first pivot that fails, in row or column k, the search's extension is
-    the lex-first one through order[:k+1], so it is the first extension in
-    lexicographic order whose echelon map breaks ``allowed``: the walk
-    yields a copy of it with ``None`` for its pivots, and stops.  With
-    ``cap`` set the walk stops after that many extensions; a negative cap
-    raises ValueError on the first step.
+    The walk steps the positions that ``_extension_dfs`` places.  A pivot at
+    row i, column j sends order[j] to order[i], and each is checked against
+    ``allowed``, a mask of permitted images per element, as soon as it is
+    found.  The walk yields ``(order, col_of_row)`` at each extension it
+    steps to the end, with ``col_of_row`` what ``_bruhat_pivot_cols`` gives
+    on its Cartan matrix; both are the walk's own lists, valid until the
+    next step.  It returns ``(passed, failing)``: the number of extensions,
+    in lexicographic order, whose pivots all pass, and the first one that
+    fails, or None.  At the first pivot that fails, in row or column k,
+    every extension through order[:k+1] breaks ``allowed``, so ``failing``
+    is the lex-first of them.  With ``cap`` set the walk stops after that
+    many extensions; a negative cap raises ValueError on the first step.
 
     Write R(a, b) for the rank of the zeta matrix on the rows order[a:] and
     the columns order[:b].  It counts the pivots in rows >= a and columns
@@ -463,78 +460,178 @@ def _echelon_walk(p: Poset, allowed: list[int], cap: int | None
       R(a, k+1) > R(a, k).
 
     In both scans the last candidate passes without a test.
+
+    Merged futures.  From position k on, the steps read of the prefix only
+    placed[k]; for each pending column j, placed[j+1] (the descending
+    scan's rank lookups) and order[j] (its ``allowed`` check); and for each
+    open row i, placed[i] and order[i].  The positions follow from those
+    sets, as j = |placed[j]|, and so does every count the scans use: the
+    pending columns, and the open rows at or after i that ``settled``
+    subtracts.  So that state decides the walk from k on: two prefixes that
+    share it have the same extensions ahead and the same verdict on each.
+    The key of a state is placed[k] with the sums of the slots of its
+    pending columns and of its open rows; each slot holds placed[j+1] and
+    order[j] in bits of its own position j, so a sum names its set exactly.
+    The walk records the key of each prefix it steps past.  A later prefix
+    with a recorded key is counted without a step, as the number of linear
+    extensions of the elements still to place (``_upset_extensions``,
+    computed only then), unless that count would cross ``cap``: then the
+    walk steps it, and ``passed`` stays exact.  Only a later prefix of the
+    same length meets a key, after every extension through the first one
+    has passed, since a failure or the cap ends the walk; so the walk still
+    meets the first failure in lexicographic order.
     """
-    order, placed, steps = _extension_dfs(p, cap)
+    _check_cap(cap)
     n = p.n
+    order, placed, steps = _extension_dfs(p)
+    col_of_row = [-1] * n
+    if cap == 0:
+        return 0, None
+    if n == 0:
+        yield order, col_of_row
+        return 1, None
     full = (1 << n) - 1
     rank = _ZetaRanks(p.down)
-    col_of_row = [-1] * n
     # before position k: pend[k] the pending columns and opn[k] the open rows
     pend = [0] * (n + 1)
     opn = [0] * (n + 1)
-    for changed in steps:
-        for k in range(changed, n):
-            x = order[k]
-            before = placed[k]
-            now = placed[k + 1]
-            cols = pend[k]
-            rows = opn[k]
-            count = cols.bit_count()
-            lower_rows = (full ^ now) << n  # rows order[k+1:], shifted into a key
-            # R(k+1, k+1) - count: one up if column k's pivot lies below row k,
-            # one down if row k's pivot is a pending column
-            s = rank[lower_rows | now] - count
-            ok = True
-            if s > 0:
-                cols |= 1 << k
-                rows |= 1 << k
-            else:
-                row_in = s < 0 or (cols and rank[lower_rows | before] < count)
-                if row_in:
-                    # the pending columns descending: row k's pivot lies past
-                    # column i iff R(k+1, i+1) counts every pending column up to i
-                    m = cols
-                    j = m.bit_length() - 1
+    # slot[j] holds placed[j+1] and order[j] (so placed[j] too) in the bits of
+    # position j; pend_key[k] and opn_key[k] sum the slots of pend[k] and opn[k]
+    width = n + n.bit_length()
+    slot = [0] * n
+    pend_key = [0] * (n + 1)
+    opn_key = [0] * (n + 1)
+    seen: set[tuple[int, int, int]] = set()
+    lower = p.covers_down()
+    counts = {0: 1}  # extensions of the up-sets met at merged prefixes
+    passed = 0
+    last = n - 1
+    send = steps.send
+    k = next(steps)
+    while True:
+        x = order[k]
+        before = placed[k]
+        now = placed[k + 1]
+        cols = pend[k]
+        rows = opn[k]
+        ck = pend_key[k]
+        rk = opn_key[k]
+        sk = slot[k] = (now | x << n) << width * k
+        count = cols.bit_count()
+        lower_rows = (full ^ now) << n  # rows order[k+1:], shifted into a key
+        # R(k+1, k+1) - count: one up if column k's pivot lies below row k,
+        # one down if row k's pivot is a pending column
+        s = rank[lower_rows | now] - count
+        ok = True
+        if s > 0:
+            cols |= 1 << k
+            rows |= 1 << k
+            ck += sk
+            rk += sk
+        else:
+            row_in = s < 0 or (cols and rank[lower_rows | before] < count)
+            if row_in:
+                # the pending columns descending: row k's pivot lies past
+                # column i iff R(k+1, i+1) counts every pending column up to i
+                m = cols
+                j = m.bit_length() - 1
+                m ^= 1 << j
+                while m:
+                    i = m.bit_length() - 1
+                    if rank[lower_rows | placed[i + 1]] == m.bit_count():
+                        break
+                    j = i
                     m ^= 1 << j
-                    while m:
-                        i = m.bit_length() - 1
-                        if rank[lower_rows | placed[i + 1]] == m.bit_count():
-                            break
-                        j = i
-                        m ^= 1 << j
-                    col_of_row[k] = j
-                    cols ^= 1 << j
-                    ok = allowed[order[j]] >> x & 1
-                if s == 0 and row_in:
-                    cols |= 1 << k  # column k's pivot lies below row k
+                col_of_row[k] = j
+                cols ^= 1 << j
+                ck -= slot[j]
+                ok = allowed[order[j]] >> x & 1
+            if s == 0 and row_in:
+                cols |= 1 << k  # column k's pivot lies below row k
+                ck += sk
+            else:
+                # column k's pivot is row k, if that has none yet, or an open
+                # row: the highest a among them with R(a, k+1) > R(a, k)
+                if not row_in and (not rows or rank[(full ^ before) << n | now] > count):
+                    i = k
                 else:
-                    # column k's pivot is row k, if that has none yet, or an open
-                    # row: the highest a among them with R(a, k+1) > R(a, k)
-                    if not row_in and (not rows or rank[(full ^ before) << n | now] > count):
-                        i = k
-                    else:
-                        m = rows
-                        while True:
-                            i = m.bit_length() - 1
-                            m ^= 1 << i
-                            if not m:
-                                break
-                            # R(i, k) counts the pending columns and the rows from
-                            # i to k - 1 that have their pivot
-                            settled = k - i - (rows >> i).bit_count()
-                            if rank[(full ^ placed[i]) << n | now] > count + settled:
-                                break
-                        rows ^= 1 << i
-                        if not row_in:
-                            rows |= 1 << k
-                    col_of_row[i] = k
-                    ok = ok and allowed[x] >> order[i] & 1
-            if not ok:
-                yield list(order), None
-                return
+                    m = rows
+                    while True:
+                        i = m.bit_length() - 1
+                        m ^= 1 << i
+                        if not m:
+                            break
+                        # R(i, k) counts the pending columns and the rows from
+                        # i to k - 1 that have their pivot
+                        settled = k - i - (rows >> i).bit_count()
+                        if rank[(full ^ placed[i]) << n | now] > count + settled:
+                            break
+                    rows ^= 1 << i
+                    rk -= slot[i]
+                    if not row_in:
+                        rows |= 1 << k
+                        rk += sk
+                col_of_row[i] = k
+                ok = ok and allowed[x] >> order[i] & 1
+        if not ok:
+            while k < last:  # down to the lex-first extension through order[:k+1]
+                k = send(None)
+            return passed, list(order)
+        skip = False
+        if k == last:
+            passed += 1
+            yield order, col_of_row
+            if passed == cap:
+                return passed, None
+        else:
             pend[k + 1] = cols
             opn[k + 1] = rows
-        yield order, col_of_row
+            pend_key[k + 1] = ck
+            opn_key[k + 1] = rk
+            key = (now, ck, rk)
+            if key not in seen:
+                seen.add(key)
+            else:
+                size = _upset_extensions(lower, counts, full ^ now)
+                if cap is None or passed + size <= cap:
+                    passed += size
+                    if passed == cap:
+                        return passed, None
+                    skip = True
+        try:
+            k = send(skip)
+        except StopIteration:
+            return passed, None
+
+
+def _upset_extensions(lower: tuple[int, ...], memo: dict[int, int], up: int) -> int:
+    """The number of linear extensions of the up-set ``up`` of a poset with
+    lower covers ``lower``: e(U) is the sum of e(U - x) over the minimal
+    elements x of U.  ``memo`` holds e by set and must hold e(empty) = 1."""
+    stack = [up]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        smaller = [u ^ 1 << x for x in _bits(u) if not lower[x] & u]
+        todo = [v for v in smaller if v not in memo]
+        if todo:
+            stack += todo
+        else:
+            memo[u] = sum(memo[v] for v in smaller)
+            stack.pop()
+    return memo[up]
+
+
+def _echelon_verdict(p: Poset, allowed: list[int], cap: int | None) -> tuple[int, list[int] | None]:
+    """What ``_echelon_walk`` returns, once it has run to its end."""
+    walk = _echelon_walk(p, allowed, cap)
+    while True:
+        try:
+            next(walk)
+        except StopIteration as end:
+            return end.value
 
 
 def bruhat_permutation(m: IntMatrix) -> Permutation:
@@ -812,21 +909,19 @@ def verify_echelon_theorem(L: Lattice, extension_cap: int | None = None) -> Repo
     down_counts = [m.bit_count() for m in p.covers_down()]
     up_counts = [m.bit_count() for m in p.covers_up()]
     allowed = [sum(1 << y for y in range(n) if up_counts[y] == d) for d in down_counts]
-    checked = 0
-    for order, col_of_row in _echelon_walk(p, allowed, extension_cap):
-        if col_of_row is None:
-            x, y = next((order[j], order[i])
-                        for i, j in enumerate(_confirmed_pivots(p, allowed, order))
-                        if up_counts[order[i]] != down_counts[order[j]])
-            return Report(name, checked + 1, COUNTEREXAMPLE, {
-                "extension": order,
-                "element": x,
-                "image": y,
-                "covers_below_element": down_counts[x],
-                "covers_above_image": up_counts[y],
-            })
-        checked += 1
-    return Report(name, checked, VERIFIED)
+    checked, order = _echelon_verdict(p, allowed, extension_cap)
+    if order is None:
+        return Report(name, checked, VERIFIED)
+    x, y = next((order[j], order[i])
+                for i, j in enumerate(_confirmed_pivots(p, allowed, order))
+                if up_counts[order[i]] != down_counts[order[j]])
+    return Report(name, checked + 1, COUNTEREXAMPLE, {
+        "extension": order,
+        "element": x,
+        "image": y,
+        "covers_below_element": down_counts[x],
+        "covers_above_image": up_counts[y],
+    })
 
 
 def verify_rowmotion(L: Lattice, extension_cap: int | None = None) -> Report:
@@ -841,17 +936,15 @@ def verify_rowmotion(L: Lattice, extension_cap: int | None = None) -> Report:
     rm = rowmotion_distributive(L)
     p = L.poset
     allowed = [1 << y for y in rm]
-    checked = 0
-    for order, col_of_row in _echelon_walk(p, allowed, extension_cap):
-        if col_of_row is None:
-            echelon = _echelon_mapping(order, _confirmed_pivots(p, allowed, order))
-            return Report(name, checked, COUNTEREXAMPLE, {
-                "extension": order,
-                "echelon": list(echelon),
-                "rowmotion": list(rm),
-            })
-        checked += 1
-    return Report(name, checked, VERIFIED)
+    checked, order = _echelon_verdict(p, allowed, extension_cap)
+    if order is None:
+        return Report(name, checked, VERIFIED)
+    echelon = _echelon_mapping(order, _confirmed_pivots(p, allowed, order))
+    return Report(name, checked, COUNTEREXAMPLE, {
+        "extension": order,
+        "echelon": list(echelon),
+        "rowmotion": list(rm),
+    })
 
 
 def _confirmed_pivots(p: Poset, allowed: list[int], order: list[int]) -> list[int]:

@@ -477,25 +477,51 @@ def _bareiss_pivots(p, order):
     return posets._bruhat_pivot_cols(posets._cartan_rows(p.down, order))
 
 
+def _anything(p):
+    return [(1 << p.n) - 1] * p.n
+
+
+def _walk(p, allowed, cap=None):
+    """(order, pivots) of every extension the walk steps to its end, and
+    what it returns: the extensions that pass and the first that fails."""
+    walk = posets._echelon_walk(p, allowed, cap)
+    leaves = []
+    while True:
+        try:
+            order, cols = next(walk)
+        except StopIteration as end:
+            return leaves, end.value
+        leaves.append((tuple(order), list(cols)))
+
+
 def _walk_leaves(p, cap=None):
-    """(order, pivots) of every extension the walk reaches when nothing fails."""
-    anything = [(1 << p.n) - 1] * p.n
-    return [(tuple(order), list(cols)) for order, cols in posets._echelon_walk(p, anything, cap)]
+    """(order, pivots) of every extension the walk steps when nothing fails.
+    The walk must pass every extension up to the cap, stepped or merged, and
+    step a subsequence of them in lexicographic order, the first included."""
+    leaves, verdict = _walk(p, _anything(p), cap)
+    everything = _recursive_extension_orders(p, cap)
+    assert verdict == (len(everything), None), p
+    orders = [order for order, _ in leaves]
+    assert orders == sorted(set(orders)) and set(orders) <= set(everything), p
+    assert orders[:1] == everything[:1], p
+    return leaves
 
 
 def _assert_walk_matches_bareiss(p, cap=None):
     leaves = _walk_leaves(p, cap)
-    assert [order for order, _ in leaves] == _recursive_extension_orders(p, cap), p
     for order, cols in leaves:
         assert cols == _bareiss_pivots(p, order), (p, order)
     return len(leaves)
 
 
 def test_memo_pivots_match_bareiss_on_sweep_lattices():
-    sweep = acceptance.LatticeSweep(5)
-    assert len(sweep.modular) > 100
-    checked = sum(_assert_walk_matches_bareiss(lat.poset) for lat in sweep.modular)
-    assert checked > len(sweep.modular)
+    # up to five elements the walk steps only the first extension of each
+    # modular lattice and merges the others into it; of the 9 177 extensions
+    # of the 3 095 modular lattices on up to six it steps 3 815
+    for max_n, lattices, stepped in ((5, 305, 305), (6, 3095, 3815)):
+        sweep = acceptance.lattice_sweep(max_n)
+        assert len(sweep.modular) == lattices
+        assert sum(_assert_walk_matches_bareiss(lat.poset) for lat in sweep.modular) == stepped
 
 
 def test_memo_pivots_match_bareiss_on_catalog():
@@ -512,8 +538,9 @@ def test_memo_pivots_on_posets_that_are_not_lattices():
 def test_walk_leaves_follow_extension_orders_under_caps():
     p = diamond(3).poset
     assert len(_recursive_extension_orders(p)) == 6
+    # the orders of the atoms all merge into the first extension's
     for cap in (None, 0, 1, 2, 5, 6, 7, 100):
-        assert [order for order, _ in _walk_leaves(p, cap)] == _recursive_extension_orders(p, cap)
+        assert len(_walk_leaves(p, cap)) == (0 if cap == 0 else 1)
     assert _walk_leaves(Poset.chain(1)) == [((0,), [0])]
     assert _walk_leaves(Poset.chain(1), 1) == [((0,), [0])]
     assert _walk_leaves(Poset.chain(1), 0) == []
@@ -602,6 +629,150 @@ def test_rowmotion_walk_finds_the_first_failure_of_the_bareiss_oracle(monkeypatc
             lambda c: _bareiss_rowmotion_report(lat, target, c), cap)] += 1
     assert sum(n for place, n in places.items() if place is not None) == 294
     assert sum(n for place, n in places.items() if place) > 100
+
+
+# -- merged futures: counts, caps and first failures against Bareiss ----------
+
+
+def _watch_steps(monkeypatch, call):
+    """call(), and the prefixes the echelon walk steps during it, in order."""
+    stepped = []
+    dfs = posets._extension_dfs
+
+    def watched(p):
+        order, placed, steps = dfs(p)
+
+        def relay():
+            skip = None
+            while True:
+                try:
+                    k = steps.send(skip)
+                except StopIteration:
+                    return
+                stepped.append(tuple(order[:k + 1]))
+                skip = yield k
+
+        return order, placed, relay()
+
+    with monkeypatch.context() as m:
+        m.setattr(posets, "_extension_dfs", watched)
+        return call(), stepped
+
+
+def _echelon_maps(p, orders):
+    return [posets._echelon_mapping(order, _bareiss_pivots(p, order)) for order in orders]
+
+
+def _union_of_maps(n, maps):
+    union = [0] * n
+    for mapping in maps:
+        for x, y in enumerate(mapping):
+            union[x] |= 1 << y
+    return union
+
+
+def _verdict_report(verdict):
+    passed, failing = verdict
+    if failing is None:
+        return Report("walk", passed, "verified")
+    return Report("walk", passed, "counterexample", {"extension": list(failing)})
+
+
+def test_upset_extensions_count_the_orders_that_end_an_extension():
+    for p in enumerate_posets_up_to(4):
+        ends = {}
+        for order in _recursive_extension_orders(p):
+            for t in range(p.n + 1):
+                ends.setdefault(sum(1 << x for x in order[t:]), set()).add(order[t:])
+        memo = {0: 1}
+        for up, orders in ends.items():
+            assert posets._upset_extensions(p.covers_down(), memo, up) == len(orders), (p, up)
+    # GL(3, 2), of order 168, acts freely on the extensions of GF(2)^3, in
+    # 432 000 orbits
+    gf2 = subspace_lattice_gf2_dim3().poset
+    assert posets._upset_extensions(gf2.covers_down(), {0: 1}, (1 << gf2.n) - 1) == 432_000 * 168
+
+
+def test_merged_walk_matches_bareiss_on_every_union_of_echelon_maps_less_one_pair():
+    # Allow every pair that the echelon map of some extension uses, less one:
+    # the first failure is then the first extension that uses that pair,
+    # often deep in the order.  A state key without the pending columns or
+    # without the open rows merges prefixes whose futures differ here.
+    masks = 0
+    for index, p in enumerate(enumerate_posets_up_to(5)):
+        if index % 3:
+            continue  # every third of the 4 473 posets, for time
+        orders = _recursive_extension_orders(p)
+        maps = _echelon_maps(p, orders)
+        union = _union_of_maps(p.n, maps)
+        for x in range(p.n):
+            for y in posets._bits(union[x]):
+                allowed = union[:]
+                allowed[x] ^= 1 << y
+                place = next(i for i, mapping in enumerate(maps) if mapping[x] == y)
+                assert posets._echelon_verdict(p, allowed, None) == (place, list(orders[place]))
+                masks += 1
+    assert masks == 14_806
+
+
+@pytest.mark.parametrize("name, total, caps", [
+    ("GF2_dim3_subspaces", 72_576_000, (7, 13, 26, 100, 129, 299, 301)),
+    ("C3xC4", 462, (255, 258, 325, 418, 462, 463)),
+])
+def test_caps_that_end_inside_merged_subtrees(monkeypatch, name, total, caps):
+    lat = lattice_catalog()[name]
+    p = lat.poset
+    horizon = 600
+    assert _bareiss_echelon_report(lat, horizon).instances == min(horizon, total)
+    _, merged = _watch_steps(monkeypatch, lambda: verify_echelon_theorem(lat, horizon))
+    for cap in caps:
+        report, stepped = _watch_steps(monkeypatch, lambda: verify_echelon_theorem(lat, cap))
+        assert report == Report("echelon-cover-transfer", min(cap, total), "verified"), cap
+        if cap < total:
+            # the walk to the horizon counts these prefixes without a step; at
+            # this cap they do not fit, and the walk steps into them
+            assert set(stepped) - set(merged), cap
+
+
+def test_first_failures_past_merged_subtrees_match_bareiss():
+    p = subspace_lattice_gf2_dim3().poset
+    horizon = 600
+    orders = _recursive_extension_orders(p, horizon)
+    maps = _echelon_maps(p, orders)
+    union = _union_of_maps(p.n, maps)
+    # each pair's first extension, and a pair for each such place
+    places = {}
+    for place, mapping in enumerate(maps):
+        for pair in enumerate(mapping):
+            places.setdefault(pair, place)
+    first = {place: pair for pair, place in places.items()}
+    assert max(first) == 552
+    for place in (1, 5, 14, 46, 153, 302, 552):
+        x, y = first[place]
+        allowed = union[:]
+        allowed[x] ^= 1 << y
+
+        def verify(cap):
+            return _verdict_report(posets._echelon_verdict(p, allowed, cap))
+
+        def oracle(cap):
+            return _verdict_report(next(((i, orders[i]) for i in range(cap) if maps[i][x] == y),
+                                        (cap, None)))
+
+        for cap in (place + 1, place + 7, horizon):
+            assert _assert_first_failure_matches(p, verify, oracle, cap) == place
+
+
+def test_the_walk_merges_gf2_at_the_battery_cap(monkeypatch):
+    # a walk that stops merging, or merges less, steps more positions and
+    # computes no fewer ranks
+    lat = subspace_lattice_gf2_dim3()
+    ranks = []
+    zeta_rank = posets._zeta_rank
+    monkeypatch.setattr(posets, "_zeta_rank", lambda *a: ranks.append(a) or zeta_rank(*a))
+    report, stepped = _watch_steps(monkeypatch, lambda: verify_echelon_theorem(lat, 100_000))
+    assert report == Report("echelon-cover-transfer", 100_000, "verified")
+    assert (len(stepped), len(ranks)) == (3252, 1955)
 
 
 def test_echelon_checkers_fail_on_wrong_pivots(monkeypatch):
