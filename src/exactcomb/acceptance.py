@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache, partial
 from typing import NamedTuple
 
@@ -21,22 +21,36 @@ from .report import COUNTEREXAMPLE, VERIFIED, Report, reports_to_json
 
 
 class LatticeSweep:
-    """All modular and distributive lattices among labelled posets up to max_n."""
+    """All modular and distributive lattices among labelled posets up to max_n.
 
-    __slots__ = ("posets_seen", "modular", "distributive")
+    ``modular_classes`` and ``distributive_classes`` run parallel to the two
+    lists: the index of each lattice's isomorphism class, numbered in the
+    order the classes first occur among the modular lattices.
+    """
+
+    __slots__ = ("posets_seen", "modular", "distributive",
+                 "modular_classes", "distributive_classes")
 
     def __init__(self, max_n: int):
         self.modular: list[posets.Lattice] = []
         self.distributive: list[posets.Lattice] = []
+        modular_classes: list[int] = []
+        distributive_classes: list[int] = []
+        index_of: dict[tuple[int, ...], int] = {}
         for p in self._bounded_posets(max_n):
             try:
                 lat = posets.build_lattice(p)
             except posets.NotALatticeError:
                 continue
             if posets.is_modular(lat):
+                c = index_of.setdefault(posets.canonical_form(p), len(index_of))
                 self.modular.append(lat)
+                modular_classes.append(c)
                 if posets.is_distributive(lat):
                     self.distributive.append(lat)
+                    distributive_classes.append(c)
+        self.modular_classes = tuple(modular_classes)
+        self.distributive_classes = tuple(distributive_classes)
 
     def _bounded_posets(self, max_n: int):
         self.posets_seen = yield from posets.bounded_posets_up_to(max_n)
@@ -69,14 +83,39 @@ def _first_failure(name: str, checks: Iterable[tuple[Report, dict]]
     return instances, None
 
 
+def _class_reports(verify: Callable[[posets.Lattice], Report],
+                   lattices: list[posets.Lattice], classes: tuple[int, ...]
+                   ) -> Iterator[Report]:
+    """verify(lat) for each lattice in turn, walking only the first lattice
+    of each isomorphism class while its report is verified.
+
+    An isomorphism of lattices carries each linear extension to one of the
+    image with the same Cartan matrix, entry for entry, so the pivots, the
+    number of extensions and the verdict are the same across a class: a
+    verified report of the first member is the report of every later one.
+    A report that is not verified is never reused; the member is walked
+    itself.
+    """
+    verified: dict[int, Report] = {}
+    for lat, c in zip(lattices, classes):
+        report = verified.get(c)
+        if report is None:
+            report = verify(lat)
+            if report.status == VERIFIED:
+                verified[c] = report
+        yield report
+
+
 def criterion_echelon(max_n: int, catalog_cap: int) -> Report:
     """Cover counts transfer along the echelon map, on every modular lattice
-    in the exhaustive sweep and on the catalog under an extension cap."""
+    in the exhaustive sweep, one walk per isomorphism class, and on the
+    catalog under an extension cap."""
     name = "echelon-cover-transfer"
     sweep = lattice_sweep(max_n)
     catalog = [(cname, lat) for cname, lat in lattice_catalog() if posets.is_modular(lat)]
     instances, failure = _first_failure(name, itertools.chain(
-        ((posets.verify_echelon_theorem(lat), {}) for lat in sweep.modular),
+        ((r, {}) for r in _class_reports(posets.verify_echelon_theorem,
+                                         sweep.modular, sweep.modular_classes)),
         ((posets.verify_echelon_theorem(lat, extension_cap=catalog_cap), {"catalog": cname})
          for cname, lat in catalog)))
     return failure or Report(name, instances, VERIFIED, {
@@ -100,21 +139,21 @@ def criterion_dilworth(max_n: int) -> Report:
 
 def criterion_rowmotion(max_n: int, catalog_cap: int) -> Report:
     """Echelonmotion equals distributive rowmotion for every extension of
-    every distributive lattice in the sweep and the catalog; identical maps
-    across extensions give echelon independence as a corollary."""
+    every distributive lattice in the sweep, one walk per isomorphism class,
+    and the catalog; identical maps across extensions give echelon
+    independence as a corollary."""
     name = "echelon-equals-rowmotion"
     sweep = lattice_sweep(max_n)
-    targets: list[tuple[str, posets.Lattice, int | None]] = [
-        ("sweep", lat, None) for lat in sweep.distributive]
-    for cname, lat in lattice_catalog():
-        if posets.is_distributive(lat):
-            targets.append((cname, lat, catalog_cap))
-    instances, failure = _first_failure(name, (
-        (posets.verify_rowmotion(lat, extension_cap=cap),
-         {"source": cname, "covers": lat.poset.cover_pairs()})
-        for cname, lat, cap in targets))
+    catalog = [(cname, lat) for cname, lat in lattice_catalog() if posets.is_distributive(lat)]
+    instances, failure = _first_failure(name, itertools.chain(
+        ((r, {"source": "sweep", "covers": lat.poset.cover_pairs()})
+         for lat, r in zip(sweep.distributive, _class_reports(
+             posets.verify_rowmotion, sweep.distributive, sweep.distributive_classes))),
+        ((posets.verify_rowmotion(lat, extension_cap=catalog_cap),
+          {"source": cname, "covers": lat.poset.cover_pairs()})
+         for cname, lat in catalog)))
     return failure or Report(name, instances, VERIFIED, {
-        "distributive_lattices": len(targets),
+        "distributive_lattices": len(sweep.distributive) + len(catalog),
         "pairs_checked": instances,
     })
 

@@ -368,9 +368,9 @@ def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
 
 
 def random_unit_upper_triangular(n: int, rng) -> IntMatrix:
-    """Random upper-triangular matrix with unit diagonal, entries in [-2, 2]."""
-    rows = []
-    for i in range(n):
-        row = [0] * i + [1] + [rng.randint(-2, 2) for _ in range(n - i - 1)]
-        rows.append(row)
-    return IntMatrix(rows)
+    """Random upper-triangular matrix with unit diagonal, entries in [-2, 2].
+
+    Draws the entries row by row, left to right."""
+    return IntMatrix._unchecked(tuple(
+        (0,) * i + (1,) + tuple([rng.randint(-2, 2) for _ in range(n - i - 1)])
+        for i in range(n)))

@@ -726,31 +726,28 @@ class Lattice:
         return f"Lattice({self.poset!r})"
 
 
-def _least_member(common: int, up: tuple[int, ...]) -> int:
-    # the element of `common` below all of `common`, if any
-    for z in _bits(common):
-        if not common & ~up[z]:
-            return z
-    return -1
-
-
 def build_lattice(p: Poset) -> Lattice:
-    """Promote a poset to a lattice, or raise NotALatticeError."""
+    """Promote a poset to a lattice, or raise NotALatticeError.
+
+    The upper bounds of a and b form the up-set up[a] & up[b], and it has a
+    least member z exactly when it equals up[z]; so the join is looked up
+    by that mask.  Meets are the dual, through down-sets.
+    """
     n, up, down = p.n, p.up, p.down
+    by_up = {m: x for x, m in enumerate(up)}
+    by_down = {m: x for x, m in enumerate(down)}
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for a in range(n):
         meet[a][a] = a
         join[a][a] = a
         for b in range(a):
-            common = up[a] & up[b]
-            z = _least_member(common, up)
-            if z < 0:
+            z = by_up.get(up[a] & up[b])
+            if z is None:
                 raise NotALatticeError(f"elements {b} and {a} have no least upper bound")
             join[a][b] = join[b][a] = z
-            common = down[a] & down[b]
-            z = _least_member(common, down)
-            if z < 0:
+            z = by_down.get(down[a] & down[b])
+            if z is None:
                 raise NotALatticeError(f"elements {b} and {a} have no greatest lower bound")
             meet[a][b] = meet[b][a] = z
     return Lattice(p, tuple(map(tuple, meet)), tuple(map(tuple, join)))
@@ -974,6 +971,74 @@ def verify_dilworth(L: Lattice) -> Report:
     if down != up:
         return Report(name, 1, COUNTEREXAMPLE, witness)
     return Report(name, 1, VERIFIED, witness)
+
+
+# -- isomorphism classes ---------------------------------------------------
+
+
+def _equitable(cells: list[list[int]], cov_up: tuple[int, ...],
+               cov_down: tuple[int, ...]) -> list[list[int]]:
+    """The coarsest equitable refinement of an ordered partition.
+
+    Splits every cell by how many upper and lower covers each of its
+    elements has in each cell, the pieces in the order of those counts,
+    until no cell splits.  The order comes from the counts alone, never
+    from the labels, so relabelling the poset relabels the result.
+    """
+    base = len(cov_up) + 1  # a count is at most the number of elements
+    while True:
+        masks = [sum(1 << x for x in cell) for cell in cells]
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            pieces: dict[tuple[int, ...], list[int]] = {}
+            for x in cell:
+                u, d = cov_up[x], cov_down[x]
+                key = tuple([(u & m).bit_count() * base + (d & m).bit_count() for m in masks])
+                pieces.setdefault(key, []).append(x)
+            split += [pieces[key] for key in sorted(pieces)]
+        if len(split) == len(cells):
+            return split
+        cells = split
+
+
+def canonical_form(p: Poset) -> tuple[int, ...]:
+    """A code of the isomorphism class of p: two posets get the same code
+    exactly when they are isomorphic.
+
+    Individualisation-refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60, 2014): refine the partition
+    of the elements until it is equitable (``_equitable``), then give each
+    element of the first cell with more than one element a cell of its own
+    in turn, ahead of the rest of that cell, and recurse.  Every step
+    commutes with relabelling, so an isomorphism carries the leaves (the
+    partitions into single elements) of one poset onto those of the other.
+    A leaf orders the elements; the code is the least tuple of up-masks
+    relabelled by that order, over all leaves, and it is itself a
+    relabelling of p.
+    """
+    n = p.n
+    above = [list(_bits(m)) for m in p.up]
+    cov_up, cov_down = p.covers_up(), p.covers_down()
+    best: tuple[int, ...] | None = None
+    stack = [_equitable([list(range(n))], cov_up, cov_down)]
+    while stack:
+        cells = stack.pop()
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is not None:
+            cell = cells[i]
+            stack += [_equitable(cells[:i] + [[v], [x for x in cell if x != v]] + cells[i + 1:],
+                                 cov_up, cov_down) for v in cell]
+            continue
+        bit = [0] * n
+        for k, (x,) in enumerate(cells):
+            bit[x] = 1 << k
+        code = tuple([sum([bit[y] for y in above[x]]) for (x,) in cells])
+        if best is None or code < best:
+            best = code
+    return best
 
 
 # -- exhaustive enumeration ------------------------------------------------

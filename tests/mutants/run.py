@@ -77,6 +77,24 @@ MUTANTS = (
     Mutant("criterion-05-fibres-only-to-n-4", "src/exactcomb/parking.py",
            "with_fibers = n <= 5", "with_fibers = n <= 4",
            ("tests/test_parking.py::test_fixed_content_round_trips_every_placement_through_n_5[5]",)),
+    # the class key must come from the whole search, not from refinement alone
+    Mutant("canonical-form-from-the-first-refinement-alone", POSETS,
+           "    best: tuple[int, ...] | None = None\n",
+           "    cells = _equitable([list(range(n))], cov_up, cov_down)\n"
+           "    masks = [sum(1 << x for x in cell) for cell in cells]\n"
+           "    return tuple((len(cell), tuple(((cov_up[cell[0]] & m).bit_count(),\n"
+           "                                    (cov_down[cell[0]] & m).bit_count()) for m in masks))\n"
+           "                 for cell in cells)\n",
+           (TEST_POSETS + "test_canonical_form_tells_apart_what_refinement_alone_does_not",)),
+    # a report is reused across its class only while it is verified
+    Mutant("class-reuse-without-the-verified-guard", ACCEPTANCE,
+           "            if report.status == VERIFIED:\n                verified[c] = report\n",
+           "            verified[c] = report\n",
+           (TEST_ACCEPTANCE + "test_a_failing_class_reports_as_the_per_lattice_loop_does[smallest-class]",)),
+    # criterion 7 checks the Kreweras cosum through PARKING_SWEEP_LIMIT
+    Mutant("criterion-07-kreweras-only-to-n-3", ACCEPTANCE,
+           "if n <= genfun.PARKING_SWEEP_LIMIT:", "if n <= 3:",
+           (TEST_ACCEPTANCE + "test_quick_battery_report_bytes_are_pinned",)),
     # criterion 10 compares the Greene DP with the oracle through length 4
     Mutant("criterion-10-oracle-only-to-length-2", ACCEPTANCE,
            "GREENE_ORACLE_LEN = 4", "GREENE_ORACLE_LEN = 2",

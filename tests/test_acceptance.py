@@ -182,6 +182,131 @@ def test_lattice_criteria_decide_each_lattice_once(monkeypatch):
     assert sorted(map(id, decided)) == sorted(map(id, built))
 
 
+
+# -- one walk per isomorphism class in criteria 1 and 3 --------------------------
+
+
+def _first_members(classes):
+    """The index of the first lattice of each class, in sweep order."""
+    first = {}
+    for i, c in enumerate(classes):
+        first.setdefault(c, i)
+    return list(first.values())
+
+
+def _per_lattice_echelon(max_n, catalog_cap):
+    """criterion_echelon as a loop that walks every lattice itself."""
+    name = "echelon-cover-transfer"
+    sweep = acceptance.lattice_sweep(max_n)
+    catalog = [(cname, lat) for cname, lat in acceptance.lattice_catalog()
+               if posets.is_modular(lat)]
+    instances, failure = acceptance._first_failure(name, itertools.chain(
+        ((posets.verify_echelon_theorem(lat), {}) for lat in sweep.modular),
+        ((posets.verify_echelon_theorem(lat, extension_cap=catalog_cap), {"catalog": cname})
+         for cname, lat in catalog)))
+    return failure or Report(name, instances, "verified", {
+        "posets_enumerated": sweep.posets_seen,
+        "modular_lattices": len(sweep.modular),
+        "catalog": [cname for cname, _ in catalog],
+        "extensions_checked": instances,
+    })
+
+
+def _per_lattice_rowmotion(max_n, catalog_cap):
+    """criterion_rowmotion as a loop that walks every lattice itself."""
+    name = "echelon-equals-rowmotion"
+    targets = [("sweep", lat, None) for lat in acceptance.lattice_sweep(max_n).distributive]
+    targets += [(cname, lat, catalog_cap) for cname, lat in acceptance.lattice_catalog()
+                if posets.is_distributive(lat)]
+    instances, failure = acceptance._first_failure(name, (
+        (posets.verify_rowmotion(lat, extension_cap=cap),
+         {"source": cname, "covers": lat.poset.cover_pairs()})
+        for cname, lat, cap in targets))
+    return failure or Report(name, instances, "verified", {
+        "distributive_lattices": len(targets),
+        "pairs_checked": instances,
+    })
+
+
+def test_each_lattice_walked_alone_reports_what_its_class_reports():
+    sweep = acceptance.lattice_sweep(6)
+    for verify, lattices, classes in (
+            (posets.verify_echelon_theorem, sweep.modular, sweep.modular_classes),
+            (posets.verify_rowmotion, sweep.distributive, sweep.distributive_classes)):
+        own = [verify(lat) for lat in lattices]
+        first = {classes[i]: own[i] for i in _first_members(classes)}
+        # status, instances and all: what the criteria take from the class
+        assert own == [first[c] for c in classes]
+        assert {r.status for r in own} == {"verified"}
+        assert list(acceptance._class_reports(verify, lattices, classes)) == own
+
+
+def test_lattice_criteria_walk_the_first_lattice_of_each_class(monkeypatch):
+    sweep = acceptance.lattice_sweep(6)
+    walked = []
+    walk = posets._echelon_walk
+    monkeypatch.setattr(posets, "_echelon_walk",
+                        lambda p, allowed, cap: walked.append(p) or walk(p, allowed, cap))
+    # criterion 1: 17 classes of modular lattices, then 11 modular catalog
+    # lattices; criterion 3: 13 classes of distributive ones, then 7
+    for criterion, lattices, classes, class_count, catalog in (
+            (acceptance.criterion_echelon, sweep.modular, sweep.modular_classes, 17, 11),
+            (acceptance.criterion_rowmotion, sweep.distributive, sweep.distributive_classes,
+             13, 7)):
+        walked.clear()
+        assert criterion(max_n=6, catalog_cap=10).status == "verified"
+        firsts = [lattices[i].poset for i in _first_members(classes)]
+        assert len(firsts) == class_count
+        assert walked[:class_count] == firsts
+        assert len(walked) == class_count + catalog
+
+
+def _class_of(lattices, classes, pick):
+    """The ids of the lattices of one class of the sweep; ``pick`` chooses
+    by size among the classes but the first."""
+    counts = Counter(classes)
+    c = pick(sorted(set(classes) - {classes[0]}, key=lambda c: (counts[c], c)))
+    return {id(lat) for lat, k in zip(lattices, classes) if k == c}
+
+
+@pytest.mark.parametrize("pick", [min, max], ids=["smallest-class", "largest-class"])
+def test_a_failing_class_reports_as_the_per_lattice_loop_does(monkeypatch, pick):
+    # A kernel broken on every lattice of one class that is not the first:
+    # criterion 1 finds the class not modular, with a law failure at the
+    # lattice's bottom and top, and criterion 3 gets the identity for
+    # rowmotion.  Each criterion must report what a loop that walks every
+    # lattice itself reports, and a class whose first lattice fails is
+    # walked lattice by lattice.
+    sweep = acceptance.lattice_sweep(6)
+    witness, rowmotion = posets.modular_witness, posets.rowmotion_distributive
+    broken = _class_of(sweep.modular, sweep.modular_classes, pick)
+
+    def law_failure(L):
+        full = (1 << L.n) - 1
+        return (L.poset.up.index(full), L.poset.down.index(full), 0)
+
+    monkeypatch.setattr(posets, "modular_witness",
+                        lambda L: law_failure(L) if id(L) in broken else witness(L))
+    expected = _per_lattice_echelon(6, 100)
+    assert expected.status == "skipped"
+    assert reports_to_json([acceptance.criterion_echelon(6, 100)]) == reports_to_json([expected])
+    own = [posets.verify_echelon_theorem(lat) for lat in sweep.modular]
+    assert list(acceptance._class_reports(
+        posets.verify_echelon_theorem, sweep.modular, sweep.modular_classes)) == own
+    monkeypatch.setattr(posets, "modular_witness", witness)
+
+    broken = _class_of(sweep.distributive, sweep.distributive_classes, pick)
+    monkeypatch.setattr(posets, "rowmotion_distributive",
+                        lambda L: tuple(range(L.n)) if id(L) in broken else rowmotion(L))
+    expected = _per_lattice_rowmotion(6, 100)
+    assert expected.status == "counterexample"
+    assert reports_to_json([acceptance.criterion_rowmotion(6, 100)]) == reports_to_json(
+        [expected])
+    own = [posets.verify_rowmotion(lat) for lat in sweep.distributive]
+    assert list(acceptance._class_reports(
+        posets.verify_rowmotion, sweep.distributive, sweep.distributive_classes)) == own
+
+
 def test_lost_lower_covers_fail_criterion_02(monkeypatch):
     # every element loses its lower covers, so the bottom of a two-chain
     # has one upper cover that no element matches from below

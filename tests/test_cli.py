@@ -1,9 +1,11 @@
 import json
 import multiprocessing
 import os
+import random
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -434,3 +436,89 @@ def test_readme_library_block_runs(capsys):
     assert lines[0] == "(3, 2, 1, 0)"
     assert lines[1].startswith("1 + 4*t + t^2 + 2*q + ")
     assert lines[2] == "((1, 2), (2, 3))"
+
+
+# -- seeded fuzz of every subcommand but `verify all` ---------------------------
+
+FUZZ_INTS = ("-3", "-1", "0", "1", "2", "3", "4", "9", "25", "x", "", "1.5")
+FUZZ_LISTS = ("", "1", "1,2", "2,1", "2,1,3", "3,3,3", "1,1,2", "1,1,2,4,5,6",
+              "6,3,2,5,4,1", "0", "-1,2", "1,,2", "a", "1, 2", "1,2,3,4,5,6,7,8,9")
+FUZZ_ROOKS = ("", "1:3", "1:1", "1:3,2:6,4:5", "1:1,1:1", "0:0", "9:9", "1-3", "a:b", "1:3,2")
+FUZZ_FILES = {
+    "diamond.json": {"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]},
+    "chain.json": {"n": 3, "covers": [[0, 1], [1, 2]]},
+    "m3.json": {"n": 5, "covers": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]},
+    "antichain.json": {"n": 2, "covers": []},
+    "cycle.json": {"n": 2, "covers": [[0, 1], [1, 0]]},
+    "big.json": {"n": 300, "covers": []},
+    "flag.json": {"n": True, "covers": []},
+    "pairs.json": {"n": 3, "covers": [[0, 1, 2]]},
+    "outside.json": {"n": 2, "covers": [[0, 5]]},
+    "keys.json": {"n": 2},
+    "list.json": [1, 2],
+}
+# each subcommand's flags, and the values each flag is drawn from
+FUZZ_COMMANDS = {
+    ("parking", "verify-fixed-content"): {"--n": FUZZ_INTS},
+    ("parking", "phi"): {"--b": FUZZ_LISTS, "--w": FUZZ_LISTS, "--A": FUZZ_LISTS},
+    ("parking", "insert"): {"--b": FUZZ_LISTS, "--rooks": FUZZ_ROOKS, "--u0": FUZZ_LISTS},
+    ("genfun", "i-poly"): {"--n": FUZZ_INTS, "--method": ("trees", "rec", "dfs", "")},
+    ("genfun", "itilde"): {"--n": FUZZ_INTS, "--stat": ("exced", "des-oc", "des-oc-inv", "des")},
+    ("genfun", "verify-simsun"): {"--n": FUZZ_INTS},
+    ("genfun", "verify-alternating"): {"--n": FUZZ_INTS},
+    ("plactic", "p"): {"--word": FUZZ_LISTS},
+    ("plactic", "centralizer"): {"--u": FUZZ_LISTS, "--alphabet": FUZZ_INTS,
+                                 "--max-len": FUZZ_INTS},
+    ("plactic", "verify-first-rows"): {"--u": FUZZ_LISTS, "--alphabet": FUZZ_INTS,
+                                       "--max-len": FUZZ_INTS},
+    ("plactic", "verify-rc"): {"--u": FUZZ_LISTS, "--m": FUZZ_INTS, "--alphabet": FUZZ_INTS,
+                               "--max-len": FUZZ_INTS},
+    ("echelon", "map"): {"--poset": (*FUZZ_FILES, "missing.json", "not-json.json", "."),
+                         "--sigma": ("0,1,2,3", "0,2,1,3", "0,1,2", "0,1,2,3,4", "3,2,1,0",
+                                     "0,0,1,2", "", "x")},
+}
+
+
+def _fuzz_argv(rng):
+    """One argument vector: a subcommand, each flag with a drawn value, and
+    now and then a flag left out or one that does not exist."""
+    command = rng.choice(sorted(FUZZ_COMMANDS))
+    argv = list(command)
+    for flag, values in FUZZ_COMMANDS[command].items():
+        if rng.random() < 0.95:
+            argv.append(f"{flag}={rng.choice(values)}")
+    if rng.random() < 0.5:
+        argv.append(f"--output={rng.choice(('text', 'json'))}")
+    if rng.random() < 0.03:
+        argv.append(rng.choice(("--bogus", "--workers=2", "extra")))
+    return argv
+
+
+def test_fuzzed_argument_vectors_exit_0_1_or_2_with_one_error_line(capsys, monkeypatch,
+                                                                   tmp_path):
+    for name, obj in FUZZ_FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    (tmp_path / "not-json.json").write_text("{n: 4")
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(2024)
+    codes = []
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse's own usage errors print usage and then a line of their own
+            out, err = capsys.readouterr()
+            assert exc.code == 2 and "usage:" in err and not out, argv
+            codes.append("usage")
+            continue
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and not out, (argv, err)
+        else:
+            assert not err and out, argv
+        codes.append(code)
+    counts = Counter(codes)
+    # every outcome is drawn often enough to mean something
+    assert counts[0] > 30 and counts[2] > 30 and counts["usage"] > 30, counts

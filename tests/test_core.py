@@ -203,6 +203,22 @@ def test_random_unit_upper_triangular():
         assert int_matrix_rank(u) == n
 
 
+def test_unit_upper_triangular_draws_equal_validated_matrices():
+    # the same draws, row by row, through the validating constructor
+    for seed in range(20):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for n in (0, 1, 2, 4, 7):
+            u = random_unit_upper_triangular(n, rng)
+            rows = [[0] * i + [1] + [oracle_rng.randint(-2, 2) for _ in range(n - i - 1)]
+                    for i in range(n)]
+            assert u == IntMatrix(rows)
+            assert u.entries == IntMatrix(u.entries).entries
+            assert type(u.entries) is tuple
+            assert all(type(row) is tuple and all(type(x) is int for x in row)
+                       for row in u.entries)
+        assert rng.random() == oracle_rng.random()
+
+
 def test_permutation_matrix():
     w = Permutation((3, 1, 2))
     m = w.to_matrix()

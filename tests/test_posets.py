@@ -227,6 +227,44 @@ def test_build_lattice_examples():
         build_lattice(Poset.from_cover_pairs(3, [(0, 2), (1, 2)]))
 
 
+
+def _tables_by_definition(p):
+    """(meet, join) tables of p from the definition of least upper and
+    greatest lower bounds, or the message of build_lattice at the first
+    pair that lacks one."""
+    n = p.n
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1):
+            uppers = [z for z in range(n) if leq(p, a, z) and leq(p, b, z)]
+            least = [z for z in uppers if all(leq(p, z, w) for w in uppers)]
+            if not least:
+                return f"elements {b} and {a} have no least upper bound"
+            lowers = [z for z in range(n) if leq(p, z, a) and leq(p, z, b)]
+            greatest = [z for z in lowers if all(leq(p, w, z) for w in lowers)]
+            if not greatest:
+                return f"elements {b} and {a} have no greatest lower bound"
+            join[a][b] = join[b][a] = least[0]
+            meet[a][b] = meet[b][a] = greatest[0]
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def test_lattice_tables_match_the_definition_on_every_small_poset():
+    lattices = 0
+    for p in enumerate_posets_up_to(5):
+        expected = _tables_by_definition(p)
+        try:
+            lat = build_lattice(p)
+        except NotALatticeError as exc:
+            assert str(exc) == expected, p
+            continue
+        assert (lat.meet_table, lat.join_table) == expected, p
+        lattices += 1
+    # the labelled lattices: chains, then B2 on 4 elements, then M3, N5 and
+    # B2 with a new top or bottom on 5
+    assert lattices == 1 + 2 + 6 + (24 + 12) + (120 + 20 + 120 + 60 + 60)
+
 def test_meet_join_algebra():
     for name, lat in lattice_catalog().items():
         n = lat.n
@@ -885,6 +923,106 @@ def test_lattice_sweep_matches_a_filter_over_the_enumeration():
         assert [lat.poset.up for lat in sweep.modular] == modular, max_n
         assert [lat.poset.up for lat in sweep.distributive] == distributive, max_n
 
+
+
+# -- canonical forms against brute-force relabelling -----------------------------
+
+
+def _relabelled(p, label):
+    """The up-masks of p with each element x renamed label[x]."""
+    up = [0] * p.n
+    for x in range(p.n):
+        up[label[x]] = sum(1 << label[y] for y in range(p.n) if p.up[x] >> y & 1)
+    return tuple(up)
+
+
+def _brute_form(p, fix_bounds=False):
+    """The least relabelled up-mask tuple of p over all n! relabellings, or,
+    with ``fix_bounds``, over those that send the bottom of a bounded poset
+    to 0 and its top to n - 1 (an isomorphism of lattices fixes both)."""
+    n = p.n
+    if not fix_bounds:
+        return min(_relabelled(p, label) for label in itertools.permutations(range(n)))
+    full = (1 << n) - 1
+    bottom, top = p.up.index(full), p.down.index(full)
+    middle = [x for x in range(n) if x not in (bottom, top)]
+    forms = []
+    for names in itertools.permutations(range(1, n - 1)):
+        label = [0] * n
+        label[top] = n - 1
+        for x, name in zip(middle, names):
+            label[x] = name
+        forms.append(_relabelled(p, label))
+    return min(forms)
+
+
+def _assert_same_classes(codes, forms):
+    """Equal codes exactly where the brute-force forms are equal."""
+    assert len(set(codes)) == len(set(forms))
+    assert len(set(zip(codes, forms))) == len(set(forms))
+
+
+def test_canonical_form_separates_exactly_the_isomorphism_classes_up_to_4():
+    ps = list(enumerate_posets_up_to(4))
+    codes = [posets.canonical_form(p) for p in ps]
+    forms = [_brute_form(p) for p in ps]
+    _assert_same_classes(codes, forms)
+    # 1, 2, 5 and 16 unlabelled posets on 1 .. 4 elements (OEIS A000112)
+    assert len(set(forms)) == 1 + 2 + 5 + 16
+    for p, code in zip(ps, codes):
+        # the code is itself the up-masks of a relabelling of p
+        assert _brute_form(Poset(p.n, code)) == _brute_form(p), p
+    assert posets.canonical_form(Poset(0, ())) == ()
+
+
+def test_canonical_form_classes_the_sweep_lattices_as_brute_force_does():
+    sweep = acceptance.lattice_sweep(6)
+    form_of = {id(lat): _brute_form(lat.poset, fix_bounds=True) for lat in sweep.modular}
+    for lattices, classes, count in ((sweep.modular, sweep.modular_classes, 17),
+                                     (sweep.distributive, sweep.distributive_classes, 13)):
+        forms = [form_of[id(lat)] for lat in lattices]
+        assert len(set(forms)) == count
+        _assert_same_classes([posets.canonical_form(lat.poset) for lat in lattices], forms)
+        _assert_same_classes(classes, forms)
+    # classes are numbered in the order they first occur among the modular lattices
+    first_seen = list(dict.fromkeys(sweep.modular_classes))
+    assert first_seen == list(range(17))
+    modular_class_of = dict(zip(map(id, sweep.modular), sweep.modular_classes))
+    assert [modular_class_of[id(lat)] for lat in sweep.distributive] == list(
+        sweep.distributive_classes)
+
+
+
+def test_canonical_form_tells_apart_what_refinement_alone_does_not():
+    # Four minima under four maxima, each covered twice: a crown (one
+    # 8-cycle of covers) and two bowties.  Every element has two covers, all
+    # in the other cell, so refinement stops at {minima}, {maxima} in both;
+    # only individualisation separates them.  The crown is connected.
+    crown = Poset.from_cover_pairs(8, [(i, 4 + j) for i in range(4) for j in (i, (i + 1) % 4)])
+    bowties = Poset.from_cover_pairs(8, [(i, 4 + j) for i in range(4) for j in range(4)
+                                         if i // 2 == j // 2])
+    cells = [posets._equitable([list(range(8))], p.covers_up(), p.covers_down())
+             for p in (crown, bowties)]
+    assert [sorted(map(sorted, c)) for c in cells] == [[[0, 1, 2, 3], [4, 5, 6, 7]]] * 2
+    assert posets.canonical_form(crown) != posets.canonical_form(bowties)
+    rng = random.Random(5)
+    for p in (crown, bowties):
+        for _ in range(5):
+            label = list(range(8))
+            rng.shuffle(label)
+            assert posets.canonical_form(Poset(8, _relabelled(p, label))) == posets.canonical_form(p)
+
+def test_canonical_form_of_catalog_lattices_is_label_free():
+    rng = random.Random(11)
+    for name, lat in lattice_catalog().items():
+        p = lat.poset
+        code = posets.canonical_form(p)
+        for _ in range(3):
+            label = list(range(p.n))
+            rng.shuffle(label)
+            assert posets.canonical_form(Poset(p.n, _relabelled(p, label))) == code, name
+    codes = {posets.canonical_form(lat.poset) for lat in lattice_catalog().values()}
+    assert len(codes) == len(lattice_catalog())
 
 # -- the modularity cross-check --------------------------------------------------
 
