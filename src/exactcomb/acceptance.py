@@ -21,39 +21,44 @@ from .report import COUNTEREXAMPLE, VERIFIED, Report, reports_to_json
 
 
 class LatticeSweep:
-    """All modular and distributive lattices among labelled posets up to max_n.
+    """The modular and distributive lattices among the bounded labelled
+    posets on up to max_n elements, in sweep order.
 
-    ``modular_classes`` and ``distributive_classes`` run parallel to the two
-    lists: the index of each lattice's isomorphism class, numbered in the
-    order the classes first occur among the modular lattices.
+    Being a lattice, modular or distributive is a property of the
+    isomorphism class, so the sweep files each poset under
+    ``posets.canonical_form`` and decides its class once, on the class's
+    first poset.  Each labelled modular or distributive lattice is listed
+    as the first lattice of its class: the same object for every member.
     """
 
-    __slots__ = ("posets_seen", "modular", "distributive",
-                 "modular_classes", "distributive_classes")
+    __slots__ = ("posets_seen", "modular", "distributive")
 
     def __init__(self, max_n: int):
         self.modular: list[posets.Lattice] = []
         self.distributive: list[posets.Lattice] = []
-        modular_classes: list[int] = []
-        distributive_classes: list[int] = []
-        index_of: dict[tuple[int, ...], int] = {}
+        decided: dict[tuple[int, ...], tuple[posets.Lattice | None, bool]] = {}
         for p in self._bounded_posets(max_n):
-            try:
-                lat = posets.build_lattice(p)
-            except posets.NotALatticeError:
-                continue
-            if posets.is_modular(lat):
-                c = index_of.setdefault(posets.canonical_form(p), len(index_of))
+            code = posets.canonical_form(p)
+            if code not in decided:
+                decided[code] = self._decide(p)
+            lat, distributive = decided[code]
+            if lat is not None:
                 self.modular.append(lat)
-                modular_classes.append(c)
-                if posets.is_distributive(lat):
+                if distributive:
                     self.distributive.append(lat)
-                    distributive_classes.append(c)
-        self.modular_classes = tuple(modular_classes)
-        self.distributive_classes = tuple(distributive_classes)
 
     def _bounded_posets(self, max_n: int):
         self.posets_seen = yield from posets.bounded_posets_up_to(max_n)
+
+    @staticmethod
+    def _decide(p: posets.Poset) -> tuple[posets.Lattice | None, bool]:
+        """p as a lattice if it is a modular one, else None; and whether it
+        is distributive."""
+        try:
+            lat = posets.build_lattice(p)
+        except posets.NotALatticeError:
+            return None, False
+        return (lat, posets.is_distributive(lat)) if posets.is_modular(lat) else (None, False)
 
 
 @cache
@@ -67,58 +72,56 @@ def lattice_catalog() -> tuple[tuple[str, posets.Lattice], ...]:
     return tuple(posets.lattice_catalog().items())
 
 
-def _first_failure(name: str, checks: Iterable[tuple[Report, dict]]
+def _first_failure(checks: Iterable[tuple[Report, Callable[[], dict]]]
                    ) -> tuple[int, Report | None]:
     """Run (report, witness extras) pairs until a report is not verified.
 
     Returns the instances of the verified reports and, if one failed, that
-    report renamed to ``name`` with the extras added to its witness.
+    report with those instances and with its extras, built only then,
+    added to its witness.
     """
     instances = 0
-    for r, extras in checks:
+    for r, more in checks:
         if r.status != VERIFIED:
+            extras = more()
             witness = {**(r.witness or {}), **extras} if extras else r.witness
-            return instances, Report(name, instances, r.status, witness)
+            return instances, Report(r.theorem, instances, r.status, witness)
         instances += r.instances
     return instances, None
 
 
-def _class_reports(verify: Callable[[posets.Lattice], Report],
-                   lattices: list[posets.Lattice], classes: tuple[int, ...]
-                   ) -> Iterator[Report]:
-    """verify(lat) for each lattice in turn, walking only the first lattice
-    of each isomorphism class while its report is verified.
+def _lattice_checks(verify: Callable[..., Report], sweep: list[posets.Lattice],
+                    catalog: list[tuple[str, posets.Lattice]],
+                    extras: Callable[[str, posets.Lattice], dict], **catalog_caps
+                    ) -> Iterator[tuple[Report, Callable[[], dict]]]:
+    """verify on a sweep list, then on the catalog with ``catalog_caps``,
+    as checks whose extras are extras("sweep" or the catalog name, lattice).
 
-    An isomorphism of lattices carries each linear extension to one of the
-    image with the same Cartan matrix, entry for entry, so the pivots, the
-    number of extensions and the verdict are the same across a class: a
-    verified report of the first member is the report of every later one.
-    A report that is not verified is never reused; the member is walked
-    itself.
+    The sweep lists each labelled lattice as its class's first lattice.  An
+    isomorphism keeps cover counts, and carries each linear extension to
+    one with the same Cartan matrix, so a report holds across a class:
+    verify runs once per lattice object and counts once per labelled one.
     """
-    verified: dict[int, Report] = {}
-    for lat, c in zip(lattices, classes):
-        report = verified.get(c)
-        if report is None:
-            report = verify(lat)
-            if report.status == VERIFIED:
-                verified[c] = report
-        yield report
+    reports: dict[posets.Lattice, Report] = {}
+    for lat in sweep:
+        if lat not in reports:
+            reports[lat] = verify(lat)
+        yield reports[lat], partial(extras, "sweep", lat)
+    for cname, lat in catalog:
+        yield verify(lat, **catalog_caps), partial(extras, cname, lat)
 
 
 def criterion_echelon(max_n: int, catalog_cap: int) -> Report:
     """Cover counts transfer along the echelon map, on every modular lattice
     in the exhaustive sweep, one walk per isomorphism class, and on the
     catalog under an extension cap."""
-    name = "echelon-cover-transfer"
     sweep = lattice_sweep(max_n)
     catalog = [(cname, lat) for cname, lat in lattice_catalog() if posets.is_modular(lat)]
-    instances, failure = _first_failure(name, itertools.chain(
-        ((r, {}) for r in _class_reports(posets.verify_echelon_theorem,
-                                         sweep.modular, sweep.modular_classes)),
-        ((posets.verify_echelon_theorem(lat, extension_cap=catalog_cap), {"catalog": cname})
-         for cname, lat in catalog)))
-    return failure or Report(name, instances, VERIFIED, {
+    instances, failure = _first_failure(_lattice_checks(
+        posets.verify_echelon_theorem, sweep.modular, catalog,
+        lambda source, lat: {} if source == "sweep" else {"catalog": source},
+        extension_cap=catalog_cap))
+    return failure or Report("echelon-cover-transfer", instances, VERIFIED, {
         "posets_enumerated": sweep.posets_seen,
         "modular_lattices": len(sweep.modular),
         "catalog": [cname for cname, _ in catalog],
@@ -127,14 +130,15 @@ def criterion_echelon(max_n: int, catalog_cap: int) -> Report:
 
 
 def criterion_dilworth(max_n: int) -> Report:
-    """Lower and upper cover-count multisets agree on every modular lattice."""
-    name = "cover-count-multisets"
-    lattices = lattice_sweep(max_n).modular + [
-        lat for _, lat in lattice_catalog() if posets.is_modular(lat)]
-    instances, failure = _first_failure(name, (
-        (posets.verify_dilworth(lat), {"covers": lat.poset.cover_pairs()})
-        for lat in lattices))
-    return failure or Report(name, instances, VERIFIED, {"modular_lattices": len(lattices)})
+    """Lower and upper cover-count multisets agree on every modular lattice,
+    one check per isomorphism class of the sweep."""
+    sweep = lattice_sweep(max_n)
+    catalog = [(cname, lat) for cname, lat in lattice_catalog() if posets.is_modular(lat)]
+    instances, failure = _first_failure(_lattice_checks(
+        posets.verify_dilworth, sweep.modular, catalog,
+        lambda source, lat: {"covers": lat.poset.cover_pairs()}))
+    return failure or Report("cover-count-multisets", instances, VERIFIED,
+                             {"modular_lattices": len(sweep.modular) + len(catalog)})
 
 
 def criterion_rowmotion(max_n: int, catalog_cap: int) -> Report:
@@ -142,17 +146,13 @@ def criterion_rowmotion(max_n: int, catalog_cap: int) -> Report:
     every distributive lattice in the sweep, one walk per isomorphism class,
     and the catalog; identical maps across extensions give echelon
     independence as a corollary."""
-    name = "echelon-equals-rowmotion"
     sweep = lattice_sweep(max_n)
     catalog = [(cname, lat) for cname, lat in lattice_catalog() if posets.is_distributive(lat)]
-    instances, failure = _first_failure(name, itertools.chain(
-        ((r, {"source": "sweep", "covers": lat.poset.cover_pairs()})
-         for lat, r in zip(sweep.distributive, _class_reports(
-             posets.verify_rowmotion, sweep.distributive, sweep.distributive_classes))),
-        ((posets.verify_rowmotion(lat, extension_cap=catalog_cap),
-          {"source": cname, "covers": lat.poset.cover_pairs()})
-         for cname, lat in catalog)))
-    return failure or Report(name, instances, VERIFIED, {
+    instances, failure = _first_failure(_lattice_checks(
+        posets.verify_rowmotion, sweep.distributive, catalog,
+        lambda source, lat: {"source": source, "covers": lat.poset.cover_pairs()},
+        extension_cap=catalog_cap))
+    return failure or Report("echelon-equals-rowmotion", instances, VERIFIED, {
         "distributive_lattices": len(sweep.distributive) + len(catalog),
         "pairs_checked": instances,
     })
@@ -206,8 +206,8 @@ def criterion_fixed_content(max_n: int, pmap=map) -> Report:
     """The fixed-content equidistribution with its fiber counts and the
     worked insertion instance, reproduced bit for bit."""
     name = "parking-fixed-content"
-    instances, failure = _first_failure(name, (
-        (parking.verify_fixed_content(n), {"n": n}) for n in range(1, max_n + 1)))
+    instances, failure = _first_failure(
+        (parking.verify_fixed_content(n), partial(dict, n=n)) for n in range(1, max_n + 1))
     if failure:
         return failure
     w, a_set = parking.insert_forward(WORKED_CONTENT, WORKED_ROOKS, WORKED_U0)
@@ -292,8 +292,8 @@ def criterion_alternating(max_n: int) -> Report:
     """The q = -1 parking specialization against the zig-zag Eulerian
     polynomial, with every intermediate class identity."""
     name = "parking-minus-one-is-zigzag"
-    instances, failure = _first_failure(name, (
-        (genfun.verify_alternating_identity(n), {"n": n}) for n in range(2, max_n + 1)))
+    instances, failure = _first_failure(
+        (genfun.verify_alternating_identity(n), partial(dict, n=n)) for n in range(2, max_n + 1))
     return failure or Report(name, instances, VERIFIED, {"max_n": max_n})
 
 
@@ -353,8 +353,8 @@ def criterion_first_rows(length_cap: int, pmap=map) -> Report:
     for cap in sorted({max(u) + 2 for u in u_list}):
         us = [u for u in u_list if max(u) + 2 == cap]
         found.update(zip(us, plactic.centralizer_searches(us, cap, length_cap)))
-    instances, failure = _first_failure(name, (
-        (plactic.first_rows_report(found[u]), {}) for u in u_list))
+    instances, failure = _first_failure((plactic.first_rows_report(found[u]), dict)
+                                        for u in u_list)
     return failure or Report(name, instances, VERIFIED,
                              {"u_count": len(u_list), "length_cap": length_cap})
 
@@ -369,8 +369,8 @@ def criterion_reverse_complement(u_len_cap: int, length_cap: int, pmap=map) -> R
         us = _words_over(m, u_len_cap)
         found = dict(zip(us, plactic.centralizer_searches(us, m + 2, length_cap)))
         checks += [(plactic.rc_report(m, found[u], found[plactic.reverse_complement(u, m)]),
-                    {"m": m}) for u in us]
-    instances, failure = _first_failure(name, checks)
+                    partial(dict, m=m)) for u in us]
+    instances, failure = _first_failure(checks)
     return failure or Report(name, instances, VERIFIED,
                              {"pairs": len(checks), "length_cap": length_cap})
 

@@ -710,13 +710,12 @@ def _echelon_mapping(order: tuple[int, ...], col_of_row: list[int]) -> tuple[int
 class Lattice:
     """A poset together with full meet and join tables."""
 
-    __slots__ = ("poset", "meet_table", "join_table", "_modularity")
+    __slots__ = ("poset", "meet_table", "join_table")
 
     def __init__(self, poset: Poset, meet_table, join_table):
         self.poset = poset
         self.meet_table = meet_table
         self.join_table = join_table
-        self._modularity = False  # the answer of modular_witness once it has run
 
     @property
     def n(self) -> int:
@@ -760,10 +759,8 @@ def modular_witness(L: Lattice) -> tuple[int, int, int] | None:
     checks against the cover characterization: for all a, b the relations
     "a ^ b is covered by a" and "b is covered by a v b" must coincide.
     Disagreement between the two routes would be a bug, not a property of
-    the input, so it raises ModularityCheckError.  The answer is kept on L.
+    the input, so it raises ModularityCheckError.
     """
-    if L._modularity is not False:
-        return L._modularity
     p = L.poset
     n = p.n
     meet = L.meet_table
@@ -791,7 +788,6 @@ def modular_witness(L: Lattice) -> tuple[int, int, int] | None:
         raise ModularityCheckError(
             f"modularity criteria disagree: modular law {'holds' if law is None else 'fails'}, "
             f"cover condition {'holds' if cover_ok else 'fails'}")
-    L._modularity = law
     return law
 
 

@@ -63,8 +63,8 @@ MUTANTS = (
     # criterion 1 checks GF(2)^3, the one catalog lattice that is modular but
     # not distributive
     Mutant("criterion-01-without-gf2", ACCEPTANCE,
-           "for cname, lat in lattice_catalog() if posets.is_modular(lat)]",
-           "for cname, lat in lattice_catalog() if posets.is_modular(lat) and lat.n < 16]",
+           "posets.verify_echelon_theorem, sweep.modular, catalog,",
+           "posets.verify_echelon_theorem, sweep.modular, [c for c in catalog if c[1].n < 16],",
            (TEST_ACCEPTANCE + "test_quick_battery_report_bytes_are_pinned",)),
     # criterion 4 multiplies by a unit upper-triangular factor on each side
     Mutant("criterion-04-without-the-left-factor", ACCEPTANCE,
@@ -86,11 +86,30 @@ MUTANTS = (
            "                                    (cov_down[cell[0]] & m).bit_count()) for m in masks))\n"
            "                 for cell in cells)\n",
            (TEST_POSETS + "test_canonical_form_tells_apart_what_refinement_alone_does_not",)),
-    # a report is reused across its class only while it is verified
-    Mutant("class-reuse-without-the-verified-guard", ACCEPTANCE,
-           "            if report.status == VERIFIED:\n                verified[c] = report\n",
-           "            verified[c] = report\n",
-           (TEST_ACCEPTANCE + "test_a_failing_class_reports_as_the_per_lattice_loop_does[smallest-class]",)),
+    # the sweep decides each isomorphism class once and lists its first
+    # lattice at every labelled member; reports are shared by class alone
+    Mutant("sweep-decides-every-labelled-poset", ACCEPTANCE,
+           "            if code not in decided:\n", "            if True:\n",
+           (TEST_ACCEPTANCE + "test_full_lattice_sweep_counts",
+            TEST_ACCEPTANCE + "test_lattice_criteria_decide_each_class_once")),
+    Mutant("class-lattice-listed-only-at-its-first-member", ACCEPTANCE,
+           "            if code not in decided:\n                decided[code] = self._decide(p)\n",
+           "            if code in decided:\n                continue\n"
+           "            decided[code] = self._decide(p)\n",
+           (TEST_ACCEPTANCE + "test_full_lattice_sweep_counts",
+            TEST_POSETS + "test_lattice_sweep_matches_a_filter_over_the_enumeration")),
+    Mutant("sweep-reports-reused-by-lattice-size", ACCEPTANCE,
+           "        if lat not in reports:\n            reports[lat] = verify(lat)\n"
+           "        yield reports[lat],",
+           "        if lat.n not in reports:\n            reports[lat.n] = verify(lat)\n"
+           "        yield reports[lat.n],",
+           (TEST_ACCEPTANCE + "test_a_failing_class_reports_as_the_per_lattice_loop_does[smallest-class]",
+            TEST_ACCEPTANCE + "test_lattice_criteria_walk_the_first_lattice_of_each_class")),
+    # witness extras are built for the failing report alone
+    Mutant("first-failure-builds-every-extras", ACCEPTANCE,
+           "        if r.status != VERIFIED:\n            extras = more()\n",
+           "        extras = more()\n        if r.status != VERIFIED:\n",
+           (TEST_ACCEPTANCE + "test_first_failure_counts_verified_reports_and_tags_the_failure",)),
     # criterion 7 checks the Kreweras cosum through PARKING_SWEEP_LIMIT
     Mutant("criterion-07-kreweras-only-to-n-3", ACCEPTANCE,
            "if n <= genfun.PARKING_SWEEP_LIMIT:", "if n <= 3:",

@@ -17,7 +17,7 @@ import itertools
 import json
 import random
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,7 @@ from exactcomb.cli import main
 from exactcomb.core import BiPoly, IntMatrix, Permutation
 from exactcomb.report import Report, reports_to_json
 from test_plactic import _knuth_classes, _record_walks
+from test_posets import first_of_each_class, labelled_lattices
 
 QUICK_BATTERY_JSON = Path(__file__).parent / "data" / "battery_quick.json"
 PERFBENCH_WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
@@ -106,11 +107,21 @@ def test_every_battery_row_has_a_full_tier_test():
 def test_first_failure_counts_verified_reports_and_tags_the_failure():
     ok = Report("part", 3, "verified")
     bad = Report("part", 5, "counterexample", {"word": [2, 1]})
-    assert acceptance._first_failure("whole", [(ok, {"n": 1})] * 2) == (6, None)
+    built = []
+
+    def extras(n):
+        return lambda: built.append(n) or {"n": n}
+
+    assert acceptance._first_failure([(ok, extras(1))] * 2) == (6, None)
     instances, failure = acceptance._first_failure(
-        "whole", [(ok, {"n": 1}), (bad, {"n": 2}), (ok, {"n": 3})])
+        [(ok, extras(1)), (bad, extras(2)), (ok, extras(3))])
     assert instances == 3
-    assert failure == Report("whole", 3, "counterexample", {"word": [2, 1], "n": 2})
+    assert failure == Report("part", 3, "counterexample", {"word": [2, 1], "n": 2})
+    # the extras are built for the failing report alone
+    assert built == [2]
+    skipped = Report("part", 0, "skipped")
+    assert acceptance._first_failure([(ok, dict), (skipped, dict)]) == (
+        3, Report("part", 3, "skipped"))
 
 
 def test_quick_battery_report_bytes_are_pinned():
@@ -150,13 +161,17 @@ def test_full_lattice_sweep_counts():
     sweep = acceptance.lattice_sweep(6)
     assert sweep.posets_seen == 134_496
     assert (len(sweep.modular), len(sweep.distributive)) == (3_095, 2_805)
+    # one lattice object per isomorphism class
+    assert (len(set(sweep.modular)), len(set(sweep.distributive))) == (17, 13)
 
 
-def test_lattice_criteria_decide_each_lattice_once(monkeypatch):
+def test_lattice_criteria_decide_each_class_once(monkeypatch):
     # fresh caches for this test alone, so every lattice is built here
     monkeypatch.setattr(acceptance, "lattice_sweep", cache(acceptance.LatticeSweep))
     monkeypatch.setattr(acceptance, "lattice_catalog",
                         cache(acceptance.lattice_catalog.__wrapped__))
+    classes = {posets.canonical_form(p) for p in posets.bounded_posets_up_to(5)}
+    modular_classes = first_of_each_class(labelled_lattices(5)[0])
     catalog_builds = []
     catalog = posets.lattice_catalog
     monkeypatch.setattr(posets, "lattice_catalog",
@@ -164,46 +179,36 @@ def test_lattice_criteria_decide_each_lattice_once(monkeypatch):
     built = []
     build = posets.build_lattice
     monkeypatch.setattr(posets, "build_lattice", lambda p: built.append(build(p)) or built[-1])
-    decided = []
-    witness = posets.modular_witness
-
-    def deciding(lat):
-        if lat._modularity is False:
-            decided.append(lat)
-        return witness(lat)
-
-    monkeypatch.setattr(posets, "modular_witness", deciding)
+    checked = []
+    dilworth = posets.verify_dilworth
+    monkeypatch.setattr(posets, "verify_dilworth", lambda L: checked.append(L) or dilworth(L))
     reports = [row.check(**row.kwargs(quick=True, seed=0)) for row in acceptance.BATTERY[:3]]
     pinned = json.loads(QUICK_BATTERY_JSON.read_text())[:3]
     assert json.loads(reports_to_json(reports)) == pinned
     assert len(catalog_builds) == 1
-    # every lattice built, from the sweep or the catalog, is decided exactly once
-    assert len(built) > len(acceptance.lattice_sweep(5).modular) == 305
-    assert sorted(map(id, decided)) == sorted(map(id, built))
+    # one build per class of bounded posets on up to five elements, then the
+    # catalog; one Dilworth check per modular class, then the modular catalog
+    modular_catalog = [lat for _, lat in acceptance.lattice_catalog() if posets.is_modular(lat)]
+    assert len(built) == len(classes) + len(acceptance.lattice_catalog()) == 10 + 12
+    sweep = acceptance.lattice_sweep(5)
+    assert len(sweep.modular) == 305
+    assert checked == list(dict.fromkeys(sweep.modular)) + modular_catalog
+    assert len(checked) == len(modular_classes) + len(modular_catalog) == 9 + 11
 
 
-
-# -- one walk per isomorphism class in criteria 1 and 3 --------------------------
-
-
-def _first_members(classes):
-    """The index of the first lattice of each class, in sweep order."""
-    first = {}
-    for i, c in enumerate(classes):
-        first.setdefault(c, i)
-    return list(first.values())
+# -- one check per isomorphism class in criteria 1 to 3 --------------------------
 
 
 def _per_lattice_echelon(max_n, catalog_cap):
-    """criterion_echelon as a loop that walks every lattice itself."""
+    """criterion_echelon as a loop that walks every labelled lattice itself."""
     name = "echelon-cover-transfer"
     sweep = acceptance.lattice_sweep(max_n)
     catalog = [(cname, lat) for cname, lat in acceptance.lattice_catalog()
                if posets.is_modular(lat)]
-    instances, failure = acceptance._first_failure(name, itertools.chain(
-        ((posets.verify_echelon_theorem(lat), {}) for lat in sweep.modular),
-        ((posets.verify_echelon_theorem(lat, extension_cap=catalog_cap), {"catalog": cname})
-         for cname, lat in catalog)))
+    instances, failure = acceptance._first_failure(itertools.chain(
+        ((posets.verify_echelon_theorem(lat), dict) for lat in labelled_lattices(max_n)[0]),
+        ((posets.verify_echelon_theorem(lat, extension_cap=catalog_cap),
+          partial(dict, catalog=cname)) for cname, lat in catalog)))
     return failure or Report(name, instances, "verified", {
         "posets_enumerated": sweep.posets_seen,
         "modular_lattices": len(sweep.modular),
@@ -213,60 +218,72 @@ def _per_lattice_echelon(max_n, catalog_cap):
 
 
 def _per_lattice_rowmotion(max_n, catalog_cap):
-    """criterion_rowmotion as a loop that walks every lattice itself."""
+    """criterion_rowmotion as a loop that walks every labelled lattice itself."""
     name = "echelon-equals-rowmotion"
-    targets = [("sweep", lat, None) for lat in acceptance.lattice_sweep(max_n).distributive]
+    targets = [("sweep", lat, None) for lat in labelled_lattices(max_n)[1]]
     targets += [(cname, lat, catalog_cap) for cname, lat in acceptance.lattice_catalog()
                 if posets.is_distributive(lat)]
-    instances, failure = acceptance._first_failure(name, (
+    instances, failure = acceptance._first_failure(
         (posets.verify_rowmotion(lat, extension_cap=cap),
-         {"source": cname, "covers": lat.poset.cover_pairs()})
-        for cname, lat, cap in targets))
+         partial(dict, source=cname, covers=lat.poset.cover_pairs()))
+        for cname, lat, cap in targets)
     return failure or Report(name, instances, "verified", {
         "distributive_lattices": len(targets),
         "pairs_checked": instances,
     })
 
 
+def _sweep_reports(verify, listed):
+    """The reports criteria 1 to 3 take for the sweep's lattices."""
+    return [r for r, _ in acceptance._lattice_checks(verify, listed, [], dict)]
+
+
 def test_each_lattice_walked_alone_reports_what_its_class_reports():
     sweep = acceptance.lattice_sweep(6)
-    for verify, lattices, classes in (
-            (posets.verify_echelon_theorem, sweep.modular, sweep.modular_classes),
-            (posets.verify_rowmotion, sweep.distributive, sweep.distributive_classes)):
-        own = [verify(lat) for lat in lattices]
-        first = {classes[i]: own[i] for i in _first_members(classes)}
-        # status, instances and all: what the criteria take from the class
-        assert own == [first[c] for c in classes]
+    modular, distributive = labelled_lattices(6)
+    for verify, labelled, listed in ((posets.verify_echelon_theorem, modular, sweep.modular),
+                                     (posets.verify_dilworth, modular, sweep.modular),
+                                     (posets.verify_rowmotion, distributive, sweep.distributive)):
+        own = [verify(lat) for lat in labelled]
         assert {r.status for r in own} == {"verified"}
-        assert list(acceptance._class_reports(verify, lattices, classes)) == own
+        # status, instances and all: what the criteria take from the class
+        assert _sweep_reports(verify, listed) == own
 
 
 def test_lattice_criteria_walk_the_first_lattice_of_each_class(monkeypatch):
     sweep = acceptance.lattice_sweep(6)
+    modular, distributive = labelled_lattices(6)
     walked = []
     walk = posets._echelon_walk
     monkeypatch.setattr(posets, "_echelon_walk",
                         lambda p, allowed, cap: walked.append(p) or walk(p, allowed, cap))
     # criterion 1: 17 classes of modular lattices, then 11 modular catalog
     # lattices; criterion 3: 13 classes of distributive ones, then 7
-    for criterion, lattices, classes, class_count, catalog in (
-            (acceptance.criterion_echelon, sweep.modular, sweep.modular_classes, 17, 11),
-            (acceptance.criterion_rowmotion, sweep.distributive, sweep.distributive_classes,
-             13, 7)):
+    for criterion, labelled, class_count, catalog in (
+            (acceptance.criterion_echelon, modular, 17, 11),
+            (acceptance.criterion_rowmotion, distributive, 13, 7)):
         walked.clear()
         assert criterion(max_n=6, catalog_cap=10).status == "verified"
-        firsts = [lattices[i].poset for i in _first_members(classes)]
+        firsts = [lat.poset for lat in first_of_each_class(labelled).values()]
         assert len(firsts) == class_count
-        assert walked[:class_count] == firsts
+        assert [p.up for p in walked[:class_count]] == [p.up for p in firsts]
         assert len(walked) == class_count + catalog
 
 
-def _class_of(lattices, classes, pick):
-    """The ids of the lattices of one class of the sweep; ``pick`` chooses
-    by size among the classes but the first."""
-    counts = Counter(classes)
-    c = pick(sorted(set(classes) - {classes[0]}, key=lambda c: (counts[c], c)))
-    return {id(lat) for lat, k in zip(lattices, classes) if k == c}
+def _through_first_failure(reports):
+    """The reports up to the first that is not verified, which ends a
+    criterion; its witness names labels, so later members of its class
+    would report other labels."""
+    failed = next(i for i, r in enumerate(reports) if r.status != "verified")
+    return reports[:failed + 1]
+
+
+def _class_of(lattices, pick):
+    """The canonical form of one class of labelled lattices; ``pick``
+    chooses by size among the classes but the first."""
+    codes = [posets.canonical_form(lat.poset) for lat in lattices]
+    counts = Counter(codes)
+    return pick(sorted(set(codes) - {codes[0]}, key=lambda c: (counts[c], c)))
 
 
 @pytest.mark.parametrize("pick", [min, max], ids=["smallest-class", "largest-class"])
@@ -275,36 +292,36 @@ def test_a_failing_class_reports_as_the_per_lattice_loop_does(monkeypatch, pick)
     # criterion 1 finds the class not modular, with a law failure at the
     # lattice's bottom and top, and criterion 3 gets the identity for
     # rowmotion.  Each criterion must report what a loop that walks every
-    # lattice itself reports, and a class whose first lattice fails is
-    # walked lattice by lattice.
+    # labelled lattice itself reports.
     sweep = acceptance.lattice_sweep(6)
+    modular, distributive = labelled_lattices(6)
     witness, rowmotion = posets.modular_witness, posets.rowmotion_distributive
-    broken = _class_of(sweep.modular, sweep.modular_classes, pick)
+    broken = _class_of(modular, pick)
 
     def law_failure(L):
         full = (1 << L.n) - 1
         return (L.poset.up.index(full), L.poset.down.index(full), 0)
 
-    monkeypatch.setattr(posets, "modular_witness",
-                        lambda L: law_failure(L) if id(L) in broken else witness(L))
+    monkeypatch.setattr(posets, "modular_witness", lambda L: law_failure(L)
+                        if posets.canonical_form(L.poset) == broken else witness(L))
     expected = _per_lattice_echelon(6, 100)
     assert expected.status == "skipped"
     assert reports_to_json([acceptance.criterion_echelon(6, 100)]) == reports_to_json([expected])
-    own = [posets.verify_echelon_theorem(lat) for lat in sweep.modular]
-    assert list(acceptance._class_reports(
-        posets.verify_echelon_theorem, sweep.modular, sweep.modular_classes)) == own
+    own = [posets.verify_echelon_theorem(lat) for lat in modular]
+    assert _through_first_failure(_sweep_reports(
+        posets.verify_echelon_theorem, sweep.modular)) == _through_first_failure(own)
     monkeypatch.setattr(posets, "modular_witness", witness)
 
-    broken = _class_of(sweep.distributive, sweep.distributive_classes, pick)
-    monkeypatch.setattr(posets, "rowmotion_distributive",
-                        lambda L: tuple(range(L.n)) if id(L) in broken else rowmotion(L))
+    broken = _class_of(distributive, pick)
+    monkeypatch.setattr(posets, "rowmotion_distributive", lambda L: tuple(range(L.n))
+                        if posets.canonical_form(L.poset) == broken else rowmotion(L))
     expected = _per_lattice_rowmotion(6, 100)
     assert expected.status == "counterexample"
     assert reports_to_json([acceptance.criterion_rowmotion(6, 100)]) == reports_to_json(
         [expected])
-    own = [posets.verify_rowmotion(lat) for lat in sweep.distributive]
-    assert list(acceptance._class_reports(
-        posets.verify_rowmotion, sweep.distributive, sweep.distributive_classes)) == own
+    own = [posets.verify_rowmotion(lat) for lat in distributive]
+    assert _through_first_failure(_sweep_reports(
+        posets.verify_rowmotion, sweep.distributive)) == _through_first_failure(own)
 
 
 def test_lost_lower_covers_fail_criterion_02(monkeypatch):

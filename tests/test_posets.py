@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,34 @@ def enumerate_posets_up_to(max_n):
                 yield from rec(*posets._extend(up, down, d, u))
 
     yield from rec((1,), (1,))
+
+
+@cache
+def labelled_lattices(max_n):
+    """The modular and the distributive lattices among the bounded labelled
+    posets on 1 .. max_n elements, in sweep order, each built on its own:
+    the labelled oracle of the sweep, which decides each isomorphism class
+    once and lists its first lattice for every member."""
+    modular, distributive = [], []
+    for p in posets.bounded_posets_up_to(max_n):
+        try:
+            lat = build_lattice(p)
+        except NotALatticeError:
+            continue
+        if is_modular(lat):
+            modular.append(lat)
+            if is_distributive(lat):
+                distributive.append(lat)
+    return modular, distributive
+
+
+def first_of_each_class(lattices):
+    """The first of the lattices in each isomorphism class, by canonical
+    form, in the order the classes first occur."""
+    first = {}
+    for lat in lattices:
+        first.setdefault(posets.canonical_form(lat.poset), lat)
+    return first
 
 
 def test_from_cover_pairs_closure():
@@ -555,11 +584,11 @@ def _assert_walk_matches_bareiss(p, cap=None):
 def test_memo_pivots_match_bareiss_on_sweep_lattices():
     # up to five elements the walk steps only the first extension of each
     # modular lattice and merges the others into it; of the 9 177 extensions
-    # of the 3 095 modular lattices on up to six it steps 3 815
+    # of the 3 095 labelled modular lattices on up to six it steps 3 815
     for max_n, lattices, stepped in ((5, 305, 305), (6, 3095, 3815)):
-        sweep = acceptance.lattice_sweep(max_n)
-        assert len(sweep.modular) == lattices
-        assert sum(_assert_walk_matches_bareiss(lat.poset) for lat in sweep.modular) == stepped
+        modular, _ = labelled_lattices(max_n)
+        assert len(modular) == lattices
+        assert sum(_assert_walk_matches_bareiss(lat.poset) for lat in modular) == stepped
 
 
 def test_memo_pivots_match_bareiss_on_catalog():
@@ -653,7 +682,7 @@ def test_echelon_walk_finds_the_first_failure_of_the_bareiss_oracle(monkeypatch)
 def test_rowmotion_walk_finds_the_first_failure_of_the_bareiss_oracle(monkeypatch):
     # The echelon map of the last extension in place of rowmotion: the walk
     # must stop at the first extension whose map differs.
-    lattices = [(lat, None) for lat in acceptance.lattice_sweep(6).modular]
+    lattices = [(lat, None) for lat in labelled_lattices(6)[0]]
     lattices += [(lat, 200 if name == "GF2_dim3_subspaces" else None)
                  for name, lat in lattice_catalog().items() if is_modular(lat)]
     places = Counter()
@@ -906,6 +935,8 @@ def test_bounded_posets_match_the_filtered_enumeration():
 
 
 def test_lattice_sweep_matches_a_filter_over_the_enumeration():
+    # the sweep lists one lattice per labelled modular (distributive) poset
+    # of the filter, in its order: the first labelled lattice of its class
     for max_n in range(1, 6):
         modular, distributive = [], []
         everything = list(enumerate_posets_up_to(max_n))
@@ -915,13 +946,17 @@ def test_lattice_sweep_matches_a_filter_over_the_enumeration():
             except NotALatticeError:
                 continue
             if is_modular(lat):
-                modular.append(p.up)
+                modular.append(lat)
             if is_distributive(lat):
-                distributive.append(p.up)
+                distributive.append(lat)
         sweep = acceptance.LatticeSweep(max_n)
         assert sweep.posets_seen == len(everything)
-        assert [lat.poset.up for lat in sweep.modular] == modular, max_n
-        assert [lat.poset.up for lat in sweep.distributive] == distributive, max_n
+        for labelled, listed in ((modular, sweep.modular), (distributive, sweep.distributive)):
+            codes = [posets.canonical_form(lat.poset) for lat in labelled]
+            assert [posets.canonical_form(lat.poset) for lat in listed] == codes, max_n
+            first = first_of_each_class(labelled)
+            assert [lat.poset.up for lat in listed] == [first[c].poset.up for c in codes], max_n
+            assert len({id(lat) for lat in listed}) == len(first), max_n
 
 
 
@@ -977,19 +1012,16 @@ def test_canonical_form_separates_exactly_the_isomorphism_classes_up_to_4():
 
 def test_canonical_form_classes_the_sweep_lattices_as_brute_force_does():
     sweep = acceptance.lattice_sweep(6)
-    form_of = {id(lat): _brute_form(lat.poset, fix_bounds=True) for lat in sweep.modular}
-    for lattices, classes, count in ((sweep.modular, sweep.modular_classes, 17),
-                                     (sweep.distributive, sweep.distributive_classes, 13)):
-        forms = [form_of[id(lat)] for lat in lattices]
+    modular, distributive = labelled_lattices(6)
+    form_of = {id(lat): _brute_form(lat.poset, fix_bounds=True) for lat in modular}
+    for labelled, listed, count in ((modular, sweep.modular, 17),
+                                    (distributive, sweep.distributive, 13)):
+        forms = [form_of[id(lat)] for lat in labelled]
         assert len(set(forms)) == count
-        _assert_same_classes([posets.canonical_form(lat.poset) for lat in lattices], forms)
-        _assert_same_classes(classes, forms)
-    # classes are numbered in the order they first occur among the modular lattices
-    first_seen = list(dict.fromkeys(sweep.modular_classes))
-    assert first_seen == list(range(17))
-    modular_class_of = dict(zip(map(id, sweep.modular), sweep.modular_classes))
-    assert [modular_class_of[id(lat)] for lat in sweep.distributive] == list(
-        sweep.distributive_classes)
+        _assert_same_classes([posets.canonical_form(lat.poset) for lat in labelled], forms)
+        # the sweep lists one lattice object per class, at each labelled member
+        assert len(listed) == len(labelled)
+        _assert_same_classes([id(lat) for lat in listed], forms)
 
 
 
@@ -1054,22 +1086,6 @@ def test_modularity_cross_check_survives_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-
-
-def test_modularity_is_decided_once_and_kept_on_the_lattice(monkeypatch):
-    lat = pentagon()
-    w = modular_witness(lat)
-    assert w is not None
-    # broken covers no longer reach the lattice already decided ...
-    monkeypatch.setattr(Poset, "covers_up", lambda self: (0,) * self.n)
-    assert modular_witness(lat) == w
-    assert not is_modular(lat) and not is_distributive(lat)
-    for verify in (verify_echelon_theorem, verify_dilworth):
-        r = verify(lat)
-        assert r.status == "skipped" and r.witness["law_failure"] == list(w)
-    # ... while a fresh one is checked again, and the routes disagree
-    with pytest.raises(ModularityCheckError, match="modularity criteria disagree"):
-        modular_witness(pentagon())
 
 
 # -- exact Bareiss division, also under python -O --------------------------------
