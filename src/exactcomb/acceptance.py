@@ -21,44 +21,35 @@ from .report import COUNTEREXAMPLE, VERIFIED, Report, reports_to_json
 
 
 class LatticeSweep:
-    """The modular and distributive lattices among the bounded labelled
-    posets on up to max_n elements, in sweep order.
+    """The modular and distributive lattices on up to max_n elements, one
+    per isomorphism class, as (lattice, labelled copies) pairs.
 
-    Being a lattice, modular or distributive is a property of the
-    isomorphism class, so the sweep files each poset under
-    ``posets.canonical_form`` and decides its class once, on the class's
-    first poset.  Each labelled modular or distributive lattice is listed
-    as the first lattice of its class: the same object for every member.
+    Being a lattice, modular or distributive is a property of the class, so
+    the sweep decides each class of ``posets.poset_classes`` once, on its
+    representative.  ``posets_seen`` counts the labelled posets the classes
+    stand for.
     """
 
     __slots__ = ("posets_seen", "modular", "distributive")
 
     def __init__(self, max_n: int):
-        self.modular: list[posets.Lattice] = []
-        self.distributive: list[posets.Lattice] = []
-        decided: dict[tuple[int, ...], tuple[posets.Lattice | None, bool]] = {}
-        for p in self._bounded_posets(max_n):
-            code = posets.canonical_form(p)
-            if code not in decided:
-                decided[code] = self._decide(p)
-            lat, distributive = decided[code]
-            if lat is not None:
-                self.modular.append(lat)
-                if distributive:
-                    self.distributive.append(lat)
+        self.posets_seen = 0
+        self.modular: list[tuple[posets.Lattice, int]] = []
+        self.distributive: list[tuple[posets.Lattice, int]] = []
+        for p, copies in posets.poset_classes(max_n):
+            self.posets_seen += copies
+            try:
+                lat = posets.build_lattice(p)
+            except posets.NotALatticeError:
+                continue
+            if posets.is_modular(lat):
+                self.modular.append((lat, copies))
+                if posets.is_distributive(lat):
+                    self.distributive.append((lat, copies))
 
-    def _bounded_posets(self, max_n: int):
-        self.posets_seen = yield from posets.bounded_posets_up_to(max_n)
 
-    @staticmethod
-    def _decide(p: posets.Poset) -> tuple[posets.Lattice | None, bool]:
-        """p as a lattice if it is a modular one, else None; and whether it
-        is distributive."""
-        try:
-            lat = posets.build_lattice(p)
-        except posets.NotALatticeError:
-            return None, False
-        return (lat, posets.is_distributive(lat)) if posets.is_modular(lat) else (None, False)
+def _labelled(classes: list[tuple[posets.Lattice, int]]) -> int:
+    return sum(copies for _, copies in classes)
 
 
 @cache
@@ -90,23 +81,22 @@ def _first_failure(checks: Iterable[tuple[Report, Callable[[], dict]]]
     return instances, None
 
 
-def _lattice_checks(verify: Callable[..., Report], sweep: list[posets.Lattice],
+def _lattice_checks(verify: Callable[..., Report], sweep: list[tuple[posets.Lattice, int]],
                     catalog: list[tuple[str, posets.Lattice]],
                     extras: Callable[[str, posets.Lattice], dict], **catalog_caps
                     ) -> Iterator[tuple[Report, Callable[[], dict]]]:
-    """verify on a sweep list, then on the catalog with ``catalog_caps``,
+    """verify on each sweep class, then on the catalog with ``catalog_caps``,
     as checks whose extras are extras("sweep" or the catalog name, lattice).
 
-    The sweep lists each labelled lattice as its class's first lattice.  An
-    isomorphism keeps cover counts, and carries each linear extension to
-    one with the same Cartan matrix, so a report holds across a class:
-    verify runs once per lattice object and counts once per labelled one.
+    An isomorphism keeps cover counts, and carries each linear extension to
+    one with the same Cartan matrix, so a report holds across a class: a
+    verified class report counts once per labelled copy.
     """
-    reports: dict[posets.Lattice, Report] = {}
-    for lat in sweep:
-        if lat not in reports:
-            reports[lat] = verify(lat)
-        yield reports[lat], partial(extras, "sweep", lat)
+    for lat, copies in sweep:
+        r = verify(lat)
+        if r.status == VERIFIED:
+            r = Report(r.theorem, copies * r.instances, r.status, r.witness)
+        yield r, partial(extras, "sweep", lat)
     for cname, lat in catalog:
         yield verify(lat, **catalog_caps), partial(extras, cname, lat)
 
@@ -123,7 +113,7 @@ def criterion_echelon(max_n: int, catalog_cap: int) -> Report:
         extension_cap=catalog_cap))
     return failure or Report("echelon-cover-transfer", instances, VERIFIED, {
         "posets_enumerated": sweep.posets_seen,
-        "modular_lattices": len(sweep.modular),
+        "modular_lattices": _labelled(sweep.modular),
         "catalog": [cname for cname, _ in catalog],
         "extensions_checked": instances,
     })
@@ -138,7 +128,7 @@ def criterion_dilworth(max_n: int) -> Report:
         posets.verify_dilworth, sweep.modular, catalog,
         lambda source, lat: {"covers": lat.poset.cover_pairs()}))
     return failure or Report("cover-count-multisets", instances, VERIFIED,
-                             {"modular_lattices": len(sweep.modular) + len(catalog)})
+                             {"modular_lattices": _labelled(sweep.modular) + len(catalog)})
 
 
 def criterion_rowmotion(max_n: int, catalog_cap: int) -> Report:
@@ -153,7 +143,7 @@ def criterion_rowmotion(max_n: int, catalog_cap: int) -> Report:
         lambda source, lat: {"source": source, "covers": lat.poset.cover_pairs()},
         extension_cap=catalog_cap))
     return failure or Report("echelon-equals-rowmotion", instances, VERIFIED, {
-        "distributive_lattices": len(sweep.distributive) + len(catalog),
+        "distributive_lattices": _labelled(sweep.distributive) + len(catalog),
         "pairs_checked": instances,
     })
 

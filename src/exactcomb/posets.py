@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Generator, Iterable, Iterator
 from itertools import islice
+from math import factorial
 
 from .core import BareissDivisionError, IntMatrix, Permutation, int_matrix_rank
 from .report import COUNTEREXAMPLE, SKIPPED, VERIFIED, Report
@@ -1000,9 +1001,10 @@ def _equitable(cells: list[list[int]], cov_up: tuple[int, ...],
         cells = split
 
 
-def canonical_form(p: Poset) -> tuple[int, ...]:
-    """A code of the isomorphism class of p: two posets get the same code
-    exactly when they are isomorphic.
+def canonical_form(p: Poset) -> tuple[tuple[int, ...], int]:
+    """A code of the isomorphism class of p, and the order of its
+    automorphism group: two posets get the same code exactly when they are
+    isomorphic.
 
     Individualisation-refinement (McKay and Piperno, "Practical graph
     isomorphism, II", J. Symbolic Comput. 60, 2014): refine the partition
@@ -1014,11 +1016,17 @@ def canonical_form(p: Poset) -> tuple[int, ...]:
     A leaf orders the elements; the code is the least tuple of up-masks
     relabelled by that order, over all leaves, and it is itself a
     relabelling of p.
+
+    The search prunes nothing, so Aut(p) acts on its leaves, and freely,
+    since a leaf orders every element; two leaves give the same code exactly
+    when an automorphism maps one onto the other.  So the leaves that reach
+    the least code are one orbit, and their number is |Aut(p)|.
     """
     n = p.n
     above = [list(_bits(m)) for m in p.up]
     cov_up, cov_down = p.covers_up(), p.covers_down()
     best: tuple[int, ...] | None = None
+    automorphisms = 0
     stack = [_equitable([list(range(n))], cov_up, cov_down)]
     while stack:
         cells = stack.pop()
@@ -1033,107 +1041,44 @@ def canonical_form(p: Poset) -> tuple[int, ...]:
             bit[x] = 1 << k
         code = tuple([sum([bit[y] for y in above[x]]) for (x,) in cells])
         if best is None or code < best:
-            best = code
-    return best
+            best, automorphisms = code, 1
+        elif code == best:
+            automorphisms += 1
+    return best, automorphisms
 
 
-# -- exhaustive enumeration ------------------------------------------------
+def poset_classes(max_n: int) -> list[tuple[Poset, int]]:
+    """One poset of each isomorphism class on 1 .. max_n elements, with its
+    number of labelled copies, n!/|Aut|.
 
-
-def _closed_subsets(k: int, masks: tuple[int, ...]) -> list[int]:
-    """The subsets S of range(k) with masks[x] a subset of S for every x in
-    S, in ascending order.
-
-    Decides the elements from the highest down: x joins only if its mask
-    names no higher element left out, and stays out only if no mask of a
-    chosen higher element names it.  The sets that pass every decision are
-    exactly the closed ones.
+    Removing a maximal element from a poset leaves a poset, so each class
+    on k + 1 elements is a class on k elements with a new maximal element k
+    above some down-set D.  The classes on k + 1 elements are those
+    children, kept when their canonical form is new; they come in the order
+    of their parents, then of D as a mask, and D runs over every mask that
+    holds the down-set of each of its elements.
     """
-    partial = [0]
-    for x in range(k - 1, -1, -1):
-        bit = 1 << x
-        higher = masks[x] & -(bit << 1)
-        namers = 0
-        for y in range(x + 1, k):
-            if masks[y] & bit:
-                namers |= 1 << y
-        grown = []
-        for s in partial:
-            if not s & namers:
-                grown.append(s)
-            if not higher & ~s:
-                grown.append(s | bit)
-        partial = grown
-    return partial
-
-
-def _extension_pairs(up: tuple[int, ...], down: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """One-point extensions of a labelled poset, as (D, U) mask pairs.
-
-    Choosing what lies below the new element (a down-closed D) and what
-    lies above it (an up-closed U disjoint from and compatible with D)
-    produces each labelled poset on k+1 points exactly once.
-    """
-    k = len(up)
-    full = (1 << k) - 1
-    upsets = _closed_subsets(k, up)
-    for d in _closed_subsets(k, down):
-        allowed = full & ~d
-        for x in _bits(d):
-            allowed &= up[x]
-        for u in upsets:
-            if not u & ~allowed:
-                yield d, u
-
-
-def _extend(up: tuple[int, ...], down: tuple[int, ...], d: int, u: int):
-    # the new element gets label k, with D below it and U above it
-    bit = 1 << len(up)
-    new_up = tuple(m | bit if d >> x & 1 else m for x, m in enumerate(up))
-    new_down = tuple(m | bit if u >> x & 1 else m for x, m in enumerate(down))
-    return new_up + (bit | u,), new_down + (bit | d,)
-
-
-def bounded_posets_up_to(max_n: int) -> Generator[Poset, None, int]:
-    """The bounded labelled posets on 1 .. max_n elements, each exactly once.
-
-    They come in depth-first order: each poset, then the one-point
-    extensions of ``_extension_pairs`` built on it.  The generator's return
-    value is how many labelled posets that walk meets in all, bounded or
-    not.  Posets on max_n elements are counted, and only those
-    that can be bounded are built: a one-point extension is bounded only
-    if its parent is, or if the new element is a top over a parent with
-    one minimal element, or a bottom under a parent with one maximal one.
-    """
-    if max_n < 1:
-        return 0
-
-    def visit(up, down):
-        k = len(up)
-        min_mask = sum(1 << x for x in range(k) if down[x] == 1 << x)
-        max_mask = sum(1 << x for x in range(k) if up[x] == 1 << x)
-        if min_mask.bit_count() == max_mask.bit_count() == 1:
-            yield Poset._from_masks(up, down)
-        seen = 1
-        if k == max_n:
-            return seen
-        pairs = _extension_pairs(up, down)
-        if k + 1 < max_n:
-            for d, u in pairs:
-                seen += yield from visit(*_extend(up, down, d, u))
-            return seen
-        if min_mask.bit_count() != 1 and max_mask.bit_count() != 1:
-            return seen + sum(1 for _ in pairs)  # no child can be bounded
-        for d, u in pairs:
-            seen += 1
-            # the child's minimal elements: the new one if D is empty, and
-            # the parent's that are not above it; dually for maximal ones
-            if ((not d) + (min_mask & ~u).bit_count() == 1
-                    and (not u) + (max_mask & ~d).bit_count() == 1):
-                yield Poset._from_masks(*_extend(up, down, d, u))
-        return seen
-
-    return (yield from visit((1,), (1,)))
+    level = [(Poset.chain(1), 1)] if max_n > 0 else []
+    classes = level[:]
+    for k in range(1, max_n):
+        bit = 1 << k
+        codes = set()
+        children = []
+        for p, _ in level:
+            up, down = p.up, p.down
+            for d in range(bit):
+                if any(down[x] & ~d for x in _bits(d)):
+                    continue
+                child = Poset._from_masks(
+                    tuple([m | bit if d >> x & 1 else m for x, m in enumerate(up)]) + (bit,),
+                    down + (d | bit,))
+                code, automorphisms = canonical_form(child)
+                if code not in codes:
+                    codes.add(code)
+                    children.append((child, factorial(k + 1) // automorphisms))
+        level = children
+        classes += children
+    return classes
 
 
 # -- named lattices --------------------------------------------------------

@@ -84,27 +84,25 @@ MUTANTS = (
            "    masks = [sum(1 << x for x in cell) for cell in cells]\n"
            "    return tuple((len(cell), tuple(((cov_up[cell[0]] & m).bit_count(),\n"
            "                                    (cov_down[cell[0]] & m).bit_count()) for m in masks))\n"
-           "                 for cell in cells)\n",
+           "                 for cell in cells), 1\n",
            (TEST_POSETS + "test_canonical_form_tells_apart_what_refinement_alone_does_not",)),
-    # the sweep decides each isomorphism class once and lists its first
-    # lattice at every labelled member; reports are shared by class alone
-    Mutant("sweep-decides-every-labelled-poset", ACCEPTANCE,
-           "            if code not in decided:\n", "            if True:\n",
-           (TEST_ACCEPTANCE + "test_full_lattice_sweep_counts",
-            TEST_ACCEPTANCE + "test_lattice_criteria_decide_each_class_once")),
-    Mutant("class-lattice-listed-only-at-its-first-member", ACCEPTANCE,
-           "            if code not in decided:\n                decided[code] = self._decide(p)\n",
-           "            if code in decided:\n                continue\n"
-           "            decided[code] = self._decide(p)\n",
-           (TEST_ACCEPTANCE + "test_full_lattice_sweep_counts",
-            TEST_POSETS + "test_lattice_sweep_matches_a_filter_over_the_enumeration")),
-    Mutant("sweep-reports-reused-by-lattice-size", ACCEPTANCE,
-           "        if lat not in reports:\n            reports[lat] = verify(lat)\n"
-           "        yield reports[lat],",
-           "        if lat.n not in reports:\n            reports[lat.n] = verify(lat)\n"
-           "        yield reports[lat.n],",
-           (TEST_ACCEPTANCE + "test_a_failing_class_reports_as_the_per_lattice_loop_does[smallest-class]",
-            TEST_ACCEPTANCE + "test_lattice_criteria_walk_the_first_lattice_of_each_class")),
+    # |Aut| counts the leaves that reach the least code, not every leaf
+    Mutant("canonical-form-counts-every-leaf-as-an-automorphism", POSETS,
+           "            best, automorphisms = code, 1\n        elif code == best:\n"
+           "            automorphisms += 1\n",
+           "            best = code\n        automorphisms += 1\n",
+           (TEST_POSETS + "test_canonical_form_counts_only_the_leaves_that_reach_the_least_code",)),
+    # the class generator keeps a child only when its canonical form is new
+    Mutant("poset-classes-keep-every-child", POSETS,
+           "                if code not in codes:\n", "                if True:\n",
+           (TEST_POSETS + "test_poset_classes_count_unlabelled_and_labelled_posets",
+            TEST_ACCEPTANCE + "test_full_lattice_sweep_counts")),
+    # a verified class report counts once per labelled copy
+    Mutant("sweep-class-report-left-unscaled", ACCEPTANCE,
+           "r = Report(r.theorem, copies * r.instances, r.status, r.witness)",
+           "r = Report(r.theorem, r.instances, r.status, r.witness)",
+           (TEST_ACCEPTANCE + "test_each_lattice_walked_alone_reports_what_its_class_reports",
+            TEST_ACCEPTANCE + "test_quick_battery_report_bytes_are_pinned")),
     # witness extras are built for the failing report alone
     Mutant("first-failure-builds-every-extras", ACCEPTANCE,
            "        if r.status != VERIFIED:\n            extras = more()\n",

@@ -27,7 +27,7 @@ from exactcomb.cli import main
 from exactcomb.core import BiPoly, IntMatrix, Permutation
 from exactcomb.report import Report, reports_to_json
 from test_plactic import _knuth_classes, _record_walks
-from test_posets import first_of_each_class, labelled_lattices
+from test_posets import bounded_labelled_posets, code_of, labelled_lattices
 
 QUICK_BATTERY_JSON = Path(__file__).parent / "data" / "battery_quick.json"
 PERFBENCH_WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
@@ -160,9 +160,10 @@ def test_benchmark_sweeps_run_the_full_tier_in_battery_order(monkeypatch):
 def test_full_lattice_sweep_counts():
     sweep = acceptance.lattice_sweep(6)
     assert sweep.posets_seen == 134_496
-    assert (len(sweep.modular), len(sweep.distributive)) == (3_095, 2_805)
-    # one lattice object per isomorphism class
-    assert (len(set(sweep.modular)), len(set(sweep.distributive))) == (17, 13)
+    # one lattice per isomorphism class, with its labelled copies
+    assert (len(sweep.modular), len(sweep.distributive)) == (17, 13)
+    assert (sum(c for _, c in sweep.modular), sum(c for _, c in sweep.distributive)) == (
+        3_095, 2_805)
 
 
 def test_lattice_criteria_decide_each_class_once(monkeypatch):
@@ -170,8 +171,8 @@ def test_lattice_criteria_decide_each_class_once(monkeypatch):
     monkeypatch.setattr(acceptance, "lattice_sweep", cache(acceptance.LatticeSweep))
     monkeypatch.setattr(acceptance, "lattice_catalog",
                         cache(acceptance.lattice_catalog.__wrapped__))
-    classes = {posets.canonical_form(p) for p in posets.bounded_posets_up_to(5)}
-    modular_classes = first_of_each_class(labelled_lattices(5)[0])
+    classes = {code_of(p) for p in bounded_labelled_posets(5)}
+    modular_classes = {code_of(lat.poset) for lat in labelled_lattices(5)[0]}
     catalog_builds = []
     catalog = posets.lattice_catalog
     monkeypatch.setattr(posets, "lattice_catalog",
@@ -186,32 +187,48 @@ def test_lattice_criteria_decide_each_class_once(monkeypatch):
     pinned = json.loads(QUICK_BATTERY_JSON.read_text())[:3]
     assert json.loads(reports_to_json(reports)) == pinned
     assert len(catalog_builds) == 1
-    # one build per class of bounded posets on up to five elements, then the
-    # catalog; one Dilworth check per modular class, then the modular catalog
+    # one lattice built per class of bounded posets on up to five elements,
+    # then the catalog; one Dilworth check per modular class, then the modular catalog
     modular_catalog = [lat for _, lat in acceptance.lattice_catalog() if posets.is_modular(lat)]
     assert len(built) == len(classes) + len(acceptance.lattice_catalog()) == 10 + 12
     sweep = acceptance.lattice_sweep(5)
-    assert len(sweep.modular) == 305
-    assert checked == list(dict.fromkeys(sweep.modular)) + modular_catalog
+    assert sum(copies for _, copies in sweep.modular) == 305
+    assert checked == [lat for lat, _ in sweep.modular] + modular_catalog
     assert len(checked) == len(modular_classes) + len(modular_catalog) == 9 + 11
 
 
 # -- one check per isomorphism class in criteria 1 to 3 --------------------------
 
 
+def _in_sweep_order(labelled, listed):
+    """The labelled lattices grouped by class, the classes in the order the
+    sweep lists them, each led by the lattice on its representative's
+    labels."""
+    members = {}
+    for lat in labelled:
+        members.setdefault(code_of(lat.poset), []).append(lat)
+    ordered = []
+    for rep, copies in listed:
+        group = members[code_of(rep.poset)]
+        assert len(group) == copies
+        ordered += sorted(group, key=lambda lat: lat.poset.up != rep.poset.up)
+    return ordered
+
+
 def _per_lattice_echelon(max_n, catalog_cap):
     """criterion_echelon as a loop that walks every labelled lattice itself."""
     name = "echelon-cover-transfer"
     sweep = acceptance.lattice_sweep(max_n)
+    labelled = _in_sweep_order(labelled_lattices(max_n)[0], sweep.modular)
     catalog = [(cname, lat) for cname, lat in acceptance.lattice_catalog()
                if posets.is_modular(lat)]
     instances, failure = acceptance._first_failure(itertools.chain(
-        ((posets.verify_echelon_theorem(lat), dict) for lat in labelled_lattices(max_n)[0]),
+        ((posets.verify_echelon_theorem(lat), dict) for lat in labelled),
         ((posets.verify_echelon_theorem(lat, extension_cap=catalog_cap),
           partial(dict, catalog=cname)) for cname, lat in catalog)))
     return failure or Report(name, instances, "verified", {
         "posets_enumerated": sweep.posets_seen,
-        "modular_lattices": len(sweep.modular),
+        "modular_lattices": len(labelled),
         "catalog": [cname for cname, _ in catalog],
         "extensions_checked": instances,
     })
@@ -220,7 +237,9 @@ def _per_lattice_echelon(max_n, catalog_cap):
 def _per_lattice_rowmotion(max_n, catalog_cap):
     """criterion_rowmotion as a loop that walks every labelled lattice itself."""
     name = "echelon-equals-rowmotion"
-    targets = [("sweep", lat, None) for lat in labelled_lattices(max_n)[1]]
+    labelled = _in_sweep_order(labelled_lattices(max_n)[1],
+                               acceptance.lattice_sweep(max_n).distributive)
+    targets = [("sweep", lat, None) for lat in labelled]
     targets += [(cname, lat, catalog_cap) for cname, lat in acceptance.lattice_catalog()
                 if posets.is_distributive(lat)]
     instances, failure = acceptance._first_failure(
@@ -234,7 +253,7 @@ def _per_lattice_rowmotion(max_n, catalog_cap):
 
 
 def _sweep_reports(verify, listed):
-    """The reports criteria 1 to 3 take for the sweep's lattices."""
+    """The reports criteria 1 to 3 take for the sweep's classes."""
     return [r for r, _ in acceptance._lattice_checks(verify, listed, [], dict)]
 
 
@@ -244,10 +263,19 @@ def test_each_lattice_walked_alone_reports_what_its_class_reports():
     for verify, labelled, listed in ((posets.verify_echelon_theorem, modular, sweep.modular),
                                      (posets.verify_dilworth, modular, sweep.modular),
                                      (posets.verify_rowmotion, distributive, sweep.distributive)):
-        own = [verify(lat) for lat in labelled]
-        assert {r.status for r in own} == {"verified"}
-        # status, instances and all: what the criteria take from the class
-        assert _sweep_reports(verify, listed) == own
+        own = {}
+        for lat in labelled:
+            own.setdefault(code_of(lat.poset), []).append(verify(lat))
+        expected = []
+        for rep, copies in listed:
+            # status, instances and all: each member reports what the class does
+            reports = own[code_of(rep.poset)]
+            assert reports == [verify(rep)] * copies
+            assert reports[0].status == "verified"
+            expected.append(Report(reports[0].theorem, sum(r.instances for r in reports),
+                                   "verified", reports[0].witness))
+        assert len(own) == len(listed)
+        assert _sweep_reports(verify, listed) == expected
 
 
 def test_lattice_criteria_walk_the_first_lattice_of_each_class(monkeypatch):
@@ -259,31 +287,21 @@ def test_lattice_criteria_walk_the_first_lattice_of_each_class(monkeypatch):
                         lambda p, allowed, cap: walked.append(p) or walk(p, allowed, cap))
     # criterion 1: 17 classes of modular lattices, then 11 modular catalog
     # lattices; criterion 3: 13 classes of distributive ones, then 7
-    for criterion, labelled, class_count, catalog in (
-            (acceptance.criterion_echelon, modular, 17, 11),
-            (acceptance.criterion_rowmotion, distributive, 13, 7)):
+    for criterion, labelled, listed, class_count, catalog in (
+            (acceptance.criterion_echelon, modular, sweep.modular, 17, 11),
+            (acceptance.criterion_rowmotion, distributive, sweep.distributive, 13, 7)):
         walked.clear()
         assert criterion(max_n=6, catalog_cap=10).status == "verified"
-        firsts = [lat.poset for lat in first_of_each_class(labelled).values()]
-        assert len(firsts) == class_count
-        assert [p.up for p in walked[:class_count]] == [p.up for p in firsts]
+        assert walked[:class_count] == [lat.poset for lat, _ in listed]
+        assert len({code_of(p) for p in walked[:class_count]}) == class_count
+        assert {code_of(p) for p in walked[:class_count]} == {code_of(lat.poset) for lat in labelled}
         assert len(walked) == class_count + catalog
 
 
-def _through_first_failure(reports):
-    """The reports up to the first that is not verified, which ends a
-    criterion; its witness names labels, so later members of its class
-    would report other labels."""
-    failed = next(i for i, r in enumerate(reports) if r.status != "verified")
-    return reports[:failed + 1]
-
-
-def _class_of(lattices, pick):
-    """The canonical form of one class of labelled lattices; ``pick``
-    chooses by size among the classes but the first."""
-    codes = [posets.canonical_form(lat.poset) for lat in lattices]
-    counts = Counter(codes)
-    return pick(sorted(set(codes) - {codes[0]}, key=lambda c: (counts[c], c)))
+def _class_of(listed, pick):
+    """The canonical form of one class of the sweep; ``pick`` chooses by
+    size among the classes but the first."""
+    return code_of(pick(listed[1:], key=lambda pair: (pair[1], code_of(pair[0].poset)))[0].poset)
 
 
 @pytest.mark.parametrize("pick", [min, max], ids=["smallest-class", "largest-class"])
@@ -292,36 +310,30 @@ def test_a_failing_class_reports_as_the_per_lattice_loop_does(monkeypatch, pick)
     # criterion 1 finds the class not modular, with a law failure at the
     # lattice's bottom and top, and criterion 3 gets the identity for
     # rowmotion.  Each criterion must report what a loop that walks every
-    # labelled lattice itself reports.
+    # labelled lattice itself reports, class by class in the sweep's order,
+    # on the representative's labels first.
     sweep = acceptance.lattice_sweep(6)
-    modular, distributive = labelled_lattices(6)
     witness, rowmotion = posets.modular_witness, posets.rowmotion_distributive
-    broken = _class_of(modular, pick)
+    broken = _class_of(sweep.modular, pick)
 
     def law_failure(L):
         full = (1 << L.n) - 1
         return (L.poset.up.index(full), L.poset.down.index(full), 0)
 
     monkeypatch.setattr(posets, "modular_witness", lambda L: law_failure(L)
-                        if posets.canonical_form(L.poset) == broken else witness(L))
+                        if code_of(L.poset) == broken else witness(L))
     expected = _per_lattice_echelon(6, 100)
-    assert expected.status == "skipped"
+    assert expected.status == "skipped" and expected.instances > 0
     assert reports_to_json([acceptance.criterion_echelon(6, 100)]) == reports_to_json([expected])
-    own = [posets.verify_echelon_theorem(lat) for lat in modular]
-    assert _through_first_failure(_sweep_reports(
-        posets.verify_echelon_theorem, sweep.modular)) == _through_first_failure(own)
     monkeypatch.setattr(posets, "modular_witness", witness)
 
-    broken = _class_of(distributive, pick)
+    broken = _class_of(sweep.distributive, pick)
     monkeypatch.setattr(posets, "rowmotion_distributive", lambda L: tuple(range(L.n))
-                        if posets.canonical_form(L.poset) == broken else rowmotion(L))
+                        if code_of(L.poset) == broken else rowmotion(L))
     expected = _per_lattice_rowmotion(6, 100)
-    assert expected.status == "counterexample"
+    assert expected.status == "counterexample" and expected.instances > 0
     assert reports_to_json([acceptance.criterion_rowmotion(6, 100)]) == reports_to_json(
         [expected])
-    own = [posets.verify_rowmotion(lat) for lat in distributive]
-    assert _through_first_failure(_sweep_reports(
-        posets.verify_rowmotion, sweep.distributive)) == _through_first_failure(own)
 
 
 def test_lost_lower_covers_fail_criterion_02(monkeypatch):
@@ -332,7 +344,7 @@ def test_lost_lower_covers_fail_criterion_02(monkeypatch):
     assert r.status == "counterexample" and r.instances == 1
     assert r.witness["down_multiset"] == [0, 0]
     assert r.witness["up_multiset"] == [0, 1]
-    assert r.witness["covers"] == [(1, 0)]  # the sweep's first two-chain
+    assert r.witness["covers"] == [(0, 1)]  # the sweep's two-chain
 
 
 def test_identity_bruhat_kernel_fails_criterion_04(monkeypatch):
@@ -451,6 +463,47 @@ def test_broken_tree_sweep_fails_criterion_07(monkeypatch):
     r = acceptance.criterion_tree_polys(trees_n=4, parking_n=3)
     assert r.status == "counterexample"
     assert r.witness["n"] == 3 and r.witness["defect"] == "direct vs recurrence"
+
+
+def test_wrong_worked_insertion_fails_criterion_05(monkeypatch):
+    # the contents sweep never calls insert_forward; the worked replay does
+    forward = parking.insert_forward
+
+    def reversed_word(b, placement, u0):
+        w, a_set = forward(b, placement, u0)
+        return Permutation(w.one_line[::-1]), a_set
+
+    monkeypatch.setattr(parking, "insert_forward", reversed_word)
+    r = acceptance.criterion_fixed_content(max_n=3)
+    assert r.status == "counterexample" and r.instances == 8 + 1  # 8 contents, then the replay
+    assert r.witness == {"defect": "worked instance", "b": [1, 1, 2, 4, 5, 6],
+                         "got_w": [1, 4, 5, 2, 3, 6], "got_A": [1, 2, 4]}
+
+
+def test_tree_polys_off_the_point_count_fail_criterion_07(monkeypatch):
+    # both methods doubled agree with each other, but not with (n+1)^(n-1)
+    tree_poly = genfun.tree_poly
+    monkeypatch.setattr(genfun, "tree_poly", lambda n, method: tree_poly(n, method) * 2)
+    r = acceptance.criterion_tree_polys(trees_n=4, parking_n=3)
+    assert r == Report("tree-inversion-identities", 0, "counterexample",
+                       {"n": 1, "defect": "tree count", "value": 2})
+
+
+@pytest.mark.parametrize("stat, defect, instances", [
+    ("des-oc-inv", "trees vs parking", 7),
+    ("exced", "cosum specialization", 8),
+])
+def test_one_wrong_parking_poly_fails_criterion_07(monkeypatch, stat, defect, instances):
+    parking_poly = genfun.parking_poly
+
+    def broken(n, which="exced"):
+        out = parking_poly(n, which)
+        return out + BiPoly({(1, 1): 1}) if (n, which) == (3, stat) else out
+
+    monkeypatch.setattr(genfun, "parking_poly", broken)
+    r = acceptance.criterion_tree_polys(trees_n=4, parking_n=3)
+    assert r.status == "counterexample" and r.instances == instances
+    assert r.witness["n"] == 3 and r.witness["defect"] == defect
 
 
 def test_broken_parking_sweep_fails_criterion_06(monkeypatch):
@@ -613,6 +666,15 @@ def test_broken_greene_sweep_fails_criterion_10(monkeypatch):
     r = acceptance.criterion_greene(max_len=5, alphabet=3)
     assert r.status == "counterexample"
     assert r.witness["word"] == [2, 1, 3, 1, 2] and r.witness["k"] == 1
+
+
+def test_tableau_of_the_wrong_size_fails_criterion_10(monkeypatch):
+    rsk_P = plactic.rsk_P
+    monkeypatch.setattr(plactic, "rsk_P", lambda w: rsk_P(tuple(w)[:-1]))
+    r = acceptance.criterion_greene(max_len=3, alphabet=2)
+    # the empty word passes, with its two k = 1 checks
+    assert r == Report("greene-invariants", 2, "counterexample",
+                       {"word": [1], "defect": "shape size", "shape": []})
 
 
 def test_greene_oracle_cross_check_fails_criterion_10(monkeypatch):

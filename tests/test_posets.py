@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -66,28 +67,72 @@ def antichain(n):
     return Poset.from_cover_pairs(n, [])
 
 
+def _closed(masks, s):
+    """Whether the set s holds masks[x] for every x in s."""
+    return all(not masks[x] & ~s for x in range(len(masks)) if s >> x & 1)
+
+
 def enumerate_posets_up_to(max_n):
-    """Every labelled poset on 1 .. max_n elements, each exactly once."""
+    """Every labelled poset on 1 .. max_n elements, each exactly once: the
+    labelled oracle of ``posets.poset_classes``.
+
+    Depth first, each poset and then its one-point extensions: a new
+    element k below an up-set U and above a down-set D, with every element
+    of U above every element of D, found by a filter over all (D, U) mask
+    pairs in ascending order.
+    """
     if max_n < 1:
         return
 
     def rec(up, down):
         yield Poset._from_masks(up, down)
-        if len(up) < max_n:
-            for d, u in posets._extension_pairs(up, down):
-                yield from rec(*posets._extend(up, down, d, u))
+        k = len(up)
+        if k == max_n:
+            return
+        bit = 1 << k
+        for d in range(bit):
+            if not _closed(down, d):
+                continue
+            for u in range(bit):
+                if (_closed(up, u) and not u & d
+                        and all(not u & ~up[x] for x in range(k) if d >> x & 1)):
+                    yield from rec(
+                        tuple([m | bit if d >> x & 1 else m for x, m in enumerate(up)])
+                        + (bit | u,),
+                        tuple([m | bit if u >> x & 1 else m for x, m in enumerate(down)])
+                        + (bit | d,))
 
     yield from rec((1,), (1,))
 
 
 @cache
+def bounded_labelled_posets(max_n):
+    """Every bounded labelled poset on 1 .. max_n elements, each exactly
+    once: the single point, and a bottom and a top placed around each
+    labelled poset on up to max_n - 2 elements, under every choice of their
+    two labels."""
+    found = [Poset(1, (1,))] if max_n >= 1 else []
+    inner = [Poset(0, ())] * (max_n >= 2) + list(enumerate_posets_up_to(max_n - 2))
+    for q in inner:
+        n = q.n + 2
+        full = (1 << n) - 1
+        for bottom, top in itertools.permutations(range(n), 2):
+            names = [x for x in range(n) if x not in (bottom, top)]
+            up = [0] * n
+            up[bottom], up[top] = full, 1 << top
+            for x, name in enumerate(names):
+                up[name] = sum(1 << names[y] for y in range(q.n) if q.up[x] >> y & 1) | 1 << top
+            found.append(Poset(n, up))
+    return tuple(found)
+
+
+@cache
 def labelled_lattices(max_n):
     """The modular and the distributive lattices among the bounded labelled
-    posets on 1 .. max_n elements, in sweep order, each built on its own:
-    the labelled oracle of the sweep, which decides each isomorphism class
-    once and lists its first lattice for every member."""
+    posets on 1 .. max_n elements, each built on its own: the labelled
+    oracle of the sweep, which decides each isomorphism class once."""
     modular, distributive = [], []
-    for p in posets.bounded_posets_up_to(max_n):
+    for p in bounded_labelled_posets(max_n):
         try:
             lat = build_lattice(p)
         except NotALatticeError:
@@ -99,13 +144,8 @@ def labelled_lattices(max_n):
     return modular, distributive
 
 
-def first_of_each_class(lattices):
-    """The first of the lattices in each isomorphism class, by canonical
-    form, in the order the classes first occur."""
-    first = {}
-    for lat in lattices:
-        first.setdefault(posets.canonical_form(lat.poset), lat)
-    return first
+def code_of(p):
+    return posets.canonical_form(p)[0]
 
 
 def test_from_cover_pairs_closure():
@@ -136,25 +176,6 @@ def test_enumeration_counts():
     sizes = Counter(p.n for p in enumerate_posets_up_to(5))
     assert sizes == {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
     assert list(enumerate_posets_up_to(0)) == []
-
-
-def _closed_subsets_by_filter(k, masks):
-    # every subset, kept when it holds the mask of each of its elements
-    return [s for s in range(1 << k)
-            if all(not masks[x] & ~s for x in range(k) if s >> x & 1)]
-
-
-def test_closed_subsets_match_the_filter_on_all_small_posets():
-    assert posets._closed_subsets(0, ()) == [0]
-    for p in enumerate_posets_up_to(5):
-        for masks in (p.up, p.down):
-            assert posets._closed_subsets(p.n, masks) == _closed_subsets_by_filter(p.n, masks)
-    # masks that need not come from a poset: not reflexive, not transitive
-    rng = random.Random(7)
-    for _ in range(300):
-        k = rng.randrange(7)
-        masks = tuple(rng.randrange(1 << k) for _ in range(k))
-        assert posets._closed_subsets(k, masks) == _closed_subsets_by_filter(k, masks)
 
 
 def _count_extensions(p):
@@ -355,7 +376,7 @@ def _distributive_by_m3(lat):
 
 def test_distributivity_matches_the_m3_oracle_on_every_small_lattice():
     seen = distributive = 0
-    for p in posets.bounded_posets_up_to(6):
+    for p in bounded_labelled_posets(6):
         try:
             lat = build_lattice(p)
         except NotALatticeError:
@@ -858,6 +879,51 @@ def test_echelon_checkers_fail_on_wrong_pivots(monkeypatch):
         acceptance.criterion_rowmotion(max_n=3, catalog_cap=1)
 
 
+# -- natural negative controls: part 1's hypotheses are sharp -------------------
+
+# A lattice on seven elements that is not modular, with bottom 5 and top 6,
+# whose lower and upper cover-count multisets agree: Dilworth's multisets
+# cannot tell it from a modular lattice, yet cover transfer fails on its
+# first extension.
+SHARP_COVERS = [(0, 6), (1, 6), (2, 6), (3, 0), (4, 0), (4, 1), (5, 2), (5, 3), (5, 4)]
+
+
+def test_cover_transfer_fails_where_the_cover_multisets_agree(monkeypatch):
+    lat = build_lattice(Poset.from_cover_pairs(7, SHARP_COVERS))
+    p = lat.poset
+    assert not is_modular(lat)
+    down_counts = [m.bit_count() for m in p.covers_down()]
+    up_counts = [m.bit_count() for m in p.covers_up()]
+    assert sorted(down_counts) == sorted(up_counts)
+    allowed = [sum(1 << y for y in range(p.n) if up_counts[y] == d) for d in down_counts]
+    first = [5, 2, 3, 4, 0, 1, 6]
+    assert list(next(extension_orders(p))) == first
+    assert posets._echelon_verdict(p, allowed, None) == (0, first)
+    cols = posets._confirmed_pivots(p, allowed, first)
+    assert cols == _bareiss_pivots(p, first)
+    # with the modularity gate lifted, cover transfer fails and Dilworth holds
+    monkeypatch.setattr(posets, "modular_witness", lambda L: None)
+    assert verify_echelon_theorem(lat) == Report("echelon-cover-transfer", 1, "counterexample", {
+        "extension": first, "element": 0, "image": 2,
+        "covers_below_element": 2, "covers_above_image": 1})
+    assert verify_dilworth(lat).status == "verified"
+
+
+def test_modular_lattices_that_are_not_distributive_have_several_echelon_maps():
+    # echelon independence (criterion 3's corollary) needs distributivity
+    maps_by_kind = {True: [], False: []}
+    for p, _ in posets.poset_classes(6):
+        try:
+            lat = build_lattice(p)
+        except NotALatticeError:
+            continue
+        if is_modular(lat):
+            maps = {echelonmotion(lat, ext).mapping for ext in linear_extensions(p)}
+            maps_by_kind[is_distributive(lat)].append(len(maps))
+    assert len(maps_by_kind[True]) == 13 and set(maps_by_kind[True]) == {1}
+    assert len(maps_by_kind[False]) == 17 - 13 and min(maps_by_kind[False]) > 1
+
+
 # -- the iterative extension generator against the recursive oracle ------------
 
 
@@ -910,7 +976,7 @@ def test_the_empty_poset_has_one_empty_extension():
         next(walk)
 
 
-# -- the bounded-only enumeration of the lattice sweep -------------------------
+# -- isomorphism classes against the labelled oracle -------------------------------
 
 
 def _is_bounded(p):
@@ -918,46 +984,57 @@ def _is_bounded(p):
     return full in p.up and full in p.down
 
 
-def test_bounded_posets_match_the_filtered_enumeration():
+def test_bounded_labelled_posets_are_the_bounded_posets_of_the_enumeration():
     for max_n in range(0, 6):
-        everything = list(enumerate_posets_up_to(max_n))
-        found = posets.bounded_posets_up_to(max_n)
-        bounded = []
-        while True:
-            try:
-                bounded.append(next(found))
-            except StopIteration as done:
-                assert done.value == len(everything), max_n
-                break
-        expected = [p for p in everything if _is_bounded(p)]
-        assert [p.up for p in bounded] == [p.up for p in expected], max_n
-        assert [p.down for p in bounded] == [p.down for p in expected], max_n
+        expected = [p.up for p in enumerate_posets_up_to(max_n) if _is_bounded(p)]
+        found = [p.up for p in bounded_labelled_posets(max_n)]
+        assert len(set(found)) == len(found) == len(expected), max_n
+        assert set(found) == set(expected), max_n
+    # n(n - 1) labellings of bottom and top around 1, 1, 3, 19 and 219 posets
+    assert len(bounded_labelled_posets(6)) == 1 + 2 + 6 + 36 + 380 + 6570 == 6995
+
+
+def test_poset_classes_count_unlabelled_and_labelled_posets():
+    classes = posets.poset_classes(6)
+    by_size, labelled = Counter(), Counter()
+    for p, copies in classes:
+        by_size[p.n] += 1
+        labelled[p.n] += copies
+    # OEIS A000112 and A001035
+    assert [by_size[n] for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
+    assert [labelled[n] for n in range(1, 7)] == [1, 3, 19, 219, 4231, 130023]
+    assert [p.n for p, _ in classes] == sorted(p.n for p, _ in classes)
+    assert posets.poset_classes(0) == []
+
+
+def test_poset_classes_count_automorphisms_as_brute_force_does():
+    for p, copies in posets.poset_classes(5):
+        automorphisms = sum(1 for label in itertools.permutations(range(p.n))
+                            if _relabelled(p, label) == p.up)
+        assert posets.canonical_form(p)[1] == automorphisms, p
+        assert copies * automorphisms == math.factorial(p.n), p
+
+
+def test_poset_classes_are_the_canonical_forms_of_the_labelled_oracle():
+    classes = posets.poset_classes(5)
+    copies_of = {code_of(p): copies for p, copies in classes}
+    assert len(copies_of) == len(classes)
+    assert Counter(code_of(p) for p in enumerate_posets_up_to(5)) == copies_of
 
 
 def test_lattice_sweep_matches_a_filter_over_the_enumeration():
-    # the sweep lists one lattice per labelled modular (distributive) poset
-    # of the filter, in its order: the first labelled lattice of its class
-    for max_n in range(1, 6):
-        modular, distributive = [], []
-        everything = list(enumerate_posets_up_to(max_n))
-        for p in everything:
-            try:
-                lat = build_lattice(p)
-            except NotALatticeError:
-                continue
-            if is_modular(lat):
-                modular.append(lat)
-            if is_distributive(lat):
-                distributive.append(lat)
+    # the sweep lists one lattice per class of labelled modular (distributive)
+    # lattices, the representative of poset_classes, with its class's size
+    for max_n in range(1, 7):
         sweep = acceptance.LatticeSweep(max_n)
-        assert sweep.posets_seen == len(everything)
-        for labelled, listed in ((modular, sweep.modular), (distributive, sweep.distributive)):
-            codes = [posets.canonical_form(lat.poset) for lat in labelled]
-            assert [posets.canonical_form(lat.poset) for lat in listed] == codes, max_n
-            first = first_of_each_class(labelled)
-            assert [lat.poset.up for lat in listed] == [first[c].poset.up for c in codes], max_n
-            assert len({id(lat) for lat in listed}) == len(first), max_n
-
+        seen = 134_496 if max_n == 6 else sum(1 for _ in enumerate_posets_up_to(max_n))
+        assert sweep.posets_seen == seen, max_n
+        reps = [p for p, _ in posets.poset_classes(max_n)]
+        for labelled, listed in zip(labelled_lattices(max_n), (sweep.modular, sweep.distributive)):
+            counts = Counter(code_of(lat.poset) for lat in labelled)
+            assert {code_of(lat.poset): copies for lat, copies in listed} == counts, max_n
+            assert len(listed) == len(counts), max_n
+            assert [lat.poset for lat, _ in listed] == [p for p in reps if code_of(p) in counts]
 
 
 # -- canonical forms against brute-force relabelling -----------------------------
@@ -999,7 +1076,7 @@ def _assert_same_classes(codes, forms):
 
 def test_canonical_form_separates_exactly_the_isomorphism_classes_up_to_4():
     ps = list(enumerate_posets_up_to(4))
-    codes = [posets.canonical_form(p) for p in ps]
+    codes = [code_of(p) for p in ps]
     forms = [_brute_form(p) for p in ps]
     _assert_same_classes(codes, forms)
     # 1, 2, 5 and 16 unlabelled posets on 1 .. 4 elements (OEIS A000112)
@@ -1007,7 +1084,7 @@ def test_canonical_form_separates_exactly_the_isomorphism_classes_up_to_4():
     for p, code in zip(ps, codes):
         # the code is itself the up-masks of a relabelling of p
         assert _brute_form(Poset(p.n, code)) == _brute_form(p), p
-    assert posets.canonical_form(Poset(0, ())) == ()
+    assert posets.canonical_form(Poset(0, ())) == ((), 1)
 
 
 def test_canonical_form_classes_the_sweep_lattices_as_brute_force_does():
@@ -1018,11 +1095,11 @@ def test_canonical_form_classes_the_sweep_lattices_as_brute_force_does():
                                     (distributive, sweep.distributive, 13)):
         forms = [form_of[id(lat)] for lat in labelled]
         assert len(set(forms)) == count
-        _assert_same_classes([posets.canonical_form(lat.poset) for lat in labelled], forms)
-        # the sweep lists one lattice object per class, at each labelled member
-        assert len(listed) == len(labelled)
-        _assert_same_classes([id(lat) for lat in listed], forms)
-
+        _assert_same_classes([code_of(lat.poset) for lat in labelled], forms)
+        # the sweep lists each class once, with as many copies as it has members
+        assert len(listed) == count
+        assert {_brute_form(lat.poset, fix_bounds=True): copies
+                for lat, copies in listed} == Counter(forms)
 
 
 def test_canonical_form_tells_apart_what_refinement_alone_does_not():
@@ -1036,25 +1113,49 @@ def test_canonical_form_tells_apart_what_refinement_alone_does_not():
     cells = [posets._equitable([list(range(8))], p.covers_up(), p.covers_down())
              for p in (crown, bowties)]
     assert [sorted(map(sorted, c)) for c in cells] == [[[0, 1, 2, 3], [4, 5, 6, 7]]] * 2
-    assert posets.canonical_form(crown) != posets.canonical_form(bowties)
+    assert code_of(crown) != code_of(bowties)
     rng = random.Random(5)
     for p in (crown, bowties):
         for _ in range(5):
             label = list(range(8))
             rng.shuffle(label)
-            assert posets.canonical_form(Poset(8, _relabelled(p, label))) == posets.canonical_form(p)
+            assert code_of(Poset(8, _relabelled(p, label))) == code_of(p)
+
+
+def test_canonical_form_counts_only_the_leaves_that_reach_the_least_code():
+    # On every poset of up to seven elements every leaf of the search is
+    # an automorphic image of the best one.  In the disjoint union of the
+    # crown and the bowties refinement cannot tell a crown minimum from a
+    # bowtie one, so the search also meets leaves that no automorphism
+    # relates; |Aut| is that of the crown (8: the rotations and reflections
+    # of its 8-cycle that keep minima minimal) times that of the bowties
+    # (32: each bowtie swaps its minima and its maxima, and the two swap).
+    crown = Poset.from_cover_pairs(8, [(i, 4 + j) for i in range(4) for j in (i, (i + 1) % 4)])
+    bowties = Poset.from_cover_pairs(8, [(i, 4 + j) for i in range(4) for j in range(4)
+                                         if i // 2 == j // 2])
+    union = Poset.from_cover_pairs(16, crown.cover_pairs()
+                                   + [(x + 8, y + 8) for x, y in bowties.cover_pairs()])
+    assert [posets.canonical_form(p)[1] for p in (crown, bowties, union)] == [8, 32, 8 * 32]
 
 def test_canonical_form_of_catalog_lattices_is_label_free():
     rng = random.Random(11)
     for name, lat in lattice_catalog().items():
         p = lat.poset
-        code = posets.canonical_form(p)
+        form = posets.canonical_form(p)
         for _ in range(3):
             label = list(range(p.n))
             rng.shuffle(label)
-            assert posets.canonical_form(Poset(p.n, _relabelled(p, label))) == code, name
-    codes = {posets.canonical_form(lat.poset) for lat in lattice_catalog().values()}
+            assert posets.canonical_form(Poset(p.n, _relabelled(p, label))) == form, name
+    codes = {code_of(lat.poset) for lat in lattice_catalog().values()}
     assert len(codes) == len(lattice_catalog())
+    # |Aut|: a product of two chains of equal length has its swap, a diamond
+    # permutes its atoms, N5 has none but the identity, and GF(2)^3 has GL(3, 2),
+    # of order 168
+    automorphisms = {name: posets.canonical_form(lat.poset)[1]
+                     for name, lat in lattice_catalog().items()}
+    assert automorphisms == {"C2xC2": 2, "C2xC3": 1, "C2xC4": 1, "C3xC3": 2, "C2xC5": 1,
+                             "C2xC6": 1, "C3xC4": 1, "M3": 6, "M4": 24, "M5": 120, "N5": 1,
+                             "GF2_dim3_subspaces": 168}
 
 # -- the modularity cross-check --------------------------------------------------
 
