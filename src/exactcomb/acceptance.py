@@ -338,13 +338,9 @@ def criterion_first_rows(length_cap: int, pmap=map) -> Report:
     """First-rows bound and the no-bump property over the two u families."""
     name = "centralizer-first-rows"
     u_list = _words_over(2, 4) + _words_over(3, 3)
-    # one search per alphabet cap max(u) + 2; the checks take what it found
-    found = {}
-    for cap in sorted({max(u) + 2 for u in u_list}):
-        us = [u for u in u_list if max(u) + 2 == cap]
-        found.update(zip(us, plactic.centralizer_searches(us, cap, length_cap)))
-    instances, failure = _first_failure((plactic.first_rows_report(found[u]), dict)
-                                        for u in u_list)
+    # one search, each u under the alphabet cap max(u) + 2
+    found = plactic.centralizer_searches([(u, max(u) + 2) for u in u_list], length_cap)
+    instances, failure = _first_failure((plactic.first_rows_report(f), dict) for f in found)
     return failure or Report(name, instances, VERIFIED,
                              {"u_count": len(u_list), "length_cap": length_cap})
 
@@ -353,13 +349,14 @@ def criterion_first_rows(length_cap: int, pmap=map) -> Report:
 def criterion_reverse_complement(u_len_cap: int, length_cap: int, pmap=map) -> Report:
     """Threshold evacuation between restricted centralizer tableau sets."""
     name = "centralizer-reverse-complement"
-    checks = []
-    for m in range(1, 4):
-        # one search per threshold: the words over [m] are closed under reverse complement
-        us = _words_over(m, u_len_cap)
-        found = dict(zip(us, plactic.centralizer_searches(us, m + 2, length_cap)))
-        checks += [(plactic.rc_report(m, found[u], found[plactic.reverse_complement(u, m)]),
-                    partial(dict, m=m)) for u in us]
+    # one search for every threshold m, each word over [m] under the cap
+    # m + 2: the words over [m] are closed under reverse complement
+    pairs = [(u, m) for m in range(1, 4) for u in _words_over(m, u_len_cap)]
+    found = dict(zip(pairs, plactic.centralizer_searches(
+        [(u, m + 2) for u, m in pairs], length_cap)))
+    evacuations = {}  # shared by the reports of this call only
+    checks = [(plactic.rc_report(m, found[u, m], found[plactic.reverse_complement(u, m), m],
+                                 evacuations), partial(dict, m=m)) for u, m in pairs]
     instances, failure = _first_failure(checks)
     return failure or Report(name, instances, VERIFIED,
                              {"pairs": len(checks), "length_cap": length_cap})

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
+from itertools import compress, count
+from operator import eq
 
 from .core import Word, as_word
 from .report import COUNTEREXAMPLE, VERIFIED, Report
@@ -257,17 +259,25 @@ def evacuation(t: Tableau, m: int) -> Tableau:
     return rsk_P(reverse_complement(t.row_word(), m))
 
 
-def tau(t: Tableau, m: int) -> Tableau:
+def tau(t: Tableau, m: int, evacuations: dict | None = None) -> Tableau:
     """Evacuate the part with entries at most m in place; fix the rest.
 
     Each row is the evacuated prefix followed by the fixed entries of t;
     the rows are semistandard, since the evacuated part is, its entries
     are at most m and every fixed entry is larger.  Raises ValueError when
     the evacuation changes the shape of the part, so that the result does
-    not reassemble, which the reverse-complement theorem rules out.
+    not reassemble, which the reverse-complement theorem rules out.  A
+    caller that maps many tableaux passes ``evacuations``, a dict it keeps,
+    to evacuate each (rows of the part, m) once.
     """
     low = t.restrict_le(m)
-    evac = evacuation(low, m)
+    if evacuations is None:
+        evac = evacuation(low, m)
+    else:
+        key = (low.rows, m)
+        evac = evacuations.get(key)
+        if evac is None:
+            evac = evacuations[key] = evacuation(low, m)
     if evac.shape() != low.shape():
         raise ValueError(f"threshold evacuation of {t!r} at m = {m} does not reassemble")
     rows = tuple(e + row[len(e):] for e, row in zip(evac.rows, t.rows))
@@ -312,94 +322,140 @@ def _insert_letter(rows: tuple[tuple[int, ...], ...], a: int) -> tuple[tuple[int
     return tuple(out)
 
 
-def _commute_members(us: list[Word], alphabet: int,
-                     max_len: int) -> list[list[tuple[tuple[int, ...], ...]]]:
-    """For each word u of us, the rows of every insertion tableau of a word
-    over [alphabet] of length at most max_len that commutes with u, in the
-    lexicographic order of the first words of their Knuth classes.
+class _RowInsertions(dict):
+    """One letter's column of the walk's insertion table: ``self[i]`` is
+    the id of row i of ``rows`` with a inserted (a replaces the leftmost
+    entry above it, or is appended), interned in ``ids`` and filled on
+    first lookup."""
 
-    One depth-first walk over the words serves every u.  Trying letters in
-    increasing order, it visits each class at its lexicographically first
-    word w and skips a word whose tableau was seen before, with everything
-    below it: appending the same letters to Knuth-equivalent words keeps
-    them equivalent.  Its targets are the distinct P(u), and Knuth-equivalent
-    u share one target and its list of members.  Row-insertion bumps never
-    return to the first row, so the first row of P(w u) comes from the
-    first row of P(w) and u alone, and the first row of P(u w a) from that
-    of P(u w) and a alone.  The walk holds P(w) as tuples and, for each
-    first row of a P(u), only the first row of P(u w), which a step down
-    updates by one bisection.  Only when the two first rows agree are
-    P(w u) and P(u w) built, by inserting u into P(w) and w into P(u), and
+    __slots__ = ("a", "rows", "ids")
+
+    def __init__(self, a: int, rows: list[tuple[int, ...]], ids: dict[tuple[int, ...], int]):
+        super().__init__()
+        self.a, self.rows, self.ids = a, rows, ids
+
+    def __missing__(self, i: int) -> int:
+        a, row = self.a, self.rows[i]
+        j = bisect_right(row, a)
+        row = row[:j] + (a,) + row[j + 1:]
+        k = self.ids.setdefault(row, len(self.rows))
+        if k == len(self.rows):
+            self.rows.append(row)
+        self[i] = k
+        return k
+
+
+def _commute_members(targets: list[tuple[Word, int]],
+                     max_len: int) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """For each pair (u, cap) of targets, the rows of every insertion
+    tableau of a word over [cap] of length at most max_len that commutes
+    with u, in the lexicographic order of the first words of their Knuth
+    classes.
+
+    One depth-first walk over the words of the largest cap serves every
+    pair.  Trying letters in increasing order, it visits each class at its
+    lexicographically first word w and skips a word whose tableau was seen
+    before, with everything below it: appending the same letters to
+    Knuth-equivalent words keeps them equivalent.  A class over [cap] is
+    first met at a word all of whose prefixes are over [cap], so a pair is
+    tested only while the largest letter of w is at most its cap, and its
+    members come in the order a walk over [cap] alone would give.  The
+    targets are the distinct (P(u), cap); Knuth-equivalent u under one cap
+    share a target and its list of members.
+
+    Row-insertion bumps never return to the first row, so the first row of
+    P(w u) comes from that of P(w) and u alone, and the first row of
+    P(u w a) from that of P(u w) and a alone.  The walk interns first rows
+    as ints with a table of one-letter row insertions; it holds P(w) as
+    tuples, the id of its first row, and per target the id of the first
+    row of P(u w), which a step down updates by one table lookup.  Once
+    per first row of P(w) it builds the ids of the first rows of P(w u)
+    over all targets.  Only for a target whose two ids agree are P(w u)
+    and P(u w) built, by inserting u into P(w) and w into P(u), and
     compared.
     """
-    targets: dict[tuple[tuple[int, ...], ...], int] = {}
-    words, tableaux, ends = [], [], []  # per target: a u and P(u); per u: its target
-    for u in us:
+    keys = []  # per pair: its target (P(u), cap)
+    first: dict[tuple[tuple[tuple[int, ...], ...], int], Word] = {}
+    for u, cap in targets:
         rows: list[list[int]] = []
         _insert_word(rows, u)
-        key = tuple(map(tuple, rows))
-        if key not in targets:
-            targets[key] = len(words)
-            words.append(u)
-            tableaux.append(key)
-        ends.append(targets[key])
-    members: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in words]
-    # targets whose P(u) share the first row share the first rows of P(u w)
-    starts: dict[tuple[int, ...], int] = {}
-    slot = [starts.setdefault(key[0] if key else (), len(starts)) for key in tableaux]
+        keys.append((tuple(map(tuple, rows)), cap))
+        first.setdefault(keys[-1], u)
+    if not first:
+        return []
+    order = sorted(first, key=lambda key: -key[1])  # largest cap first
+    found = {key: [] for key in order}
+    words = [first[key] for key in order]
+    members = [found[key] for key in order]
+    alphabet = order[0][1]
+    # the targets tested below a letter c are order[:active[c]], those
+    # before the first whose cap is below c
+    active = [next((t for t, (_, cap) in enumerate(order) if cap < c), len(order))
+              for c in range(alphabet + 1)]
+    ids: dict[tuple[int, ...], int] = {(): 0}
+    rows_of: list[tuple[int, ...]] = [()]
+    # a letter of u may exceed every cap
+    largest = max(alphabet, *(max(u, default=0) for u in words))
+    after = [_RowInsertions(a, rows_of, ids) for a in range(largest + 1)]
+
+    def row_id(i: int, word: Word) -> int:
+        for a in word:
+            i = after[a][i]
+        return i
+
+    index: dict[int, tuple[int, ...]] = {}  # first row of P(w) -> first rows of P(w u)
     seen = {()}
     path: list[int] = []  # w, the first word of the class visited
 
-    def visit(rows: tuple, firsts: list[tuple[int, ...]]) -> None:
-        # rows is P(w), firsts[slot[t]] the first row of P(u w) for the u of target t
-        top = list(rows[0]) if rows else []
-        for t, u in enumerate(words):
-            first = top[:]
-            for a in u:
-                j = bisect_right(first, a)
-                if j == len(first):
-                    first.append(a)
-                else:
-                    first[j] = a
-            if tuple(first) == firsts[slot[t]]:
-                work = [list(r) for r in rows]
-                _insert_word(work, u)
-                left = [list(r) for r in tableaux[t]]
-                _insert_word(left, path)
-                if work == left:
-                    members[t].append(rows)
+    def visit(rows: tuple, top: int, wid: int, uw: tuple[int, ...]) -> None:
+        # rows is P(w), top the largest letter of w, wid the id of the first
+        # row of P(w) and uw[t] that of P(u w) for each target t of cap >= top
+        wu = index.get(wid)
+        if wu is None:
+            wu = index[wid] = tuple(row_id(wid, u) for u in words)
+        for t in compress(count(), map(eq, wu, uw)):
+            work = [list(r) for r in rows]
+            _insert_word(work, words[t])
+            left = [list(r) for r in order[t][0]]
+            _insert_word(left, path)
+            if work == left:
+                members[t].append(rows)
         if len(path) == max_len:
             return
         for a in range(1, alphabet + 1):
             below = _insert_letter(rows, a)
-            if below not in seen:
-                seen.add(below)
-                below_firsts = []
-                for first in firsts:
-                    j = bisect_right(first, a)
-                    below_firsts.append(first[:j] + (a,) + first[j + 1:])
-                path.append(a)
-                visit(below, below_firsts)
-                path.pop()
+            if below in seen:
+                continue
+            seen.add(below)
+            if a > top:  # the targets whose cap is below a drop out
+                top, uw = a, uw[:active[a]]
+            step = after[a]
+            path.append(a)
+            visit(below, top, step[wid], tuple(map(step.__getitem__, uw)))
+            path.pop()
 
-    visit((), list(starts))
-    seen.clear()
-    return [members[t] for t in ends]
+    # the first row of P(u), as that of P(w u) at the empty w
+    visit((), 0, 0, tuple(row_id(0, u) for u in words))
+    # visit's closure holds visit, and with it every table of the walk
+    visit = None
+    return [found[key] for key in keys]
 
 
-def centralizer_searches(us: Iterable[Iterable[int]], alphabet_cap: int,
+def centralizer_searches(targets: Iterable[tuple[Iterable[int], int]],
                          length_cap: int) -> list[CentralizerSet]:
-    """The centralizer of each word of us, as ``centralizer_search`` finds
-    it, from one walk over the Knuth classes of the budget."""
-    if alphabet_cap > ALPHABET_BUDGET:
-        raise ValueError(f"budget exceeded: alphabet {alphabet_cap} > {ALPHABET_BUDGET}")
+    """The centralizer of u over [cap] for each pair (u, cap) of targets, as
+    ``centralizer_search`` finds it, from one walk over the Knuth classes of
+    the largest cap."""
+    pairs = [(as_word(u), cap) for u, cap in targets]
+    for _, cap in pairs:
+        if cap > ALPHABET_BUDGET:
+            raise ValueError(f"budget exceeded: alphabet {cap} > {ALPHABET_BUDGET}")
     if length_cap > LENGTH_BUDGET:
         raise ValueError(f"budget exceeded: length {length_cap} > {LENGTH_BUDGET}")
-    if alphabet_cap < 1 or length_cap < 0:
+    if length_cap < 0 or any(cap < 1 for _, cap in pairs):
         raise ValueError("need a positive alphabet and a nonnegative length cap")
-    us = [as_word(u) for u in us]
-    return [CentralizerSet(u, alphabet_cap, length_cap, map(Tableau._unchecked, members))
-            for u, members in zip(us, _commute_members(us, alphabet_cap, length_cap))]
+    return [CentralizerSet(u, cap, length_cap, map(Tableau._unchecked, members))
+            for (u, cap), members in zip(pairs, _commute_members(pairs, length_cap))]
 
 
 def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> CentralizerSet:
@@ -411,7 +467,7 @@ def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> 
     empty tableau is always a member.  Each call walks the classes once and
     keeps nothing; ``centralizer_searches`` serves many words with one walk.
     """
-    return centralizer_searches((u,), alphabet_cap, length_cap)[0]
+    return centralizer_searches(((u, alphabet_cap),), length_cap)[0]
 
 
 def check_no_bump(u: Iterable[int], t: Tableau) -> bool:
@@ -458,18 +514,21 @@ def first_rows_report(found: CentralizerSet) -> Report:
                    "max_len": found.length_cap, "members": len(found)})
 
 
-def rc_report(m: int, left: CentralizerSet, right: CentralizerSet) -> Report:
+def rc_report(m: int, left: CentralizerSet, right: CentralizerSet,
+              evacuations: dict | None = None) -> Report:
     """Threshold evacuation at m carries the centralizer of u = left.u onto
     right, that of its reverse complement, as an exact set equality of
-    insertion tableaux.
+    insertion tableaux.  Each (part at most m, m) is evacuated once, in
+    ``evacuations`` when a caller keeps it across reports.
     """
     u = left.u
     name = "centralizer-reverse-complement"
     instances = len(left) + len(right)
+    evacuations = {} if evacuations is None else evacuations
     mapped = set()
     for t in left.members:
         try:
-            mapped.add(tau(t, m))
+            mapped.add(tau(t, m, evacuations))
         except ValueError:
             return Report(name, instances, COUNTEREXAMPLE, {
                 "u": list(u), "m": m, "member": t.to_json_obj(),
@@ -518,5 +577,5 @@ def verify_rc_correspondence(u: Iterable[int], m: int,
     cap = alphabet_cap if alphabet_cap is not None else m + 2
     if m > cap:
         raise ValueError("threshold exceeds the alphabet cap")
-    left, right = centralizer_searches((u, reverse_complement(u, m)), cap, length_cap)
+    left, right = centralizer_searches(((u, cap), (reverse_complement(u, m), cap)), length_cap)
     return rc_report(m, left, right)

@@ -27,8 +27,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 POSETS = "src/exactcomb/posets.py"
 ACCEPTANCE = "src/exactcomb/acceptance.py"
+PLACTIC = "src/exactcomb/plactic.py"
 TEST_POSETS = "tests/test_posets.py::"
 TEST_ACCEPTANCE = "tests/test_acceptance.py::"
+TEST_PLACTIC = "tests/test_plactic.py::"
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,24 @@ MUTANTS = (
            "        if r.status != VERIFIED:\n            extras = more()\n",
            "        extras = more()\n        if r.status != VERIFIED:\n",
            (TEST_ACCEPTANCE + "test_first_failure_counts_verified_reports_and_tags_the_failure",)),
+    # the centralizer walk tests a target while the largest letter of w is
+    # at most its cap, so also on the classes whose largest letter is the cap
+    Mutant("centralizer-cap-gate-drops-the-cap-itself", PLACTIC,
+           "if cap < c), len(order))", "if cap <= c), len(order))",
+           (TEST_PLACTIC + "test_a_walk_under_mixed_caps_matches_the_oracle_of_each_cap",
+            TEST_PLACTIC + "test_prefix_shared_verdicts_match_oracle[u0]")),
+    # the first-row filter inserts a letter after the equal entries of a row
+    Mutant("centralizer-row-table-inserts-before-equal-letters", PLACTIC,
+           "        a, row = self.a, self.rows[i]\n        j = bisect_right(row, a)\n",
+           "        from bisect import bisect_left\n"
+           "        a, row = self.a, self.rows[i]\n        j = bisect_left(row, a)\n",
+           (TEST_PLACTIC + "test_a_walk_under_mixed_caps_matches_the_oracle_of_each_cap",
+            TEST_PLACTIC + "test_batched_verdicts_match_oracle[mixed]")),
+    # criterion 12 shares its evacuations across thresholds, so m is part of the key
+    Mutant("tau-memo-keyed-without-the-threshold", PLACTIC,
+           "        key = (low.rows, m)\n", "        key = low.rows\n",
+           (TEST_ACCEPTANCE + "test_reverse_complement_criterion_evacuates_each_low_part_once_per_threshold",
+            TEST_ACCEPTANCE + "test_centralizer_criteria_search_once_per_alphabet_cap[reverse-complement]")),
     # criterion 7 checks the Kreweras cosum through PARKING_SWEEP_LIMIT
     Mutant("criterion-07-kreweras-only-to-n-3", ACCEPTANCE,
            "if n <= genfun.PARKING_SWEEP_LIMIT:", "if n <= 3:",

@@ -26,7 +26,7 @@ from exactcomb import acceptance, genfun, parking, plactic, posets
 from exactcomb.cli import main
 from exactcomb.core import BiPoly, IntMatrix, Permutation
 from exactcomb.report import Report, reports_to_json
-from test_plactic import _knuth_classes, _record_walks
+from test_plactic import _knuth_classes, _oracle_members, _record_walks
 from test_posets import bounded_labelled_posets, code_of, labelled_lattices
 
 QUICK_BATTERY_JSON = Path(__file__).parent / "data" / "battery_quick.json"
@@ -710,16 +710,14 @@ def test_broken_no_bump_check_exits_1_at_the_cli(monkeypatch, capsys):
     (acceptance.criterion_reverse_complement, {"u_len_cap": 2, "length_cap": 4}),
 ], ids=["first-rows", "reverse-complement"])
 def test_centralizer_criteria_search_once_per_alphabet_cap(monkeypatch, criterion, kwargs):
-    # the checkers must read the batched searches, never search again
-    members, caps = plactic._commute_members, []
-
-    def counting(us, alphabet, max_len):
-        caps.append(alphabet)
-        return members(us, alphabet, max_len)
-
-    monkeypatch.setattr(plactic, "_commute_members", counting)
+    # one walk serves every alphabet cap; the checkers must read what it
+    # found, never search again
+    walks = _record_walks(monkeypatch)
     assert criterion(**kwargs).status == "verified"
-    assert caps == [3, 4, 5]
+    assert len(walks) == 1
+    [(targets, max_len, _)] = walks
+    assert max_len == kwargs["length_cap"]
+    assert sorted({cap for _, cap in targets}) == [3, 4, 5]
 
 
 def test_first_rows_criterion_inserts_each_u_once(monkeypatch):
@@ -734,17 +732,18 @@ def test_first_rows_criterion_inserts_each_u_once(monkeypatch):
 def test_determinism_probe_walks_the_classes_in_both_runs(monkeypatch):
     walks = _record_walks(monkeypatch)
     assert acceptance.criterion_determinism(seed=0).status == "verified"
-    assert [alphabet for _, alphabet, _, _ in walks] == [3, 4, 5] * 2
+    # one walk per probe run, carrying the caps 3, 4 and 5 of its thresholds
+    assert len(walks) == 2
+    assert [sorted({cap for _, cap in targets}) for targets, _, _ in walks] == [[3, 4, 5]] * 2
 
 
 def _break_commute_members(monkeypatch):
     # every class is said to commute with the searched words that start with 1
     members = plactic._commute_members
 
-    def broken(us, alphabet, max_len):
-        every = [rows for _, rows in _knuth_classes(alphabet, max_len)]
-        return [every if u[:1] == (1,) else found
-                for u, found in zip(us, members(us, alphabet, max_len))]
+    def broken(targets, max_len):
+        return [[rows for _, rows in _knuth_classes(cap, max_len)] if u[:1] == (1,) else found
+                for (u, cap), found in zip(targets, members(targets, max_len))]
 
     monkeypatch.setattr(plactic, "_commute_members", broken)
 
@@ -773,6 +772,63 @@ def test_non_reassembling_evacuation_fails_criterion_12(monkeypatch):
     member = plactic.Tableau(r.witness["member"])
     with pytest.raises(ValueError, match="does not reassemble"):
         plactic.tau(member, r.witness["m"])
+
+
+def _left_members(u_len_cap, length_cap):
+    """(u, m, members of the centralizer of u over [m + 2]) in the order of
+    criterion 12, the members from the oracle in the order of a
+    ``CentralizerSet``."""
+    return [(u, m, sorted(map(plactic.Tableau, _oracle_members(u, m + 2, length_cap)),
+                          key=plactic.Tableau.sort_key))
+            for m in range(1, 4) for u in acceptance._words_over(m, u_len_cap)]
+
+
+def test_reverse_complement_criterion_evacuates_each_low_part_once_per_threshold(monkeypatch):
+    # tau evacuates the part at most m of every member; each distinct
+    # (part, m) is evacuated once, on its first use
+    calls = []
+    evacuation = plactic.evacuation
+
+    def counting(t, m):
+        calls.append((t.rows, m))
+        return evacuation(t, m)
+
+    monkeypatch.setattr(plactic, "evacuation", counting)
+    assert acceptance.criterion_reverse_complement(u_len_cap=2, length_cap=4).status == "verified"
+    uses = [(t.restrict_le(m).rows, m) for _, m, members in _left_members(2, 4) for t in members]
+    assert len(uses) > 2 * len(set(uses))
+    assert calls == list(dict.fromkeys(uses))
+    # a second call keeps nothing from the first
+    calls.clear()
+    assert acceptance.criterion_reverse_complement(u_len_cap=2, length_cap=4).status == "verified"
+    assert calls == list(dict.fromkeys(uses))
+
+
+def test_non_reassembling_evacuation_gives_the_witness_of_a_per_member_loop(monkeypatch):
+    monkeypatch.setattr(plactic, "evacuation",
+                        lambda t, m: plactic.rsk_P(sorted(t.row_word())))
+    r = acceptance.criterion_reverse_complement(u_len_cap=2, length_cap=4)
+    # the first member whose tau fails, evacuating every member anew; no
+    # pair before it may fail its set equality
+    instances, expected = 0, None
+    lefts = {(u, m): members for u, m, members in _left_members(2, 4)}
+    for u, m, members in _left_members(2, 4):
+        right = lefts[plactic.reverse_complement(u, m), m]
+        mapped = set()
+        for t in members:
+            try:
+                mapped.add(plactic.tau(t, m))
+            except ValueError:
+                expected = {"u": list(u), "m": m, "member": t.to_json_obj(),
+                            "defect": "threshold evacuation does not reassemble"}
+                break
+        if expected is not None:
+            break
+        assert mapped == set(right), (u, m)
+        instances += len(members) + len(right)
+    assert expected is not None and r.status == "counterexample"
+    assert r.instances == instances
+    assert json.dumps(r.witness, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_unseeded_perturbations_fail_criterion_13(monkeypatch):

@@ -323,7 +323,7 @@ def _knuth_classes(alphabet, max_len):
 def test_the_walk_lists_every_class_once_in_first_word_order(alphabet, max_len):
     # the empty word commutes with everything, so its members are every
     # class, each once
-    [found] = plactic._commute_members([()], alphabet, max_len)
+    [found] = plactic._commute_members([((), alphabet)], max_len)
     assert found == [rows for _, rows in _knuth_classes(alphabet, max_len)]
 
 
@@ -341,7 +341,7 @@ def _oracle_members(u, alphabet, max_len):
 @pytest.mark.parametrize("u", _words_over(2, 4) + _words_over(3, 3))
 def test_prefix_shared_verdicts_match_oracle(u):
     cap, length_cap = max(u) + 2, 7
-    assert plactic._commute_members([u], cap, length_cap) == [
+    assert plactic._commute_members([(u, cap)], length_cap) == [
         _oracle_members(u, cap, length_cap)]
 
 
@@ -352,10 +352,26 @@ def test_prefix_shared_verdicts_match_oracle(u):
       (3, 3, 1, 2), (3, 1, 3, 2), (1,), (4, 1, 2, 3)], 4, 5),
 ], ids=["all-over-3-to-4", "mixed"])
 def test_batched_verdicts_match_oracle(batch, alphabet, max_len):
-    found = plactic._commute_members(batch, alphabet, max_len)
+    found = plactic._commute_members([(u, alphabet) for u in batch], max_len)
     assert len(found) == len(batch)
     for u, members in zip(batch, found):
         assert members == _oracle_members(u, alphabet, max_len), u
+
+
+def test_a_walk_under_mixed_caps_matches_the_oracle_of_each_cap():
+    # caps 3 to 5 in one walk over [5]: Knuth-equivalent words under two caps
+    # stay two targets, repeats share one, (3, 1, 2) under cap 3 is tested
+    # only on the classes over [3], and a letter of u may exceed every cap
+    batch = [((2, 1, 3), 4), ((2, 3, 1), 5), ((1, 2), 3), ((2, 1, 3), 4), ((1, 2), 5),
+             ((3, 1, 2), 3), ((1, 1), 3), ((), 4), ((1, 2), 3), ((4, 1, 2, 3), 5),
+             ((7, 1, 2), 3)]
+    found = plactic._commute_members(batch, 5)
+    assert len(found) == len(batch)
+    for (u, cap), members in zip(batch, found):
+        assert members == _oracle_members(u, cap, 5), (u, cap)
+    assert found[0] is found[3] and found[2] is found[8]
+    assert found[0] is not found[1] and len(found[0]) < len(found[1])
+    assert found[2] is not found[4] and len(found[2]) < len(found[4])
 
 
 def test_a_single_search_inserts_each_letter_of_u_once_per_class(monkeypatch):
@@ -377,19 +393,21 @@ def test_a_single_search_inserts_each_letter_of_u_once_per_class(monkeypatch):
         insert(rows, word, bumped)
 
     monkeypatch.setattr(plactic, "_insert_word", recording)
-    [found] = plactic._commute_members([u], cap, length_cap)
+    [found] = plactic._commute_members([(u, cap)], length_cap)
     assert len(found) < len(agree) < len(classes)
     assert calls == expected
 
 
 @pytest.mark.parametrize("walk", [
-    lambda: plactic._commute_members([(2, 1, 3), (1, 2)], 4, 7),
+    lambda: plactic._commute_members([(u, max(u) + 2) for u in _words_over(3, 3)], 7),
     lambda: genfun._tree_sweep(7),
 ], ids=["commute-members", "tree-sweep"])
 def test_a_walk_keeps_no_table_once_it_returns(walk):
     # with the collector off, a table held by a reference cycle outlives its
-    # call; the first call fills the interpreter's free lists, and the second
-    # must leave less than 0.2 MiB behind besides its return value
+    # call (the centralizer walk's seen set, interned rows, insertion table
+    # and per-row index); the first call fills the interpreter's free lists,
+    # and the second must leave less than 0.2 MiB behind besides its return
+    # value
     gc.collect()
     gc.disable()
     tracemalloc.start()
@@ -423,21 +441,21 @@ def test_the_whole_tableaux_decide_when_the_first_rows_agree(monkeypatch):
         insert(rows, word, bumped)
 
     monkeypatch.setattr(plactic, "_insert_word", recording)
-    [found] = plactic._commute_members([u], 3, 2)
+    [found] = plactic._commute_members([(u, 3)], 2)
     assert rsk_P(w).rows in inserted_into
     assert rsk_P(w).rows not in found
     assert found == expected
 
 
 def _record_walks(monkeypatch):
-    """Record (us, alphabet, max_len, found) for every walk of
+    """Record (targets, max_len, found) for every walk of
     ``plactic._commute_members`` from now on."""
     walks = []
     walk = plactic._commute_members
 
-    def recording(us, alphabet, max_len):
-        found = walk(us, alphabet, max_len)
-        walks.append((list(us), alphabet, max_len, found))
+    def recording(targets, max_len):
+        found = walk(targets, max_len)
+        walks.append((list(targets), max_len, found))
         return found
 
     monkeypatch.setattr(plactic, "_commute_members", recording)
@@ -458,13 +476,13 @@ def test_a_centralizer_search_inserts_u_once(monkeypatch):
     for u in ((2, 1, 2), (2, 1, 2), (1, 2, 2)):
         walks.clear()
         centralizer_search(u, 4, 5)
-        assert calls == [] and [us for us, *_ in walks] == [[u]]
+        assert calls == [] and [targets for targets, *_ in walks] == [[(u, 4)]]
 
 
 def test_a_batch_returns_the_members_of_each_word(monkeypatch):
     walks = _record_walks(monkeypatch)
     batch = [(2, 1, 3), (1,), (2, 3, 1)]
-    found = plactic.centralizer_searches(iter(batch), 4, 5)
+    found = plactic.centralizer_searches(iter([(u, 4) for u in batch]), 5)
     assert len(walks) == 1
     assert [(c.u, c.alphabet_cap, c.length_cap) for c in found] == [(u, 4, 5) for u in batch]
     for u, c in zip(batch, found):
@@ -476,8 +494,8 @@ def test_knuth_equivalent_words_share_one_search(monkeypatch):
     # the walk has one target per insertion tableau, so the two words share
     # one target and its list of members
     walks = _record_walks(monkeypatch)
-    left, right = plactic.centralizer_searches([(2, 1, 3), (2, 3, 1)], 4, 5)
-    [(_, _, _, found)] = walks
+    left, right = plactic.centralizer_searches([((2, 1, 3), 4), ((2, 3, 1), 4)], 5)
+    [(_, _, found)] = walks
     assert found[0] is found[1]
     assert left.u == (2, 1, 3) and right.u == (2, 3, 1)
     assert left.members == right.members and len(left) > 1
@@ -517,8 +535,8 @@ def test_verify_rc_correspondence():
 def test_verify_rc_correspondence_walks_once(monkeypatch):
     walks = _record_walks(monkeypatch)
     assert verify_rc_correspondence((1, 1, 2), 3, length_cap=5).status == "verified"
-    assert [(us, alphabet, max_len) for us, alphabet, max_len, _ in walks] == [
-        ([(1, 1, 2), (2, 3, 3)], 5, 5)]
+    assert [(targets, max_len) for targets, max_len, _ in walks] == [
+        ([((1, 1, 2), 5), ((2, 3, 3), 5)], 5)]
 
 
 @pytest.mark.parametrize("m", [0, -1])
