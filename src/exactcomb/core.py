@@ -88,13 +88,8 @@ class Permutation:
 
     def to_matrix(self) -> "IntMatrix":
         """Permutation matrix with (i, j) entry 1 exactly when w(i) = j."""
-        n = len(self.one_line)
-        return IntMatrix(
-            tuple(
-                tuple(1 if self.one_line[i] == j + 1 else 0 for j in range(n))
-                for i in range(n)
-            )
-        )
+        zeros = (0,) * len(self.one_line)
+        return IntMatrix._unchecked(tuple(zeros[:v - 1] + (1,) + zeros[v:] for v in self.one_line))
 
 
 class BiPoly:
@@ -334,7 +329,11 @@ def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
     Stays in exact integer arithmetic throughout: the usual pivoting
     update is followed by an exact division by the previous pivot, so
     intermediate entries are minors of the input and never blow up the
-    way division-free elimination would.
+    way division-free elimination would.  Any nonzero pivot keeps the
+    divisions exact, so each column takes a pivot of ±1 where it has one:
+    the next update then divides by ±1, which leaves no remainder and is
+    done without ``divmod``.  Every division by a larger previous pivot
+    checks its remainder.
     """
     entries = m.entries if isinstance(m, IntMatrix) else m
     rows = [list(r) for r in entries]
@@ -344,21 +343,34 @@ def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
     rank = 0
     prev = 1
     for col in range(nc):
-        piv = next((r for r in range(rank, nr) if rows[r][col]), None)
+        piv = None
+        for r in range(rank, nr):
+            v = rows[r][col]
+            if v == 1 or v == -1:
+                piv = r
+                break
+            if v and piv is None:
+                piv = r
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pivot_row = rows[rank]
         pv = pivot_row[col]
-        for r in range(rank + 1, nr):
-            row = rows[r]
+        tail = pivot_row[col + 1:]
+        for row in rows[rank + 1:]:
             lv = row[col]
-            for c in range(col + 1, nc):
-                num = pv * row[c] - lv * pivot_row[c]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise BareissDivisionError("Bareiss division must be exact")
-                row[c] = q
+            if not lv and pv == prev:
+                continue  # (pv * a - 0) / prev = a: the row stays as it is
+            if prev == 1 or prev == -1:  # dividing by ±1 is multiplying by it
+                spv, slv = pv * prev, lv * prev
+                row[col + 1:] = [spv * a - slv * b for a, b in zip(row[col + 1:], tail)]
+            else:
+                for c in range(col + 1, nc):
+                    num = pv * row[c] - lv * pivot_row[c]
+                    q, rem = divmod(num, prev)
+                    if rem:
+                        raise BareissDivisionError("Bareiss division must be exact")
+                    row[c] = q
             row[col] = 0
         prev = pv
         rank += 1
@@ -370,7 +382,19 @@ def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
 def random_unit_upper_triangular(n: int, rng) -> IntMatrix:
     """Random upper-triangular matrix with unit diagonal, entries in [-2, 2].
 
-    Draws the entries row by row, left to right."""
-    return IntMatrix._unchecked(tuple(
-        (0,) * i + (1,) + tuple([rng.randint(-2, 2) for _ in range(n - i - 1)])
-        for i in range(n)))
+    Draws the entries row by row, left to right, each as CPython's
+    ``rng.randint(-2, 2)`` draws it: three random bits, drawn again while
+    they read 5 or more, less 2.  Calling ``getrandbits`` directly keeps
+    that stream bit for bit and skips ``randint``'s layers of Python calls.
+    """
+    bits = rng.getrandbits
+    rows = []
+    for i in range(n):
+        row = [0] * i + [1]
+        for _ in range(n - i - 1):
+            r = bits(3)
+            while r >= 5:
+                r = bits(3)
+            row.append(r - 2)
+        rows.append(tuple(row))
+    return IntMatrix._unchecked(tuple(rows))

@@ -1017,33 +1017,51 @@ def canonical_form(p: Poset) -> tuple[tuple[int, ...], int]:
     relabelled by that order, over all leaves, and it is itself a
     relabelling of p.
 
-    The search prunes nothing, so Aut(p) acts on its leaves, and freely,
-    since a leaf orders every element; two leaves give the same code exactly
-    when an automorphism maps one onto the other.  So the leaves that reach
-    the least code are one orbit, and their number is |Aut(p)|.
+    Aut(p) acts on the leaves of the full search, and freely, since a leaf
+    orders every element; two leaves give the same code exactly when an
+    automorphism maps one onto the other.  So the leaves that reach the
+    least code are one orbit, and their number is |Aut(p)|.  Twins, elements
+    with the same strict up-set and the same strict down-set, prune that
+    search: swapping two twins is an automorphism that fixes every other
+    element, so it fixes the partition wherever neither twin has a cell of
+    its own yet, and maps the subtree of one onto the subtree of the other,
+    leaf for leaf and code for code.  The search therefore individualises
+    one element of each twin class of a cell and weights that branch's
+    leaves by the class's size there.  The least code is unchanged, and the
+    weighted count of the leaves that reach it is the count of the full
+    search, |Aut(p)|.
     """
     n = p.n
     above = [list(_bits(m)) for m in p.up]
     cov_up, cov_down = p.covers_up(), p.covers_down()
+    first_twin: dict[tuple[int, int], int] = {}
+    twin = [first_twin.setdefault((up ^ 1 << x, down ^ 1 << x), x)
+            for x, (up, down) in enumerate(zip(p.up, p.down))]
     best: tuple[int, ...] | None = None
     automorphisms = 0
-    stack = [_equitable([list(range(n))], cov_up, cov_down)]
+    stack = [(1, _equitable([list(range(n))], cov_up, cov_down))]
     while stack:
-        cells = stack.pop()
+        weight, cells = stack.pop()
         i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if i is not None:
             cell = cells[i]
-            stack += [_equitable(cells[:i] + [[v], [x for x in cell if x != v]] + cells[i + 1:],
-                                 cov_up, cov_down) for v in cell]
+            classes: dict[int, list[int]] = {}
+            for x in cell:
+                classes.setdefault(twin[x], []).append(x)
+            for twins in classes.values():
+                v = twins[0]
+                stack.append((weight * len(twins), _equitable(
+                    cells[:i] + [[v], [x for x in cell if x != v]] + cells[i + 1:],
+                    cov_up, cov_down)))
             continue
         bit = [0] * n
         for k, (x,) in enumerate(cells):
             bit[x] = 1 << k
         code = tuple([sum([bit[y] for y in above[x]]) for (x,) in cells])
         if best is None or code < best:
-            best, automorphisms = code, 1
+            best, automorphisms = code, weight
         elif code == best:
-            automorphisms += 1
+            automorphisms += weight
     return best, automorphisms
 
 

@@ -28,6 +28,8 @@ ROOT = Path(__file__).resolve().parents[2]
 POSETS = "src/exactcomb/posets.py"
 ACCEPTANCE = "src/exactcomb/acceptance.py"
 PLACTIC = "src/exactcomb/plactic.py"
+CORE = "src/exactcomb/core.py"
+TEST_CORE = "tests/test_core.py::"
 TEST_POSETS = "tests/test_posets.py::"
 TEST_ACCEPTANCE = "tests/test_acceptance.py::"
 TEST_PLACTIC = "tests/test_plactic.py::"
@@ -90,10 +92,23 @@ MUTANTS = (
            (TEST_POSETS + "test_canonical_form_tells_apart_what_refinement_alone_does_not",)),
     # |Aut| counts the leaves that reach the least code, not every leaf
     Mutant("canonical-form-counts-every-leaf-as-an-automorphism", POSETS,
-           "            best, automorphisms = code, 1\n        elif code == best:\n"
-           "            automorphisms += 1\n",
-           "            best = code\n        automorphisms += 1\n",
+           "            best, automorphisms = code, weight\n        elif code == best:\n"
+           "            automorphisms += weight\n",
+           "            best = code\n        automorphisms += weight\n",
            (TEST_POSETS + "test_canonical_form_counts_only_the_leaves_that_reach_the_least_code",)),
+    # a branch on one twin stands for the subtrees of all its twins in the cell
+    Mutant("canonical-form-drops-the-twin-weight", POSETS,
+           "stack.append((weight * len(twins), _equitable(", "stack.append((weight, _equitable(",
+           (TEST_POSETS + "test_twins_multiply_automorphisms_by_their_permutations",
+            TEST_POSETS + "test_twin_pruned_form_matches_the_unpruned_search")),
+    # the Bruhat draws redraw three bits exactly as randint(-2, 2) does
+    Mutant("unit-triangular-draws-keep-a-draw-of-5", CORE,
+           "while r >= 5:", "while r >= 6:",
+           (TEST_CORE + "test_unit_upper_triangular_draws_equal_validated_matrices",)),
+    # only a previous pivot of ±1 divides without a remainder check
+    Mutant("rank-skips-the-division-by-2", CORE,
+           "if prev == 1 or prev == -1:", "if prev in (1, -1, 2):",
+           (TEST_POSETS + "test_inexact_bareiss_division_raises[rank]",)),
     # the class generator keeps a child only when its canonical form is new
     Mutant("poset-classes-keep-every-child", POSETS,
            "                if code not in codes:\n", "                if True:\n",

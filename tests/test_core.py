@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from exactcomb import posets
 from exactcomb.core import (
     BiPoly,
     IntMatrix,
@@ -149,6 +150,69 @@ def test_rank_examples():
     assert int_matrix_rank([]) == 0
 
 
+def _first_nonzero_rank(entries):
+    """Bareiss elimination with the first nonzero entry of each column as
+    its pivot and a checked division after every update: the oracle of
+    ``int_matrix_rank``, which prefers pivots of ±1 and skips divisions
+    by ±1."""
+    rows = [list(r) for r in entries]
+    if not rows or not rows[0]:
+        return 0
+    nr, nc = len(rows), len(rows[0])
+    rank, prev = 0, 1
+    for col in range(nc):
+        piv = next((r for r in range(rank, nr) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot_row = rows[rank]
+        pv = pivot_row[col]
+        for row in rows[rank + 1:]:
+            lv = row[col]
+            for c in range(col + 1, nc):
+                q, rem = divmod(pv * row[c] - lv * pivot_row[c], prev)
+                assert not rem
+                row[c] = q
+            row[col] = 0
+        prev = pv
+        rank += 1
+    return rank
+
+
+def test_rank_matches_the_first_nonzero_pivot_oracle_on_seeded_matrices():
+    # entries in [-4, 4], some with no ±1 at all; zero columns and repeated
+    # rows (also negated ones) are put in on purpose
+    rng = random.Random(17)
+    ranks = set()
+    for _ in range(400):
+        nr, nc = rng.randrange(1, 8), rng.randrange(1, 8)
+        span = rng.choice((1, 2, 4))
+        values = range(-span, span + 1) if rng.random() < 0.7 else (-4, -2, 0, 2, 4)
+        rows = [[rng.choice(values) for _ in range(nc)] for _ in range(nr)]
+        for _ in range(rng.randrange(3)):
+            zero = rng.randrange(nc)
+            for row in rows:
+                row[zero] = 0
+        for _ in range(rng.randrange(3)):
+            rows.insert(rng.randrange(len(rows) + 1), [rng.choice((1, -1)) * x for x in rng.choice(rows)])
+        rank = int_matrix_rank(rows)
+        assert rank == _first_nonzero_rank(rows), rows
+        assert int_matrix_rank(IntMatrix(rows)) == rank
+        ranks.add(rank)
+    assert ranks == set(range(8))
+
+
+def test_rank_matches_the_oracle_on_every_zeta_block_of_the_gf2_walk(monkeypatch):
+    # every block that criterion 1's walk of GF(2)^3 ranks at the battery cap
+    blocks = []
+    rank = posets.int_matrix_rank
+    monkeypatch.setattr(posets, "int_matrix_rank", lambda m: blocks.append(m) or rank(m))
+    report = posets.verify_echelon_theorem(posets.subspace_lattice_gf2_dim3(), 100_000)
+    assert report.instances == 100_000
+    assert len(blocks) == 1902
+    assert [rank(m) for m in blocks] == [_first_nonzero_rank(m) for m in blocks]
+
+
 def test_rank_product_bound_and_permutation_invariance():
     rng = random.Random(3)
     for _ in range(30):
@@ -204,10 +268,11 @@ def test_random_unit_upper_triangular():
 
 
 def test_unit_upper_triangular_draws_equal_validated_matrices():
-    # the same draws, row by row, through the validating constructor
+    # the same draws, row by row, through randint and the validating
+    # constructor, with other calls on the same stream in between
     for seed in range(20):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        for n in (0, 1, 2, 4, 7):
+        for n in (0, 1, 2, 4, 7, 16, 33):
             u = random_unit_upper_triangular(n, rng)
             rows = [[0] * i + [1] + [oracle_rng.randint(-2, 2) for _ in range(n - i - 1)]
                     for i in range(n)]
@@ -216,7 +281,10 @@ def test_unit_upper_triangular_draws_equal_validated_matrices():
             assert type(u.entries) is tuple
             assert all(type(row) is tuple and all(type(x) is int for x in row)
                        for row in u.entries)
-        assert rng.random() == oracle_rng.random()
+            assert rng.randrange(seed + 3) == oracle_rng.randrange(seed + 3)
+            assert rng.getrandbits(seed + 1) == oracle_rng.getrandbits(seed + 1)
+            assert rng.random() == oracle_rng.random()
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_permutation_matrix():
@@ -225,3 +293,15 @@ def test_permutation_matrix():
     # row i has its 1 in column w(i)
     assert m.entries == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
     assert int_matrix_rank(m) == 3
+
+
+def test_permutation_matrices_equal_validated_matrices():
+    for n in range(6):
+        for one_line in itertools.permutations(range(1, n + 1)):
+            m = Permutation(one_line).to_matrix()
+            rows = [[int(one_line[i] == j + 1) for j in range(n)] for i in range(n)]
+            assert m == IntMatrix(rows)
+            assert type(m.entries) is tuple
+            assert all(type(row) is tuple and all(type(x) is int for x in row)
+                       for row in m.entries)
+            assert (m.rows, m.cols) == (n, n)

@@ -1137,6 +1137,70 @@ def test_canonical_form_counts_only_the_leaves_that_reach_the_least_code():
                                    + [(x + 8, y + 8) for x, y in bowties.cover_pairs()])
     assert [posets.canonical_form(p)[1] for p in (crown, bowties, union)] == [8, 32, 8 * 32]
 
+def _unpruned_form(p):
+    """``canonical_form`` without twin pruning: the same search over every
+    element of each cell, each leaf counted once.  Aut(p) acts freely on
+    its leaves, so the leaves that reach the least code number |Aut(p)|."""
+    n = p.n
+    above = [list(posets._bits(m)) for m in p.up]
+    cov_up, cov_down = p.covers_up(), p.covers_down()
+    best, automorphisms = None, 0
+    stack = [posets._equitable([list(range(n))], cov_up, cov_down)]
+    while stack:
+        cells = stack.pop()
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is not None:
+            cell = cells[i]
+            stack += [posets._equitable(cells[:i] + [[v], [x for x in cell if x != v]] + cells[i + 1:],
+                                        cov_up, cov_down) for v in cell]
+            continue
+        bit = [0] * n
+        for k, (x,) in enumerate(cells):
+            bit[x] = 1 << k
+        code = tuple([sum([bit[y] for y in above[x]]) for (x,) in cells])
+        if best is None or code < best:
+            best, automorphisms = code, 1
+        elif code == best:
+            automorphisms += 1
+    return best, automorphisms
+
+
+def test_twin_pruned_form_matches_the_unpruned_search(monkeypatch):
+    # every child that the class generator forms on up to six elements, and
+    # every labelled poset on up to five
+    children = []
+    form = posets.canonical_form
+    monkeypatch.setattr(posets, "canonical_form", lambda p: children.append(p) or form(p))
+    posets.poset_classes(6)
+    monkeypatch.undo()
+    assert len(children) == 938
+    for p in itertools.chain(children, enumerate_posets_up_to(5)):
+        assert posets.canonical_form(p) == _unpruned_form(p), p.up
+
+
+def test_twins_multiply_automorphisms_by_their_permutations():
+    # a diamond's atoms are twins, and so are all elements of an antichain
+    for k in range(1, 10):
+        assert posets.canonical_form(diamond(k).poset)[1] == math.factorial(k), k
+        assert posets.canonical_form(antichain(k))[1] == math.factorial(k), k
+    # twins in two classes, and twins beside elements that are not: a chain
+    # 0 < 1 with three elements above 1 and two below 0
+    p = Poset.from_cover_pairs(7, [(0, 1), (1, 2), (1, 3), (1, 4), (5, 0), (6, 0)])
+    assert posets.canonical_form(p) == _unpruned_form(p)
+    assert posets.canonical_form(p)[1] == math.factorial(3) * math.factorial(2)
+
+
+def test_twin_pruning_individualises_one_atom_of_a_diamond_per_level(monkeypatch):
+    # diamond(8): one refinement of the whole set, then one branch for each
+    # of the cells of 8, 7, ..., 2 atoms left; the unpruned search made
+    # about 8! times as many
+    calls = []
+    refine = posets._equitable
+    monkeypatch.setattr(posets, "_equitable", lambda *args: calls.append(args) or refine(*args))
+    assert posets.canonical_form(diamond(8).poset)[1] == math.factorial(8)
+    assert len(calls) == 1 + 7
+
+
 def test_canonical_form_of_catalog_lattices_is_label_free():
     rng = random.Random(11)
     for name, lat in lattice_catalog().items():
@@ -1196,7 +1260,9 @@ def _inexact_divisions():
     """(module, call, message) for each exact division of Bareiss elimination;
     the call must raise once the module's divmod leaves a remainder."""
     return {
-        "rank": (core, lambda: int_matrix_rank([[1, 2], [3, 4]]), "division"),
+        # no pivot of ±1 in the first two columns, so the third row is
+        # divided by the first pivot, 2
+        "rank": (core, lambda: int_matrix_rank([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), "division"),
         "pivot update": (posets, lambda: bruhat_permutation(IntMatrix([[1, 1], [1, 0]])), "update"),
         "pivot scaling": (posets, lambda: bruhat_permutation(IntMatrix([[0, 1], [2, 0]])), "scaling"),
     }
