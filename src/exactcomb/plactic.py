@@ -10,7 +10,7 @@ word space twice.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections.abc import Iterable, Iterator
 from itertools import compress, count
 from operator import eq
@@ -134,45 +134,73 @@ def greene_oracle(word: Iterable[int], k: int, mode: str = "increasing") -> int:
     Chains are weakly increasing or strictly decreasing subwords; the
     result must match partial sums of the shape (or conjugate shape) of the
     insertion tableau, which is exactly what the tests compare.
+
+    The DP runs backward over (position, sorted chain ends) and tries every
+    choice: skip the letter, or append it to any chain that takes it.
+    Before position i each end stands for its class with respect to the
+    letters still to come, word[i:]: an increasing end e becomes the least
+    such letter at least e (top, past every letter, when there is none), a
+    decreasing end 1 + the largest such letter below e (0 when there is
+    none).  Two ends of one class take exactly the same future letters, so
+    their states merge.  The class maps are nondecreasing, so they keep a
+    state sorted.  It shares nothing with ``greene_sweep`` or row insertion.
     """
     word = as_word(word)
     if len(word) > GREENE_WORD_LIMIT:
         raise ValueError(f"oracle capped at length {GREENE_WORD_LIMIT}")
     if k < 1:
         raise ValueError("need k >= 1")
-    if mode == "increasing":
-        start_value = 0
-
-        def can_extend(last: int, a: int) -> bool:
-            return last <= a
-    elif mode == "decreasing":
-        start_value = max(word, default=0) + 1
-
-        def can_extend(last: int, a: int) -> bool:
-            return a < last
-    else:
+    if mode not in ("increasing", "decreasing"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    increasing = mode == "increasing"
+    n = len(word)
+    top = max(word, default=0) + 1
+    # classes[i][e]: the class of chain end e, 0 <= e <= top, before position i
+    classes: list[list[int]] = [[]] * (n + 1)
+    present = [False] * (top + 1)
+    for i in range(n, -1, -1):
+        if i < n:
+            present[word[i]] = True
+        row = [0] * (top + 1)
+        if increasing:
+            cls = top
+            for e in range(top, -1, -1):
+                if present[e]:
+                    cls = e
+                row[e] = cls
+        else:
+            cls = 0
+            for e in range(top + 1):
+                row[e] = cls
+                if present[e]:
+                    cls = e + 1
+        classes[i] = row
+    memos: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
 
     def best(i: int, state: tuple[int, ...]) -> int:
-        if i == len(word):
+        if i == n:
             return 0
-        key = (i, state)
-        hit = memo.get(key)
+        memo = memos[i]
+        hit = memo.get(state)
         if hit is not None:
             return hit
         a = word[i]
-        value = best(i + 1, state)
-        for last in set(state):
-            if can_extend(last, a):
-                pos = state.index(last)
-                nxt = tuple(sorted(state[:pos] + state[pos + 1:] + (a,)))
-                value = max(value, 1 + best(i + 1, nxt))
-        memo[key] = value
+        after = classes[i + 1]
+        ends = [after[e] for e in state]
+        value = best(i + 1, tuple(ends))
+        new = after[a]
+        last = None
+        for pos, e in enumerate(state):
+            if e != last and (e <= a if increasing else a < e):
+                rest = ends[:pos] + ends[pos + 1:]
+                insort(rest, new)
+                value = max(value, 1 + best(i + 1, tuple(rest)))
+            last = e
+        memo[state] = value
         return value
 
-    return best(0, tuple([start_value] * k))
+    start = classes[0][0 if increasing else top]
+    return best(0, (start,) * k)
 
 
 def greene_sweep(alphabet: int,
@@ -191,8 +219,10 @@ def greene_sweep(alphabet: int,
     the moves record end 1 as the start value 0, and states with equal
     futures merge under the max.  A word one letter short of max_len reads
     its children's invariants off its own states, without stepping them.
-    Only the current path is held.  It shares nothing with row insertion;
-    ``greene_oracle`` is the same DP run backward on one word.
+    Only the current path is held.  It shares nothing with row insertion.
+    ``greene_oracle`` is its oracle: a backward DP on one word that merges
+    chain ends by their suffix classes, the letters still to come that they
+    take; a test-only brute force over position sets checks that oracle.
     """
     moves: dict[tuple[tuple[int, ...], int, bool], tuple[tuple[int, ...], ...]] = {}
 

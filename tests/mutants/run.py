@@ -143,6 +143,23 @@ MUTANTS = (
            "        key = (low.rows, m)\n", "        key = low.rows\n",
            (TEST_ACCEPTANCE + "test_reverse_complement_criterion_evacuates_each_low_part_once_per_threshold",
             TEST_ACCEPTANCE + "test_centralizer_criteria_search_once_per_alphabet_cap[reverse-complement]")),
+    # an increasing chain end stands for the least letter to come at least
+    # as large as it, so a chain ending at a takes a later a
+    Mutant("greene-oracle-increasing-class-skips-the-end-itself", PLACTIC,
+           "                if present[e]:\n                    cls = e\n                row[e] = cls\n",
+           "                row[e] = cls\n                if present[e]:\n                    cls = e\n",
+           (TEST_PLACTIC + "test_greene_oracle",
+            TEST_PLACTIC + "test_greene_oracle_matches_brute_force_on_short_words")),
+    # a decreasing chain end stands for 1 + the largest letter to come below it
+    Mutant("greene-oracle-decreasing-class-drops-the-plus-one", PLACTIC,
+           "                    cls = e + 1\n", "                    cls = e\n",
+           (TEST_PLACTIC + "test_greene_oracle",
+            TEST_PLACTIC + "test_greene_oracle_matches_brute_force_on_short_words")),
+    # at the last letter an increasing chain takes a when its end is at most a
+    Mutant("greene-sweep-leaf-needs-an-end-below-the-letter", PLACTIC,
+           "max(count + (state[0] <= a) for", "max(count + (state[0] < a) for",
+           (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
+            TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
     # criterion 7 checks the Kreweras cosum through PARKING_SWEEP_LIMIT
     Mutant("criterion-07-kreweras-only-to-n-3", ACCEPTANCE,
            "if n <= genfun.PARKING_SWEEP_LIMIT:", "if n <= 3:",

@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -137,13 +138,73 @@ def test_greene_oracle():
 
 def test_greene_matches_shape():
     # k-fold unions of increasing subsequences fill the first k rows,
-    # decreasing ones the first k columns
-    for w in words(3, 6, min_len=1):
+    # decreasing ones the first k columns; the seeded words are at the
+    # oracle's length cap, over an alphabet with repeats and one without
+    rng = random.Random(12)
+    at_cap = [tuple(rng.choices(range(1, alphabet + 1), k=GREENE_WORD_LIMIT))
+              for alphabet in (6, 12) for _ in range(4)]
+    for w in [*words(3, 6, min_len=1), *at_cap]:
         t = rsk_P(w)
         shape, conj = t.shape(), t.conjugate_shape()
         for k in range(1, len(w) + 1):
-            assert greene_oracle(w, k, "increasing") == sum(shape[:k])
-            assert greene_oracle(w, k, "decreasing") == sum(conj[:k])
+            assert greene_oracle(w, k, "increasing") == sum(shape[:k]), (w, k)
+            assert greene_oracle(w, k, "decreasing") == sum(conj[:k]), (w, k)
+
+
+def greene_brute(word, mode):
+    """[the largest union of k chains of word, for k = 1..len(word) + 1],
+    from every set of positions, with no chain DP and no row insertion.
+
+    Positions i < j are comparable when word[i] <= word[j] (weakly
+    increasing chains) or word[i] > word[j] (strictly decreasing chains), so
+    the antichains are the strictly decreasing or the weakly increasing
+    subwords.  By Dilworth's theorem a set of positions splits into k chains
+    exactly when its widest antichain has at most k positions.
+    """
+    n = len(word)
+    if mode == "increasing":
+        def incomparable(i, j):
+            return word[i] > word[j]
+    else:
+        def incomparable(i, j):
+            return word[i] <= word[j]
+    # widest[s]: the most positions of s that form an antichain, which is s
+    # itself when its neighbours are incomparable, else within s less one
+    widest = [0] * (1 << n)
+    largest = [0] * (n + 2)  # largest[a]: the most positions of widest a
+    for s in range(1, 1 << n):
+        pos = [i for i in range(n) if s >> i & 1]
+        if all(incomparable(i, j) for i, j in zip(pos, pos[1:])):
+            widest[s] = len(pos)
+        else:
+            widest[s] = max(widest[s & ~(1 << i)] for i in pos)
+        largest[widest[s]] = max(largest[widest[s]], len(pos))
+    return list(itertools.accumulate(largest[1:], max))
+
+
+def test_greene_brute_force_examples():
+    assert greene_brute((3, 1, 4, 2), "increasing") == [2, 4, 4, 4, 4]
+    assert greene_brute((2, 2, 1), "decreasing") == [2, 3, 3, 3]
+    assert greene_brute((1, 1, 2), "increasing") == [3, 3, 3, 3]
+    assert greene_brute((), "decreasing") == [0]
+
+
+def test_greene_oracle_matches_brute_force_on_short_words():
+    for w in words(3, 6):
+        for mode in ("increasing", "decreasing"):
+            oracle = [greene_oracle(w, k, mode) for k in range(1, len(w) + 2)]
+            assert oracle == greene_brute(w, mode), (w, mode)
+
+
+@pytest.mark.parametrize("alphabet", [4, 6])
+def test_greene_oracle_matches_brute_force_on_seeded_words(alphabet):
+    rng = random.Random(alphabet)
+    for length in (8, 9, 10):
+        for _ in range(3):
+            w = tuple(rng.choices(range(1, alphabet + 1), k=length))
+            for mode in ("increasing", "decreasing"):
+                oracle = [greene_oracle(w, k, mode) for k in range(1, 5)]
+                assert oracle == greene_brute(w, mode)[:4], (w, mode)
 
 
 @pytest.mark.parametrize("alphabet, max_len", [(3, 6), (4, 4)])

@@ -909,6 +909,49 @@ def test_cover_transfer_fails_where_the_cover_multisets_agree(monkeypatch):
     assert verify_dilworth(lat).status == "verified"
 
 
+# The other non-modular lattices on at most seven elements on which cover
+# transfer fails, as the class representatives of posets.poset_classes(7)
+# label them, generated once from it.  Each fails on its first extension,
+# and unlike SHARP_COVERS its cover-count multisets differ.
+FAILING_TRANSFER_COVERS = [
+    (6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 5)]),
+    (6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]),
+    (7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 6)]),
+    (7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 5), (4, 6), (5, 6)]),
+    (7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 6), (4, 6), (5, 6)]),
+    (7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 5), (4, 6), (5, 6)]),
+    (7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 5), (5, 6)]),
+    (7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5), (4, 6), (5, 6)]),
+    (7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 6), (4, 5), (5, 6)]),
+    (7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 5), (5, 6)]),
+    (7, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 6), (4, 6), (5, 6)]),
+    (7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 6), (5, 6)]),
+    (7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 6), (3, 5), (4, 6), (5, 6)]),
+    (7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5), (5, 6)]),
+    (7, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)]),
+    (7, [(0, 1), (0, 2), (1, 3), (2, 6), (3, 4), (3, 5), (4, 6), (5, 6)]),
+    (7, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 6), (5, 6)]),
+    (7, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6)]),
+]
+
+
+@pytest.mark.parametrize("n, covers", FAILING_TRANSFER_COVERS)
+def test_cover_transfer_fails_on_the_first_extension_of_each_natural_control(monkeypatch, n, covers):
+    lat = build_lattice(Poset.from_cover_pairs(n, covers))
+    p = lat.poset
+    assert not is_modular(lat)
+    down_counts = [m.bit_count() for m in p.covers_down()]
+    up_counts = [m.bit_count() for m in p.covers_up()]
+    allowed = [sum(1 << y for y in range(n) if up_counts[y] == d) for d in down_counts]
+    first = list(next(extension_orders(p)))
+    assert posets._echelon_verdict(p, allowed, None) == (0, first)
+    assert posets._confirmed_pivots(p, allowed, first) == _bareiss_pivots(p, first)
+    monkeypatch.setattr(posets, "modular_witness", lambda L: None)
+    report = verify_echelon_theorem(lat)
+    assert (report.instances, report.status) == (1, "counterexample")
+    assert report.witness["extension"] == first
+    assert verify_dilworth(lat).status == "counterexample"
+
 def test_modular_lattices_that_are_not_distributive_have_several_echelon_maps():
     # echelon independence (criterion 3's corollary) needs distributivity
     maps_by_kind = {True: [], False: []}
