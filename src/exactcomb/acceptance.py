@@ -3,7 +3,7 @@
 Thirteen checkers, one per headline claim, each returning a Report with
 exact integer or polynomial equality; no tolerances anywhere.  BATTERY
 lists them in battery order with the caps of the full tier and of the
-quick tier; run_battery runs one tier of it, block by block.
+quick tier; run_battery runs one tier of it, one task per criterion.
 """
 
 from __future__ import annotations
@@ -57,24 +57,17 @@ def lattice_sweep(max_n: int) -> LatticeSweep:
     return LatticeSweep(max_n)
 
 
-@cache
-def lattice_catalog() -> tuple[tuple[str, posets.Lattice], ...]:
-    """The named lattices of posets.lattice_catalog, built once per process."""
-    return tuple(posets.lattice_catalog().items())
-
-
-def _first_failure(checks: Iterable[tuple[Report, Callable[[], dict]]]
-                   ) -> tuple[int, Report | None]:
+def _first_failure(checks: Iterable[tuple[Report, dict]]) -> tuple[int, Report | None]:
     """Run (report, witness extras) pairs until a report is not verified.
 
     Returns the instances of the verified reports and, if one failed, that
-    report with those instances and with its extras, built only then,
-    added to its witness.
+    report with those instances and with its extras added to its witness.
+    The extras are plain dicts that the caller builds for every pair: a
+    few small values, such as a size or the cover pairs of one lattice.
     """
     instances = 0
-    for r, more in checks:
+    for r, extras in checks:
         if r.status != VERIFIED:
-            extras = more()
             witness = {**(r.witness or {}), **extras} if extras else r.witness
             return instances, Report(r.theorem, instances, r.status, witness)
         instances += r.instances
@@ -84,7 +77,7 @@ def _first_failure(checks: Iterable[tuple[Report, Callable[[], dict]]]
 def _lattice_checks(verify: Callable[..., Report], sweep: list[tuple[posets.Lattice, int]],
                     catalog: list[tuple[str, posets.Lattice]],
                     extras: Callable[[str, posets.Lattice], dict], **catalog_caps
-                    ) -> Iterator[tuple[Report, Callable[[], dict]]]:
+                    ) -> Iterator[tuple[Report, dict]]:
     """verify on each sweep class, then on the catalog with ``catalog_caps``,
     as checks whose extras are extras("sweep" or the catalog name, lattice).
 
@@ -96,9 +89,9 @@ def _lattice_checks(verify: Callable[..., Report], sweep: list[tuple[posets.Latt
         r = verify(lat)
         if r.status == VERIFIED:
             r = Report(r.theorem, copies * r.instances, r.status, r.witness)
-        yield r, partial(extras, "sweep", lat)
+        yield r, extras("sweep", lat)
     for cname, lat in catalog:
-        yield verify(lat, **catalog_caps), partial(extras, cname, lat)
+        yield verify(lat, **catalog_caps), extras(cname, lat)
 
 
 def criterion_echelon(max_n: int, catalog_cap: int) -> Report:
@@ -106,7 +99,8 @@ def criterion_echelon(max_n: int, catalog_cap: int) -> Report:
     in the exhaustive sweep, one walk per isomorphism class, and on the
     catalog under an extension cap."""
     sweep = lattice_sweep(max_n)
-    catalog = [(cname, lat) for cname, lat in lattice_catalog() if posets.is_modular(lat)]
+    catalog = [(cname, lat) for cname, lat in posets.lattice_catalog().items()
+               if posets.is_modular(lat)]
     instances, failure = _first_failure(_lattice_checks(
         posets.verify_echelon_theorem, sweep.modular, catalog,
         lambda source, lat: {} if source == "sweep" else {"catalog": source},
@@ -123,7 +117,8 @@ def criterion_dilworth(max_n: int) -> Report:
     """Lower and upper cover-count multisets agree on every modular lattice,
     one check per isomorphism class of the sweep."""
     sweep = lattice_sweep(max_n)
-    catalog = [(cname, lat) for cname, lat in lattice_catalog() if posets.is_modular(lat)]
+    catalog = [(cname, lat) for cname, lat in posets.lattice_catalog().items()
+               if posets.is_modular(lat)]
     instances, failure = _first_failure(_lattice_checks(
         posets.verify_dilworth, sweep.modular, catalog,
         lambda source, lat: {"covers": lat.poset.cover_pairs()}))
@@ -137,7 +132,8 @@ def criterion_rowmotion(max_n: int, catalog_cap: int) -> Report:
     and the catalog; identical maps across extensions give echelon
     independence as a corollary."""
     sweep = lattice_sweep(max_n)
-    catalog = [(cname, lat) for cname, lat in lattice_catalog() if posets.is_distributive(lat)]
+    catalog = [(cname, lat) for cname, lat in posets.lattice_catalog().items()
+               if posets.is_distributive(lat)]
     instances, failure = _first_failure(_lattice_checks(
         posets.verify_rowmotion, sweep.distributive, catalog,
         lambda source, lat: {"source": source, "covers": lat.poset.cover_pairs()},
@@ -163,7 +159,7 @@ def criterion_bruhat(max_n: int, perturbations: int, seed: int = 0) -> Report:
                 return Report(name, instances, COUNTEREXAMPLE,
                               {"permutation": list(perm), "got": list(got.one_line)})
     rng = random.Random(seed)
-    for cname, lat in lattice_catalog():
+    for cname, lat in posets.lattice_catalog().items():
         ext = next(posets.linear_extensions(lat.poset))
         w_matrix = posets.cartan_matrix(lat.poset, ext)
         base = posets.bruhat_permutation(w_matrix)
@@ -197,7 +193,7 @@ def criterion_fixed_content(max_n: int, pmap=map) -> Report:
     worked insertion instance, reproduced bit for bit."""
     name = "parking-fixed-content"
     instances, failure = _first_failure(
-        (parking.verify_fixed_content(n), partial(dict, n=n)) for n in range(1, max_n + 1))
+        (parking.verify_fixed_content(n), {"n": n}) for n in range(1, max_n + 1))
     if failure:
         return failure
     w, a_set = parking.insert_forward(WORKED_CONTENT, WORKED_ROOKS, WORKED_U0)
@@ -283,7 +279,7 @@ def criterion_alternating(max_n: int) -> Report:
     polynomial, with every intermediate class identity."""
     name = "parking-minus-one-is-zigzag"
     instances, failure = _first_failure(
-        (genfun.verify_alternating_identity(n), partial(dict, n=n)) for n in range(2, max_n + 1))
+        (genfun.verify_alternating_identity(n), {"n": n}) for n in range(2, max_n + 1))
     return failure or Report(name, instances, VERIFIED, {"max_n": max_n})
 
 
@@ -340,7 +336,7 @@ def criterion_first_rows(length_cap: int, pmap=map) -> Report:
     u_list = _words_over(2, 4) + _words_over(3, 3)
     # one search, each u under the alphabet cap max(u) + 2
     found = plactic.centralizer_searches([(u, max(u) + 2) for u in u_list], length_cap)
-    instances, failure = _first_failure((plactic.first_rows_report(f), dict) for f in found)
+    instances, failure = _first_failure((plactic.first_rows_report(f), {}) for f in found)
     return failure or Report(name, instances, VERIFIED,
                              {"u_count": len(u_list), "length_cap": length_cap})
 
@@ -356,7 +352,7 @@ def criterion_reverse_complement(u_len_cap: int, length_cap: int, pmap=map) -> R
         [(u, m + 2) for u, m in pairs], length_cap)))
     evacuations = {}  # shared by the reports of this call only
     checks = [(plactic.rc_report(m, found[u, m], found[plactic.reverse_complement(u, m), m],
-                                 evacuations), partial(dict, m=m)) for u, m in pairs]
+                                 evacuations), {"m": m}) for u, m in pairs]
     instances, failure = _first_failure(checks)
     return failure or Report(name, instances, VERIFIED,
                              {"pairs": len(checks), "length_cap": length_cap})
@@ -420,25 +416,15 @@ BATTERY: tuple[Criterion, ...] = (
     Criterion(criterion_determinism, {}, {}, seeded=True),
 )
 
-# Consecutive BATTERY rows, by index, that run in one process because they
-# share a process-lifetime cache: lattice_sweep (rows 0-2) and
-# _parking_sweep with genfun's lru_caches (5-8).  The parking sweep is a
-# dynamic program that costs about 0.05 s, so splitting rows 5-8 would lose
-# little; no benchmark workload runs --workers 2 to show it would gain.
-# Rows 10 and 11 keep their centralizer searches only while they run, so
-# they share nothing and run apart.
-BLOCKS: tuple[tuple[int, ...], ...] = ((0, 1, 2), (3,), (4,), (5, 6, 7, 8), (9,), (10,), (11,), (12,))
 
-
-def _run_block(rows: tuple[int, ...], quick: bool, seed: int) -> list[Report]:
-    return [BATTERY[i].check(**BATTERY[i].kwargs(quick, seed)) for i in rows]
+def _run_row(row: Criterion, quick: bool, seed: int) -> Report:
+    return row.check(**row.kwargs(quick, seed))
 
 
 def run_battery(quick: bool = False, seed: int = 0, workers: int = 1) -> list[Report]:
     """All thirteen criteria of BATTERY, in its order, at one tier.
 
-    The BLOCKS run in up to ``workers`` processes; with one worker they run
-    in this process, one after another.
+    Each criterion is one task, run in up to ``workers`` processes; with
+    one worker they run in this process, one after another.
     """
-    blocks = parallel_map(partial(_run_block, quick=quick, seed=seed), BLOCKS, workers)
-    return [r for reports in blocks for r in reports]
+    return parallel_map(partial(_run_row, quick=quick, seed=seed), BATTERY, workers)

@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     _common(s)
     s.add_argument("--workers", type=int, default=1,
-                   help="processes that run blocks of criteria, at least 1 (default: 1)")
+                   help="processes that run the criteria, at least 1 (default: 1)")
     s.set_defaults(handler=_cmd_verify_all)
 
     return parser

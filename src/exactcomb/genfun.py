@@ -20,6 +20,9 @@ TREES_LIMIT = 7
 RECURRENCE_LIMIT = 20
 MINUS_ONE_LIMIT = 30
 PARKING_SWEEP_LIMIT = 7
+SIMSUN_WALK_LIMIT = 10
+SIMSUN_IDENTITY_LIMIT = 10
+ZIGZAG_LIMIT = 10
 
 
 # -- rooted trees -----------------------------------------------------------
@@ -326,8 +329,8 @@ def simsun_poly(m: int, method: str = "recurrence") -> BiPoly:
     if m < 0:
         raise ValueError(f"simsun polynomials need m >= 0, got m = {m}")
     if method == "walk":
-        if m > 10:
-            raise ValueError("simsun walk capped at m = 10")
+        if m > SIMSUN_WALK_LIMIT:
+            raise ValueError(f"simsun walk capped at m = {SIMSUN_WALK_LIMIT}")
         return _simsun_walk(m)
     if method == "recurrence":
         return _simsun_rec(m)
@@ -358,8 +361,9 @@ def verify_simsun_identity(n: int) -> Report:
     enumerator satisfies its own derivative recurrence; and R from the
     insertion walk matches R from the derivative recurrence.
     """
-    if not 1 <= n <= 10:
-        raise ValueError(f"simsun verification needs 1 <= n <= 10, got n = {n}")
+    if not 1 <= n <= SIMSUN_IDENTITY_LIMIT:
+        raise ValueError(
+            f"simsun verification needs 1 <= n <= {SIMSUN_IDENTITY_LIMIT}, got n = {n}")
     name = "tree-minus-one-is-simsun"
     t = BiPoly.t()
     instances = 0
@@ -470,8 +474,8 @@ def zigzag_poly(n: int) -> BiPoly:
     """
     if n < 0:
         raise ValueError(f"zigzag polynomials need n >= 0, got n = {n}")
-    if n > 10:
-        raise ValueError("zigzag enumeration capped at n = 10")
+    if n > ZIGZAG_LIMIT:
+        raise ValueError(f"zigzag enumeration capped at n = {ZIGZAG_LIMIT}")
     return BiPoly(Counter((0, Permutation(w).inverse().big_descent_count() + 1)
                           for w in _prefix_walk(n, _alternating_step)))
 

@@ -1,7 +1,7 @@
 """The worker pool of ``acceptance.run_battery``.
 
 Checkers never decide worker counts themselves; only the battery fans out,
-one block of criteria per task.
+one criterion per task.
 """
 
 from __future__ import annotations

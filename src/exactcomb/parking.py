@@ -18,6 +18,9 @@ from typing import NamedTuple
 from .core import BiPoly, Permutation
 from .report import COUNTEREXAMPLE, VERIFIED, Report
 
+FIXED_CONTENT_LIMIT = 6
+FIBER_CHECK_LIMIT = 5
+
 
 class ParkingFailure(ValueError):
     """Some car found every spot from its preference onward occupied."""
@@ -459,13 +462,15 @@ def verify_fixed_content(n: int) -> Report:
     For every content b of length n: the excedance polynomial over
     orderings (computed directly and by the rook formula) must equal the
     outcome-descent polynomial, and each parking function in the class must
-    arise from exactly mu(b) orderings.  For n <= 5 the descent-side map is
-    additionally checked to have (n-k)!-sized preimages on every k-rook
-    placement, with the insertion bijection round-tripped on all of them.
+    arise from exactly mu(b) orderings.  For n <= FIBER_CHECK_LIMIT the
+    descent-side map is additionally checked to have (n-k)!-sized preimages
+    on every k-rook placement, with the insertion bijection round-tripped on
+    all of them.
     """
-    if not 0 <= n <= 6:
-        raise ValueError(f"fixed-content sweep needs 0 <= n <= 6, got n = {n}")
-    with_fibers = n <= 5
+    if not 0 <= n <= FIXED_CONTENT_LIMIT:
+        raise ValueError(
+            f"fixed-content sweep needs 0 <= n <= {FIXED_CONTENT_LIMIT}, got n = {n}")
+    with_fibers = n <= FIBER_CHECK_LIMIT
     checked = 0
     for b in parking_contents(n):
         witness = _content_report_row(b, with_fibers)

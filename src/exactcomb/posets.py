@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Generator, Iterable, Iterator
-from itertools import islice
 from math import factorial
 
 from .core import BareissDivisionError, IntMatrix, Permutation, int_matrix_rank
@@ -231,21 +230,11 @@ class LinearExtension:
         return f"LinearExtension({list(self.order)})"
 
 
-def extension_orders(p: Poset, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield every linear extension of p as an order tuple, in lexicographic order.
-
-    With ``cap`` set, stop silently after that many; ``cap=0`` yields
-    nothing and a negative cap raises ValueError.
-    """
-    _check_cap(cap)
+def extension_orders(p: Poset) -> Iterator[tuple[int, ...]]:
+    """Yield every linear extension of p as an order tuple, in lexicographic order."""
     order, _, steps = _extension_dfs(p)
     last = p.n - 1
-    return islice((tuple(order) for k in steps if k == last), cap)
-
-
-def _check_cap(cap: int | None) -> None:
-    if cap is not None and cap < 0:
-        raise ValueError(f"extension cap must be at least 0, got {cap}")
+    return (tuple(order) for k in steps if k == last)
 
 
 def _extension_dfs(p: Poset) -> tuple[list[int], list[int], Generator[int, bool | None, None]]:
@@ -301,9 +290,9 @@ def _extension_dfs(p: Poset) -> tuple[list[int], list[int], Generator[int, bool 
     return order, placed, steps()
 
 
-def linear_extensions(p: Poset, cap: int | None = None) -> Iterator[LinearExtension]:
+def linear_extensions(p: Poset) -> Iterator[LinearExtension]:
     """``extension_orders`` as LinearExtension objects, with their rank tables."""
-    return map(LinearExtension, extension_orders(p, cap))
+    return map(LinearExtension, extension_orders(p))
 
 
 def is_linear_extension(p: Poset, ext: LinearExtension) -> bool:
@@ -482,7 +471,8 @@ def _echelon_walk(p: Poset, allowed: list[int], cap: int | None
     has passed, since a failure or the cap ends the walk; so the walk still
     meets the first failure in lexicographic order.
     """
-    _check_cap(cap)
+    if cap is not None and cap < 0:
+        raise ValueError(f"extension cap must be at least 0, got {cap}")
     n = p.n
     order, placed, steps = _extension_dfs(p)
     col_of_row = [-1] * n

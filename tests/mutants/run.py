@@ -29,10 +29,12 @@ POSETS = "src/exactcomb/posets.py"
 ACCEPTANCE = "src/exactcomb/acceptance.py"
 PLACTIC = "src/exactcomb/plactic.py"
 CORE = "src/exactcomb/core.py"
+GENFUN = "src/exactcomb/genfun.py"
 TEST_CORE = "tests/test_core.py::"
 TEST_POSETS = "tests/test_posets.py::"
 TEST_ACCEPTANCE = "tests/test_acceptance.py::"
 TEST_PLACTIC = "tests/test_plactic.py::"
+TEST_GENFUN = "tests/test_genfun.py::"
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ MUTANTS = (
            (TEST_ACCEPTANCE + "test_perturbation_on_one_side_fails_criterion_04[1-u2-13]",)),
     # criterion 5 runs the bijection and fibre checks through n = 5
     Mutant("criterion-05-fibres-only-to-n-4", "src/exactcomb/parking.py",
-           "with_fibers = n <= 5", "with_fibers = n <= 4",
+           "FIBER_CHECK_LIMIT = 5", "FIBER_CHECK_LIMIT = 4",
            ("tests/test_parking.py::test_fixed_content_round_trips_every_placement_through_n_5[5]",)),
     # the class key must come from the whole search, not from refinement alone
     Mutant("canonical-form-from-the-first-refinement-alone", POSETS,
@@ -120,11 +122,6 @@ MUTANTS = (
            "r = Report(r.theorem, r.instances, r.status, r.witness)",
            (TEST_ACCEPTANCE + "test_each_lattice_walked_alone_reports_what_its_class_reports",
             TEST_ACCEPTANCE + "test_quick_battery_report_bytes_are_pinned")),
-    # witness extras are built for the failing report alone
-    Mutant("first-failure-builds-every-extras", ACCEPTANCE,
-           "        if r.status != VERIFIED:\n            extras = more()\n",
-           "        extras = more()\n        if r.status != VERIFIED:\n",
-           (TEST_ACCEPTANCE + "test_first_failure_counts_verified_reports_and_tags_the_failure",)),
     # the centralizer walk tests a target while the largest letter of w is
     # at most its cap, so also on the classes whose largest letter is the cap
     Mutant("centralizer-cap-gate-drops-the-cap-itself", PLACTIC,
@@ -160,6 +157,27 @@ MUTANTS = (
            "max(count + (state[0] <= a) for", "max(count + (state[0] < a) for",
            (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
             TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
+    # the cars that park at free spot s prefer every spot from just above
+    # the free spot below it up to s itself
+    Mutant("parking-sweep-preferences-stop-below-the-spot", GENFUN,
+           "for p in range(below + 1, s + 1):", "for p in range(below + 1, s):",
+           (TEST_GENFUN + "test_parking_sweep_matches_filtered_oracle",
+            TEST_GENFUN + "test_parking_dp_matches_depth_first_oracle")),
+    # the largest letter may not go directly before a descent, wherever it is
+    Mutant("simsun-walk-allows-the-largest-letter-before-the-last-descent", GENFUN,
+           "if p < end - 1 and word[p] > word[p + 1]:",
+           "if p < end - 2 and word[p] > word[p + 1]:",
+           (TEST_GENFUN + "test_simsun_walk_matches_filtered_oracle",
+            TEST_GENFUN + "test_simsun_poly")),
+    # distributivity needs every down-set of irreducibles to be some element's
+    Mutant("birkhoff-sets-skip-the-completeness-check", POSETS,
+           "and ideal | 1 << a not in element_of:",
+           "and ideal | 1 << a not in element_of and False:",
+           (TEST_POSETS + "test_distributivity_matches_the_m3_oracle_on_named_lattices",)),
+    # and no two elements may lie above the same irreducibles
+    Mutant("birkhoff-sets-skip-the-injectivity-check", POSETS,
+           "        if m in element_of:\n", "        if False:\n",
+           (TEST_POSETS + "test_distributivity_refuses_two_elements_over_the_same_irreducibles",)),
     # criterion 7 checks the Kreweras cosum through PARKING_SWEEP_LIMIT
     Mutant("criterion-07-kreweras-only-to-n-3", ACCEPTANCE,
            "if n <= genfun.PARKING_SWEEP_LIMIT:", "if n <= 3:",

@@ -7,9 +7,8 @@ caches warm up on first use and persist for the rest of the session, so the
 whole file runs in about 5 seconds on a 2-vCPU AMD EPYC with Python 3.11.
 
 The last tests pin the quick battery's report bytes to a committed copy,
-serial and pooled, check that the blocks cover the battery and that the
-benchmark's sweeps call exactly the full tier, and break checkers on
-purpose to show their criterion fails.
+serial and pooled, check that the benchmark's sweeps call exactly the full
+tier, and break checkers on purpose to show their criterion fails.
 """
 
 import importlib.util
@@ -17,7 +16,7 @@ import itertools
 import json
 import random
 from collections import Counter
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -107,20 +106,13 @@ def test_every_battery_row_has_a_full_tier_test():
 def test_first_failure_counts_verified_reports_and_tags_the_failure():
     ok = Report("part", 3, "verified")
     bad = Report("part", 5, "counterexample", {"word": [2, 1]})
-    built = []
-
-    def extras(n):
-        return lambda: built.append(n) or {"n": n}
-
-    assert acceptance._first_failure([(ok, extras(1))] * 2) == (6, None)
+    assert acceptance._first_failure([(ok, {"n": 1})] * 2) == (6, None)
     instances, failure = acceptance._first_failure(
-        [(ok, extras(1)), (bad, extras(2)), (ok, extras(3))])
+        [(ok, {"n": 1}), (bad, {"n": 2}), (ok, {"n": 3})])
     assert instances == 3
     assert failure == Report("part", 3, "counterexample", {"word": [2, 1], "n": 2})
-    # the extras are built for the failing report alone
-    assert built == [2]
     skipped = Report("part", 0, "skipped")
-    assert acceptance._first_failure([(ok, dict), (skipped, dict)]) == (
+    assert acceptance._first_failure([(ok, {}), (skipped, {})]) == (
         3, Report("part", 3, "skipped"))
 
 
@@ -132,11 +124,6 @@ def test_quick_battery_report_bytes_are_pinned():
 def test_pooled_quick_battery_report_bytes_are_pinned():
     expected = QUICK_BATTERY_JSON.read_text()
     assert reports_to_json(acceptance.run_battery(quick=True, workers=2)) == expected
-
-
-def test_blocks_cover_each_row_once_in_battery_order():
-    rows = [i for block in acceptance.BLOCKS for i in block]
-    assert rows == list(range(len(acceptance.BATTERY)))
 
 
 def test_benchmark_sweeps_run_the_full_tier_in_battery_order(monkeypatch):
@@ -167,10 +154,8 @@ def test_full_lattice_sweep_counts():
 
 
 def test_lattice_criteria_decide_each_class_once(monkeypatch):
-    # fresh caches for this test alone, so every lattice is built here
+    # a fresh sweep cache for this test alone, so every lattice is built here
     monkeypatch.setattr(acceptance, "lattice_sweep", cache(acceptance.LatticeSweep))
-    monkeypatch.setattr(acceptance, "lattice_catalog",
-                        cache(acceptance.lattice_catalog.__wrapped__))
     classes = {code_of(p) for p in bounded_labelled_posets(5)}
     modular_classes = {code_of(lat.poset) for lat in labelled_lattices(5)[0]}
     catalog_builds = []
@@ -186,14 +171,17 @@ def test_lattice_criteria_decide_each_class_once(monkeypatch):
     reports = [row.check(**row.kwargs(quick=True, seed=0)) for row in acceptance.BATTERY[:3]]
     pinned = json.loads(QUICK_BATTERY_JSON.read_text())[:3]
     assert json.loads(reports_to_json(reports)) == pinned
-    assert len(catalog_builds) == 1
     # one lattice built per class of bounded posets on up to five elements,
-    # then the catalog; one Dilworth check per modular class, then the modular catalog
-    modular_catalog = [lat for _, lat in acceptance.lattice_catalog() if posets.is_modular(lat)]
-    assert len(built) == len(classes) + len(acceptance.lattice_catalog()) == 10 + 12
+    # then the catalog once per lattice criterion
+    assert len(catalog_builds) == 3
+    assert len(built) == len(classes) + 3 * 12 == 10 + 36
+    # one Dilworth check per modular class, then one per modular catalog lattice
+    modular_catalog = [lat for lat in catalog().values() if posets.is_modular(lat)]
     sweep = acceptance.lattice_sweep(5)
     assert sum(copies for _, copies in sweep.modular) == 305
-    assert checked == [lat for lat, _ in sweep.modular] + modular_catalog
+    assert checked[:len(sweep.modular)] == [lat for lat, _ in sweep.modular]
+    assert [lat.poset.up for lat in checked[len(sweep.modular):]] == [
+        lat.poset.up for lat in modular_catalog]
     assert len(checked) == len(modular_classes) + len(modular_catalog) == 9 + 11
 
 
@@ -220,12 +208,12 @@ def _per_lattice_echelon(max_n, catalog_cap):
     name = "echelon-cover-transfer"
     sweep = acceptance.lattice_sweep(max_n)
     labelled = _in_sweep_order(labelled_lattices(max_n)[0], sweep.modular)
-    catalog = [(cname, lat) for cname, lat in acceptance.lattice_catalog()
+    catalog = [(cname, lat) for cname, lat in posets.lattice_catalog().items()
                if posets.is_modular(lat)]
     instances, failure = acceptance._first_failure(itertools.chain(
-        ((posets.verify_echelon_theorem(lat), dict) for lat in labelled),
+        ((posets.verify_echelon_theorem(lat), {}) for lat in labelled),
         ((posets.verify_echelon_theorem(lat, extension_cap=catalog_cap),
-          partial(dict, catalog=cname)) for cname, lat in catalog)))
+          {"catalog": cname}) for cname, lat in catalog)))
     return failure or Report(name, instances, "verified", {
         "posets_enumerated": sweep.posets_seen,
         "modular_lattices": len(labelled),
@@ -240,11 +228,11 @@ def _per_lattice_rowmotion(max_n, catalog_cap):
     labelled = _in_sweep_order(labelled_lattices(max_n)[1],
                                acceptance.lattice_sweep(max_n).distributive)
     targets = [("sweep", lat, None) for lat in labelled]
-    targets += [(cname, lat, catalog_cap) for cname, lat in acceptance.lattice_catalog()
+    targets += [(cname, lat, catalog_cap) for cname, lat in posets.lattice_catalog().items()
                 if posets.is_distributive(lat)]
     instances, failure = acceptance._first_failure(
         (posets.verify_rowmotion(lat, extension_cap=cap),
-         partial(dict, source=cname, covers=lat.poset.cover_pairs()))
+         {"source": cname, "covers": lat.poset.cover_pairs()})
         for cname, lat, cap in targets)
     return failure or Report(name, instances, "verified", {
         "distributive_lattices": len(targets),
@@ -254,7 +242,7 @@ def _per_lattice_rowmotion(max_n, catalog_cap):
 
 def _sweep_reports(verify, listed):
     """The reports criteria 1 to 3 take for the sweep's classes."""
-    return [r for r, _ in acceptance._lattice_checks(verify, listed, [], dict)]
+    return [r for r, _ in acceptance._lattice_checks(verify, listed, [], lambda *_: {})]
 
 
 def test_each_lattice_walked_alone_reports_what_its_class_reports():

@@ -396,6 +396,23 @@ def test_distributivity_matches_the_m3_oracle_on_named_lattices():
     assert _m3_witness(diamond(3)) == (1, 2, 3)
 
 
+def test_distributivity_refuses_two_elements_over_the_same_irreducibles():
+    # On a lattice x is the join of the irreducibles below it, so no two
+    # elements share them; only a Lattice that build_lattice refused can
+    # reach the injectivity check.  In the bounded bowtie, 3 and 4 both lie
+    # above exactly the atoms 1 and 2, and the sets of the atoms are all
+    # four down-sets, so without the check it would pass as distributive.
+    p = Poset.from_cover_pairs(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4),
+                                   (3, 5), (4, 5)])
+    with pytest.raises(NotALatticeError):
+        build_lattice(p)
+    bowtie = posets.Lattice(p, None, None)
+    assert not is_distributive(bowtie)
+    with pytest.raises(NotDistributiveError,
+                       match="elements 3 and 4 lie above the same irreducibles"):
+        rowmotion_distributive(bowtie)
+
+
 def test_distributivity_needs_neither_modularity_nor_rowmotion(monkeypatch):
     def refused(lat):
         raise AssertionError("is_distributive must decide on its own")
@@ -425,7 +442,7 @@ def test_echelonmotion_small():
 
 def test_echelonmotion_is_bijection_everywhere():
     for name, lat in lattice_catalog().items():
-        for ext in linear_extensions(lat.poset, cap=30):
+        for ext in itertools.islice(linear_extensions(lat.poset), 30):
             em = echelonmotion(lat, ext)
             assert sorted(em.mapping) == list(range(lat.n)), name
 
@@ -982,24 +999,17 @@ def test_extension_orders_match_the_recursive_oracle_on_the_catalog():
     for name, lat in lattice_catalog().items():
         cap = 3000 if name == "GF2_dim3_subspaces" else None
         expected = _recursive_extension_orders(lat.poset, cap)
-        assert list(extension_orders(lat.poset, cap)) == expected, name
-        assert [e.order for e in linear_extensions(lat.poset, cap)] == expected, name
+        assert list(itertools.islice(extension_orders(lat.poset), cap)) == expected, name
+        exts = itertools.islice(linear_extensions(lat.poset), cap)
+        assert [e.order for e in exts] == expected, name
 
 
 def test_extension_caps():
-    p = diamond(3).poset
-    everything = _recursive_extension_orders(p)
-    for cap in range(1, 8):
-        assert list(extension_orders(p, cap)) == everything[:cap]
-    assert list(extension_orders(p, 0)) == []
-    assert list(linear_extensions(p, 0)) == []
     r = verify_echelon_theorem(diamond(3), extension_cap=0)
     assert r.status == "verified" and r.instances == 0
     assert posets.verify_rowmotion(build_lattice(b2()), extension_cap=0).instances == 0
-    for call in (lambda: extension_orders(p, -1), lambda: linear_extensions(p, -1),
-                 lambda: verify_echelon_theorem(diamond(3), extension_cap=-1)):
-        with pytest.raises(ValueError):
-            call()
+    with pytest.raises(ValueError):
+        verify_echelon_theorem(diamond(3), extension_cap=-1)
 
 
 def test_the_empty_poset_has_one_empty_extension():
@@ -1007,13 +1017,8 @@ def test_the_empty_poset_has_one_empty_extension():
     assert list(extension_orders(p)) == [()]
     assert list(linear_extensions(p)) == [LinearExtension(())]
     assert list(posets._echelon_walk(p, [], None)) == [([], [])]
-    assert list(extension_orders(p, 0)) == []
-    assert list(linear_extensions(p, 0)) == []
     assert list(posets._echelon_walk(p, [], 0)) == []
-    # a negative cap: the listings refuse it when called, the walk on its first step
-    for call in (lambda: extension_orders(p, -1), lambda: linear_extensions(p, -1)):
-        with pytest.raises(ValueError):
-            call()
+    # a negative cap: the walk refuses it on its first step
     walk = posets._echelon_walk(p, [], -1)
     with pytest.raises(ValueError):
         next(walk)

@@ -1,8 +1,9 @@
 """No test-only code in the package: every module-level function, class and
 constant of ``src/exactcomb``, and every non-dunder method and class
 attribute of its classes, is read by the package or by the benchmark.
-Every import of a package module is read by that module.  No module of the
-package keeps a store of results for the life of the process.
+Every import of a package module is read by that module.  Results kept
+for the life of the process live only in a pinned set of cached functions,
+never in a module-level container.
 
 Oracles that only tests use live in the test files."""
 
@@ -90,6 +91,29 @@ def test_no_module_level_result_store():
                     and _is_empty_container(stmt.value):
                 stores += [f"{path.stem}.{name}" for name in _definitions(stmt)]
     assert not stores, "module-level stores: " + ", ".join(stores)
+
+
+def _is_cache(decorator):
+    """Whether the decorator is functools' cache or lru_cache, called or not."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", "")
+    return name in ("cache", "lru_cache")
+
+
+def test_process_lifetime_caches_are_pinned():
+    # Each criterion fills the caches it reads in whichever process runs it:
+    # lattice_sweep serves criteria 1-3, _parking_sweep criteria 6, 7 and 9,
+    # _tree_packed criteria 7 and 8, tree_poly_at_minus_one and _simsun_rec
+    # criterion 8.  A new one is a new store that lives as long as the process.
+    cached = set()
+    for path in PACKAGE:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef) and any(map(_is_cache, stmt.decorator_list)):
+                cached.add(f"{path.stem}.{stmt.name}")
+    assert cached == {"acceptance.lattice_sweep", "genfun._tree_packed",
+                      "genfun.tree_poly_at_minus_one", "genfun._parking_sweep",
+                      "genfun._simsun_rec"}
 
 
 def _imported_names(tree):
