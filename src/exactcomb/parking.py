@@ -318,8 +318,9 @@ def excedance_polynomial(b: tuple[int, ...]) -> BiPoly:
     """Excedance distribution over all orderings of the content b, by the
     inclusion-exclusion form sum_k rook_k(B_b) (n-k)! (t-1)^k.
 
-    ``_ordering_sweep`` counts the same distribution directly, and the
-    fixed-content check compares the two.
+    ``_rearrangement_sweep`` counts the same distribution directly, walking
+    each distinct rearrangement once with the number of orderings giving
+    it as its weight, and the fixed-content check compares the two.
     """
     n = len(b)
     counts = rook_numbers(Board.from_content(b))
@@ -331,31 +332,73 @@ def excedance_polynomial(b: tuple[int, ...]) -> BiPoly:
     return total
 
 
-class _Orderings(NamedTuple):
-    exced: Counter       # excedance count -> orderings
-    descents: Counter    # outcome descent count -> orderings
-    fibers: Counter      # parking function -> orderings giving it
-    preimages: Counter   # phi(w, A) -> pairs (w, A); filled only with fibers
-    outcomes: dict       # ordering w -> outcome spots; filled only with fibers
+def _rearrangement_sweep(b: tuple[int, ...]) -> tuple[Counter, Counter]:
+    """The excedance and outcome-descent counts over the orderings of the
+    content b, by one depth-first pass over its distinct rearrangements.
 
-
-def _ordering_sweep(b: tuple[int, ...], with_fibers: bool) -> _Orderings:
-    """One depth-first pass over the orderings w of the content b, in
-    ``itertools.permutations`` order.
-
-    Car i prefers b_w(i) and takes the first free spot from there on, read
-    off a bitmask of free spots.  Each node carries the excedances and the
-    outcome descents of its prefix.  With fibers, each leaf also counts the
-    placement phi(w, A) of every descent subset A, and keeps its outcome.
-    The tests compare all of it with sweeps over ``park`` and ``phi``.
+    Both statistics read only the preference sequence, so orderings whose
+    labels share values give equal subtrees.  Each node takes one child per
+    distinct remaining value p, weighted by how many labels still carry p;
+    a rearrangement's weight is then the number of orderings giving it,
+    mu(b).  Car i takes the first free spot from p on, read off a bitmask
+    of free spots, and each node carries the excedances and the outcome
+    descents of its prefix.  The tests compare both counts with sweeps over
+    ``parking_stats`` and ``park``.
     """
     n = len(b)
-    out = _Orderings(Counter(), Counter(), Counter(), Counter(), {})
-    perm = [0] * n
-    prefs = [0] * n
-    spots = [0] * (n + 1)  # spots[i] is car i's spot; spots[0] = 0 makes no descent
+    if n < 2:  # one ordering, with no excedance and no descent
+        return Counter({0: 1}), Counter({0: 1})
+    left = [[p, b.count(p)] for p in sorted(set(b))]  # value, labels still carrying it
+    exced: Counter = Counter()
+    descents: Counter = Counter()
 
-    def rec(i: int, unused: int, free: int, exc: int, des: int) -> None:
+    def rec(i: int, free: int, last: int, weight: int, exc: int, des: int) -> None:
+        for cell in left:
+            p, m = cell
+            if m:
+                above = free >> p << p
+                bit = above & -above  # the first free spot >= p
+                s = bit.bit_length() - 1
+                w = weight * m
+                if i < n - 1:
+                    cell[1] = m - 1
+                    rec(i + 1, free ^ bit, s, w, exc + (p > i), des + (last > s))
+                    cell[1] = m
+                else:  # car n takes the one free spot left; no value of b exceeds n
+                    final = (free ^ bit).bit_length() - 1
+                    exced[exc + (p > i)] += w
+                    descents[des + (last > s) + (s > final)] += w
+
+    rec(1, (1 << n + 1) - 2, 0, 1, 0, 0)  # free spots 1..n; spot 0 makes no descent
+    return exced, descents
+
+
+def _ordering_fibers(b: tuple[int, ...]) -> Counter:
+    """Parking function -> orderings of the content b giving it, met in
+    ``itertools.permutations`` order."""
+    return Counter(itertools.permutations(b))
+
+
+class _Orderings(NamedTuple):
+    preimages: Counter   # phi(w, A) -> pairs (w, A)
+    outcomes: dict       # ordering w -> outcome spots
+
+
+def _ordering_sweep(b: tuple[int, ...]) -> _Orderings:
+    """One depth-first pass over the orderings w of the content b, in
+    ``itertools.permutations`` order, for the bijection checks.
+
+    Car i prefers b_w(i) and takes the first free spot from there on, read
+    off a bitmask of free spots.  Each leaf counts the placement phi(w, A)
+    of every descent subset A, and keeps its outcome.  The tests compare
+    both with sweeps over ``park`` and ``phi``.
+    """
+    n = len(b)
+    out = _Orderings(Counter(), {})
+    perm = [0] * n
+    spots = [0] * (n + 1)  # spots[i] is car i's spot
+
+    def rec(i: int, unused: int, free: int) -> None:
         if i < n:
             for v in range(1, n + 1):
                 if unused >> v & 1:
@@ -363,48 +406,38 @@ def _ordering_sweep(b: tuple[int, ...], with_fibers: bool) -> _Orderings:
                     above = free >> p << p
                     s = (above & -above).bit_length() - 1  # first free spot >= p
                     perm[i - 1] = v
-                    prefs[i - 1] = p
                     spots[i] = s
-                    rec(i + 1, unused ^ 1 << v, free ^ 1 << s, exc + (p > i),
-                        des + (spots[i - 1] > s))
+                    rec(i + 1, unused ^ 1 << v, free ^ 1 << s)
             return
         if n:  # the last car, placed here: one label and one free spot are left
             v = unused.bit_length() - 1
             p = b[v - 1]
             above = free >> p << p
-            s = (above & -above).bit_length() - 1
             perm[n - 1] = v
-            prefs[n - 1] = p
-            spots[n] = s
-            exc += p > n
-            des += spots[n - 1] > s
-        out.exced[exc] += 1
-        out.descents[des] += 1
-        out.fibers[tuple(prefs)] += 1
-        if with_fibers:
-            w = tuple(perm)
-            out.outcomes[w] = tuple(spots[1:])
-            # the rook of descent j sits in row outcome(j + 1), column w(j);
-            # rows and columns are distinct because outcome and w are permutations
-            placements = [frozenset()]
-            for j in range(1, n):
-                if spots[j] > spots[j + 1]:
-                    rook = (spots[j + 1], w[j - 1])
-                    placements += [a | {rook} for a in placements]
-            out.preimages.update(placements)
+            spots[n] = (above & -above).bit_length() - 1
+        w = tuple(perm)
+        out.outcomes[w] = tuple(spots[1:])
+        # the rook of descent j sits in row outcome(j + 1), column w(j);
+        # rows and columns are distinct because outcome and w are permutations
+        placements = [frozenset()]
+        for j in range(1, n):
+            if spots[j] > spots[j + 1]:
+                rook = (spots[j + 1], w[j - 1])
+                placements += [a | {rook} for a in placements]
+        out.preimages.update(placements)
 
     bits = (1 << n + 1) - 2  # bits 1..n
-    rec(1, bits, bits, 0, 0)
+    rec(1, bits, bits)
     return out
 
 
-def _content_report_row(b: tuple[int, ...], with_fibers: bool) -> dict | None:
+def _content_report_row(b: tuple[int, ...]) -> dict | None:
     """Check one content; None when clean, else a witness dict."""
     n = len(b)
-    sweep = _ordering_sweep(b, with_fibers)
-    direct = BiPoly({(0, e): c for e, c in sweep.exced.items()})
+    exced, descents = _rearrangement_sweep(b)
+    direct = BiPoly({(0, e): c for e, c in exced.items()})
     via_rooks = excedance_polynomial(b)
-    descent_side = BiPoly({(0, e): c for e, c in sweep.descents.items()})
+    descent_side = BiPoly({(0, e): c for e, c in descents.items()})
     if direct != via_rooks:
         return {"b": list(b), "defect": "rook formula mismatch",
                 "direct": direct.to_json_terms(), "rook": via_rooks.to_json_terms()}
@@ -415,15 +448,16 @@ def _content_report_row(b: tuple[int, ...], with_fibers: bool) -> dict | None:
     # fiber size of the ordering map: every parking function with content b
     # arises from exactly mu(b) orderings
     expected_mu = mu(b)
-    for prefs, count in sweep.fibers.items():
+    for prefs, count in _ordering_fibers(b).items():
         if count != expected_mu:
             return {"b": list(b), "defect": "mu fiber mismatch",
                     "pi": list(prefs), "count": count, "mu": expected_mu}
 
-    if not with_fibers:
+    if n > FIBER_CHECK_LIMIT:
         return None
 
     # preimage counts of the descent-side map, and the round trip
+    sweep = _ordering_sweep(b)
     board = Board.from_content(b)
     for rooks in sweep.preimages:
         try:
@@ -460,20 +494,22 @@ def verify_fixed_content(n: int) -> Report:
     """Both statistics agree content by content; small n adds bijection checks.
 
     For every content b of length n: the excedance polynomial over
-    orderings (computed directly and by the rook formula) must equal the
-    outcome-descent polynomial, and each parking function in the class must
-    arise from exactly mu(b) orderings.  For n <= FIBER_CHECK_LIMIT the
-    descent-side map is additionally checked to have (n-k)!-sized preimages
-    on every k-rook placement, with the insertion bijection round-tripped on
-    all of them.
+    orderings, counted by the weighted walk over the distinct
+    rearrangements of b (``_rearrangement_sweep``), must equal the rook
+    formula and the outcome-descent polynomial of the same walk, and each
+    parking function in the class must arise from exactly mu(b) orderings,
+    counted over ``itertools.permutations(b)``.  For n <= FIBER_CHECK_LIMIT
+    the depth-first pass over the labelled orderings (``_ordering_sweep``)
+    additionally checks that the descent-side map has (n-k)!-sized
+    preimages on every k-rook placement, and round-trips the insertion
+    bijection on all of them.
     """
     if not 0 <= n <= FIXED_CONTENT_LIMIT:
         raise ValueError(
             f"fixed-content sweep needs 0 <= n <= {FIXED_CONTENT_LIMIT}, got n = {n}")
-    with_fibers = n <= FIBER_CHECK_LIMIT
     checked = 0
     for b in parking_contents(n):
-        witness = _content_report_row(b, with_fibers)
+        witness = _content_report_row(b)
         checked += 1
         if witness is not None:
             return Report("parking-fixed-content", checked, COUNTEREXAMPLE, witness)

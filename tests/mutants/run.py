@@ -30,11 +30,13 @@ ACCEPTANCE = "src/exactcomb/acceptance.py"
 PLACTIC = "src/exactcomb/plactic.py"
 CORE = "src/exactcomb/core.py"
 GENFUN = "src/exactcomb/genfun.py"
+PARKING = "src/exactcomb/parking.py"
 TEST_CORE = "tests/test_core.py::"
 TEST_POSETS = "tests/test_posets.py::"
 TEST_ACCEPTANCE = "tests/test_acceptance.py::"
 TEST_PLACTIC = "tests/test_plactic.py::"
 TEST_GENFUN = "tests/test_genfun.py::"
+TEST_PARKING = "tests/test_parking.py::"
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,15 @@ MUTANTS = (
            "bruhat_permutation(u1 @ w_matrix @ u2)", "bruhat_permutation(u1 @ w_matrix)",
            (TEST_ACCEPTANCE + "test_perturbation_on_one_side_fails_criterion_04[1-u2-13]",)),
     # criterion 5 runs the bijection and fibre checks through n = 5
-    Mutant("criterion-05-fibres-only-to-n-4", "src/exactcomb/parking.py",
+    Mutant("criterion-05-fibres-only-to-n-4", PARKING,
            "FIBER_CHECK_LIMIT = 5", "FIBER_CHECK_LIMIT = 4",
-           ("tests/test_parking.py::test_fixed_content_round_trips_every_placement_through_n_5[5]",)),
+           (TEST_PARKING + "test_fixed_content_round_trips_every_placement_through_n_5[5]",)),
+    # a distinct rearrangement stands for mu(b) orderings: each step weighs
+    # its value by the labels still carrying it
+    Mutant("rearrangement-walk-drops-the-mu-weight", PARKING,
+           "w = weight * m", "w = weight",
+           (TEST_PARKING + "test_ordering_sweep_matches_oracles[2]",
+            TEST_PARKING + "test_rearrangement_sweep_matches_rook_formula_at_n_7")),
     # the class key must come from the whole search, not from refinement alone
     Mutant("canonical-form-from-the-first-refinement-alone", POSETS,
            "    best: tuple[int, ...] | None = None\n",

@@ -390,20 +390,35 @@ def test_perturbation_on_one_side_fails_criterion_04(monkeypatch, side, factor, 
 def _break_ordering_sweep(defect, monkeypatch):
     """Patch one kernel of the fixed-content check so that exactly the
     check named by ``defect`` fails."""
-    sweep, insert, delete = (parking._ordering_sweep, parking._insert_columns,
-                             parking._delete_columns)
+    walk, fibers, sweep = (parking._rearrangement_sweep, parking._ordering_fibers,
+                           parking._ordering_sweep)
+    insert, delete = parking._insert_columns, parking._delete_columns
 
-    def sweep_with(b, with_fibers):
-        out = sweep(b, with_fibers)
+    def walk_with(b):
+        exced, descents = walk(b)
         if b[:3] == (1, 1, 2):
-            if defect == "rook formula mismatch":
-                out.exced[0] -= 1
-                out.exced[1] += 1
-            else:
-                out.preimages[frozenset({(3, 1)})] += 1
+            moved = exced if defect == "rook formula mismatch" else descents
+            moved[0] -= 1
+            moved[1] += 1
+        return exced, descents
+
+    def fibers_with(b):
+        out = fibers(b)
+        if b[:3] == (1, 1, 2):
+            out[b] += 1
         return out
 
-    if defect in ("rook formula mismatch", "phi is not a placement on the board"):
+    def sweep_with(b):
+        out = sweep(b)
+        if b[:3] == (1, 1, 2):
+            out.preimages[frozenset({(3, 1)})] += 1
+        return out
+
+    if defect in ("rook formula mismatch", "excedance/descent mismatch"):
+        monkeypatch.setattr(parking, "_rearrangement_sweep", walk_with)
+    elif defect == "mu fiber mismatch":
+        monkeypatch.setattr(parking, "_ordering_fibers", fibers_with)
+    elif defect == "phi is not a placement on the board":
         monkeypatch.setattr(parking, "_ordering_sweep", sweep_with)
     elif defect == "inserted positions are not outcome descents":
         monkeypatch.setattr(parking, "_insert_columns",
@@ -418,6 +433,8 @@ def _break_ordering_sweep(defect, monkeypatch):
 
 @pytest.mark.parametrize("defect, b", [
     ("rook formula mismatch", [1, 1, 2]),
+    ("excedance/descent mismatch", [1, 1, 2]),
+    ("mu fiber mismatch", [1, 1, 2]),
     ("phi is not a placement on the board", [1, 1, 2]),
     ("inserted positions are not outcome descents", [1]),
     ("phi does not give back the rooks", [1, 2]),
@@ -431,11 +448,13 @@ def test_broken_ordering_sweep_fails_criterion_05(monkeypatch, defect, b):
     assert r.witness["b"] == b and r.witness["n"] == len(b)
 
 
-def test_broken_ordering_sweep_exits_1_at_the_cli(monkeypatch, capsys):
-    _break_ordering_sweep("rook formula mismatch", monkeypatch)
+@pytest.mark.parametrize("defect", [
+    "rook formula mismatch", "excedance/descent mismatch", "mu fiber mismatch"])
+def test_broken_ordering_sweep_exits_1_at_the_cli(monkeypatch, capsys, defect):
+    _break_ordering_sweep(defect, monkeypatch)
     assert main(["parking", "verify-fixed-content", "--n", "4"]) == 1
     out = capsys.readouterr().out
-    assert '"b": [1, 1, 2, 2]' in out and "rook formula mismatch" in out
+    assert '"b": [1, 1, 2, 2]' in out and defect in out
 
 
 def test_broken_tree_sweep_fails_criterion_07(monkeypatch):

@@ -14,7 +14,9 @@ from exactcomb.parking import (
     BijectionCheckError,
     Board,
     ParkingFailure,
+    _ordering_fibers,
     _ordering_sweep,
+    _rearrangement_sweep,
     excedance_polynomial,
     induced_parking,
     insert_forward,
@@ -165,23 +167,30 @@ def test_excedance_equals_rook_formula_all_small_contents():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_ordering_sweep_matches_oracles(n):
+    orderings = list(itertools.permutations(range(1, n + 1)))
     for b in parking_contents(n):
-        sweep = _ordering_sweep(b, with_fibers=n <= 5)
-        assert BiPoly({(0, e): c for e, c in sweep.exced.items()}) \
+        exced, descents = _rearrangement_sweep(b)
+        assert BiPoly({(0, e): c for e, c in exced.items()}) \
             == direct_excedance_polynomial(b), b
-        assert BiPoly({(0, e): c for e, c in sweep.descents.items()}) \
+        assert BiPoly({(0, e): c for e, c in descents.items()}) \
             == outcome_descent_polynomial(b), b
-        orderings = [tuple(b[v - 1] for v in w)
-                     for w in itertools.permutations(range(1, n + 1))]
+        labelled = Counter(tuple(b[v - 1] for v in w) for w in orderings)
         # same counts, met in the same order, so a failure names the same pi
-        assert list(sweep.fibers.items()) == list(Counter(orderings).items()), b
+        assert list(_ordering_fibers(b).items()) == list(labelled.items()), b
         if n <= 5:
+            sweep = _ordering_sweep(b)
             assert sweep.preimages == phi_preimages(b), b
             assert sweep.outcomes == {
-                w: park(prefs).one_line
-                for w, prefs in zip(itertools.permutations(range(1, n + 1)), orderings)}
-        else:
-            assert not sweep.preimages and not sweep.outcomes
+                w: park(tuple(b[v - 1] for v in w)).one_line for w in orderings}
+
+
+def test_rearrangement_sweep_matches_rook_formula_at_n_7():
+    # beyond the brute-force oracles: contents with up to seven equal values
+    for b in parking_contents(7):
+        exced, descents = _rearrangement_sweep(b)
+        via_rooks = excedance_polynomial(b)
+        assert BiPoly({(0, e): c for e, c in exced.items()}) == via_rooks, b
+        assert BiPoly({(0, e): c for e, c in descents.items()}) == via_rooks, b
 
 
 def test_phi_examples():
