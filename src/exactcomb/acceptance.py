@@ -147,7 +147,13 @@ def criterion_rowmotion(max_n: int, catalog_cap: int) -> Report:
 def criterion_bruhat(max_n: int, perturbations: int, seed: int = 0) -> Report:
     """bruhat is the identity on permutation matrices and constant on
     B-double-cosets: unit upper-triangular multiplication on either side
-    of a catalog Cartan matrix never moves the permutation."""
+    of a catalog Cartan matrix never moves the permutation.
+
+    Each perturbation is multiplied as ``u1 @ (w_matrix @ u2)``: the 0/1
+    Cartan matrix and the triangular u1 are sparse on the left, which is
+    where the row-combination product skips work, and integer products
+    are associative, so the matrix is the same as ``u1 @ w_matrix @ u2``.
+    """
     name = "bruhat-well-defined"
     instances = 0
     for n in range(1, max_n + 1):
@@ -166,7 +172,7 @@ def criterion_bruhat(max_n: int, perturbations: int, seed: int = 0) -> Report:
         for _ in range(perturbations):
             u1 = random_unit_upper_triangular(lat.n, rng)
             u2 = random_unit_upper_triangular(lat.n, rng)
-            got = posets.bruhat_permutation(u1 @ w_matrix @ u2)
+            got = posets.bruhat_permutation(u1 @ (w_matrix @ u2))
             instances += 1
             if got != base:
                 return Report(name, instances, COUNTEREXAMPLE, {

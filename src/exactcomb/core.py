@@ -8,7 +8,8 @@ a Python int, so nothing ever rounds or overflows.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -309,11 +310,26 @@ class IntMatrix:
         return f"IntMatrix({list(map(list, self.entries))!r})"
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product, each row a combination of the rows of ``other``.
+
+        Row i of ``A @ B`` sums ``A[i][k] * B[k]`` over the k where
+        ``A[i][k]`` is nonzero, a whole row at a time: a coefficient of 1
+        takes the row as it is, any other scales it.  Products with 0/1 or
+        triangular factors on the left thus skip most of the work, and an
+        all-zero row gives the zero row.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = list(zip(*other.entries))
-        return IntMatrix._unchecked(tuple(
-            tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries))
+        zero = (0,) * other.cols
+        product = []
+        for row in self.entries:
+            acc = None
+            for v, b_row in zip(row, other.entries):
+                if v:
+                    term = b_row if v == 1 else map(mul, b_row, repeat(v))
+                    acc = term if acc is None else list(map(add, acc, term))
+            product.append(zero if acc is None else tuple(acc))
+        return IntMatrix._unchecked(tuple(product))
 
 
 class BareissDivisionError(RuntimeError):
@@ -332,8 +348,10 @@ def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
     way division-free elimination would.  Any nonzero pivot keeps the
     divisions exact, so each column takes a pivot of ±1 where it has one:
     the next update then divides by ±1, which leaves no remainder and is
-    done without ``divmod``.  Every division by a larger previous pivot
-    checks its remainder.
+    done without ``divmod``, on the whole row tail at once: a multiplier
+    of ±1 subtracts or adds the pivot row as it is, and only other
+    multipliers scale it.  Every division by a larger previous pivot
+    checks its remainder, entry by entry.
     """
     entries = m.entries if isinstance(m, IntMatrix) else m
     rows = [list(r) for r in entries]
@@ -363,7 +381,16 @@ def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
                 continue  # (pv * a - 0) / prev = a: the row stays as it is
             if prev == 1 or prev == -1:  # dividing by ±1 is multiplying by it
                 spv, slv = pv * prev, lv * prev
-                row[col + 1:] = [spv * a - slv * b for a, b in zip(row[col + 1:], tail)]
+                rest = row[col + 1:]
+                if spv != 1:
+                    rest = map(mul, rest, repeat(spv))
+                if slv == 1:
+                    rest = map(sub, rest, tail)
+                elif slv == -1:
+                    rest = map(add, rest, tail)
+                elif slv:
+                    rest = map(sub, rest, map(mul, tail, repeat(slv)))
+                row[col + 1:] = rest
             else:
                 for c in range(col + 1, nc):
                     num = pv * row[c] - lv * pivot_row[c]

@@ -7,7 +7,6 @@ one criterion per task.
 from __future__ import annotations
 
 import os
-from multiprocessing import get_context
 
 
 def parallel_map(fn, items, workers: int = 1) -> list:
@@ -24,6 +23,8 @@ def parallel_map(fn, items, workers: int = 1) -> list:
     procs = min(workers, len(items), os.cpu_count() or 1)
     if procs <= 1:
         return [fn(x) for x in items]
+    from multiprocessing import get_context  # only a pooled run pays for the import
+
     with get_context().Pool(processes=procs) as pool:
         return pool.map(fn, items, chunksize=1)
 

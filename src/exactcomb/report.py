@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 SKIPPED = "skipped"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Outcome of one verification run.
 
     ``witness`` carries enough data to re-check a counterexample from the

@@ -76,11 +76,15 @@ MUTANTS = (
            (TEST_ACCEPTANCE + "test_quick_battery_report_bytes_are_pinned",)),
     # criterion 4 multiplies by a unit upper-triangular factor on each side
     Mutant("criterion-04-without-the-left-factor", ACCEPTANCE,
-           "bruhat_permutation(u1 @ w_matrix @ u2)", "bruhat_permutation(w_matrix @ u2)",
+           "bruhat_permutation(u1 @ (w_matrix @ u2))", "bruhat_permutation(w_matrix @ u2)",
            (TEST_ACCEPTANCE + "test_perturbation_on_one_side_fails_criterion_04[0-u1-6]",)),
     Mutant("criterion-04-without-the-right-factor", ACCEPTANCE,
-           "bruhat_permutation(u1 @ w_matrix @ u2)", "bruhat_permutation(u1 @ w_matrix)",
+           "bruhat_permutation(u1 @ (w_matrix @ u2))", "bruhat_permutation(u1 @ w_matrix)",
            (TEST_ACCEPTANCE + "test_perturbation_on_one_side_fails_criterion_04[1-u2-13]",)),
+    # a row of the left factor weighs each row of the right one by its entry
+    Mutant("matmul-row-combination-drops-the-coefficient", CORE,
+           "term = b_row if v == 1 else map(mul, b_row, repeat(v))", "term = b_row",
+           (TEST_CORE + "test_matrix_product_matches_a_triple_loop",)),
     # criterion 5 runs the bijection and fibre checks through n = 5
     Mutant("criterion-05-fibres-only-to-n-4", PARKING,
            "FIBER_CHECK_LIMIT = 5", "FIBER_CHECK_LIMIT = 4",
@@ -119,6 +123,11 @@ MUTANTS = (
     Mutant("rank-skips-the-division-by-2", CORE,
            "if prev == 1 or prev == -1:", "if prev in (1, -1, 2):",
            (TEST_POSETS + "test_inexact_bareiss_division_raises[rank]",)),
+    # after a pivot of ±1, a multiplier of +1 subtracts the pivot row
+    Mutant("rank-unit-update-adds-where-it-subtracts", CORE,
+           "rest = map(sub, rest, tail)", "rest = map(add, rest, tail)",
+           (TEST_CORE + "test_rank_matches_the_first_nonzero_pivot_oracle_on_seeded_matrices",
+            TEST_CORE + "test_rank_examples")),
     # the class generator keeps a child only when its canonical form is new
     Mutant("poset-classes-keep-every-child", POSETS,
            "                if code not in codes:\n", "                if True:\n",

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from exactcomb import posets
+from exactcomb import core, posets
 from exactcomb.core import (
     BiPoly,
     IntMatrix,
@@ -179,9 +179,17 @@ def _first_nonzero_rank(entries):
     return rank
 
 
-def test_rank_matches_the_first_nonzero_pivot_oracle_on_seeded_matrices():
+def test_rank_matches_the_first_nonzero_pivot_oracle_on_seeded_matrices(monkeypatch):
     # entries in [-4, 4], some with no ±1 at all; zero columns and repeated
     # rows (also negated ones) are put in on purpose
+    seen = set()
+
+    def spy(fn, *iterables):
+        last = iterables[-1]
+        seen.add((fn.__name__, repr(last) if type(last).__name__ == "repeat" else type(last).__name__))
+        return map(fn, *iterables)
+
+    monkeypatch.setattr(core, "map", spy, raising=False)
     rng = random.Random(17)
     ranks = set()
     for _ in range(400):
@@ -200,6 +208,11 @@ def test_rank_matches_the_first_nonzero_pivot_oracle_on_seeded_matrices():
         assert int_matrix_rank(IntMatrix(rows)) == rank
         ranks.add(rank)
     assert ranks == set(range(8))
+    # every whole-row update after a previous pivot of ±1 is reached: a
+    # multiplier of +1 maps sub and one of -1 maps add over the pivot row
+    # itself, any other maps sub over a scaled copy, and a scaled pivot of
+    # -1 scales the row by repeat(-1)
+    assert {("sub", "list"), ("add", "list"), ("sub", "map"), ("mul", "repeat(-1)")} <= seen
 
 
 def test_rank_matches_the_oracle_on_every_zeta_block_of_the_gf2_walk(monkeypatch):
@@ -250,6 +263,27 @@ def test_matrix_product_matches_a_triple_loop():
         assert all(type(row) is tuple and all(type(x) is int for x in row)
                    for row in product.entries)
         assert (product.rows, product.cols) == (rows, cols)
+    # all-zero rows in the left factor give zero rows; entries beyond 2**64
+    big = 2**70
+    for rows, inner, cols in shapes:
+        a = [[rng.choice((0, 1, -1, rng.randint(-big, big))) for _ in range(inner)]
+             for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randrange(rows + 1)):
+            a[i] = [0] * inner
+        b = [[rng.randint(-big, big) for _ in range(cols)] for _ in range(inner)]
+        assert IntMatrix(a) @ IntMatrix(b) == IntMatrix(_naive_product(a, b))
+    assert IntMatrix([[0, 0]]) @ IntMatrix([[1, 2, 3], [4, 5, 6]]) == IntMatrix([[0, 0, 0]])
+    # the factors criterion 4 and the Bruhat queries multiply: 0/1,
+    # permutation and unit upper-triangular matrices, on either side
+    for n in (1, 2, 3, 5, 8, 16, 33):
+        factors = [
+            IntMatrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]),
+            Permutation(rng.sample(range(1, n + 1), n)).to_matrix(),
+            random_unit_upper_triangular(n, rng),
+        ]
+        for a in factors:
+            for b in factors:
+                assert a @ b == IntMatrix(_naive_product(a.entries, b.entries)), n
     with pytest.raises(ValueError, match="shape mismatch: 2x3 @ 2x3"):
         IntMatrix([[1, 2, 3], [4, 5, 6]]) @ IntMatrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError, match="shape mismatch: 1x4 @ 1x4"):

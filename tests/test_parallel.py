@@ -1,4 +1,9 @@
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +34,7 @@ class _RecordingContext:
 @pytest.fixture
 def fake_pool(monkeypatch):
     ctx = _RecordingContext()
-    monkeypatch.setattr(parallel, "get_context", lambda: ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: ctx)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
     return ctx
 
@@ -51,6 +56,18 @@ def test_workers_below_one_raise(fake_pool, workers):
     with pytest.raises(ValueError):
         parallel.parallel_map(abs, [1, 2], workers=workers)
     assert fake_pool.processes == []
+
+
+def test_import_loads_neither_the_pool_nor_dataclasses():
+    # multiprocessing is imported by a pooled run only, and Report is a
+    # NamedTuple, so importing the package pays for neither
+    src = Path(exactcomb.__file__).resolve().parent.parent
+    script = ("import sys, exactcomb\n"
+              "print(sorted({'multiprocessing', 'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # -- exceptions cross the pool by pickling -------------------------------------
