@@ -339,19 +339,56 @@ class BareissDivisionError(RuntimeError):
     """
 
 
+def bareiss_step(rows: Iterable[list[int]], pivot_row: Sequence[int], col: int, prev: int) -> None:
+    """Clear column ``col`` from each of ``rows`` by ``pivot_row``, fraction
+    free (Bareiss, Math. Comp. 22, 1968), in place.
+
+    Each entry c > col of a row becomes ``(pv * row[c] - lv * pivot_row[c])
+    / prev``, with pv the pivot, lv the row's entry in column ``col`` and
+    prev the previous pivot (1 before the first), and the row's entry in
+    ``col`` becomes 0.  Every such division is exact, since the results are
+    minors of the input.  A previous pivot of ±1 divides by multiplying by
+    it, on the whole row tail at once: a multiplier of ±1 subtracts or adds
+    the pivot row as it is, and only other multipliers scale it.  Every
+    division by a larger previous pivot checks its remainder, entry by
+    entry, and raises BareissDivisionError if one is left.
+    """
+    pv = pivot_row[col]
+    tail = pivot_row[col + 1:]
+    for row in rows:
+        lv = row[col]
+        if not lv and pv == prev:
+            continue  # (pv * a - 0) / prev = a: the row stays as it is
+        if prev == 1 or prev == -1:  # dividing by ±1 is multiplying by it
+            spv, slv = pv * prev, lv * prev
+            rest = row[col + 1:]
+            if spv != 1:
+                rest = map(mul, rest, repeat(spv))
+            if slv == 1:
+                rest = map(sub, rest, tail)
+            elif slv == -1:
+                rest = map(add, rest, tail)
+            elif slv:
+                rest = map(sub, rest, map(mul, tail, repeat(slv)))
+            row[col + 1:] = rest
+        else:
+            for c in range(col + 1, len(row)):
+                q, rem = divmod(pv * row[c] - lv * pivot_row[c], prev)
+                if rem:
+                    raise BareissDivisionError("Bareiss division must be exact")
+                row[c] = q
+        row[col] = 0
+
+
 def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
     """Rank over the rationals, by fraction-free (Bareiss) elimination.
 
-    Stays in exact integer arithmetic throughout: the usual pivoting
-    update is followed by an exact division by the previous pivot, so
-    intermediate entries are minors of the input and never blow up the
-    way division-free elimination would.  Any nonzero pivot keeps the
-    divisions exact, so each column takes a pivot of ±1 where it has one:
-    the next update then divides by ±1, which leaves no remainder and is
-    done without ``divmod``, on the whole row tail at once: a multiplier
-    of ±1 subtracts or adds the pivot row as it is, and only other
-    multipliers scale it.  Every division by a larger previous pivot
-    checks its remainder, entry by entry.
+    Stays in exact integer arithmetic throughout: each pivot clears its
+    column from the rows below by ``bareiss_step``, so intermediate entries
+    are minors of the input and never blow up the way division-free
+    elimination would.  Any nonzero pivot keeps the divisions exact, so
+    each column takes a pivot of ±1 where it has one: the next step then
+    divides by ±1, which needs no remainder check.
     """
     entries = m.entries if isinstance(m, IntMatrix) else m
     rows = [list(r) for r in entries]
@@ -372,34 +409,8 @@ def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot_row = rows[rank]
-        pv = pivot_row[col]
-        tail = pivot_row[col + 1:]
-        for row in rows[rank + 1:]:
-            lv = row[col]
-            if not lv and pv == prev:
-                continue  # (pv * a - 0) / prev = a: the row stays as it is
-            if prev == 1 or prev == -1:  # dividing by ±1 is multiplying by it
-                spv, slv = pv * prev, lv * prev
-                rest = row[col + 1:]
-                if spv != 1:
-                    rest = map(mul, rest, repeat(spv))
-                if slv == 1:
-                    rest = map(sub, rest, tail)
-                elif slv == -1:
-                    rest = map(add, rest, tail)
-                elif slv:
-                    rest = map(sub, rest, map(mul, tail, repeat(slv)))
-                row[col + 1:] = rest
-            else:
-                for c in range(col + 1, nc):
-                    num = pv * row[c] - lv * pivot_row[c]
-                    q, rem = divmod(num, prev)
-                    if rem:
-                        raise BareissDivisionError("Bareiss division must be exact")
-                    row[c] = q
-            row[col] = 0
-        prev = pv
+        bareiss_step(rows[rank + 1:], rows[rank], col, prev)
+        prev = rows[rank][col]
         rank += 1
         if rank == nr:
             break

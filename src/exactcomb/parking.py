@@ -379,56 +379,29 @@ def _ordering_fibers(b: tuple[int, ...]) -> Counter:
     return Counter(itertools.permutations(b))
 
 
-class _Orderings(NamedTuple):
-    preimages: Counter   # phi(w, A) -> pairs (w, A)
-    outcomes: dict       # ordering w -> outcome spots
+def _ordering_sweep(b: tuple[int, ...]) -> tuple[Counter, dict]:
+    """The orderings w of the content b, in ``itertools.permutations``
+    order, each parked by ``park``, for the bijection checks.
 
-
-def _ordering_sweep(b: tuple[int, ...]) -> _Orderings:
-    """One depth-first pass over the orderings w of the content b, in
-    ``itertools.permutations`` order, for the bijection checks.
-
-    Car i prefers b_w(i) and takes the first free spot from there on, read
-    off a bitmask of free spots.  Each leaf counts the placement phi(w, A)
-    of every descent subset A, and keeps its outcome.  The tests compare
-    both with sweeps over ``park`` and ``phi``.
+    Returns ``(preimages, outcomes)``: the placements phi(w, A) over every
+    ordering w and descent subset A of its outcome, counted, and each
+    ordering's outcome spots.  The tests compare the placements with a
+    sweep over ``phi``.
     """
     n = len(b)
-    out = _Orderings(Counter(), {})
-    perm = [0] * n
-    spots = [0] * (n + 1)  # spots[i] is car i's spot
-
-    def rec(i: int, unused: int, free: int) -> None:
-        if i < n:
-            for v in range(1, n + 1):
-                if unused >> v & 1:
-                    p = b[v - 1]
-                    above = free >> p << p
-                    s = (above & -above).bit_length() - 1  # first free spot >= p
-                    perm[i - 1] = v
-                    spots[i] = s
-                    rec(i + 1, unused ^ 1 << v, free ^ 1 << s)
-            return
-        if n:  # the last car, placed here: one label and one free spot are left
-            v = unused.bit_length() - 1
-            p = b[v - 1]
-            above = free >> p << p
-            perm[n - 1] = v
-            spots[n] = (above & -above).bit_length() - 1
-        w = tuple(perm)
-        out.outcomes[w] = tuple(spots[1:])
+    preimages: Counter = Counter()
+    outcomes = {}
+    for w, prefs in zip(itertools.permutations(range(1, n + 1)), itertools.permutations(b)):
+        sigma = outcomes[w] = park(prefs).one_line
         # the rook of descent j sits in row outcome(j + 1), column w(j);
         # rows and columns are distinct because outcome and w are permutations
         placements = [frozenset()]
         for j in range(1, n):
-            if spots[j] > spots[j + 1]:
-                rook = (spots[j + 1], w[j - 1])
+            if sigma[j - 1] > sigma[j]:
+                rook = (sigma[j], w[j - 1])
                 placements += [a | {rook} for a in placements]
-        out.preimages.update(placements)
-
-    bits = (1 << n + 1) - 2  # bits 1..n
-    rec(1, bits, bits)
-    return out
+        preimages.update(placements)
+    return preimages, outcomes
 
 
 def _content_report_row(b: tuple[int, ...]) -> dict | None:
@@ -457,9 +430,9 @@ def _content_report_row(b: tuple[int, ...]) -> dict | None:
         return None
 
     # preimage counts of the descent-side map, and the round trip
-    sweep = _ordering_sweep(b)
+    preimages, outcomes = _ordering_sweep(b)
     board = Board.from_content(b)
-    for rooks in sweep.preimages:
+    for rooks in preimages:
         try:
             _check_placement(board, rooks)
         except ValueError as err:
@@ -467,16 +440,16 @@ def _content_report_row(b: tuple[int, ...]) -> dict | None:
                     "rooks": sorted(map(list, rooks)), "error": str(err)}
     for rooks in rook_placements(board):
         k = len(rooks)
-        if sweep.preimages.get(rooks, 0) != math.factorial(n - k):
+        if preimages.get(rooks, 0) != math.factorial(n - k):
             return {"b": list(b), "defect": "preimage count mismatch",
                     "rooks": sorted(map(list, rooks)),
-                    "count": sweep.preimages.get(rooks, 0),
+                    "count": preimages.get(rooks, 0),
                     "expected": math.factorial(n - k)}
         placement = sorted(rooks)
         free = sorted(set(range(1, n + 1)) - {c for _, c in rooks})
         for u0 in itertools.permutations(free):
             w, a_set = _insert_columns(b, placement, u0)
-            sigma = sweep.outcomes[w]
+            sigma = outcomes[w]
             if not all(0 < i < n and sigma[i - 1] > sigma[i] for i in a_set):
                 defect = "inserted positions are not outcome descents"
             elif frozenset((sigma[i], w[i - 1]) for i in a_set) != rooks:
@@ -499,10 +472,10 @@ def verify_fixed_content(n: int) -> Report:
     formula and the outcome-descent polynomial of the same walk, and each
     parking function in the class must arise from exactly mu(b) orderings,
     counted over ``itertools.permutations(b)``.  For n <= FIBER_CHECK_LIMIT
-    the depth-first pass over the labelled orderings (``_ordering_sweep``)
-    additionally checks that the descent-side map has (n-k)!-sized
-    preimages on every k-rook placement, and round-trips the insertion
-    bijection on all of them.
+    a loop that parks each labelled ordering with ``park``
+    (``_ordering_sweep``) additionally checks that the descent-side map has
+    (n-k)!-sized preimages on every k-rook placement, and round-trips the
+    insertion bijection on all of them.
     """
     if not 0 <= n <= FIXED_CONTENT_LIMIT:
         raise ValueError(

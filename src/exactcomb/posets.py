@@ -13,7 +13,7 @@ import json
 from collections.abc import Generator, Iterable, Iterator
 from math import factorial
 
-from .core import BareissDivisionError, IntMatrix, Permutation, int_matrix_rank
+from .core import IntMatrix, Permutation, bareiss_step, int_matrix_rank
 from .report import COUNTEREXAMPLE, SKIPPED, VERIFIED, Report
 
 
@@ -327,47 +327,23 @@ def _bruhat_pivot_cols(rows: list[list[int]]) -> list[int]:
     operations only ever add multiples of lower rows to higher rows, which
     preserves the rank of every lower-left justified submatrix, so the
     resulting pivot positions are exactly the lower-left rank jumps of the
-    input.  Divisions follow the Bareiss one-step scheme and are exact.
+    input.  Each pivot clears its column from the other pivotless rows by
+    the rank's row step, ``core.bareiss_step``, whose divisions are exact.
     """
     n = len(rows)
     col_of_row = [-1] * n
+    free, free_rows = list(range(n)), rows[:]  # the pivotless rows, top to bottom
     prev = 1
     for j in range(n):
-        piv = -1
-        for i in range(n - 1, -1, -1):
-            if col_of_row[i] < 0 and rows[i][j]:
-                piv = i
+        for k in range(len(free) - 1, -1, -1):
+            if free_rows[k][j]:
                 break
-        if piv < 0:
+        else:
             raise SingularMatrixError(f"no pivot available in column {j + 1}")
-        prow = rows[piv]
-        pv = prow[j]
-        scale_only_is_noop = pv == prev
-        for r in range(n):
-            if col_of_row[r] >= 0 or r == piv:
-                continue
-            row = rows[r]
-            lv = row[j]
-            if lv == 0:
-                if scale_only_is_noop:
-                    continue
-                for c in range(j + 1, n):
-                    v = row[c]
-                    if v:
-                        q, rem = divmod(pv * v, prev)
-                        if rem:
-                            raise BareissDivisionError("Bareiss scaling must divide exactly")
-                        row[c] = q
-            else:
-                for c in range(j + 1, n):
-                    num = pv * row[c] - lv * prow[c]
-                    q, rem = divmod(num, prev)
-                    if rem:
-                        raise BareissDivisionError("Bareiss update must divide exactly")
-                    row[c] = q
-                row[j] = 0
-        col_of_row[piv] = j
-        prev = pv
+        pivot_row = free_rows.pop(k)
+        col_of_row[free.pop(k)] = j
+        bareiss_step(free_rows, pivot_row, j, prev)
+        prev = pivot_row[j]
     return col_of_row
 
 

@@ -95,6 +95,11 @@ MUTANTS = (
            "w = weight * m", "w = weight",
            (TEST_PARKING + "test_ordering_sweep_matches_oracles[2]",
             TEST_PARKING + "test_rearrangement_sweep_matches_rook_formula_at_n_7")),
+    # the rook of an outcome descent at j sits in row outcome(j + 1)
+    Mutant("ordering-sweep-rook-in-the-wrong-row", PARKING,
+           "rook = (sigma[j], w[j - 1])", "rook = (sigma[j - 1], w[j - 1])",
+           (TEST_PARKING + "test_ordering_sweep_matches_oracles[2]",
+            TEST_PARKING + "test_fixed_content_round_trips_every_placement_through_n_5[4]")),
     # the class key must come from the whole search, not from refinement alone
     Mutant("canonical-form-from-the-first-refinement-alone", POSETS,
            "    best: tuple[int, ...] | None = None\n",
@@ -119,15 +124,25 @@ MUTANTS = (
     Mutant("unit-triangular-draws-keep-a-draw-of-5", CORE,
            "while r >= 5:", "while r >= 6:",
            (TEST_CORE + "test_unit_upper_triangular_draws_equal_validated_matrices",)),
-    # only a previous pivot of ±1 divides without a remainder check
+    # only a previous pivot of ±1 divides without a remainder check, in the
+    # row step that rank and Bruhat pivoting share
     Mutant("rank-skips-the-division-by-2", CORE,
            "if prev == 1 or prev == -1:", "if prev in (1, -1, 2):",
-           (TEST_POSETS + "test_inexact_bareiss_division_raises[rank]",)),
+           (TEST_POSETS + "test_inexact_bareiss_division_raises[rank]",
+            TEST_POSETS + "test_inexact_bareiss_division_raises[bruhat update]",
+            TEST_POSETS + "test_inexact_bareiss_division_raises[bruhat scaling]")),
     # after a pivot of ±1, a multiplier of +1 subtracts the pivot row
     Mutant("rank-unit-update-adds-where-it-subtracts", CORE,
            "rest = map(sub, rest, tail)", "rest = map(add, rest, tail)",
            (TEST_CORE + "test_rank_matches_the_first_nonzero_pivot_oracle_on_seeded_matrices",
-            TEST_CORE + "test_rank_examples")),
+            TEST_CORE + "test_rank_examples",
+            TEST_POSETS + "test_bruhat_rank_profile_matches_literal_submatrices")),
+    # Bruhat pivoting takes the lowest pivotless row, so the pivots are the
+    # lower-left rank jumps
+    Mutant("bruhat-pivots-on-the-top-row", POSETS,
+           "range(len(free) - 1, -1, -1)", "range(len(free))",
+           (TEST_POSETS + "test_bruhat_rank_profile_matches_literal_submatrices",
+            TEST_POSETS + "test_memo_pivots_match_bareiss_on_catalog")),
     # the class generator keeps a child only when its canonical form is new
     Mutant("poset-classes-keep-every-child", POSETS,
            "                if code not in codes:\n", "                if True:\n",

@@ -409,10 +409,10 @@ def _break_ordering_sweep(defect, monkeypatch):
         return out
 
     def sweep_with(b):
-        out = sweep(b)
+        preimages, outcomes = sweep(b)
         if b[:3] == (1, 1, 2):
-            out.preimages[frozenset({(3, 1)})] += 1
-        return out
+            preimages[frozenset({(3, 1)})] += 1
+        return preimages, outcomes
 
     if defect in ("rook formula mismatch", "excedance/descent mismatch"):
         monkeypatch.setattr(parking, "_rearrangement_sweep", walk_with)

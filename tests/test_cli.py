@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from exactcomb import genfun, plactic, posets
+from exactcomb import core, genfun, plactic, posets
 from exactcomb.cli import main
 from exactcomb.posets import POSET_FILE_MAX_N
 
@@ -377,13 +377,17 @@ def test_budget_error_names_only_the_bound_exceeded(capsys, argv, message):
 
 
 def test_inexact_bareiss_division_exits_3(capsys, monkeypatch, tmp_path):
-    poset = tmp_path / "diamond.json"
-    poset.write_text(json.dumps({"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}))
-    monkeypatch.setattr(posets, "divmod", lambda a, b: (a // b, 1), raising=False)
-    code, out, err = run(capsys, "echelon", "map", "--poset", str(poset), "--sigma", "0,1,2,3")
+    # M3 with a new top: its Bruhat pivots are 1, -1, -1, 2, 1, -1, so the
+    # fifth column's step divides the last pivotless row by 2.  M3 alone
+    # has none left there.
+    poset = tmp_path / "m3_with_top.json"
+    poset.write_text(json.dumps({"n": 6, "covers": [
+        [0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4], [4, 5]]}))
+    monkeypatch.setattr(core, "divmod", lambda a, b: (a // b, 1), raising=False)
+    code, out, err = run(capsys, "echelon", "map", "--poset", str(poset), "--sigma", "0,1,2,3,4,5")
     assert code == 3 and out == ""
     assert err.splitlines() == [
-        "error: internal error: BareissDivisionError: Bareiss update must divide exactly"]
+        "error: internal error: BareissDivisionError: Bareiss division must be exact"]
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -178,9 +178,9 @@ def test_ordering_sweep_matches_oracles(n):
         # same counts, met in the same order, so a failure names the same pi
         assert list(_ordering_fibers(b).items()) == list(labelled.items()), b
         if n <= 5:
-            sweep = _ordering_sweep(b)
-            assert sweep.preimages == phi_preimages(b), b
-            assert sweep.outcomes == {
+            preimages, outcomes = _ordering_sweep(b)
+            assert preimages == phi_preimages(b), b
+            assert outcomes == {
                 w: park(tuple(b[v - 1] for v in w)).one_line for w in orderings}
 
 

@@ -51,6 +51,7 @@ from exactcomb.posets import (
     verify_dilworth,
     verify_echelon_theorem,
 )
+from test_core import _first_nonzero_rank
 
 B2_COVERS = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
@@ -245,18 +246,48 @@ def bruhat_rank_profile(m):
         for i in range(1, n + 1))
 
 
-def test_bruhat_rank_profile_matches_literal_submatrices():
+def test_bruhat_rank_profile_matches_literal_submatrices(monkeypatch):
+    # the literal ranks come from the first-nonzero Bareiss oracle of the
+    # rank tests, which shares no code with the row step of core.  Every
+    # pivot of u1 @ P @ u2 is a lower-left minor, so ±1; the nonsingular
+    # matrices with entries in [-3, 3] also reach larger previous pivots.
     rng = random.Random(9)
-    for _ in range(20):
-        n = rng.randrange(1, 6)
+    cases = []
+    for _ in range(40):
+        n = rng.randrange(1, 9)
         u1 = random_unit_upper_triangular(n, rng)
-        w = Permutation(rng.sample(range(1, n + 1), n)).to_matrix()
-        m = u1 @ w
-        profile = bruhat_rank_profile(m)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
+        u2 = random_unit_upper_triangular(n, rng)
+        w = Permutation(rng.sample(range(1, n + 1), n))
+        cases.append((w, u1 @ w.to_matrix() @ u2))
+    while len(cases) < 80:
+        n = rng.randrange(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if _first_nonzero_rank(rows) == n:
+            cases.append((None, IntMatrix(rows)))
+    seen = set()
+
+    def spy_map(fn, *iterables):
+        seen.add(fn.__name__)
+        return map(fn, *iterables)
+
+    def spy_divmod(a, b):
+        seen.add("divmod")
+        return divmod(a, b)
+
+    monkeypatch.setattr(core, "map", spy_map, raising=False)
+    monkeypatch.setattr(core, "divmod", spy_divmod, raising=False)
+    profiles = [bruhat_rank_profile(m) for _, m in cases]
+    monkeypatch.undo()
+    # the whole-row path after a pivot of ±1 and the checked division after
+    # any other pivot are both reached
+    assert {"mul", "sub", "add", "divmod"} <= seen
+    for (w, m), profile in zip(cases, profiles):
+        if w is not None:  # unit triangular factors keep the profile of w
+            assert profile == bruhat_rank_profile(w.to_matrix())
+        for i in range(1, m.rows + 1):
+            for j in range(1, m.rows + 1):
                 sub = [row[:j] for row in m.entries[i - 1:]]
-                assert profile[i - 1][j - 1] == int_matrix_rank(sub)
+                assert profile[i - 1][j - 1] == _first_nonzero_rank(sub)
 
 
 def test_bruhat_rejects_singular():
@@ -969,6 +1000,39 @@ def test_cover_transfer_fails_on_the_first_extension_of_each_natural_control(mon
     assert report.witness["extension"] == first
     assert verify_dilworth(lat).status == "counterexample"
 
+
+# The only natural inputs known on which cover transfer fails after the
+# first extension: two non-modular lattices on nine elements, with bottom 0
+# and top 1, that pass 5 and 8 extensions in lexicographic order first.
+# (covers, extensions, instances of the counterexample, failing extension)
+LATE_FAILING_TRANSFER_COVERS = [
+    ([(0, 2), (0, 3), (0, 4), (2, 8), (3, 6), (4, 5), (4, 7), (5, 1), (6, 7), (7, 1), (8, 1)],
+     189, 6, [0, 2, 3, 4, 6, 7, 5, 8, 1]),
+    ([(0, 2), (0, 3), (0, 4), (2, 7), (2, 8), (3, 6), (3, 8), (4, 5), (4, 6), (5, 7), (6, 1),
+      (7, 1), (8, 1)],
+     136, 9, [0, 2, 3, 4, 6, 8, 5, 7, 1]),
+]
+
+
+@pytest.mark.parametrize("covers, extensions, instances, failing", LATE_FAILING_TRANSFER_COVERS)
+def test_cover_transfer_fails_after_the_first_extension_on_two_natural_controls(
+        monkeypatch, covers, extensions, instances, failing):
+    lat = build_lattice(Poset.from_cover_pairs(9, covers))
+    p = lat.poset
+    assert not is_modular(lat)
+    assert len(_recursive_extension_orders(p)) == extensions
+    down_counts = [m.bit_count() for m in p.covers_down()]
+    up_counts = [m.bit_count() for m in p.covers_up()]
+    allowed = [sum(1 << y for y in range(9) if up_counts[y] == d) for d in down_counts]
+    assert posets._echelon_verdict(p, allowed, None) == (instances - 1, failing)
+    assert posets._confirmed_pivots(p, allowed, failing) == _bareiss_pivots(p, failing)
+    monkeypatch.setattr(posets, "modular_witness", lambda L: None)
+    report = verify_echelon_theorem(lat)
+    assert report == _bareiss_echelon_report(lat)
+    assert (report.instances, report.status) == (instances, "counterexample")
+    assert report.witness["extension"] == failing
+
+
 def test_modular_lattices_that_are_not_distributive_have_several_echelon_maps():
     # echelon independence (criterion 3's corollary) needs distributivity
     maps_by_kind = {True: [], False: []}
@@ -1305,14 +1369,19 @@ def test_modularity_cross_check_survives_python_O():
 
 
 def _inexact_divisions():
-    """(module, call, message) for each exact division of Bareiss elimination;
-    the call must raise once the module's divmod leaves a remainder."""
+    """The calls that reach a division by a previous pivot of 2 in
+    ``core.bareiss_step``, the one exact division of Bareiss elimination;
+    each must raise once ``core.divmod`` leaves a remainder."""
     return {
         # no pivot of ±1 in the first two columns, so the third row is
         # divided by the first pivot, 2
-        "rank": (core, lambda: int_matrix_rank([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), "division"),
-        "pivot update": (posets, lambda: bruhat_permutation(IntMatrix([[1, 1], [1, 0]])), "update"),
-        "pivot scaling": (posets, lambda: bruhat_permutation(IntMatrix([[0, 1], [2, 0]])), "scaling"),
+        "rank": lambda: int_matrix_rank([[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+        # the first pivot is the 2 at the bottom, and at the second column
+        # the top row is still pivotless: with a nonzero entry there in the
+        # first case, and with a zero one in the second, where the second
+        # pivot, 1, differs from the first, so the row is rescaled
+        "bruhat update": lambda: bruhat_permutation(IntMatrix([[1, 1, 0], [0, 1, 0], [2, 0, 1]])),
+        "bruhat scaling": lambda: bruhat_permutation(IntMatrix([[0, 0, 1], [1, 1, 0], [2, 1, 0]])),
     }
 
 
@@ -1322,10 +1391,10 @@ def _divmod_with_remainder(a, b):
 
 @pytest.mark.parametrize("case", sorted(_inexact_divisions()))
 def test_inexact_bareiss_division_raises(monkeypatch, case):
-    module, call, message = _inexact_divisions()[case]
+    call = _inexact_divisions()[case]
     call()  # exact with the real divmod
-    monkeypatch.setattr(module, "divmod", _divmod_with_remainder, raising=False)
-    with pytest.raises(BareissDivisionError, match=message):
+    monkeypatch.setattr(core, "divmod", _divmod_with_remainder, raising=False)
+    with pytest.raises(BareissDivisionError, match="Bareiss division must be exact"):
         call()
     assert issubclass(BareissDivisionError, RuntimeError)
     assert not issubclass(BareissDivisionError, ValueError)  # exit 3, not 2
@@ -1337,16 +1406,15 @@ def test_inexact_bareiss_division_raises_under_python_O():
         "import sys\n"
         "assert False, 'asserts are on'\n"
         "import test_posets\n"
-        "from exactcomb.core import BareissDivisionError\n"
-        "for case, (module, call, _) in test_posets._inexact_divisions().items():\n"
-        "    module.divmod = test_posets._divmod_with_remainder\n"
+        "from exactcomb import core\n"
+        "core.divmod = test_posets._divmod_with_remainder\n"
+        "for case, call in test_posets._inexact_divisions().items():\n"
         "    try:\n"
         "        call()\n"
-        "    except BareissDivisionError:\n"
+        "    except core.BareissDivisionError:\n"
         "        pass\n"
         "    else:\n"
         "        sys.exit(f'{case}: nothing raised')\n"
-        "    del module.divmod\n"
     )
     path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": path},
