@@ -298,7 +298,10 @@ def criterion_greene(max_len: int, alphabet: int) -> Report:
     For k beyond the word length both sides are frozen at the length, so
     checking k up to length + 1 decides all k.  The invariants come from
     the forward chain DP over the word trie; on words of length at most
-    GREENE_ORACLE_LEN they must also equal ``greene_oracle``.
+    GREENE_ORACLE_LEN they must also equal ``greene_oracle``.  Each word's
+    invariants are compared with the partial sums as whole tuples first;
+    the check for each k runs on a mismatch, to name the first k that
+    fails, and on the words the oracle checks.
     """
     name = "greene-invariants"
     instances = 0
@@ -309,6 +312,12 @@ def criterion_greene(max_len: int, alphabet: int) -> Report:
         if sum(lam) != len(w):
             return Report(name, instances, COUNTEREXAMPLE, {
                 "word": list(w), "defect": "shape size", "shape": list(lam)})
+        if len(w) > GREENE_ORACLE_LEN:
+            pad = (len(w),) * (len(w) + 1)
+            if (inc == (*itertools.accumulate(lam), *pad[len(lam):])
+                    and dec == (*itertools.accumulate(conj), *pad[len(conj):])):
+                instances += len(pad) * 2
+                continue
         for k in range(1, len(w) + 2):
             instances += 2
             if inc[k - 1] != sum(lam[:k]) or dec[k - 1] != sum(conj[:k]):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from collections.abc import Iterable, Iterator
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from operator import eq
 
 from .core import Word, as_word
@@ -210,61 +210,74 @@ def greene_sweep(alphabet: int,
     Yields (word, increasing, decreasing) depth first over the word trie,
     prefixes before extensions, where increasing[k - 1] (decreasing[k - 1])
     is the largest subword splittable into k weakly increasing (strictly
-    decreasing) chains, for k = 1..len(word) + 1.  The chain DP runs
-    forward: a state is the sorted tuple of chain ends, its value the most
-    letters placed so far in chains ending that way, and each word takes
-    one step (skip the letter, or append it to one chain) from its prefix's
-    states for every k and both modes.  Every letter is at least 1, so an
-    increasing chain ending at 1 takes the same letters as an empty one:
-    the moves record end 1 as the start value 0, and states with equal
-    futures merge under the max.  A word one letter short of max_len reads
-    its children's invariants off its own states, without stepping them.
-    Only the current path is held.  It shares nothing with row insertion.
-    ``greene_oracle`` is its oracle: a backward DP on one word that merges
-    chain ends by their suffix classes, the letters still to come that they
-    take; a test-only brute force over position sets checks that oracle.
+    decreasing) chains, for k = 1..len(word) + 1.  One chain DP per mode
+    serves every k.  It runs forward: a state is the sorted tuple of the
+    ends of the chains in use, its value the most letters placed so far in
+    chains ending that way, and each word takes one step from its prefix's
+    states: keep a state, append the letter to a chain that takes it, or
+    open a new chain at it.  The k-th invariant is the best value over
+    states of at most k chains, a running max by state length.  A word one
+    letter short of max_len reads its children's invariants off its own
+    states, without stepping them.  Only the current path is held.  It
+    shares nothing with row insertion.  ``greene_oracle`` is its oracle: a
+    backward DP on one word that merges chain ends by their suffix classes,
+    the letters still to come that they take; a test-only brute force over
+    position sets checks that oracle.
     """
     moves: dict[tuple[tuple[int, ...], int, bool], tuple[tuple[int, ...], ...]] = {}
 
     def step(states: dict[tuple[int, ...], int], a: int, increasing: bool) -> dict:
         out = dict(states)
-        end = 0 if increasing and a == 1 else a
         for state, count in states.items():
             key = (state, a, increasing)
             nexts = moves.get(key)
             if nexts is None:
-                nexts = moves[key] = tuple({
-                    tuple(sorted(state[:pos] + state[pos + 1:] + (end,)))
-                    for pos, last in enumerate(state)
-                    if ((last <= a) if increasing else (a < last))})
+                # the chains that take a are those ending at most a
+                # (increasing) or above a (decreasing), on either side of j
+                j = bisect_right(state, a)
+                taken = range(j) if increasing else range(j, len(state))
+                nexts = {state[:j] + (a,) + state[j:]}  # a opens a new chain
+                nexts.update(tuple(sorted(state[:pos] + (a,) + state[pos + 1:]))
+                             for pos in taken)
+                nexts = moves[key] = tuple(nexts)
             for nxt in nexts:
                 if out.get(nxt, -1) <= count:
                     out[nxt] = count + 1
         return out
 
-    def leaf(states: dict[tuple[int, ...], int], a: int, increasing: bool) -> int:
-        # the most letters after appending a: a chain takes it when the
-        # smallest end is at most a (increasing) or the largest is above a
-        if increasing:
-            return max(count + (state[0] <= a) for state, count in states.items())
-        return max(count + (a < state[-1]) for state, count in states.items())
+    def most(states: dict[tuple[int, ...], int], length: int) -> list[int]:
+        # most[k]: the most letters in at most k chains, for k = 0..length + 1
+        best = [0] * (length + 2)
+        for state, count in states.items():
+            if best[len(state)] < count:
+                best[len(state)] = count
+        return list(accumulate(best, max))
 
-    def rec(word: Word, inc: list[dict], dec: list[dict]) -> Iterator:
+    def leaf(states: dict[tuple[int, ...], int], fewer: list[int], a: int,
+             increasing: bool) -> tuple[int, ...]:
+        # k chains place a when one of them takes it, or when fewer are in
+        # use: fewer[k - 1] is the most letters in fewer than k chains
+        took = [0] * (len(fewer) + 1)
+        for state, count in states.items():
+            if state and (state[0] <= a if increasing else a < state[-1]):
+                count += 1
+            if took[len(state)] < count:
+                took[len(state)] = count
+        return tuple(max(below + 1, t) for below, t in zip(fewer, took[1:]))
+
+    def rec(word: Word, inc: dict, dec: dict) -> Iterator:
         n = len(word) + 1
-        yield (word, tuple(max(d.values()) for d in inc[:n]),
-               tuple(max(d.values()) for d in dec[:n]))
+        inc_most, dec_most = most(inc, len(word)), most(dec, len(word))
+        yield word, tuple(inc_most[1:]), tuple(dec_most[1:])
         if n == max_len:
             for a in range(1, alphabet + 1):
-                yield (word + (a,), tuple(leaf(d, a, True) for d in inc[:n + 1]),
-                       tuple(leaf(d, a, False) for d in dec[:n + 1]))
+                yield (word + (a,), leaf(inc, inc_most, a, True),
+                       leaf(dec, dec_most, a, False))
         elif n < max_len:
             for a in range(1, alphabet + 1):
-                yield from rec(word + (a,), [step(d, a, True) for d in inc],
-                               [step(d, a, False) for d in dec])
+                yield from rec(word + (a,), step(inc, a, True), step(dec, a, False))
 
-    # chain ends start below (increasing) or above (decreasing) every letter
-    ks = range(1, max_len + 2)
-    yield from rec((), [{(0,) * k: 0} for k in ks], [{(alphabet + 1,) * k: 0} for k in ks])
+    yield from rec((), {(): 0}, {(): 0})
     moves.clear()
 
 

@@ -186,7 +186,17 @@ MUTANTS = (
             TEST_PLACTIC + "test_greene_oracle_matches_brute_force_on_short_words")),
     # at the last letter an increasing chain takes a when its end is at most a
     Mutant("greene-sweep-leaf-needs-an-end-below-the-letter", PLACTIC,
-           "max(count + (state[0] <= a) for", "max(count + (state[0] < a) for",
+           "state[0] <= a", "state[0] < a",
+           (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
+            TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
+    # with k unbounded a letter may always open a chain of its own
+    Mutant("greene-sweep-never-opens-a-new-chain", PLACTIC,
+           "{state[:j] + (a,) + state[j:]}", "set()",
+           (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
+            TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
+    # at the last letter k chains place it when fewer than k are in use
+    Mutant("greene-sweep-leaf-opens-no-chain-below-k", PLACTIC,
+           "max(below + 1, t)", "max(below, t)",
            (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
             TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
     # the cars that park at free spot s prefer every spot from just above

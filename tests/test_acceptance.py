@@ -675,6 +675,26 @@ def test_broken_greene_sweep_fails_criterion_10(monkeypatch):
     assert r.witness["word"] == [2, 1, 3, 1, 2] and r.witness["k"] == 1
 
 
+def test_broken_decreasing_invariant_past_the_oracle_length_fails_criterion_10(monkeypatch):
+    # a word longer than GREENE_ORACLE_LEN is compared as a whole tuple
+    # first; on a mismatch the check for each k names the first k that fails
+    sweep = plactic.greene_sweep
+
+    def broken(alphabet, max_len):
+        for w, inc, dec in sweep(alphabet, max_len):
+            if w == (2, 1, 3, 1, 2):
+                dec = dec[:2] + (dec[2] + 1,) + dec[3:]
+            yield w, inc, dec
+
+    monkeypatch.setattr(plactic, "greene_sweep", broken)
+    assert len((2, 1, 3, 1, 2)) > acceptance.GREENE_ORACLE_LEN
+    r = acceptance.criterion_greene(max_len=5, alphabet=3)
+    # 2 (|w| + 1) instances for each of the 153 words before it in the
+    # trie's depth-first order, 1 670 in all, and two for each k <= 3
+    assert r == Report("greene-invariants", 1676, "counterexample", {
+        "word": [2, 1, 3, 1, 2], "k": 3, "increasing": 5, "decreasing": 6, "shape": [3, 2]})
+
+
 def test_tableau_of_the_wrong_size_fails_criterion_10(monkeypatch):
     rsk_P = plactic.rsk_P
     monkeypatch.setattr(plactic, "rsk_P", lambda w: rsk_P(tuple(w)[:-1]))

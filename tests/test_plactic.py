@@ -207,7 +207,7 @@ def test_greene_oracle_matches_brute_force_on_seeded_words(alphabet):
                 assert oracle == greene_brute(w, mode)[:4], (w, mode)
 
 
-@pytest.mark.parametrize("alphabet, max_len", [(3, 6), (4, 4)])
+@pytest.mark.parametrize("alphabet, max_len", [(3, 6), (4, 4), (2, 8), (5, 4)])
 def test_greene_sweep_matches_oracle(alphabet, max_len):
     swept = list(greene_sweep(alphabet, max_len))
     assert [w for w, _, _ in swept] == sorted(words(alphabet, max_len))
