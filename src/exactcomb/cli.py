@@ -30,18 +30,22 @@ def _ints(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
+def _distinct(items: list | tuple, flag: str, text: str) -> frozenset:
+    if len(set(items)) < len(items):
+        raise UsageError(f"{flag} names an entry twice, got {text!r}")
+    return frozenset(items)
+
+
 def _rooks(text: str) -> frozenset[tuple[int, int]]:
-    out = set()
-    if not text:
-        return frozenset()
-    for part in text.split(","):
+    pairs = []
+    for part in text.split(",") if text else ():
         try:
             row, col = part.split(":")
-            out.add((int(row), int(col)))
+            pairs.append((int(row), int(col)))
         except ValueError:
             raise UsageError(
                 f'--rooks expects "row:col" pairs like "1:3,2:6", got {part!r}') from None
-    return frozenset(out)
+    return _distinct(pairs, "--rooks", text)
 
 
 def _emit_reports(reports: list[Report], output: str) -> int:
@@ -77,7 +81,7 @@ def _cmd_parking_verify(args) -> int:
 def _cmd_parking_phi(args) -> int:
     b = _ints(args.b, "--b")
     w = Permutation(_ints(args.w, "--w"))
-    a_set = frozenset(_ints(args.A, "--A"))
+    a_set = _distinct(_ints(args.A, "--A"), "--A", args.A)
     rooks = sorted(parking.phi(b, w, a_set))
     return _emit_obj(
         {"b": list(b), "w": list(w.one_line), "A": sorted(a_set),

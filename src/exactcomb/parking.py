@@ -332,7 +332,7 @@ def excedance_polynomial(b: tuple[int, ...]) -> BiPoly:
     return total
 
 
-def _rearrangement_sweep(b: tuple[int, ...]) -> tuple[Counter, Counter]:
+def _rearrangement_sweep(b: tuple[int, ...]) -> tuple[Counter, Counter, tuple | None]:
     """The excedance and outcome-descent counts over the orderings of the
     content b, by one depth-first pass over its distinct rearrangements.
 
@@ -340,22 +340,25 @@ def _rearrangement_sweep(b: tuple[int, ...]) -> tuple[Counter, Counter]:
     labels share values give equal subtrees.  Each node takes one child per
     distinct remaining value p, weighted by how many labels still carry p;
     a rearrangement's weight is then the number of orderings giving it,
-    mu(b).  Car i takes the first free spot from p on, read off a bitmask
-    of free spots, and each node carries the excedances and the outcome
-    descents of its prefix.  The tests compare both counts with sweeps over
+    mu(b); the first leaf weighed otherwise comes back as (pi, weight).
+    Car i takes the first free spot from p on, read off a bitmask of free
+    spots, and each node carries the excedances and the outcome descents
+    of its prefix.  The tests compare both counts with sweeps over
     ``parking_stats`` and ``park``.
     """
     n = len(b)
     if n < 2:  # one ordering, with no excedance and no descent
-        return Counter({0: 1}), Counter({0: 1})
+        return Counter({0: 1}), Counter({0: 1}), None
     left = [[p, b.count(p)] for p in sorted(set(b))]  # value, labels still carrying it
     exced: Counter = Counter()
     descents: Counter = Counter()
+    expected, path, bad = mu(b), [0] * (n - 1), []  # path: the values of cars 1..n-1
 
     def rec(i: int, free: int, last: int, weight: int, exc: int, des: int) -> None:
         for cell in left:
             p, m = cell
             if m:
+                path[i - 1] = p
                 above = free >> p << p
                 bit = above & -above  # the first free spot >= p
                 s = bit.bit_length() - 1
@@ -368,15 +371,11 @@ def _rearrangement_sweep(b: tuple[int, ...]) -> tuple[Counter, Counter]:
                     final = (free ^ bit).bit_length() - 1
                     exced[exc + (p > i)] += w
                     descents[des + (last > s) + (s > final)] += w
+                    if w != expected and not bad:  # car n carries the value left over
+                        bad.append(((*path, sum(b) - sum(path)), w))
 
     rec(1, (1 << n + 1) - 2, 0, 1, 0, 0)  # free spots 1..n; spot 0 makes no descent
-    return exced, descents
-
-
-def _ordering_fibers(b: tuple[int, ...]) -> Counter:
-    """Parking function -> orderings of the content b giving it, met in
-    ``itertools.permutations`` order."""
-    return Counter(itertools.permutations(b))
+    return exced, descents, bad[0] if bad else None
 
 
 def _ordering_sweep(b: tuple[int, ...]) -> tuple[Counter, dict]:
@@ -407,7 +406,7 @@ def _ordering_sweep(b: tuple[int, ...]) -> tuple[Counter, dict]:
 def _content_report_row(b: tuple[int, ...]) -> dict | None:
     """Check one content; None when clean, else a witness dict."""
     n = len(b)
-    exced, descents = _rearrangement_sweep(b)
+    exced, descents, bad_leaf = _rearrangement_sweep(b)
     direct = BiPoly({(0, e): c for e, c in exced.items()})
     via_rooks = excedance_polynomial(b)
     descent_side = BiPoly({(0, e): c for e, c in descents.items()})
@@ -418,13 +417,10 @@ def _content_report_row(b: tuple[int, ...]) -> dict | None:
         return {"b": list(b), "defect": "excedance/descent mismatch",
                 "excedance": direct.to_json_terms(), "descent": descent_side.to_json_terms()}
 
-    # fiber size of the ordering map: every parking function with content b
-    # arises from exactly mu(b) orderings
-    expected_mu = mu(b)
-    for prefs, count in _ordering_fibers(b).items():
-        if count != expected_mu:
-            return {"b": list(b), "defect": "mu fiber mismatch",
-                    "pi": list(prefs), "count": count, "mu": expected_mu}
+    # fiber size of the ordering map: the walk weighs each leaf by mu(b)
+    if bad_leaf is not None:
+        return {"b": list(b), "defect": "mu fiber mismatch",
+                "pi": list(bad_leaf[0]), "count": bad_leaf[1], "mu": mu(b)}
 
     if n > FIBER_CHECK_LIMIT:
         return None
@@ -469,9 +465,9 @@ def verify_fixed_content(n: int) -> Report:
     For every content b of length n: the excedance polynomial over
     orderings, counted by the weighted walk over the distinct
     rearrangements of b (``_rearrangement_sweep``), must equal the rook
-    formula and the outcome-descent polynomial of the same walk, and each
-    parking function in the class must arise from exactly mu(b) orderings,
-    counted over ``itertools.permutations(b)``.  For n <= FIBER_CHECK_LIMIT
+    formula and the outcome-descent polynomial of the same walk, and the
+    walk must weigh each parking function in the class by mu(b), the
+    number of orderings giving it.  For n <= FIBER_CHECK_LIMIT
     a loop that parks each labelled ordering with ``park``
     (``_ordering_sweep``) additionally checks that the descent-side map has
     (n-k)!-sized preimages on every k-rook placement, and round-trips the

@@ -64,6 +64,13 @@ MUTANTS = (
            "passed += size\n", "passed += size - 1\n",
            (TEST_POSETS + "test_memo_pivots_match_bareiss_on_catalog",
             TEST_POSETS + "test_the_walk_merges_gf2_at_the_battery_cap")),
+    # row k's pivot lies past pending column i iff R(k+1, i+1) counts every
+    # pending column up to i, so the scan reads the rank after column i
+    Mutant("walk-pending-scan-reads-the-rank-one-column-early", POSETS,
+           "rank[lower_rows | placed[i + 1]] == m.bit_count()",
+           "rank[lower_rows | placed[i]] == m.bit_count()",
+           (TEST_POSETS + "test_merged_walk_matches_bareiss_on_every_union_of_echelon_maps_less_one_pair",
+            TEST_POSETS + "test_memo_pivots_match_bareiss_on_catalog")),
     # two distinct nonzero 0/1 rows are independent; three need not be
     Mutant("zeta-rank-count-up-to-four-rows", POSETS,
            "if len(distinct) < 3:", "if len(distinct) < 5:",
@@ -85,7 +92,8 @@ MUTANTS = (
     Mutant("matmul-row-combination-drops-the-coefficient", CORE,
            "term = b_row if v == 1 else map(mul, b_row, repeat(v))", "term = b_row",
            (TEST_CORE + "test_matrix_product_matches_a_triple_loop",)),
-    # criterion 5 runs the bijection and fibre checks through n = 5
+    # criterion 5 runs the bijection and preimage checks through n = 5; the
+    # mu check reads the walk's leaf weights at every n
     Mutant("criterion-05-fibres-only-to-n-4", PARKING,
            "FIBER_CHECK_LIMIT = 5", "FIBER_CHECK_LIMIT = 4",
            (TEST_PARKING + "test_fixed_content_round_trips_every_placement_through_n_5[5]",)),
@@ -95,6 +103,11 @@ MUTANTS = (
            "w = weight * m", "w = weight",
            (TEST_PARKING + "test_ordering_sweep_matches_oracles[2]",
             TEST_PARKING + "test_rearrangement_sweep_matches_rook_formula_at_n_7")),
+    # the walk compares each leaf's weight with mu(b) and reports the first
+    # leaf that differs
+    Mutant("rearrangement-walk-skips-the-leaf-weight-check", PARKING,
+           "if w != expected and not bad:", "if False:",
+           (TEST_PARKING + "test_the_walk_reports_its_first_leaf_whose_weight_is_not_mu",)),
     # the rook of an outcome descent at j sits in row outcome(j + 1)
     Mutant("ordering-sweep-rook-in-the-wrong-row", PARKING,
            "rook = (sigma[j], w[j - 1])", "rook = (sigma[j - 1], w[j - 1])",
@@ -189,6 +202,11 @@ MUTANTS = (
            "state[0] <= a", "state[0] < a",
            (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
             TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
+    # a letter may extend any chain that takes it, not only open a new one
+    Mutant("greene-sweep-never-extends-a-chain", PLACTIC,
+           "nexts.update(", "set().update(",
+           (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
+            TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
     # with k unbounded a letter may always open a chain of its own
     Mutant("greene-sweep-never-opens-a-new-chain", PLACTIC,
            "{state[:j] + (a,) + state[j:]}", "set()",
@@ -205,6 +223,15 @@ MUTANTS = (
            "for p in range(below + 1, s + 1):", "for p in range(below + 1, s):",
            (TEST_GENFUN + "test_parking_sweep_matches_filtered_oracle",
             TEST_GENFUN + "test_parking_dp_matches_depth_first_oracle")),
+    # a packed tree level whose bound N_k needs more bits than a slot holds
+    # is refused before it is built
+    Mutant("tree-packing-skips-the-slot-bound-guard", GENFUN,
+           "if _TREE_COUNTS[k] >> bits:", "if False:",
+           (TEST_GENFUN + "test_bound_guard_refuses_a_level_that_cannot_fit",)),
+    # and a slot that carried is caught by the coefficient sum
+    Mutant("tree-unpacking-skips-the-coefficient-sum-guard", GENFUN,
+           "if sum(terms.values()) != _TREE_COUNTS[n]:", "if False:",
+           (TEST_GENFUN + "test_a_slot_carry_trips_the_coefficient_sum_guard",)),
     # the largest letter may not go directly before a descent, wherever it is
     Mutant("simsun-walk-allows-the-largest-letter-before-the-last-descent", GENFUN,
            "if p < end - 1 and word[p] > word[p + 1]:",

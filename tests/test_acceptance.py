@@ -390,23 +390,19 @@ def test_perturbation_on_one_side_fails_criterion_04(monkeypatch, side, factor, 
 def _break_ordering_sweep(defect, monkeypatch):
     """Patch one kernel of the fixed-content check so that exactly the
     check named by ``defect`` fails."""
-    walk, fibers, sweep = (parking._rearrangement_sweep, parking._ordering_fibers,
-                           parking._ordering_sweep)
+    walk, sweep = parking._rearrangement_sweep, parking._ordering_sweep
     insert, delete = parking._insert_columns, parking._delete_columns
 
     def walk_with(b):
-        exced, descents = walk(b)
+        exced, descents, bad_leaf = walk(b)
         if b[:3] == (1, 1, 2):
-            moved = exced if defect == "rook formula mismatch" else descents
-            moved[0] -= 1
-            moved[1] += 1
-        return exced, descents
-
-    def fibers_with(b):
-        out = fibers(b)
-        if b[:3] == (1, 1, 2):
-            out[b] += 1
-        return out
+            if defect == "mu fiber mismatch":
+                bad_leaf = (b, parking.mu(b) + 1)
+            else:
+                moved = exced if defect == "rook formula mismatch" else descents
+                moved[0] -= 1
+                moved[1] += 1
+        return exced, descents, bad_leaf
 
     def sweep_with(b):
         preimages, outcomes = sweep(b)
@@ -414,10 +410,8 @@ def _break_ordering_sweep(defect, monkeypatch):
             preimages[frozenset({(3, 1)})] += 1
         return preimages, outcomes
 
-    if defect in ("rook formula mismatch", "excedance/descent mismatch"):
+    if defect in ("rook formula mismatch", "excedance/descent mismatch", "mu fiber mismatch"):
         monkeypatch.setattr(parking, "_rearrangement_sweep", walk_with)
-    elif defect == "mu fiber mismatch":
-        monkeypatch.setattr(parking, "_ordering_fibers", fibers_with)
     elif defect == "phi is not a placement on the board":
         monkeypatch.setattr(parking, "_ordering_sweep", sweep_with)
     elif defect == "inserted positions are not outcome descents":

@@ -116,6 +116,17 @@ def test_phi_names_a_bad_content_as_insert_does(capsys):
         assert err == "error: (1, 3) is not a parking content\n", argv
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (("insert", "--rooks", "1:3,2:6,1:3", "--u0", "2,4,5,1"), "--rooks", "1:3,2:6,1:3"),
+    (("phi", "--w", "6,3,2,5,4,1", "--A", "1,2,1"), "--A", "1,2,1"),
+])
+def test_a_repeated_rook_or_descent_is_a_usage_error(capsys, argv, flag, text):
+    # a set given twice an entry is refused, not silently merged
+    code, out, err = run(capsys, "parking", argv[0], "--b", "1,1,2,4,5,6", *argv[1:])
+    assert code == 2 and not out
+    assert err.splitlines() == [f"error: {flag} names an entry twice, got {text!r}"]
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["plactic", "p", "--wort", "1"])

@@ -264,6 +264,17 @@ def test_parking_poly():
         parking_poly(2, "area")
 
 
+def test_excedances_and_inverse_outcome_descents_part_from_n_4():
+    # a natural near-miss for part 2: the inverse outcome's descents share
+    # the cosum marginal with the excedances, but not the joint polynomial
+    # nor the excedance marginal, at every n from 4 to 7
+    for n in range(8):
+        exced, inverse = parking_poly(n, "exced"), parking_poly(n, "des-oc-inv")
+        assert exced.subs_t(1) == inverse.subs_t(1), n
+        assert (exced == inverse) == (n <= 3), n
+        assert (exced.subs_q(1) == inverse.subs_q(1)) == (n <= 3), n
+
+
 def _filtered_parking_sweep(n):
     """(exced, des of outcome, des of inverse outcome) by filtering [n]^n."""
     acc = [Counter(), Counter(), Counter()]

@@ -14,7 +14,6 @@ from exactcomb.parking import (
     BijectionCheckError,
     Board,
     ParkingFailure,
-    _ordering_fibers,
     _ordering_sweep,
     _rearrangement_sweep,
     excedance_polynomial,
@@ -169,14 +168,16 @@ def test_excedance_equals_rook_formula_all_small_contents():
 def test_ordering_sweep_matches_oracles(n):
     orderings = list(itertools.permutations(range(1, n + 1)))
     for b in parking_contents(n):
-        exced, descents = _rearrangement_sweep(b)
+        exced, descents, bad_leaf = _rearrangement_sweep(b)
         assert BiPoly({(0, e): c for e, c in exced.items()}) \
             == direct_excedance_polynomial(b), b
         assert BiPoly({(0, e): c for e, c in descents.items()}) \
             == outcome_descent_polynomial(b), b
+        # the labelled orderings' own count: every parking function with
+        # content b arises from mu(b) of them, and the walk weighs it so
         labelled = Counter(tuple(b[v - 1] for v in w) for w in orderings)
-        # same counts, met in the same order, so a failure names the same pi
-        assert list(_ordering_fibers(b).items()) == list(labelled.items()), b
+        assert set(labelled.values()) == {mu(b)}, b
+        assert bad_leaf is None, b
         if n <= 5:
             preimages, outcomes = _ordering_sweep(b)
             assert preimages == phi_preimages(b), b
@@ -184,10 +185,22 @@ def test_ordering_sweep_matches_oracles(n):
                 w: park(tuple(b[v - 1] for v in w)).one_line for w in orderings}
 
 
+def test_the_walk_reports_its_first_leaf_whose_weight_is_not_mu(monkeypatch):
+    true_mu = mu
+    monkeypatch.setattr(parking, "mu", lambda b: true_mu(b) + 1)
+    for b in (WORKED_B, (1, 1, 1), (1, 2, 3)):
+        assert _rearrangement_sweep(b)[2] == (b, true_mu(b)), b  # the first leaf is b
+    r = parking.verify_fixed_content(3)
+    assert r.status == "counterexample" and r.instances == 1
+    assert r.witness == {"b": [1, 1, 1], "defect": "mu fiber mismatch",
+                         "pi": [1, 1, 1], "count": 6, "mu": 7}
+
+
 def test_rearrangement_sweep_matches_rook_formula_at_n_7():
     # beyond the brute-force oracles: contents with up to seven equal values
     for b in parking_contents(7):
-        exced, descents = _rearrangement_sweep(b)
+        exced, descents, bad_leaf = _rearrangement_sweep(b)
+        assert bad_leaf is None, b
         via_rooks = excedance_polynomial(b)
         assert BiPoly({(0, e): c for e, c in exced.items()}) == via_rooks, b
         assert BiPoly({(0, e): c for e, c in descents.items()}) == via_rooks, b
