@@ -301,12 +301,19 @@ def criterion_greene(max_len: int, alphabet: int) -> Report:
     GREENE_ORACLE_LEN they must also equal ``greene_oracle``.  Each word's
     invariants are compared with the partial sums as whole tuples first;
     the check for each k runs on a mismatch, to name the first k that
-    fails, and on the words the oracle checks.
+    fails, and on the words the oracle checks.  P(w) is built along the
+    sweep's trie, one row insertion per word: the sweep runs depth first,
+    prefixes before extensions, so the last word it yielded one letter
+    shorter than w is w[:-1].
     """
     name = "greene-invariants"
     instances = 0
+    path = [()]  # path[j]: the rows of P(w[:j]) for the word w last yielded
     for w, inc, dec in plactic.greene_sweep(alphabet, max_len):
-        t = plactic.rsk_P(w)
+        if w:
+            del path[len(w):]
+            path.append(plactic._insert_letter(path[-1], w[-1]))
+        t = plactic.Tableau._unchecked(path[-1])
         lam = t.shape()
         conj = t.conjugate_shape()
         if sum(lam) != len(w):

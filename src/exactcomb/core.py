@@ -17,8 +17,8 @@ Word = tuple[int, ...]
 
 def as_word(letters: Iterable[int]) -> Word:
     """Validate and freeze a word, i.e. a finite sequence of letters >= 1."""
-    w = tuple(int(x) for x in letters)
-    if any(x < 1 for x in w):
+    w = tuple(map(int, letters))
+    if w and min(w) < 1:
         raise ValueError(f"word letters must be positive integers: {w!r}")
     return w
 
@@ -39,7 +39,7 @@ class Permutation:
     __slots__ = ("one_line",)
 
     def __init__(self, values: Iterable[int]):
-        word = tuple(int(v) for v in values)
+        word = tuple(map(int, values))
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of [{len(word)}]: {word!r}")
         self.one_line = word
@@ -278,7 +278,7 @@ class IntMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows in matrix")
         self.entries = rows

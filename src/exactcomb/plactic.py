@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, compress, count
-from operator import eq
+from operator import eq, getitem
 
 from .core import Word, as_word
 from .report import COUNTEREXAMPLE, VERIFIED, Report
@@ -55,7 +55,7 @@ class Tableau:
         return t
 
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
+        return tuple(map(len, self.rows))
 
     def conjugate_shape(self) -> tuple[int, ...]:
         shape = self.shape()
@@ -64,7 +64,7 @@ class Tableau:
         return tuple(sum(1 for ln in shape if ln >= c + 1) for c in range(shape[0]))
 
     def size(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def max_entry(self) -> int:
         return max((r[-1] for r in self.rows), default=0)
@@ -135,15 +135,18 @@ def greene_oracle(word: Iterable[int], k: int, mode: str = "increasing") -> int:
     result must match partial sums of the shape (or conjugate shape) of the
     insertion tableau, which is exactly what the tests compare.
 
-    The DP runs backward over (position, sorted chain ends) and tries every
-    choice: skip the letter, or append it to any chain that takes it.
+    The DP runs forward over the positions and holds one layer: the sorted
+    ends of k chains, padded with empty ones, mapped to the most letters
+    placed in chains ending that way.  At each letter a state either stays,
+    or appends the letter to one of its distinct ends that takes it.
     Before position i each end stands for its class with respect to the
     letters still to come, word[i:]: an increasing end e becomes the least
     such letter at least e (top, past every letter, when there is none), a
     decreasing end 1 + the largest such letter below e (0 when there is
     none).  Two ends of one class take exactly the same future letters, so
-    their states merge.  The class maps are nondecreasing, so they keep a
-    state sorted.  It shares nothing with ``greene_sweep`` or row insertion.
+    their states merge and keep the better count.  The class maps are
+    nondecreasing, so they keep a state sorted.  It shares nothing with
+    ``greene_sweep`` or row insertion.
     """
     word = as_word(word)
     if len(word) > GREENE_WORD_LIMIT:
@@ -175,32 +178,84 @@ def greene_oracle(word: Iterable[int], k: int, mode: str = "increasing") -> int:
                 if present[e]:
                     cls = e + 1
         classes[i] = row
-    memos: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
-
-    def best(i: int, state: tuple[int, ...]) -> int:
-        if i == n:
-            return 0
-        memo = memos[i]
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        a = word[i]
-        after = classes[i + 1]
-        ends = [after[e] for e in state]
-        value = best(i + 1, tuple(ends))
+    layer = {(classes[0][0 if increasing else top],) * k: 0}
+    for a, after in zip(word, classes[1:]):
         new = after[a]
-        last = None
-        for pos, e in enumerate(state):
-            if e != last and (e <= a if increasing else a < e):
-                rest = ends[:pos] + ends[pos + 1:]
-                insort(rest, new)
-                value = max(value, 1 + best(i + 1, tuple(rest)))
-            last = e
-        memo[state] = value
-        return value
+        out: dict[tuple[int, ...], int] = {}
+        for state, placed in layer.items():
+            ends = [after[e] for e in state]
+            kept = tuple(ends)
+            if out.get(kept, -1) < placed:
+                out[kept] = placed
+            placed += 1  # the moves below place the letter
+            last = None
+            for pos, e in enumerate(state):
+                if e != last and (e <= a if increasing else a < e):
+                    rest = ends[:pos] + ends[pos + 1:]
+                    insort(rest, new)
+                    rest = tuple(rest)
+                    if out.get(rest, -1) < placed:
+                        out[rest] = placed
+                last = e
+        layer = out
+    return max(layer.values())
 
-    start = classes[0][0 if increasing else top]
-    return best(0, (start,) * k)
+
+def _chain_step(states: dict[tuple[int, ...], int], a: int, increasing: bool,
+                moves: dict) -> dict[tuple[int, ...], int]:
+    """The chain states of w a from those of w, for ``greene_sweep``: each
+    state is kept, a is appended to a chain that takes it, or a opens a new
+    chain.  ``moves`` caches the successors of each (state, a, increasing)."""
+    out = dict(states)
+    for state, count in states.items():
+        key = (state, a, increasing)
+        nexts = moves.get(key)
+        if nexts is None:
+            # the chains that take a are those ending at most a
+            # (increasing) or above a (decreasing), on either side of j
+            j = bisect_right(state, a)
+            taken = range(j) if increasing else range(j, len(state))
+            nexts = {state[:j] + (a,) + state[j:]}  # a opens a new chain
+            nexts.update(tuple(sorted(state[:pos] + (a,) + state[pos + 1:]))
+                         for pos in taken)
+            nexts = moves[key] = tuple(nexts)
+        for nxt in nexts:
+            if out.get(nxt, -1) <= count:
+                out[nxt] = count + 1
+    return out
+
+
+def _chain_tally(states: dict[tuple[int, ...], int], length: int,
+                 increasing: bool) -> tuple[list[int], list[int]]:
+    """One pass over the chain states of a word of the given length: for
+    each number of chains c = 0..length + 2, the most letters in a state of
+    c chains, and, among the states that reach it, the lowest first end
+    (increasing) or the highest last end (decreasing).  The counts of the
+    missing lengths are 0, and so are their ends."""
+    best = [0] * (length + 3)
+    ends = [0] * (length + 3)
+    for state, count in states.items():
+        if state:
+            c = len(state)
+            end = state[0] if increasing else state[-1]
+            # a state of c chains holds at least c letters, so the first
+            # state of c chains always replaces the 0s
+            if count > best[c] or count == best[c] and (
+                    end < ends[c] if increasing else end > ends[c]):
+                best[c], ends[c] = count, end
+    return best, ends
+
+
+def _leaf_choices(most: list[int], best: list[int]) -> list[tuple[int, int]]:
+    """For k = 1..len(w) + 2, the k-th invariant of a child w a when no
+    best state of k chains of w has a chain that takes a, and when one
+    does, from the tally ``best`` of the states of w and its running max
+    ``most``.  k chains place a when one of them takes it, or when fewer
+    than k chains are in use: most[k - 1] is the most letters in fewer than
+    k chains.  A state one letter short of the best gives at most the best,
+    with or without a."""
+    return [(max(below + 1, count), max(below + 1, count + 1))
+            for below, count in zip(most, best[1:])]
 
 
 def greene_sweep(alphabet: int,
@@ -217,65 +272,40 @@ def greene_sweep(alphabet: int,
     states: keep a state, append the letter to a chain that takes it, or
     open a new chain at it.  The k-th invariant is the best value over
     states of at most k chains, a running max by state length.  A word one
-    letter short of max_len reads its children's invariants off its own
-    states, without stepping them.  Only the current path is held.  It
-    shares nothing with row insertion.  ``greene_oracle`` is its oracle: a
-    backward DP on one word that merges chain ends by their suffix classes,
-    the letters still to come that they take; a test-only brute force over
-    position sets checks that oracle.
+    letter short of max_len reads its children's invariants off one pass
+    over its own states, without stepping them: per state length, the best
+    value and, among the states that reach it, the lowest first end
+    (increasing) or the highest last end (decreasing), which decides
+    whether one of them takes the letter.  Only the current path is held.
+    It shares nothing with row insertion.  ``greene_oracle`` is its oracle:
+    a DP forward over the positions of one word that pads to k chains and
+    merges chain ends by their suffix classes, the letters still to come
+    that they take; a test-only brute force over position sets checks that
+    oracle.
     """
     moves: dict[tuple[tuple[int, ...], int, bool], tuple[tuple[int, ...], ...]] = {}
 
-    def step(states: dict[tuple[int, ...], int], a: int, increasing: bool) -> dict:
-        out = dict(states)
-        for state, count in states.items():
-            key = (state, a, increasing)
-            nexts = moves.get(key)
-            if nexts is None:
-                # the chains that take a are those ending at most a
-                # (increasing) or above a (decreasing), on either side of j
-                j = bisect_right(state, a)
-                taken = range(j) if increasing else range(j, len(state))
-                nexts = {state[:j] + (a,) + state[j:]}  # a opens a new chain
-                nexts.update(tuple(sorted(state[:pos] + (a,) + state[pos + 1:]))
-                             for pos in taken)
-                nexts = moves[key] = tuple(nexts)
-            for nxt in nexts:
-                if out.get(nxt, -1) <= count:
-                    out[nxt] = count + 1
-        return out
-
-    def most(states: dict[tuple[int, ...], int], length: int) -> list[int]:
-        # most[k]: the most letters in at most k chains, for k = 0..length + 1
-        best = [0] * (length + 2)
-        for state, count in states.items():
-            if best[len(state)] < count:
-                best[len(state)] = count
-        return list(accumulate(best, max))
-
-    def leaf(states: dict[tuple[int, ...], int], fewer: list[int], a: int,
-             increasing: bool) -> tuple[int, ...]:
-        # k chains place a when one of them takes it, or when fewer are in
-        # use: fewer[k - 1] is the most letters in fewer than k chains
-        took = [0] * (len(fewer) + 1)
-        for state, count in states.items():
-            if state and (state[0] <= a if increasing else a < state[-1]):
-                count += 1
-            if took[len(state)] < count:
-                took[len(state)] = count
-        return tuple(max(below + 1, t) for below, t in zip(fewer, took[1:]))
-
     def rec(word: Word, inc: dict, dec: dict) -> Iterator:
         n = len(word) + 1
-        inc_most, dec_most = most(inc, len(word)), most(dec, len(word))
-        yield word, tuple(inc_most[1:]), tuple(dec_most[1:])
+        inc_best, inc_ends = _chain_tally(inc, len(word), True)
+        dec_best, dec_ends = _chain_tally(dec, len(word), False)
+        # most[k]: the most letters in at most k chains, for k = 0..len(word) + 2
+        inc_most, dec_most = list(accumulate(inc_best, max)), list(accumulate(dec_best, max))
+        yield word, tuple(inc_most[1:-1]), tuple(dec_most[1:-1])
         if n == max_len:
+            inc_choices = _leaf_choices(inc_most, inc_best)
+            dec_choices = _leaf_choices(dec_most, dec_best)
+            inc_ends, dec_ends = inc_ends[1:], dec_ends[1:]
             for a in range(1, alphabet + 1):
-                yield (word + (a,), leaf(inc, inc_most, a, True),
-                       leaf(dec, dec_most, a, False))
+                # a best state of k chains takes a when its kept end is at
+                # most a (increasing) or above a (decreasing); the bool
+                # picks the choice
+                yield (word + (a,), tuple(map(getitem, inc_choices, map(a.__ge__, inc_ends))),
+                       tuple(map(getitem, dec_choices, map(a.__lt__, dec_ends))))
         elif n < max_len:
             for a in range(1, alphabet + 1):
-                yield from rec(word + (a,), step(inc, a, True), step(dec, a, False))
+                yield from rec(word + (a,), _chain_step(inc, a, True, moves),
+                               _chain_step(dec, a, False, moves))
 
     yield from rec((), {(): 0}, {(): 0})
     moves.clear()
@@ -295,11 +325,16 @@ def reverse_complement(word: Iterable[int], m: int) -> Word:
 def evacuation(t: Tableau, m: int) -> Tableau:
     """Insertion tableau of the reverse complement of the row word.
 
-    It preserves shape, a theorem that ``tau`` checks on every use.
+    The entries of a tableau are positive, and at most m once checked, so
+    the reverse complement of its row word is inserted as it is, without
+    validating it again as a word.  It preserves shape, a theorem that
+    ``tau`` checks on every use.
     """
     if t.max_entry() > m:
         raise ValueError(f"entries must be at most {m}")
-    return rsk_P(reverse_complement(t.row_word(), m))
+    rows: list[list[int]] = []
+    _insert_word(rows, [m + 1 - a for a in reversed(t.row_word())])
+    return Tableau._unchecked(tuple(map(tuple, rows)))
 
 
 def tau(t: Tableau, m: int, evacuations: dict | None = None) -> Tableau:

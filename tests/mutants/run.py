@@ -197,11 +197,22 @@ MUTANTS = (
            "                    cls = e + 1\n", "                    cls = e\n",
            (TEST_PLACTIC + "test_greene_oracle",
             TEST_PLACTIC + "test_greene_oracle_matches_brute_force_on_short_words")),
+    # the oracle's layer keeps every state the letter is not appended to
+    Mutant("greene-oracle-forward-drops-the-keep-move", PLACTIC,
+           "                out[kept] = placed\n", "                pass\n",
+           (TEST_PLACTIC + "test_greene_oracle",
+            TEST_PLACTIC + "test_greene_oracle_matches_brute_force_on_short_words")),
     # at the last letter an increasing chain takes a when its end is at most a
     Mutant("greene-sweep-leaf-needs-an-end-below-the-letter", PLACTIC,
-           "state[0] <= a", "state[0] < a",
+           "map(a.__ge__, inc_ends)", "map(a.__gt__, inc_ends)",
            (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
             TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
+    # among the best states of one length the leaf tally keeps the end most
+    # apt to take a letter: the lowest first end of increasing chains
+    Mutant("greene-leaf-summary-keeps-the-wrong-end-on-a-tie", PLACTIC,
+           "end < ends[c] if increasing", "end > ends[c] if increasing",
+           (TEST_PLACTIC + "test_leaf_tally_matches_the_scan_over_states[3-6]",
+            TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]")),
     # a letter may extend any chain that takes it, not only open a new one
     Mutant("greene-sweep-never-extends-a-chain", PLACTIC,
            "nexts.update(", "set().update(",
@@ -214,7 +225,8 @@ MUTANTS = (
             TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
     # at the last letter k chains place it when fewer than k are in use
     Mutant("greene-sweep-leaf-opens-no-chain-below-k", PLACTIC,
-           "max(below + 1, t)", "max(below, t)",
+           "max(below + 1, count), max(below + 1, count + 1)",
+           "max(below, count), max(below, count + 1)",
            (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
             TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
     # the cars that park at free spot s prefer every spot from just above

@@ -67,6 +67,43 @@ def test_word_validation():
         as_word([0, 1])
 
 
+def _built(make, value):
+    """What make(value) gives: its ints and their types, or the class and
+    message of the error it raises."""
+    try:
+        built = make(value)
+    except (TypeError, ValueError) as e:
+        return type(e).__name__, str(e)
+    if isinstance(built, IntMatrix):
+        return built.entries, [list(map(type, row)) for row in built.entries]
+    ints = built.one_line if isinstance(built, Permutation) else built
+    return ints, list(map(type, ints))
+
+
+@pytest.mark.parametrize("make, value, expected", [
+    (as_word, (), ((), [])),
+    (as_word, (True, 2.0, "3"), ((1, 2, 3), [int] * 3)),
+    (as_word, (2, 0), ("ValueError", "word letters must be positive integers: (2, 0)")),
+    (as_word, (-1,), ("ValueError", "word letters must be positive integers: (-1,)")),
+    (as_word, ("x",), ("ValueError", "invalid literal for int() with base 10: 'x'")),
+    (Permutation, (), ((), [])),
+    (Permutation, ("3", True, 2.0), ((3, 1, 2), [int] * 3)),
+    (Permutation, (0, 1), ("ValueError", "not a permutation of [2]: (0, 1)")),
+    (Permutation, (-1, 1), ("ValueError", "not a permutation of [2]: (-1, 1)")),
+    (Permutation, (True, True), ("ValueError", "not a permutation of [2]: (1, 1)")),
+    (IntMatrix, (), ((), [])),
+    (IntMatrix, ((),), (((),), [[]])),
+    (IntMatrix, ((0, -1), (True, 2.0), ("3", -0)), (((0, -1), (1, 2), (3, 0)), [[int] * 2] * 3)),
+    (IntMatrix, ((1, 2), (3,)), ("ValueError", "ragged rows in matrix")),
+    (IntMatrix, ((1,), ()), ("ValueError", "ragged rows in matrix")),
+    (IntMatrix, ((1,), 2), ("TypeError", "'int' object is not iterable")),
+])
+def test_words_permutations_and_matrices_accept_and_refuse_alike(make, value, expected):
+    # the validating constructors convert with int: bools and floats of
+    # integral value and numeric strings are accepted as their ints
+    assert _built(make, value) == expected
+
+
 # -- polynomials --------------------------------------------------------------
 
 

@@ -218,6 +218,48 @@ def test_greene_sweep_matches_oracle(alphabet, max_len):
             assert dec[k - 1] == greene_oracle(w, k, "decreasing"), (w, k)
 
 
+def leaf_by_states(states, most, a, increasing):
+    """The invariants of w a from the chain states of w, one state at a
+    time: k chains place a when a state of k chains takes it, or when fewer
+    than k chains are in use (most[k - 1])."""
+    took = [0] * (len(most) + 1)
+    for state, count in states.items():
+        if state and (state[0] <= a if increasing else a < state[-1]):
+            count += 1
+        if took[len(state)] < count:
+            took[len(state)] = count
+    return tuple(max(below + 1, t) for below, t in zip(most, took[1:]))
+
+
+@pytest.mark.parametrize("alphabet, max_len", [(3, 6), (4, 4)])
+def test_leaf_tally_matches_the_scan_over_states(alphabet, max_len):
+    # the sweep reads each leaf off one tally of its parent's states; the
+    # scan over every state gives the same invariants at every leaf parent,
+    # including parents whose best states of one length tie with ends on
+    # either side of a letter
+    swept = {w: (inc, dec) for w, inc, dec in greene_sweep(alphabet, max_len)}
+    moves = {}
+    split_ties = 0
+    for parent in words(alphabet, max_len - 1, min_len=max_len - 1):
+        chains = {True: {(): 0}, False: {(): 0}}
+        for a in parent:
+            chains = {mode: plactic._chain_step(chains[mode], a, mode, moves) for mode in chains}
+        for side, increasing in enumerate((True, False)):
+            states = chains[increasing]
+            best = [0] * (len(parent) + 2)
+            for state, count in states.items():
+                best[len(state)] = max(best[len(state)], count)
+            most = list(itertools.accumulate(best, max))
+            for a in range(1, alphabet + 1):
+                assert swept[parent + (a,)][side] == leaf_by_states(states, most, a, increasing)
+            for c in range(1, len(parent) + 1):
+                ends = {state[0] if increasing else state[-1]
+                        for state, count in states.items()
+                        if len(state) == c and count == best[c]}
+                split_ties += any(min(ends) <= a < max(ends) for a in range(1, alphabet + 1))
+    assert split_ties
+
+
 def test_reverse_complement():
     assert reverse_complement((1, 2), 2) == (1, 2)
     assert reverse_complement((1, 1), 2) == (2, 2)
@@ -244,6 +286,22 @@ def test_evacuation():
         image = evacuation(t, 3)
         assert image.shape() == t.shape()
         assert evacuation(image, 3) == t
+
+
+def test_evacuation_inserts_the_reverse_complement_of_the_row_word():
+    rng = random.Random(37)
+    for m in range(1, 7):
+        for length in (0, 1, 5, 12, 30):
+            t = rsk_P(rng.choices(range(1, m + 1), k=length))
+            for bound in (m, m + 2):
+                image = evacuation(t, bound)
+                assert image == rsk_P(reverse_complement(t.row_word(), bound))
+                assert type(image.rows) is tuple
+                assert all(type(row) is tuple for row in image.rows)
+            if length:
+                top = t.max_entry()
+                with pytest.raises(ValueError, match=f"entries must be at most {top - 1}"):
+                    evacuation(t, top - 1)
 
 
 def test_tau():
