@@ -7,7 +7,6 @@ Everything is integer or polynomial equality; nothing is approximate.
 from .core import BiPoly, IntMatrix, Permutation
 from .parallel import parallel_map
 from .parking import (
-    Board,
     insert_forward,
     insert_inverse,
     is_parking_function,

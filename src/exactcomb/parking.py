@@ -3,8 +3,9 @@
 Conventions: n cars arrive in order; car i first tries its preferred spot
 and then rolls forward to the first free spot.  The outcome permutation
 sends arrival index to final spot.  A content b is the weakly increasing
-rearrangement class of a parking function; its board has the cells
-(r, c) with r < b_c.
+rearrangement class of a parking function.  The content is its own board:
+the board of b is the set of cells (r, c) with 1 <= r < b_c, and every
+rook function here takes b itself.
 """
 
 from __future__ import annotations
@@ -71,19 +72,11 @@ def parking_stats(prefs: Iterable[int]) -> ParkingStats:
 
 
 def parking_contents(n: int) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing parking functions of length n (Catalan many)."""
-
-    def rec(prefix: list[int], j: int) -> Iterator[tuple[int, ...]]:
-        if j > n:
-            yield tuple(prefix)
-            return
-        lo = prefix[-1] if prefix else 1
-        for v in range(lo, j + 1):
-            prefix.append(v)
-            yield from rec(prefix, j + 1)
-            prefix.pop()
-
-    yield from rec([], 1)
+    """Weakly increasing parking functions of length n (Catalan many), in
+    lexicographic order."""
+    for b in itertools.combinations_with_replacement(range(1, n + 1), n):
+        if all(v <= j for j, v in enumerate(b, start=1)):
+            yield b
 
 
 def mu(b: Iterable[int]) -> int:
@@ -102,79 +95,58 @@ def induced_parking(b: tuple[int, ...], w: Permutation) -> tuple[tuple[int, ...]
     return prefs, park(prefs)
 
 
-# -- boards and rooks -------------------------------------------------------
+# -- rooks on the board of a content ----------------------------------------
 
 
-class Board:
-    """Cells (r, c) with r < b_c, stored as per-column heights b_c - 1."""
-
-    __slots__ = ("n", "heights")
-
-    def __init__(self, heights: Iterable[int]):
-        self.heights = tuple(heights)
-        self.n = len(self.heights)
-
-    @classmethod
-    def from_content(cls, b: Iterable[int]) -> "Board":
-        b = tuple(b)
-        if not (is_parking_function(b) and tuple(sorted(b)) == b):
-            raise ValueError(f"{b} is not a parking content")
-        return cls(v - 1 for v in b)
-
-    def contains(self, r: int, c: int) -> bool:
-        return 1 <= c <= len(self.heights) and 1 <= r <= self.heights[c - 1]
-
-    def __repr__(self) -> str:
-        return f"Board(heights={self.heights}, n={self.n})"
+def _parking_content(b: Iterable[int]) -> tuple[int, ...]:
+    """b as a tuple, or ValueError when it is not a parking content."""
+    b = tuple(b)
+    if not (is_parking_function(b) and tuple(sorted(b)) == b):
+        raise ValueError(f"{b} is not a parking content")
+    return b
 
 
-def rook_numbers(board: Board) -> tuple[int, ...]:
+def rook_numbers(b: tuple[int, ...]) -> tuple[int, ...]:
     """rook_k counts for k = 0..n, by column DP over the set of used rows."""
     states: dict[int, int] = {0: 1}
-    for h in board.heights:
+    for v in b:
         nxt = Counter()
         for mask, ways in states.items():
             nxt[mask] += ways
-            for r in range(1, h + 1):
+            for r in range(1, v):
                 bit = 1 << r
                 if not mask & bit:
                     nxt[mask | bit] += ways
         states = dict(nxt)
-    out = [0] * (board.n + 1)
+    out = [0] * (len(b) + 1)
     for mask, ways in states.items():
         out[mask.bit_count()] += ways
     return tuple(out)
 
 
-def rook_placements(board: Board) -> Iterator[frozenset[tuple[int, int]]]:
-    """Every nonattacking placement on the board, of every size.
+def rook_placements(b: tuple[int, ...]) -> Iterator[frozenset[tuple[int, int]]]:
+    """Every nonattacking placement on the board of b, of every size.
 
-    Brute-force recursion over columns; this is the oracle the DP above is
-    tested against, and the enumerator behind the preimage-count checks.
+    Brute force over the row of each column (0 for no rook), in
+    lexicographic order of that row vector; this is the oracle the DP
+    above is tested against, and the enumerator behind the preimage-count
+    checks.
     """
-
-    def rec(c: int, used_rows: int, placed: list[tuple[int, int]]) -> Iterator[frozenset]:
-        if c > len(board.heights):
-            yield frozenset(placed)
-            return
-        yield from rec(c + 1, used_rows, placed)
-        for r in range(1, board.heights[c - 1] + 1):
-            if not used_rows >> r & 1:
-                placed.append((r, c))
-                yield from rec(c + 1, used_rows | 1 << r, placed)
-                placed.pop()
-
-    yield from rec(1, 0, [])
+    for rows in itertools.product(*(range(v) for v in b)):
+        used = [r for r in rows if r]
+        if len(set(used)) == len(used):
+            yield frozenset((r, c) for c, r in enumerate(rows, start=1) if r)
 
 
-def _check_placement(board: Board, rooks: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+def _check_placement(b: tuple[int, ...],
+                     rooks: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     rooks = sorted(rooks)
     rows = [r for r, _ in rooks]
     cols = [c for _, c in rooks]
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("rooks attack each other")
     for r, c in rooks:
-        if not board.contains(r, c):
+        if not (1 <= c <= len(b) and 1 <= r < b[c - 1]):
             raise ValueError(f"rook ({r}, {c}) is outside the board")
     return rooks
 
@@ -208,12 +180,12 @@ def phi(b: tuple[int, ...], w: Permutation, descents: Iterable[int]) -> frozense
     BijectionCheckError.
     """
     a_set = frozenset(descents)
-    board = Board.from_content(b)
+    b = _parking_content(b)
     rooks = _phi_rooks(b, w, a_set)
     if rooks is None:
         raise ValueError(f"{sorted(a_set)} is not a subset of the outcome descent set")
     try:
-        checked = _check_placement(board, rooks)
+        checked = _check_placement(b, rooks)
     except ValueError as err:
         raise BijectionCheckError(f"phi({list(w.one_line)}, {sorted(a_set)}): {err}") from None
     if len(checked) != len(a_set):
@@ -266,9 +238,9 @@ def insert_forward(
     which form a descent subset A of the outcome with phi(w, A) equal to
     the given placement; if they do not, this raises BijectionCheckError.
     """
+    b = _parking_content(b)
     n = len(b)
-    board = Board.from_content(b)
-    placement = _check_placement(board, rooks)
+    placement = _check_placement(b, rooks)
     expected = sorted(set(range(1, n + 1)) - {c for _, c in placement})
     if sorted(u0) != expected:
         raise ValueError("u0 must order exactly the rook-free columns")
@@ -300,8 +272,8 @@ def insert_inverse(
     (w, descents); if it does not, this raises BijectionCheckError.
     """
     a_set = frozenset(descents)
-    board = Board.from_content(b)
-    placement = _check_placement(board, rooks)
+    b = _parking_content(b)
+    placement = _check_placement(b, rooks)
     if phi(b, w, a_set) != frozenset(placement):
         raise ValueError("(w, A) is not a preimage of this placement")
     u0 = _delete_columns(w.one_line, placement)
@@ -322,8 +294,9 @@ def excedance_polynomial(b: tuple[int, ...]) -> BiPoly:
     each distinct rearrangement once with the number of orderings giving
     it as its weight, and the fixed-content check compares the two.
     """
+    b = _parking_content(b)
     n = len(b)
-    counts = rook_numbers(Board.from_content(b))
+    counts = rook_numbers(b)
     t_minus_1 = BiPoly.t() - 1
     total = BiPoly()
     for k, rk in enumerate(counts):
@@ -405,6 +378,7 @@ def _ordering_sweep(b: tuple[int, ...]) -> tuple[Counter, dict]:
 
 def _content_report_row(b: tuple[int, ...]) -> dict | None:
     """Check one content; None when clean, else a witness dict."""
+    b = _parking_content(b)
     n = len(b)
     exced, descents, bad_leaf = _rearrangement_sweep(b)
     direct = BiPoly({(0, e): c for e, c in exced.items()})
@@ -427,14 +401,13 @@ def _content_report_row(b: tuple[int, ...]) -> dict | None:
 
     # preimage counts of the descent-side map, and the round trip
     preimages, outcomes = _ordering_sweep(b)
-    board = Board.from_content(b)
     for rooks in preimages:
         try:
-            _check_placement(board, rooks)
+            _check_placement(b, rooks)
         except ValueError as err:
             return {"b": list(b), "defect": "phi is not a placement on the board",
                     "rooks": sorted(map(list, rooks)), "error": str(err)}
-    for rooks in rook_placements(board):
+    for rooks in rook_placements(b):
         k = len(rooks)
         if preimages.get(rooks, 0) != math.factorial(n - k):
             return {"b": list(b), "defect": "preimage count mismatch",

@@ -1160,4 +1160,8 @@ def poset_from_json_obj(obj) -> Poset:
 
 def load_poset_file(path: str) -> Poset:
     with open(path, encoding="utf-8") as fh:
-        return poset_from_json_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:  # malformed input, not a fault of this program
+            raise PosetError(f"{path}: JSON nests too deeply to read") from None
+    return poset_from_json_obj(obj)

@@ -229,6 +229,15 @@ MUTANTS = (
            "max(below, count), max(below, count + 1)",
            (TEST_PLACTIC + "test_greene_sweep_matches_oracle[3-6]",
             TEST_ACCEPTANCE + "test_criterion_10_greene_invariants")),
+    # rooks on one row attack each other, so a placement uses each row once
+    Mutant("rook-placements-allow-two-rooks-in-a-row", PARKING,
+           "        if len(set(used)) == len(used):\n", "        if True:\n",
+           (TEST_PARKING + "test_rook_dp_matches_enumerator",)),
+    # a content's j-th smallest value is at most j
+    Mutant("parking-contents-bound-one-too-loose", PARKING,
+           "if all(v <= j for j, v in enumerate(b, start=1)):",
+           "if all(v <= j + 1 for j, v in enumerate(b, start=1)):",
+           (TEST_PARKING + "test_contents_are_catalan",)),
     # the cars that park at free spot s prefer every spot from just above
     # the free spot below it up to s itself
     Mutant("parking-sweep-preferences-stop-below-the-spot", GENFUN,

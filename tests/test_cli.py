@@ -101,6 +101,15 @@ def test_echelon_map_cyclic(capsys, tmp_path):
     assert code == 2 and err
 
 
+def test_echelon_map_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    poset = tmp_path / "deep.json"
+    poset.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "echelon", "map", "--poset", str(poset),
+                         "--sigma", "0,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nests too deeply" in err
+
+
 def test_bad_descent_set_is_usage_error(capsys):
     # A must consist of descents of w
     code, _, err = run(capsys, "parking", "phi", "--b", "1,2",

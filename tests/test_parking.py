@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -12,7 +13,6 @@ from exactcomb import parking
 from exactcomb.core import BiPoly, Permutation
 from exactcomb.parking import (
     BijectionCheckError,
-    Board,
     ParkingFailure,
     _ordering_sweep,
     _rearrangement_sweep,
@@ -132,21 +132,52 @@ def test_mu():
 
 
 def test_boards_and_rook_numbers():
-    assert rook_numbers(Board.from_content((1, 1, 1))) == (1, 0, 0, 0)
-    assert rook_numbers(Board.from_content((1, 2))) == (1, 1, 0)
+    assert rook_numbers((1, 1, 1)) == (1, 0, 0, 0)
+    assert rook_numbers((1, 2)) == (1, 1, 0)
     # frozen from the brute-force placement enumerator
-    assert rook_numbers(Board.from_content(WORKED_B)) == (1, 13, 46, 46, 8, 0, 0)
+    assert rook_numbers(WORKED_B) == (1, 13, 46, 46, 8, 0, 0)
 
 
 def test_rook_dp_matches_enumerator():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for b in parking_contents(n):
-            board = Board.from_content(b)
             counted = Counter()
-            for placement in rook_placements(board):
+            for placement in rook_placements(b):
                 counted[len(placement)] += 1
-            dp = rook_numbers(board)
+            dp = rook_numbers(b)
             assert dp == tuple(counted.get(k, 0) for k in range(n + 1)), b
+
+
+def test_contents_come_in_lexicographic_order():
+    # criterion 5 reports the first content that fails, so the order is pinned
+    for n in range(7):
+        words = itertools.product(range(1, n + 1), repeat=n)
+        assert list(parking_contents(n)) == [
+            b for b in words if list(b) == sorted(b) and is_parking_function(b)], n
+
+
+def test_rook_placements_come_in_lexicographic_order_of_their_rows():
+    # the row of each column, 0 for no rook; criterion 5 reports the first
+    # placement that fails, so the order is pinned
+    for n in range(1, 7):
+        for b in parking_contents(n):
+            rows = [tuple(dict((c, r) for r, c in placement).get(c, 0) for c in range(1, n + 1))
+                    for placement in rook_placements(b)]
+            assert rows == sorted(set(rows)), b
+            assert all(0 <= r < v for row in rows for r, v in zip(row, b)), b
+
+
+def test_enumerators_leave_no_garbage_for_the_cyclic_collector():
+    # with automatic collection off, no collection during the loop can hide a cycle
+    gc.collect()
+    gc.disable()
+    try:
+        for b in parking_contents(6):
+            for _ in rook_placements(b):
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_excedance_polynomial_examples():
@@ -242,8 +273,7 @@ def test_insert_inverse():
 def test_round_trip_exhaustive_small():
     for n in range(1, 5):
         for b in parking_contents(n):
-            board = Board.from_content(b)
-            for placement in rook_placements(board):
+            for placement in rook_placements(b):
                 k = len(placement)
                 free = sorted(set(range(1, n + 1)) - {c for _, c in placement})
                 for u0 in itertools.permutations(free):
@@ -278,7 +308,7 @@ def test_fixed_content_round_trips_every_placement_through_n_5(monkeypatch, n):
                         lambda b, placement, u0: inserted.append(b) or insert(b, placement, u0))
     assert verify_fixed_content(n).status == "verified"
     expected = {b: sum(r * math.factorial(n - k)
-                       for k, r in enumerate(rook_numbers(Board.from_content(b))))
+                       for k, r in enumerate(rook_numbers(b)))
                 for b in parking_contents(n)}
     assert Counter(inserted) == expected
 
@@ -291,7 +321,7 @@ def _broken_kernels():
     each proved statement that phi and the insertion maps check."""
     insert_columns = parking._insert_columns
 
-    def off_board(board, rooks):
+    def off_board(b, rooks):
         raise ValueError("rook (9, 9) is outside the board")
 
     def no_positions(b, placement, u0):
