@@ -149,10 +149,11 @@ def criterion_bruhat(max_n: int, perturbations: int, seed: int = 0) -> Report:
     B-double-cosets: unit upper-triangular multiplication on either side
     of a catalog Cartan matrix never moves the permutation.
 
-    Each perturbation is multiplied as ``u1 @ (w_matrix @ u2)``: the 0/1
-    Cartan matrix and the triangular u1 are sparse on the left, which is
-    where the row-combination product skips work, and integer products
-    are associative, so the matrix is the same as ``u1 @ w_matrix @ u2``.
+    Each perturbation goes to ``posets.bruhat_of_product``, which forms
+    ``u1 @ (w_matrix @ u2)`` and pivots it on packed rows, without
+    unpacking; a product whose entries leave its slots is pivoted on lists
+    by ``bruhat_permutation``, as the permutation matrices and the bases
+    are.
     """
     name = "bruhat-well-defined"
     instances = 0
@@ -172,7 +173,7 @@ def criterion_bruhat(max_n: int, perturbations: int, seed: int = 0) -> Report:
         for _ in range(perturbations):
             u1 = random_unit_upper_triangular(lat.n, rng)
             u2 = random_unit_upper_triangular(lat.n, rng)
-            got = posets.bruhat_permutation(u1 @ (w_matrix @ u2))
+            got = posets.bruhat_of_product(u1, w_matrix, u2)
             instances += 1
             if got != base:
                 return Report(name, instances, COUNTEREXAMPLE, {
@@ -372,9 +373,9 @@ def criterion_reverse_complement(u_len_cap: int, length_cap: int, pmap=map) -> R
     pairs = [(u, m) for m in range(1, 4) for u in _words_over(m, u_len_cap)]
     found = dict(zip(pairs, plactic.centralizer_searches(
         [(u, m + 2) for u, m in pairs], length_cap)))
-    evacuations = {}  # shared by the reports of this call only
+    images = {}  # tau's images, shared by the reports of this call only
     checks = [(plactic.rc_report(m, found[u, m], found[plactic.reverse_complement(u, m), m],
-                                 evacuations), {"m": m}) for u, m in pairs]
+                                 images), {"m": m}) for u, m in pairs]
     instances, failure = _first_failure(checks)
     return failure or Report(name, instances, VERIFIED,
                              {"pairs": len(checks), "length_cap": length_cap})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import add, mul, sub
+from struct import Struct, error as StructError
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -378,6 +379,131 @@ def bareiss_step(rows: Iterable[list[int]], pivot_row: Sequence[int], col: int, 
                     raise BareissDivisionError("Bareiss division must be exact")
                 row[c] = q
         row[col] = 0
+
+
+SLOT_BITS = 64
+SLOT_LIMIT = 1 << 30  # every stored slot lies in [-SLOT_LIMIT, SLOT_LIMIT)
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+
+
+class PackedRows:
+    """Rows of n >= 1 integers, each packed into one Python int of n
+    balanced 64-bit slots: the row (r_0, ..., r_{n-1}) is the int
+    sum r_c * 2**(64 c).
+
+    A negative entry borrows from the slot above it, and every int has
+    exactly one such expansion with digits in [-2**63, 2**63), so a packed
+    row stands for one row as long as its true entries stay in that range.
+    Sums of small multiples of packed rows are then sums of whole rows, and
+    one Bareiss row step is one big-int expression.
+
+    Every row stored keeps its slots in [-SLOT_LIMIT, SLOT_LIMIT).  Adding
+    SLOT_LIMIT to every slot then leaves each in [0, 2 SLOT_LIMIT), without
+    borrows, and one mask checks that; each operation below bounds the
+    true entries it makes by 2**63 before it checks, so the check reads the
+    true entries.  The same biased int gives any slot as plain bits.  An
+    operation whose result leaves the slots returns None, and the caller
+    redoes the work on lists.
+    """
+
+    __slots__ = ("_struct", "_ones", "_low", "_outside", "_coeff_limit")
+
+    def __init__(self, n: int):
+        self._struct = Struct(f"<{n}q")  # n signed 64-bit slots, lowest first
+        self._ones = ((1 << SLOT_BITS * n) - 1) // _SLOT_MASK  # a 1 in every slot
+        self._low = SLOT_LIMIT * self._ones
+        self._outside = ~(((SLOT_LIMIT << 1) - 1) * self._ones)
+        self._coeff_limit = (1 << 33) // n
+
+    def _fit(self, rows: list[int]) -> list[int] | None:
+        """The rows, or None when a slot of one leaves the range."""
+        low, outside = self._low, self._outside
+        for x in rows:
+            if (x + low) & outside:
+                return None
+        return rows
+
+    def pack(self, rows: Iterable[Sequence[int]]) -> list[int] | None:
+        """The rows packed, or None when an entry leaves the slots.
+
+        Each row is written as n two's-complement 64-bit words, which
+        refuses an entry of 2**63 or more; a negative entry then reads as
+        itself plus 2**64, so its slot's top bit is set, and taking 2**64
+        off once for each such slot gives the balanced slots.
+        """
+        pack, ones = self._struct.pack, self._ones
+        packed = []
+        try:
+            for row in rows:
+                x = int.from_bytes(pack(*row), "little")
+                packed.append(x - ((x >> SLOT_BITS - 1 & ones) << SLOT_BITS))
+        except StructError:
+            return None
+        return self._fit(packed)
+
+    def product(self, coeffs: Iterable[Sequence[int]], packed: Sequence[int]) -> list[int] | None:
+        """The packed rows of C @ B, for the rows ``coeffs`` of C and the
+        packed rows of B; None when a row of the product leaves the slots.
+
+        Row i sums ``C[i][k] * B[k]`` over the nonzero C[i][k]: a
+        coefficient of 1 adds the row as it is.  A coefficient of 2**33 / n
+        or more in size is refused before it is used: below that, each
+        row of C sums to under 2**33 in absolute value, so every true entry
+        of the product is under 2**33 * SLOT_LIMIT = 2**63.
+        """
+        limit = self._coeff_limit
+        out = []
+        for row in coeffs:
+            acc = 0
+            for c, b in zip(row, packed):
+                if c == 1:
+                    acc += b
+                elif c:
+                    if not -limit < c < limit:
+                        return None
+                    acc += c * b
+            out.append(acc)
+        return self._fit(out)
+
+    def column(self, rows: Iterable[int], col: int) -> list[int]:
+        """Entry ``col`` of each packed row, read off the biased row."""
+        low, shift = self._low, SLOT_BITS * col
+        return [((x + low) >> shift & _SLOT_MASK) - SLOT_LIMIT for x in rows]
+
+    def bareiss_step(self, rows: list[int], leads: Sequence[int], pivot_row: int,
+                     pv: int, prev: int, col: int) -> tuple[list[int], list[int]] | None:
+        """``bareiss_step`` on packed rows: each row becomes ``(pv * row -
+        lv * pivot_row) / prev``, with lv its entry in column ``col``, given
+        in ``leads``, and pv the pivot's.  Every earlier column of the rows
+        and the pivot row must be 0.  Returns the new rows and their entries
+        in column col + 1, which the range check reads as it goes.
+
+        The numerator's true entries are under 2 * SLOT_LIMIT**2 = 2**61.
+        A previous pivot of ±1 divides by multiplying by it.  Any other
+        divides the whole packed row by ``divmod``: a remainder raises
+        BareissDivisionError, and a quotient that fits proves that every
+        slot divided exactly, since its slots times prev are again the
+        numerator's unique balanced slots.
+        """
+        low, outside, shift = self._low, self._outside, SLOT_BITS * (col + 1)
+        out, nexts = [], []
+        for row, lv in zip(rows, leads):
+            if not lv and pv == prev:
+                pass  # (pv * a - 0) / prev = a: the row stays as it is
+            elif prev == 1:
+                row = pv * row - lv * pivot_row
+            elif prev == -1:  # dividing by -1 negates
+                row = lv * pivot_row - pv * row
+            else:
+                row, rem = divmod(pv * row - lv * pivot_row, prev)
+                if rem:
+                    raise BareissDivisionError("Bareiss division must be exact")
+            biased = row + low
+            if biased & outside:
+                return None
+            out.append(row)
+            nexts.append((biased >> shift & _SLOT_MASK) - SLOT_LIMIT)
+        return out, nexts
 
 
 def int_matrix_rank(m: IntMatrix | Sequence[Sequence[int]]) -> int:

@@ -337,7 +337,7 @@ def evacuation(t: Tableau, m: int) -> Tableau:
     return Tableau._unchecked(tuple(map(tuple, rows)))
 
 
-def tau(t: Tableau, m: int, evacuations: dict | None = None) -> Tableau:
+def tau(t: Tableau, m: int, images: dict | None = None) -> Tableau:
     """Evacuate the part with entries at most m in place; fix the rest.
 
     Each row is the evacuated prefix followed by the fixed entries of t;
@@ -345,19 +345,20 @@ def tau(t: Tableau, m: int, evacuations: dict | None = None) -> Tableau:
     are at most m and every fixed entry is larger.  Raises ValueError when
     the evacuation changes the shape of the part, so that the result does
     not reassemble, which the reverse-complement theorem rules out.  A
-    caller that maps many tableaux passes ``evacuations``, a dict it keeps,
-    to evacuate each (rows of the part, m) once.
+    caller that maps many tableaux passes ``images``, a dict it keeps from
+    (rows, m) to tau of the tableau with those rows.  The image of a part
+    whose entries are all at most m is its evacuation, so each (rows of
+    the part, m) is evacuated once, and its shape checked once.
     """
     low = t.restrict_le(m)
-    if evacuations is None:
+    key = (low.rows, m)
+    evac = None if images is None else images.get(key)
+    if evac is None:
         evac = evacuation(low, m)
-    else:
-        key = (low.rows, m)
-        evac = evacuations.get(key)
-        if evac is None:
-            evac = evacuations[key] = evacuation(low, m)
-    if evac.shape() != low.shape():
-        raise ValueError(f"threshold evacuation of {t!r} at m = {m} does not reassemble")
+        if evac.shape() != low.shape():
+            raise ValueError(f"threshold evacuation of {t!r} at m = {m} does not reassemble")
+        if images is not None:
+            images[key] = evac
     rows = tuple(e + row[len(e):] for e, row in zip(evac.rows, t.rows))
     return Tableau._unchecked(rows + t.rows[len(rows):])
 
@@ -366,16 +367,17 @@ def tau(t: Tableau, m: int, evacuations: dict | None = None) -> Tableau:
 
 
 class CentralizerSet:
-    """Tableaux of centralizer members found within an alphabet/length budget."""
+    """Tableaux of centralizer members found within an alphabet/length
+    budget, in ``Tableau.sort_key`` order."""
 
     __slots__ = ("u", "alphabet_cap", "length_cap", "members")
 
     def __init__(self, u: Word, alphabet_cap: int, length_cap: int,
-                 members: Iterable[Tableau]):
+                 members: tuple[Tableau, ...]):
         self.u = u
         self.alphabet_cap = alphabet_cap
         self.length_cap = length_cap
-        self.members = tuple(sorted(members, key=Tableau.sort_key))
+        self.members = members
 
     def __len__(self) -> int:
         return len(self.members)
@@ -532,8 +534,16 @@ def centralizer_searches(targets: Iterable[tuple[Iterable[int], int]],
         raise ValueError(f"budget exceeded: length {length_cap} > {LENGTH_BUDGET}")
     if length_cap < 0 or any(cap < 1 for _, cap in pairs):
         raise ValueError("need a positive alphabet and a nonnegative length cap")
-    return [CentralizerSet(u, cap, length_cap, map(Tableau._unchecked, members))
-            for (u, cap), members in zip(pairs, _commute_members(pairs, length_cap))]
+    # pairs with one target share one list of members: sort each list once
+    sorted_members: dict[int, tuple[Tableau, ...]] = {}
+    sets = []
+    for (u, cap), members in zip(pairs, _commute_members(pairs, length_cap)):
+        tableaux = sorted_members.get(id(members))
+        if tableaux is None:
+            tableaux = sorted_members[id(members)] = tuple(
+                sorted(map(Tableau._unchecked, members), key=Tableau.sort_key))
+        sets.append(CentralizerSet(u, cap, length_cap, tableaux))
+    return sets
 
 
 def centralizer_search(u: Iterable[int], alphabet_cap: int, length_cap: int) -> CentralizerSet:
@@ -593,24 +603,29 @@ def first_rows_report(found: CentralizerSet) -> Report:
 
 
 def rc_report(m: int, left: CentralizerSet, right: CentralizerSet,
-              evacuations: dict | None = None) -> Report:
+              images: dict | None = None) -> Report:
     """Threshold evacuation at m carries the centralizer of u = left.u onto
     right, that of its reverse complement, as an exact set equality of
-    insertion tableaux.  Each (part at most m, m) is evacuated once, in
-    ``evacuations`` when a caller keeps it across reports.
+    insertion tableaux.  Each (member, m) is mapped by ``tau`` once, and
+    each (part at most m, m) evacuated once, in ``images`` when a caller
+    keeps it across reports.
     """
     u = left.u
     name = "centralizer-reverse-complement"
     instances = len(left) + len(right)
-    evacuations = {} if evacuations is None else evacuations
+    images = {} if images is None else images
     mapped = set()
     for t in left.members:
-        try:
-            mapped.add(tau(t, m, evacuations))
-        except ValueError:
-            return Report(name, instances, COUNTEREXAMPLE, {
-                "u": list(u), "m": m, "member": t.to_json_obj(),
-                "defect": "threshold evacuation does not reassemble"})
+        key = (t.rows, m)
+        image = images.get(key)
+        if image is None:
+            try:
+                image = images[key] = tau(t, m, images)
+            except ValueError:
+                return Report(name, instances, COUNTEREXAMPLE, {
+                    "u": list(u), "m": m, "member": t.to_json_obj(),
+                    "defect": "threshold evacuation does not reassemble"})
+        mapped.add(image)
     target = set(right.members)
     if mapped != target:
         missing = sorted(target - mapped, key=Tableau.sort_key)[:3]

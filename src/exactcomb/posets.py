@@ -13,7 +13,7 @@ import json
 from collections.abc import Generator, Iterable, Iterator
 from math import factorial
 
-from .core import IntMatrix, Permutation, bareiss_step, int_matrix_rank
+from .core import IntMatrix, PackedRows, Permutation, bareiss_step, int_matrix_rank
 from .report import COUNTEREXAMPLE, SKIPPED, VERIFIED, Report
 
 
@@ -612,6 +612,50 @@ def bruhat_permutation(m: IntMatrix) -> Permutation:
     rows = [list(r) for r in m.entries]
     cols = _bruhat_pivot_cols(rows)
     return Permutation(c + 1 for c in cols)
+
+
+def bruhat_of_product(u1: IntMatrix, w: IntMatrix, u2: IntMatrix) -> Permutation:
+    """``bruhat_permutation(u1 @ (w @ u2))``, on packed rows.
+
+    Packs each row of u2 once into one int (``core.PackedRows``), forms
+    ``w @ u2`` and then ``u1 @ (w @ u2)`` as sums of small multiples of
+    those ints, and pivots the packed rows as ``_bruhat_pivot_cols`` does
+    the lists: on the lowest pivotless row that is nonzero in the column,
+    by the fraction-free row step.  The rows never unpack; only the pivot
+    column is read from each.  Any factor that is not n x n, a row that
+    leaves the slots, or a column without a pivot sends the call to the
+    list kernel, which gives its answer, or raises its error, on the same
+    product.
+    """
+    n = w.rows
+    rows = None
+    if n and u1.rows == u1.cols == w.cols == u2.rows == u2.cols == n:
+        slots = PackedRows(n)
+        rows = slots.pack(u2.entries)
+        rows = rows and slots.product(w.entries, rows)
+        rows = rows and slots.product(u1.entries, rows)
+    if rows:
+        col_of_row = [-1] * n
+        free = list(range(n))  # the pivotless rows, top to bottom
+        leads = slots.column(rows, 0)  # their entries in the current column
+        prev = 1
+        for j in range(n):
+            k = len(leads) - 1
+            while k >= 0 and not leads[k]:
+                k -= 1
+            if k < 0:
+                break  # singular: the list kernel raises
+            pv = leads.pop(k)
+            pivot_row = rows.pop(k)
+            col_of_row[free.pop(k)] = j
+            step = slots.bareiss_step(rows, leads, pivot_row, pv, prev, j)
+            if step is None:
+                break
+            rows, leads = step
+            prev = pv
+        else:
+            return Permutation(c + 1 for c in col_of_row)
+    return bruhat_permutation(u1 @ (w @ u2))
 
 
 # -- echelonmotion ---------------------------------------------------------

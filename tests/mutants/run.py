@@ -81,13 +81,46 @@ MUTANTS = (
            "posets.verify_echelon_theorem, sweep.modular, catalog,",
            "posets.verify_echelon_theorem, sweep.modular, [c for c in catalog if c[1].n < 16],",
            (TEST_ACCEPTANCE + "test_quick_battery_report_bytes_are_pinned",)),
-    # criterion 4 multiplies by a unit upper-triangular factor on each side
-    Mutant("criterion-04-without-the-left-factor", ACCEPTANCE,
-           "bruhat_permutation(u1 @ (w_matrix @ u2))", "bruhat_permutation(w_matrix @ u2)",
+    # criterion 4's kernel multiplies by a unit upper-triangular factor on
+    # each side of the Cartan matrix
+    Mutant("criterion-04-without-the-left-factor", POSETS,
+           "        rows = rows and slots.product(u1.entries, rows)\n", "",
            (TEST_ACCEPTANCE + "test_perturbation_on_one_side_fails_criterion_04[0-u1-6]",)),
-    Mutant("criterion-04-without-the-right-factor", ACCEPTANCE,
-           "bruhat_permutation(u1 @ (w_matrix @ u2))", "bruhat_permutation(u1 @ w_matrix)",
+    Mutant("criterion-04-without-the-right-factor", POSETS,
+           "rows = slots.pack(u2.entries)\n        rows = rows and slots.product(w.entries, rows)",
+           "rows = slots.pack(w.entries)",
            (TEST_ACCEPTANCE + "test_perturbation_on_one_side_fails_criterion_04[1-u2-13]",)),
+    # the packed kernel pivots on the lowest row, as the list kernel does
+    Mutant("packed-bruhat-pivots-on-the-top-row", POSETS,
+           "            k = len(leads) - 1\n            while k >= 0 and not leads[k]:\n                k -= 1\n",
+           "            k = next((i for i, v in enumerate(leads) if v), -1)\n",
+           (TEST_POSETS + "test_packed_double_coset_kernel_matches_the_list_kernel_on_every_catalog_lattice",)),
+    # a packed row step whose result leaves the slots sends the call back
+    # to the list kernel, since its slots no longer read the true entries
+    Mutant("packed-step-range-guard-always-passes", CORE,
+           "            if biased & outside:\n", "            if False:\n",
+           (TEST_CORE + "test_packed_bareiss_step_refuses_a_row_that_leaves_the_slots",
+            TEST_POSETS + "test_packed_double_coset_kernel_falls_back_where_minors_leave_the_slots")),
+    # and so does a packed or multiplied row that leaves them
+    Mutant("packed-rows-range-guard-always-passes", CORE,
+           "            if (x + low) & outside:\n", "            if False:\n",
+           (TEST_CORE + "test_packed_rows_round_trip_up_to_the_slot_bounds",
+            TEST_CORE + "test_packed_product_matches_the_list_product_and_refuses_what_leaves_the_slots")),
+    # a coefficient that could carry a true entry past 2**63 is refused
+    Mutant("packed-product-takes-any-coefficient", CORE,
+           "if not -limit < c < limit:", "if False:",
+           (TEST_CORE + "test_packed_product_matches_the_list_product_and_refuses_what_leaves_the_slots",)),
+    # a slot is read off the row with SLOT_LIMIT added to every slot, and
+    # the bias taken off again
+    Mutant("packed-slot-decoded-without-its-bias", CORE,
+           "nexts.append((biased >> shift & _SLOT_MASK) - SLOT_LIMIT)",
+           "nexts.append(row >> shift & _SLOT_MASK)",
+           (TEST_CORE + "test_packed_bareiss_step_matches_the_list_step",
+            TEST_POSETS + "test_packed_double_coset_kernel_matches_the_list_kernel_on_every_catalog_lattice")),
+    # after a previous pivot of -1 the packed step negates the numerator
+    Mutant("packed-step-minus-one-pivot-does-not-negate", CORE,
+           "row = lv * pivot_row - pv * row", "row = pv * row - lv * pivot_row",
+           (TEST_CORE + "test_packed_bareiss_step_matches_the_list_step",)),
     # a row of the left factor weighs each row of the right one by its entry
     Mutant("matmul-row-combination-drops-the-coefficient", CORE,
            "term = b_row if v == 1 else map(mul, b_row, repeat(v))", "term = b_row",
@@ -182,8 +215,14 @@ MUTANTS = (
             TEST_PLACTIC + "test_batched_verdicts_match_oracle[mixed]")),
     # criterion 12 shares its evacuations across thresholds, so m is part of the key
     Mutant("tau-memo-keyed-without-the-threshold", PLACTIC,
-           "        key = (low.rows, m)\n", "        key = low.rows\n",
+           "    key = (low.rows, m)\n", "    key = low.rows\n",
            (TEST_ACCEPTANCE + "test_reverse_complement_criterion_evacuates_each_low_part_once_per_threshold",
+            TEST_ACCEPTANCE + "test_centralizer_criteria_search_once_per_alphabet_cap[reverse-complement]")),
+    # and its reports share tau's images of the members, so m is part of
+    # that key too
+    Mutant("rc-images-keyed-without-the-threshold", PLACTIC,
+           "        key = (t.rows, m)\n", "        key = t.rows\n",
+           (TEST_ACCEPTANCE + "test_reverse_complement_criterion_maps_each_member_once_per_threshold",
             TEST_ACCEPTANCE + "test_centralizer_criteria_search_once_per_alphabet_cap[reverse-complement]")),
     # an increasing chain end stands for the least letter to come at least
     # as large as it, so a chain ending at a takes a later a

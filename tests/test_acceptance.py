@@ -343,16 +343,21 @@ def test_identity_bruhat_kernel_fails_criterion_04(monkeypatch):
     assert r.witness == {"permutation": [2, 1], "got": [1, 2]}
 
 
+def _break_product_kernel(monkeypatch):
+    """Patch the double-coset kernel to be right on products that are 0/1
+    matrices and the identity on any other product."""
+    kernel = posets.bruhat_of_product
+
+    def broken(u1, w, u2):
+        if all(v in (0, 1) for row in (u1 @ (w @ u2)).entries for v in row):
+            return kernel(u1, w, u2)
+        return Permutation(range(1, w.rows + 1))
+
+    monkeypatch.setattr(posets, "bruhat_of_product", broken)
+
+
 def test_non_invariant_bruhat_kernel_fails_criterion_04(monkeypatch):
-    # right on 0/1 matrices, the identity on anything else
-    bruhat = posets.bruhat_permutation
-
-    def broken(m):
-        if all(v in (0, 1) for row in m.entries for v in row):
-            return bruhat(m)
-        return Permutation(range(1, m.rows + 1))
-
-    monkeypatch.setattr(posets, "bruhat_permutation", broken)
+    _break_product_kernel(monkeypatch)
     r = acceptance.criterion_bruhat(max_n=3, perturbations=2, seed=5)
     assert r.status == "counterexample"
     assert r.witness["catalog"] == "C2xC2"
@@ -826,10 +831,42 @@ def test_reverse_complement_criterion_evacuates_each_low_part_once_per_threshold
     assert calls == list(dict.fromkeys(uses))
 
 
+def test_reverse_complement_criterion_maps_each_member_once_per_threshold(monkeypatch):
+    # pairs share members, and the reports share tau's images: each
+    # distinct (member, m) is mapped once, on its first use
+    calls = []
+    tau = plactic.tau
+    monkeypatch.setattr(plactic, "tau", lambda t, m, images=None: calls.append((t.rows, m))
+                        or tau(t, m, images))
+    assert acceptance.criterion_reverse_complement(u_len_cap=2, length_cap=4).status == "verified"
+    uses = [(t.rows, m) for _, m, members in _left_members(2, 4) for t in members]
+    assert len(uses) > 2 * len(set(uses))
+    assert calls == list(dict.fromkeys(uses))
+
+
 def test_non_reassembling_evacuation_gives_the_witness_of_a_per_member_loop(monkeypatch):
     monkeypatch.setattr(plactic, "evacuation",
                         lambda t, m: plactic.rsk_P(sorted(t.row_word())))
+    _assert_the_witness_of_a_per_member_loop(
+        acceptance.criterion_reverse_complement(u_len_cap=2, length_cap=4))
+
+
+def test_one_late_non_reassembling_part_gives_the_witness_of_a_per_member_loop(monkeypatch):
+    # only the last part of two rows to come up at m = 2 fails, so the
+    # reports before it have filled the shared images with every other
+    # member it could be served from
+    parts = [(t.restrict_le(m).rows, m) for _, m, members in _left_members(2, 4)
+             for t in members if m == 2]
+    bad = [part for part in dict.fromkeys(parts) if len(part[0]) > 1][-1]
+    evacuation = plactic.evacuation
+    monkeypatch.setattr(plactic, "evacuation", lambda t, m: plactic.rsk_P(sorted(t.row_word()))
+                        if (t.rows, m) == bad else evacuation(t, m))
     r = acceptance.criterion_reverse_complement(u_len_cap=2, length_cap=4)
+    _assert_the_witness_of_a_per_member_loop(r)
+    assert plactic.Tableau(r.witness["member"]).restrict_le(2).rows == bad[0]
+
+
+def _assert_the_witness_of_a_per_member_loop(r):
     # the first member whose tau fails, evacuating every member anew; no
     # pair before it may fail its set equality
     instances, expected = 0, None
@@ -862,14 +899,7 @@ def test_unseeded_perturbations_fail_criterion_13(monkeypatch):
     # the draws reach the report bytes only through a Bruhat counterexample,
     # which names them; a seeded counterexample repeats itself exactly
     assert acceptance.criterion_determinism(seed=0).status == "verified"
-    bruhat = posets.bruhat_permutation
-
-    def broken(m):
-        if all(v in (0, 1) for row in m.entries for v in row):
-            return bruhat(m)
-        return Permutation(range(1, m.rows + 1))
-
-    monkeypatch.setattr(posets, "bruhat_permutation", broken)
+    _break_product_kernel(monkeypatch)
     r = acceptance.criterion_determinism(seed=0)
     assert r.status == "counterexample" and r.instances == 2
     assert r.witness["seed"] == 0 and set(r.witness) == {"seed", "first_bytes", "second_bytes"}

@@ -1,14 +1,18 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from exactcomb import core, posets
 from exactcomb.core import (
+    SLOT_LIMIT,
     BiPoly,
     IntMatrix,
+    PackedRows,
     Permutation,
+    bareiss_step,
     as_word,
     int_matrix_rank,
     random_unit_upper_triangular,
@@ -325,6 +329,94 @@ def test_matrix_product_matches_a_triple_loop():
         IntMatrix([[1, 2, 3], [4, 5, 6]]) @ IntMatrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError, match="shape mismatch: 1x4 @ 1x4"):
         IntMatrix([[1, -2, 3, -4]]) @ IntMatrix([[1, 2, 3, 4]])
+
+
+def _balanced_slots(x, n):
+    """The n balanced base-2**64 digits of x, lowest first, by repeated
+    division: the tests' own reading of a packed row."""
+    digits = []
+    for _ in range(n):
+        d = x % 2**64
+        d -= 2**64 if d >= 2**63 else 0
+        digits.append(d)
+        x = (x - d) >> 64
+    assert x == 0, "more than n slots"
+    return digits
+
+
+def test_packed_rows_round_trip_up_to_the_slot_bounds():
+    rng = random.Random(39)
+    edge = (-SLOT_LIMIT, -SLOT_LIMIT + 1, -1, 0, 1, SLOT_LIMIT - 1)
+    for n in (1, 2, 3, 7, 16):
+        slots = PackedRows(n)
+        rows = [[rng.choice(edge) if rng.random() < 0.5 else rng.randrange(-SLOT_LIMIT, SLOT_LIMIT)
+                 for _ in range(n)] for _ in range(n)]
+        packed = slots.pack(rows)
+        assert [_balanced_slots(x, n) for x in packed] == rows
+        for col in range(n):
+            assert slots.column(packed, col) == [row[col] for row in rows]
+        # an entry outside [-SLOT_LIMIT, SLOT_LIMIT) is refused, also one
+        # that a 64-bit slot could not hold at all
+        for bad in (SLOT_LIMIT, -SLOT_LIMIT - 1, 2**63, -2**63 - 1, 2**70):
+            row = list(rows[-1])
+            row[rng.randrange(n)] = bad
+            assert slots.pack(rows[:-1] + [row]) is None
+
+
+def test_packed_product_matches_the_list_product_and_refuses_what_leaves_the_slots():
+    rng = random.Random(40)
+    for n in (1, 2, 4, 9, 16):
+        slots = PackedRows(n)
+        for span in (1, 2, 5):
+            b = IntMatrix([[rng.randint(-2**20, 2**20) for _ in range(n)] for _ in range(n)])
+            c = IntMatrix([[rng.randint(-span, span) for _ in range(n)] for _ in range(n)])
+            got = slots.product(c.entries, slots.pack(b.entries))
+            assert [_balanced_slots(x, n) for x in got] == [list(r) for r in (c @ b).entries]
+    slots = PackedRows(2)
+    top = slots.pack([[SLOT_LIMIT - 1, 0], [1, -SLOT_LIMIT]])
+    assert slots.product([[1, 0], [0, 1]], top) == top
+    assert slots.product([[1, 1], [0, 1]], top) is None  # SLOT_LIMIT in slot 0
+    assert slots.product([[0, 1], [0, -1]], top) is None  # -(-SLOT_LIMIT)
+    # a coefficient of 2**33 / n or more is refused, even on zero rows
+    zeros = slots.pack([[0, 0], [0, 0]])
+    assert slots.product([[2**32 - 1, 0]], zeros) == [0]
+    assert slots.product([[0, -2**32]], zeros) is None
+
+
+def test_packed_bareiss_step_matches_the_list_step():
+    # bottom-row pivoting run twice side by side on seeded matrices, on
+    # lists by bareiss_step and on packed rows; entries in [-3, 3], so
+    # previous pivots of 1, -1 and larger ones all come up
+    rng = random.Random(41)
+    prevs = Counter()
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        slots = PackedRows(n)
+        packed = slots.pack(rows)
+        leads = slots.column(packed, 0)
+        prev = 1
+        for col in range(n):
+            assert leads == [row[col] for row in rows]
+            k = max((i for i, v in enumerate(leads) if v), default=None)
+            if k is None:
+                break
+            pivot_row, pv = rows.pop(k), leads.pop(k)
+            bareiss_step(rows, pivot_row, col, prev)
+            packed, leads = slots.bareiss_step(packed[:k] + packed[k + 1:], leads,
+                                               packed[k], pv, prev, col)
+            assert [_balanced_slots(x, n) for x in packed] == rows
+            prevs[prev] += 1
+            prev = pv
+    assert prevs[1] and prevs[-1] and sum(v for p, v in prevs.items() if abs(p) > 1) > 100
+
+
+def test_packed_bareiss_step_refuses_a_row_that_leaves_the_slots():
+    slots = PackedRows(2)
+    for half, fits in ((SLOT_LIMIT // 2 - 1, True), (SLOT_LIMIT // 2, False)):
+        row, pivot_row = slots.pack([[1, half], [1, -half]])
+        step = slots.bareiss_step([row], [1], pivot_row, 1, 1, 0)
+        assert (step == ([slots.pack([[0, 2 * half]])[0]], [2 * half])) if fits else step is None
 
 
 def test_random_unit_upper_triangular():

@@ -30,6 +30,7 @@ from exactcomb.posets import (
     NotDistributiveError,
     Poset,
     PosetError,
+    bruhat_of_product,
     bruhat_permutation,
     build_lattice,
     cartan_matrix,
@@ -233,6 +234,71 @@ def test_bruhat_double_coset_invariance():
             u1 = random_unit_upper_triangular(lat.n, rng)
             u2 = random_unit_upper_triangular(lat.n, rng)
             assert bruhat_permutation(u1 @ w @ u2) == base, name
+
+
+def test_packed_double_coset_kernel_matches_the_list_kernel_on_every_catalog_lattice(monkeypatch):
+    # the factors criterion 4 draws, and the transposed, lower-triangular
+    # ones of the one-sided checks on either side; none of these products
+    # leaves the slots, so the list kernel is never called back.  With
+    # lower factors on both sides, GF(2)^3's products may leave them.
+    rng = random.Random(39)
+    cases, both_lower = [], []
+    for name, lat in lattice_catalog().items():
+        w = cartan_matrix(lat.poset, next(linear_extensions(lat.poset)))
+        for i in range(24):
+            u1 = random_unit_upper_triangular(lat.n, rng)
+            u2 = random_unit_upper_triangular(lat.n, rng)
+            if i % 4 in (1, 3):
+                u1 = IntMatrix(zip(*u1.entries))
+            if i % 4 in (2, 3):
+                u2 = IntMatrix(zip(*u2.entries))
+            case = (name, u1, w, u2, bruhat_permutation(u1 @ (w @ u2)))
+            (both_lower if i % 4 == 3 else cases).append(case)
+    assert len({expected for name, *_, expected in cases if name == "C2xC2"}) > 1
+    for name, u1, w, u2, expected in both_lower:
+        assert bruhat_of_product(u1, w, u2) == expected, name
+
+    def no_fallback(m):
+        raise AssertionError("the packed kernel fell back to the list kernel")
+
+    monkeypatch.setattr(posets, "bruhat_permutation", no_fallback)
+    for name, u1, w, u2, expected in cases:
+        assert bruhat_of_product(u1, w, u2) == expected, name
+
+
+def _unit_upper(n, bound, rng):
+    return IntMatrix([[0] * i + [1] + rng.choices(range(-bound, bound + 1), k=n - i - 1)
+                      for i in range(n)])
+
+
+def test_packed_double_coset_kernel_falls_back_where_minors_leave_the_slots(monkeypatch):
+    # shaped like the benchmark's Bruhat queries: U P U' at n = 24, with
+    # factor entries in [-24, 24]; the pivoting leaves the slots, and the
+    # list kernel gives the answer on the same product
+    rng = random.Random(24)
+    w = Permutation(rng.sample(range(1, 25), 24))
+    u1, u2 = _unit_upper(24, 24, rng), _unit_upper(24, 24, rng)
+    products = []
+    bruhat = posets.bruhat_permutation
+    monkeypatch.setattr(posets, "bruhat_permutation", lambda m: products.append(m) or bruhat(m))
+    assert bruhat_of_product(u1, w.to_matrix(), u2) == w
+    assert products == [u1 @ (w.to_matrix() @ u2)]
+
+
+def test_packed_double_coset_kernel_refuses_what_the_list_kernel_refuses():
+    one = IntMatrix([[1, 0], [0, 1]])
+    with pytest.raises(posets.SingularMatrixError, match=r"^no pivot available in column 2$"):
+        bruhat_permutation(IntMatrix([[1, 1], [1, 1]]))
+    with pytest.raises(posets.SingularMatrixError, match=r"^no pivot available in column 2$"):
+        bruhat_of_product(one, IntMatrix([[1, 1], [1, 1]]), one)
+    with pytest.raises(posets.SingularMatrixError, match=r"^no pivot available in column 1$"):
+        bruhat_of_product(one, IntMatrix([[0, 1], [0, 1]]), one)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        bruhat_of_product(one, IntMatrix([[1, 0, 0], [0, 1, 0]]), one)
+    # entries beyond the slots go to the list kernel whole
+    big = IntMatrix([[2**70, 0], [0, 1]])
+    assert bruhat_of_product(one, big, one) == bruhat_permutation(big) == Permutation((1, 2))
+    assert bruhat_of_product(IntMatrix([]), IntMatrix([]), IntMatrix([])) == Permutation(())
 
 
 def bruhat_rank_profile(m):
@@ -1384,8 +1450,9 @@ def test_modularity_cross_check_survives_python_O():
 
 def _inexact_divisions():
     """The calls that reach a division by a previous pivot of 2 in
-    ``core.bareiss_step``, the one exact division of Bareiss elimination;
-    each must raise once ``core.divmod`` leaves a remainder."""
+    ``core.bareiss_step`` or its packed form, the one exact division of
+    Bareiss elimination; each must raise once ``core.divmod`` leaves a
+    remainder."""
     return {
         # no pivot of ±1 in the first two columns, so the third row is
         # divided by the first pivot, 2
@@ -1396,6 +1463,9 @@ def _inexact_divisions():
         # pivot, 1, differs from the first, so the row is rescaled
         "bruhat update": lambda: bruhat_permutation(IntMatrix([[1, 1, 0], [0, 1, 0], [2, 0, 1]])),
         "bruhat scaling": lambda: bruhat_permutation(IntMatrix([[0, 0, 1], [1, 1, 0], [2, 1, 0]])),
+        # a packed row divides whole: (1 * (0, 2, 2) - 2 * (0, 1, 0)) / 2
+        "packed update": lambda: core.PackedRows(3).bareiss_step(
+            core.PackedRows(3).pack([[0, 2, 2]]), [2], core.PackedRows(3).pack([[0, 1, 0]])[0], 1, 2, 1),
     }
 
 
