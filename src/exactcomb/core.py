@@ -318,9 +318,26 @@ class IntMatrix:
         takes the row as it is, any other scales it.  Products with 0/1 or
         triangular factors on the left thus skip most of the work, and an
         all-zero row gives the zero row.
+
+        Each row of B is packed once into one int (``PackedRows``), so a
+        row of the product is a sum of small multiples of ints, decoded
+        once at the end.  Where B has an entry outside the slots, A a
+        coefficient too large for them or the product an entry outside
+        them, and where a factor has no columns, the rows are combined as
+        lists of ints instead, which holds for entries of any size.
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if self.cols and other.cols:
+            slots = PackedRows(other.cols)
+            rows = slots.pack(other.entries)
+            rows = rows and slots.product(self.entries, rows)
+            if rows:
+                return IntMatrix._unchecked(tuple(slots.unpack(rows)))
+        return self._list_product(other)
+
+    def _list_product(self, other: "IntMatrix") -> "IntMatrix":
+        """``self @ other`` on lists of ints, for factors of matching shape."""
         zero = (0,) * other.cols
         product = []
         for row in self.entries:
@@ -382,7 +399,8 @@ def bareiss_step(rows: Iterable[list[int]], pivot_row: Sequence[int], col: int, 
 
 
 SLOT_BITS = 64
-SLOT_LIMIT = 1 << 30  # every stored slot lies in [-SLOT_LIMIT, SLOT_LIMIT)
+_LIMIT_BIT = 30
+SLOT_LIMIT = 1 << _LIMIT_BIT  # every stored slot lies in [-SLOT_LIMIT, SLOT_LIMIT)
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
@@ -406,14 +424,13 @@ class PackedRows:
     redoes the work on lists.
     """
 
-    __slots__ = ("_struct", "_ones", "_low", "_outside", "_coeff_limit")
+    __slots__ = ("_struct", "_ones", "_low", "_outside")
 
     def __init__(self, n: int):
         self._struct = Struct(f"<{n}q")  # n signed 64-bit slots, lowest first
         self._ones = ((1 << SLOT_BITS * n) - 1) // _SLOT_MASK  # a 1 in every slot
         self._low = SLOT_LIMIT * self._ones
         self._outside = ~(((SLOT_LIMIT << 1) - 1) * self._ones)
-        self._coeff_limit = (1 << 33) // n
 
     def _fit(self, rows: list[int]) -> list[int] | None:
         """The rows, or None when a slot of one leaves the range."""
@@ -446,12 +463,13 @@ class PackedRows:
         packed rows of B; None when a row of the product leaves the slots.
 
         Row i sums ``C[i][k] * B[k]`` over the nonzero C[i][k]: a
-        coefficient of 1 adds the row as it is.  A coefficient of 2**33 / n
+        coefficient of 1 adds the row as it is.  With m the number of rows
+        of B, the number of terms in each entry, a coefficient of 2**33 / m
         or more in size is refused before it is used: below that, each
         row of C sums to under 2**33 in absolute value, so every true entry
         of the product is under 2**33 * SLOT_LIMIT = 2**63.
         """
-        limit = self._coeff_limit
+        limit = (1 << 33) // max(len(packed), 1)
         out = []
         for row in coeffs:
             acc = 0
@@ -464,6 +482,17 @@ class PackedRows:
                     acc += c * b
             out.append(acc)
         return self._fit(out)
+
+    def unpack(self, rows: Iterable[int]) -> list[tuple[int, ...]]:
+        """The entries of each packed row, the inverse of ``pack``.
+
+        A slot holds a negative entry exactly when bit 30 of its biased
+        form is clear.  Adding 2**64 above each such slot gives back the
+        int of the n two's-complement words that ``pack`` read.
+        """
+        unpack, size, low, ones = self._struct.unpack, self._struct.size, self._low, self._ones
+        return [unpack((x + ((~(x + low) >> _LIMIT_BIT & ones) << SLOT_BITS)).to_bytes(size, "little"))
+                for x in rows]
 
     def column(self, rows: Iterable[int], col: int) -> list[int]:
         """Entry ``col`` of each packed row, read off the biased row."""

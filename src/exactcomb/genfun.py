@@ -87,6 +87,7 @@ def _tree_sweep(n: int) -> Counter:
 
     above[0] = 1
     packed = rec(0, (1 << n + 1) - 2)
+    rec = None  # rec's closure holds rec, and with it every table of the walk
     memo.clear()
     acc: Counter = Counter()
     slot_mask = (1 << width) - 1
@@ -316,6 +317,7 @@ def _simsun_walk(m: int) -> BiPoly:
             del word[p]
 
     rec(1, 0)
+    rec = None  # rec's closure holds rec, and with it the walk's word
     return BiPoly(acc)
 
 
@@ -417,6 +419,7 @@ def _prefix_walk(n: int, admits: Callable[[list[int], int, int], bool]
                 word.pop()
 
     rec(0)
+    rec = None  # rec's closure holds rec, and with it the walk's lists
     return out
 
 

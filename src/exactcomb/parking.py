@@ -348,6 +348,7 @@ def _rearrangement_sweep(b: tuple[int, ...]) -> tuple[Counter, Counter, tuple | 
                         bad.append(((*path, sum(b) - sum(path)), w))
 
     rec(1, (1 << n + 1) - 2, 0, 1, 0, 0)  # free spots 1..n; spot 0 makes no descent
+    rec = None  # rec's closure holds rec, and with it every list of the walk
     return exced, descents, bad[0] if bad else None
 
 

@@ -307,8 +307,11 @@ def greene_sweep(alphabet: int,
                 yield from rec(word + (a,), _chain_step(inc, a, True, moves),
                                _chain_step(dec, a, False, moves))
 
-    yield from rec((), {(): 0}, {(): 0})
-    moves.clear()
+    try:
+        yield from rec((), {(): 0}, {(): 0})
+    finally:  # also when the caller stops early
+        rec = None  # rec's closure holds rec, and with it the table of moves
+        moves.clear()
 
 
 # -- reverse complement, evacuation and threshold evacuation ---------------

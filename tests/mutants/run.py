@@ -110,6 +110,13 @@ MUTANTS = (
     Mutant("packed-product-takes-any-coefficient", CORE,
            "if not -limit < c < limit:", "if False:",
            (TEST_CORE + "test_packed_product_matches_the_list_product_and_refuses_what_leaves_the_slots",)),
+    # and the bound counts the terms of each entry, the rows of B, not its
+    # width: at 8 rows of width 2, 2**31 * 8 * -2**30 = -2**64 reads as (0, -1)
+    Mutant("packed-product-bound-by-the-width", CORE,
+           "limit = (1 << 33) // max(len(packed), 1)",
+           "limit = (1 << 33) // (self._struct.size // 8)",
+           (TEST_CORE + "test_packed_product_matches_the_list_product_and_refuses_what_leaves_the_slots",
+            TEST_CORE + "test_matrix_product_is_packed_up_to_the_slot_edges_and_listed_past_them")),
     # a slot is read off the row with SLOT_LIMIT added to every slot, and
     # the bias taken off again
     Mutant("packed-slot-decoded-without-its-bias", CORE,
@@ -125,6 +132,17 @@ MUTANTS = (
     Mutant("matmul-row-combination-drops-the-coefficient", CORE,
            "term = b_row if v == 1 else map(mul, b_row, repeat(v))", "term = b_row",
            (TEST_CORE + "test_matrix_product_matches_a_triple_loop",)),
+    # a packed row is read back by taking SLOT_LIMIT off each biased slot
+    Mutant("packed-unpack-drops-the-bias", CORE,
+           "~(x + low) >> _LIMIT_BIT", "~x >> _LIMIT_BIT",
+           (TEST_CORE + "test_packed_rows_round_trip_up_to_the_slot_bounds",
+            TEST_CORE + "test_matrix_product_is_packed_up_to_the_slot_edges_and_listed_past_them")),
+    # a product that the slots refuse is formed on lists instead
+    Mutant("matmul-keeps-the-packed-rows-on-a-refusal", CORE,
+           "            if rows:\n                return IntMatrix._unchecked(tuple(slots.unpack(rows)))\n",
+           "            return IntMatrix._unchecked(tuple(slots.unpack(rows or ())))\n",
+           (TEST_CORE + "test_matrix_product_is_packed_up_to_the_slot_edges_and_listed_past_them",
+            TEST_CORE + "test_matrix_product_matches_a_triple_loop")),
     # criterion 5 runs the bijection and preimage checks through n = 5; the
     # mu check reads the walk's leaf weights at every n
     Mutant("criterion-05-fibres-only-to-n-4", PARKING,

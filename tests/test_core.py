@@ -331,6 +331,50 @@ def test_matrix_product_matches_a_triple_loop():
         IntMatrix([[1, -2, 3, -4]]) @ IntMatrix([[1, 2, 3, 4]])
 
 
+def test_matrix_product_is_packed_up_to_the_slot_edges_and_listed_past_them(monkeypatch):
+    # a spy on the list kernel shows which path ran: packed inside the
+    # slots, on lists where an entry or coefficient leaves them
+    listed = []
+    list_product = IntMatrix._list_product
+    monkeypatch.setattr(IntMatrix, "_list_product",
+                        lambda a, b: listed.append((a, b)) or list_product(a, b))
+    top, low = SLOT_LIMIT - 1, -SLOT_LIMIT
+    cases = [
+        # operand entries at the slot edges, and one past them
+        ([[1, 0], [0, 1]], [[top, -top], [low, 0]], True),
+        ([[top, low], [-top, 0]], [[1, 0], [0, 1]], True),
+        ([[1]], [[SLOT_LIMIT]], False),
+        # a product entry at each end of the slots, and one past it
+        ([[1, 1]], [[top - 1], [1]], True),
+        ([[1, 1]], [[top], [1]], False),
+        ([[1, 1]], [[low + 1], [-1]], True),
+        ([[1, 1]], [[low], [-1]], False),
+        # coefficients just below 2**33 / m and at it, m the inner dimension:
+        # each entry sums m terms, whatever the width
+        ([[2**33 - 1], [1 - 2**33]], [[0, 0, 0, 0]], True),
+        ([[2**33]], [[0, 0, 0, 0]], False),
+        ([[-2**33]], [[0, 0, 0, 0]], False),
+        ([[2**31 - 1] * 4], [[0]] * 4, True),
+        ([[0, 0, 0, -2**31]], [[0]] * 4, False),
+        # at m = 8 > width 2: a coefficient under 2**30 keeps the true entry
+        # under 2**63, so the range check sees it leave the slots; 2**31
+        # would make it -2**64, which reads as the fitting slots (0, -1)
+        ([[2**30 - 1] * 8], [[0, 0]] * 8, True),
+        ([[2**30 - 1] * 8], [[low, 0]] * 8, False),
+        ([[2**31] * 8], [[low, 0]] * 8, False),
+        ([[3]], [[-5]], True),
+    ]
+    for a, b, packed in cases:
+        listed.clear()
+        assert IntMatrix(a) @ IntMatrix(b) == IntMatrix(_naive_product(a, b)), (a, b)
+        assert listed == ([] if packed else [(IntMatrix(a), IntMatrix(b))]), (a, b)
+    # a factor without columns has no slots to pack; IntMatrix([]) is 0 x 0
+    for a, b in (([], []), ([[], []], []), ([[1, 2]], [[], []])):
+        listed.clear()
+        assert (IntMatrix(a) @ IntMatrix(b)).entries == ((),) * len(a)
+        assert listed == [(IntMatrix(a), IntMatrix(b))]
+
+
 def _balanced_slots(x, n):
     """The n balanced base-2**64 digits of x, lowest first, by repeated
     division: the tests' own reading of a packed row."""
@@ -353,6 +397,7 @@ def test_packed_rows_round_trip_up_to_the_slot_bounds():
                  for _ in range(n)] for _ in range(n)]
         packed = slots.pack(rows)
         assert [_balanced_slots(x, n) for x in packed] == rows
+        assert slots.unpack(packed) == [tuple(row) for row in rows]
         for col in range(n):
             assert slots.column(packed, col) == [row[col] for row in rows]
         # an entry outside [-SLOT_LIMIT, SLOT_LIMIT) is refused, also one
@@ -368,19 +413,23 @@ def test_packed_product_matches_the_list_product_and_refuses_what_leaves_the_slo
     for n in (1, 2, 4, 9, 16):
         slots = PackedRows(n)
         for span in (1, 2, 5):
-            b = IntMatrix([[rng.randint(-2**20, 2**20) for _ in range(n)] for _ in range(n)])
-            c = IntMatrix([[rng.randint(-span, span) for _ in range(n)] for _ in range(n)])
-            got = slots.product(c.entries, slots.pack(b.entries))
-            assert [_balanced_slots(x, n) for x in got] == [list(r) for r in (c @ b).entries]
+            b = [[rng.randint(-2**20, 2**20) for _ in range(n)] for _ in range(n)]
+            c = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+            got = slots.product(c, slots.pack(b))
+            assert [_balanced_slots(x, n) for x in got] == _naive_product(c, b)
     slots = PackedRows(2)
     top = slots.pack([[SLOT_LIMIT - 1, 0], [1, -SLOT_LIMIT]])
     assert slots.product([[1, 0], [0, 1]], top) == top
     assert slots.product([[1, 1], [0, 1]], top) is None  # SLOT_LIMIT in slot 0
     assert slots.product([[0, 1], [0, -1]], top) is None  # -(-SLOT_LIMIT)
-    # a coefficient of 2**33 / n or more is refused, even on zero rows
+    # a coefficient of 2**33 / m or more, m the number of rows of B, is
+    # refused, even on zero rows; m, not the width, counts the terms
     zeros = slots.pack([[0, 0], [0, 0]])
     assert slots.product([[2**32 - 1, 0]], zeros) == [0]
     assert slots.product([[0, -2**32]], zeros) is None
+    zeros = slots.pack([[0, 0]] * 8)
+    assert slots.product([[2**30 - 1] * 8], zeros) == [0]
+    assert slots.product([[0] * 7 + [2**30]], zeros) is None
 
 
 def test_packed_bareiss_step_matches_the_list_step():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from exactcomb import parking
+from exactcomb import genfun, parking, plactic
 from exactcomb.core import BiPoly, Permutation
 from exactcomb.parking import (
     BijectionCheckError,
@@ -168,14 +168,28 @@ def test_rook_placements_come_in_lexicographic_order_of_their_rows():
 
 
 def test_enumerators_leave_no_garbage_for_the_cyclic_collector():
-    # with automatic collection off, no collection during the loop can hide a cycle
-    gc.collect()
-    gc.disable()
-    try:
+    # with automatic collection off, no collection during a call can hide a
+    # cycle; the recursive walks drop their own closures when they return
+    def enumerate_placements():
         for b in parking_contents(6):
             for _ in rook_placements(b):
                 pass
-        assert gc.collect() == 0
+
+    calls = {
+        "parking_contents and rook_placements": enumerate_placements,
+        "_rearrangement_sweep": lambda: _rearrangement_sweep((1, 1, 2, 3)),
+        "_tree_sweep": lambda: genfun._tree_sweep(5),
+        "_simsun_walk": lambda: genfun._simsun_walk(7),
+        "_prefix_walk": lambda: genfun._prefix_walk(6, genfun._alternating_step),
+        "greene_sweep": lambda: list(plactic.greene_sweep(2, 4)),
+        "greene_sweep stopped early": lambda: next(plactic.greene_sweep(2, 4)),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 
